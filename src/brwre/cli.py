@@ -299,7 +299,7 @@ def dumps_report(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Section builders
+# Section builders and the stage computations behind them
 
 
 def _seeds_for(config: ExperimentConfig) -> dict:
@@ -380,6 +380,49 @@ def _frozen_section(profile) -> dict:
     }
 
 
+def _classify(config: ExperimentConfig):
+    return criteria.classify_environment(
+        config.environment, seed=_seeds_for(config)["lyapunov"],
+        steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
+        sigma_margin=config.thresholds.sigma_margin, n_workers=worker_count(),
+    )
+
+
+def _exponent(config: ExperimentConfig, kind: str, salt: int | None = None, lam=None):
+    """Top exponent of one matrix family, seeded by the lyapunov seed or a salt of it."""
+    seed = _seeds_for(config)["lyapunov"]
+    return lyapunov.top_lyapunov(
+        config.environment, kind, steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
+        seed=seed if salt is None else derive_seed(seed, salt), lam=lam, n_workers=worker_count(),
+    )
+
+
+def _rho_sweep(config: ExperimentConfig):
+    return spectral.rho_sweep(
+        config.environment, _seeds_for(config)["environment"], config.spectral.n_values,
+        tol=config.spectral.tol,
+    )
+
+
+def _simulate(config: ExperimentConfig):
+    seeds = _seeds_for(config)
+    return simulator.survival_probabilities(
+        config.environment, trials=config.simulate.trials, horizon=config.simulate.horizon,
+        cap=config.simulate.cap, mode=config.simulate.mode,
+        env_seed=seeds["environment"], seed=seeds["simulate"],
+    )
+
+
+def _frozen_profile(config: ExperimentConfig):
+    seeds = _seeds_for(config)
+    return simulator.frozen_mean_profile(
+        config.environment, seeds["environment"], config.frozen.levels,
+        config.frozen.trials_per_level, seed=seeds["frozen"],
+        max_time=config.frozen.max_time, max_population=config.frozen.max_population,
+        censor_threshold=config.frozen.censor_threshold,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cross-check table
 
@@ -423,16 +466,16 @@ def _ols_slope_and_se(log_f: np.ndarray, sigma_inc: float) -> tuple[float, float
 
 
 def run_crosscheck(
-    config: ExperimentConfig, quiet: bool = False, survival=None
+    config: ExperimentConfig, quiet: bool = False, survival=None, regime=None,
+    sweep=None, profile=None,
 ) -> tuple[list[dict], dict]:
     """All identity checks on one config; returns (rows, sections).
 
-    A precomputed survival estimate (same seeds and options) may be passed
-    to avoid re-simulating when the caller already ran the simulate stage.
+    A survival estimate, regime, rho sweep or frozen profile the caller
+    already computed from this config may be passed to avoid recomputing it.
     """
     env = config.environment
     seeds = _seeds_for(config)
-    workers = worker_count()
     rows: list[dict] = []
     sections: dict = {}
 
@@ -444,20 +487,14 @@ def run_crosscheck(
             print(msg)
 
     # classifier verdict (computes the one exponent its branch needs)
-    regime = criteria.classify_environment(
-        env, seed=seeds["lyapunov"], steps=config.lyapunov.steps,
-        replicas=config.lyapunov.replicas,
-        sigma_margin=config.thresholds.sigma_margin, n_workers=workers,
-    )
+    if regime is None:
+        regime = _classify(config)
     sections["regime"] = _regime_section(regime)
     say(f"crosscheck: regime {regime.regime} ({regime.vanishing_direction})")
 
     gamma = regime.gamma1
     if gamma is None or gamma.matrix_kind != "A":
-        gamma = lyapunov.top_lyapunov(
-            env, "A", steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-            seed=derive_seed(seeds["lyapunov"], 11), n_workers=workers,
-        )
+        gamma = _exponent(config, "A", 11)
 
     if interval.is_empty:
         rows.append(_skipped("conjugacy_identity", "no feasible lambda"))
@@ -473,10 +510,7 @@ def run_crosscheck(
         rows.append(_row("conjugacy_identity", residual, 0.0, tol, residual <= tol,
                          f"lambda={lam_mid:.6g}"))
 
-        gamma_lam_mid = lyapunov.top_lyapunov(
-            env, "A_lambda", steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-            seed=derive_seed(seeds["lyapunov"], 12), lam=lam_mid, n_workers=workers,
-        )
+        gamma_lam_mid = _exponent(config, "A_lambda", 12, lam_mid)
         shift = gamma_lam_mid.value + math.log(lam_mid)
         tol = _identity_tol(math.hypot(gamma.stderr, gamma_lam_mid.stderr), config.lyapunov.steps)
         rows.append(_row("exponent_shift", gamma.value, shift, tol,
@@ -486,16 +520,8 @@ def run_crosscheck(
             log_lo, log_hi = math.log(interval.lo), math.log(interval.hi)
             lam_a = math.exp(log_lo + 0.35 * (log_hi - log_lo))
             lam_b = math.exp(log_lo + 0.70 * (log_hi - log_lo))
-            est_a = lyapunov.top_lyapunov(
-                env, "A_lambda", steps=config.lyapunov.steps,
-                replicas=config.lyapunov.replicas,
-                seed=derive_seed(seeds["lyapunov"], 13), lam=lam_a, n_workers=workers,
-            )
-            est_b = lyapunov.top_lyapunov(
-                env, "A_lambda", steps=config.lyapunov.steps,
-                replicas=config.lyapunov.replicas,
-                seed=derive_seed(seeds["lyapunov"], 14), lam=lam_b, n_workers=workers,
-            )
+            est_a = _exponent(config, "A_lambda", 13, lam_a)
+            est_b = _exponent(config, "A_lambda", 14, lam_b)
             fa = math.log(lam_a) + lyapunov.second_exponent_via_det(env, lam_a, est_a.value)
             fb = math.log(lam_b) + lyapunov.second_exponent_via_det(env, lam_b, est_b.value)
             tol = _identity_tol(math.hypot(est_a.stderr, est_b.stderr), config.lyapunov.steps)
@@ -526,11 +552,7 @@ def run_crosscheck(
 
     # Monte Carlo survival vs verdict
     if survival is None:
-        survival = simulator.survival_probabilities(
-            env, trials=config.simulate.trials, horizon=config.simulate.horizon,
-            cap=config.simulate.cap, mode=config.simulate.mode,
-            env_seed=seeds["environment"], seed=seeds["simulate"], n_workers=workers,
-        )
+        survival = _simulate(config)
     sections["survival"] = _survival_section(survival)
     say(f"crosscheck: simulated global survival {survival.global_freq:.4f}")
 
@@ -558,12 +580,8 @@ def run_crosscheck(
 
     # freezing construction (right-vanishing branch only)
     if regime.vanishing_direction == "right" and not interval.is_empty:
-        profile = simulator.frozen_mean_profile(
-            env, seeds["environment"], config.frozen.levels, config.frozen.trials_per_level,
-            seed=seeds["frozen"], max_time=config.frozen.max_time,
-            max_population=config.frozen.max_population,
-            censor_threshold=config.frozen.censor_threshold,
-        )
+        if profile is None:
+            profile = _frozen_profile(config)
         sections["frozen_profile"] = _frozen_section(profile)
         target = drift - gamma.value
         tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
@@ -592,9 +610,8 @@ def run_crosscheck(
         rows.append(_skipped("per_level_bound", "not in the right-vanishing branch"))
 
     # spectral sweep vs criterion
-    sweep = spectral.rho_sweep(
-        env, seeds["environment"], config.spectral.n_values, tol=config.spectral.tol
-    )
+    if sweep is None:
+        sweep = _rho_sweep(config)
     sections["rho_sweep"] = [[n, r] for n, r in sweep]
     max_rho = max(r for _, r in sweep)
     if interval.is_empty:
@@ -685,7 +702,6 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
     }
     sections: dict = {}
     status = EXIT_OK
-    workers = worker_count()
 
     def say(msg):
         if not quiet:
@@ -700,28 +716,17 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
         elif subcommand in ("validate",):
             say("conditions: ok")
 
+        regime = sweep = survival = profile = None
         if status == EXIT_OK and subcommand in ("classify", "all"):
-            regime = criteria.classify_environment(
-                config.environment, seed=seeds["lyapunov"],
-                steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-                sigma_margin=config.thresholds.sigma_margin, n_workers=workers,
-            )
+            regime = _classify(config)
             report["regime"] = _regime_section(regime)
             say(f"regime: {regime.regime} (vanishing {regime.vanishing_direction})")
             if strict and regime.regime == criteria.INCONCLUSIVE:
                 status = EXIT_INCONCLUSIVE
 
         if status == EXIT_OK and subcommand in ("lyapunov", "all"):
-            est_a = lyapunov.top_lyapunov(
-                config.environment, "A", steps=config.lyapunov.steps,
-                replicas=config.lyapunov.replicas, seed=seeds["lyapunov"],
-                n_workers=workers,
-            )
-            est_t = lyapunov.top_lyapunov(
-                config.environment, "A_tilde", steps=config.lyapunov.steps,
-                replicas=config.lyapunov.replicas,
-                seed=derive_seed(seeds["lyapunov"], 1), n_workers=workers,
-            )
+            est_a = _exponent(config, "A")
+            est_t = _exponent(config, "A_tilde", 1)
             report["lyapunov"] = {
                 "gamma1": _estimate_section(est_a),
                 "gamma1_tilde": _estimate_section(est_t),
@@ -729,22 +734,13 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
             say(f"gamma1 = {est_a.value:.6f} +- {est_a.stderr:.2e}")
 
         if status == EXIT_OK and subcommand in ("spectral", "all"):
-            sweep = spectral.rho_sweep(
-                config.environment, seeds["environment"], config.spectral.n_values,
-                tol=config.spectral.tol,
-            )
+            sweep = _rho_sweep(config)
             sections["rho_sweep"] = [[n, r] for n, r in sweep]
             report["rho_sweep"] = sections["rho_sweep"]
             say(f"rho sweep: {sweep[-1][1]:.6f} at N={sweep[-1][0]}")
 
-        survival = None
         if status == EXIT_OK and subcommand in ("simulate", "all"):
-            survival = simulator.survival_probabilities(
-                config.environment, trials=config.simulate.trials,
-                horizon=config.simulate.horizon, cap=config.simulate.cap,
-                mode=config.simulate.mode, env_seed=seeds["environment"],
-                seed=seeds["simulate"], n_workers=workers,
-            )
+            survival = _simulate(config)
             report["survival"] = _survival_section(survival)
             sections["survival_outcomes"] = [
                 [i, o.status, o.extinction_time, o.last_origin_visit]
@@ -756,13 +752,7 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
             interval = criteria.lambda_feasible_set(config.environment)
             right = not interval.is_empty and interval.lo > 1.0 + criteria.ONE_MEMBERSHIP_TOL
             if right:
-                profile = simulator.frozen_mean_profile(
-                    config.environment, seeds["environment"], config.frozen.levels,
-                    config.frozen.trials_per_level, seed=seeds["frozen"],
-                    max_time=config.frozen.max_time,
-                    max_population=config.frozen.max_population,
-                    censor_threshold=config.frozen.censor_threshold,
-                )
+                profile = _frozen_profile(config)
                 sections["frozen_profile"] = _frozen_section(profile)
                 report["frozen_profile"] = sections["frozen_profile"]
                 say(f"frozen log-average: {profile.log_average:.5f}")
@@ -772,7 +762,8 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
                 }
 
         if status == EXIT_OK and subcommand in ("crosscheck", "all"):
-            rows, extra = run_crosscheck(config, quiet=quiet, survival=survival)
+            rows, extra = run_crosscheck(config, quiet=quiet, survival=survival, regime=regime,
+                                         sweep=sweep, profile=profile)
             report["crosscheck"] = rows
             for key in ("regime", "rho_sweep", "survival", "frozen_profile", "supermartingale"):
                 if key in extra and key not in report:

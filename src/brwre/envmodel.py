@@ -271,13 +271,14 @@ def state_at(envlaw: EnvironmentLaw, seed: int, site: int) -> int:
     return min(idx, envlaw.n_states - 1)
 
 
-def state_indices(envlaw: EnvironmentLaw, seed: int, sites: np.ndarray) -> np.ndarray:
-    """Vectorized state_at over an int array of sites."""
+def state_indices(envlaw: EnvironmentLaw, seed, sites: np.ndarray) -> np.ndarray:
+    """Vectorized state_at over an int array of sites; seed may be per-site."""
     s = np.asarray(sites, dtype=np.int64)
     if envlaw.n_states == 1:
         return np.zeros(s.shape, dtype=np.int64)
+    key = np.uint64(int(seed) & _MASK64) if np.ndim(seed) == 0 else np.asarray(seed).astype(np.uint64)
     enc = np.where(s >= 0, 2 * s, -2 * s - 1).astype(np.uint64)
-    x = (np.uint64(int(seed) & _MASK64) ^ enc) + np.uint64(0x9E3779B97F4A7C15)
+    x = (key ^ enc) + np.uint64(0x9E3779B97F4A7C15)
     z = x
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

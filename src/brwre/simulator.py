@@ -1,16 +1,19 @@
 """Quenched Monte Carlo for the branching walk: trials, traces, freezing.
 
-Particles are never tracked individually: a configuration is a sparse
-site -> count map, and one step draws, per occupied site, a multinomial
-split of the count over the site's offspring atoms.  That is equal in law
-to independent per-particle draws but costs O(occupied sites) regardless
-of population size, so supercritical bursts stay cheap until the cap.
+Particles are never tracked individually: one step draws, per occupied
+site, a multinomial split of the site's count over its offspring atoms,
+equal in law to per-particle draws at O(occupied sites) cost.  run_batch
+steps many independent runs (rows) at once on flat (row, site, count)
+arrays.  Survival trials, the supermartingale trace and the freezing
+construction are rows of it; run_trial, step and frozen_progeny_trial are
+its one-row oracles.  Each TRIAL_BATCH rows share one random stream keyed
+by (env_seed, seed, batch index), so results never depend on threads.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +27,9 @@ ALIVE_AT_HORIZON = "AliveAtHorizon"
 # per-site count guard; staying far below 2^63 keeps every sum and
 # multinomial draw inside exact int64 range
 _HARD_COUNT = 1 << 55
+
+# rows stepped together on one random stream; part of the stream layout
+TRIAL_BATCH = 1024
 
 
 class CensoringError(RuntimeError):
@@ -54,40 +60,121 @@ class Configuration:
         return cls(counts={int(site): 1}, time=0)
 
 
+@dataclass(frozen=True)
 class QuenchedEnvironment:
-    """One realized environment: lazy site -> offspring-law view.
+    """One realized environment: a law and the seed its site states derive from."""
 
-    Wraps (envlaw, seed) so any site's state is available on demand;
-    this is the auto-extending form of a realized window.
+    envlaw: EnvironmentLaw
+    seed: int
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Indices at which the sorted array a takes a new value."""
+    head = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _branch(envlaw, env_seed, rows, sites, counts, rng):
+    """One synchronous branching generation on flat arrays sorted by
+    (row, site); env_seed is one quenched seed or an array of per-row seeds."""
+    states = state_indices(envlaw, env_seed if np.ndim(env_seed) == 0 else env_seed[rows], sites)
+    kids = np.empty((len(sites), 3), dtype=np.int64)
+    for s, law in enumerate(envlaw.laws):
+        at = np.flatnonzero(states == s)
+        if len(at):
+            kids[at] = rng.multinomial(counts[at], law.probabilities) @ law.vectors
+    # one int64 key per (row, site), padded so site-1 and site+1 stay in the row
+    lo = int(sites.min()) - 1
+    width = int(sites.max()) - lo + 2
+    key = rows * width + (sites - lo)
+    keys = np.concatenate([key - 1, key, key + 1])
+    vals = kids.T.ravel()
+    keep = vals > 0
+    keys, vals = keys[keep], vals[keep]
+    order = np.argsort(keys, kind="stable")  # three sorted runs: a merge, not a sort
+    keys, vals = keys[order], vals[order]
+    first = _starts(keys)
+    keys = keys[first]
+    return keys // width, keys % width + lo, np.add.reduceat(vals, first)
+
+
+class BatchRun(NamedTuple):
+    """Per-row results of run_batch: status is EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON."""
+
+    status: np.ndarray
+    end_time: np.ndarray
+    last_origin_visit: np.ndarray  # -1 where the origin was never occupied
+    peak_population: np.ndarray
+    frozen: np.ndarray  # particles frozen below the start (freeze=True)
+    log_h: np.ndarray | None  # (rows, horizon+1) ln sum_x count(x) lam^x
+
+
+def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
+              *, cap: int | None = None, freeze: bool = False,
+              log_lam: float | None = None) -> BatchRun:
+    """Evolve independent rows, row i from start_count particles at starts[i].
+
+    env_seed is one quenched seed or one seed per row.  Rows step together
+    in batches of TRIAL_BATCH; batch b draws from default_rng([*stream, b]).
+    A row ends Extinct with no particle left, CapReached once its total
+    reaches cap or a site count reaches _HARD_COUNT (without a cap that
+    raises PopulationOverflowError), else AliveAtHorizon.  freeze moves
+    particles below starts[i] into the row's frozen count after each step;
+    log_lam records the log of the lam-weighted population at every time.
     """
-
-    def __init__(self, envlaw: EnvironmentLaw, seed: int):
-        self.envlaw = envlaw
-        self.seed = int(seed)
-        self.atom_probs = [law.probabilities for law in envlaw.laws]
-        self.atom_vectors = [law.vectors for law in envlaw.laws]
-
-    def states_for(self, sites: np.ndarray) -> np.ndarray:
-        return state_indices(self.envlaw, self.seed, sites)
-
-
-def _step_arrays(
-    sites: np.ndarray, counts: np.ndarray, env: QuenchedEnvironment, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous branching step on (sorted sites, positive counts)."""
-    states = env.states_for(sites)
-    lo = int(sites[0]) - 1
-    acc = np.zeros(int(sites[-1]) - lo + 2, dtype=np.int64)
-    for s in np.unique(states):
-        mask = states == s
-        draws = rng.multinomial(counts[mask], env.atom_probs[s])
-        vec = env.atom_vectors[s]
-        pos = sites[mask] - lo
-        np.add.at(acc, pos - 1, draws @ vec[:, 0])
-        np.add.at(acc, pos, draws @ vec[:, 1])
-        np.add.at(acc, pos + 1, draws @ vec[:, 2])
-    occupied = np.nonzero(acc)[0]
-    return occupied + lo, acc[occupied]
+    starts = np.asarray(starts, dtype=np.int64)
+    n = len(starts)
+    status, end_time = np.full(n, ALIVE_AT_HORIZON, dtype=object), np.full(n, horizon)
+    last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    last_origin = np.where(starts == 0, 0, -1)
+    peak = np.full(n, start_count, dtype=np.int64)
+    log_h = None
+    if log_lam is not None:
+        log_h = np.full((n, horizon + 1), -math.inf)
+        log_h[:, 0] = np.log(peak) + starts * log_lam
+    for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
+        rng = np.random.default_rng([*stream, b])
+        rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
+        sites, counts = starts[rows], peak[rows]
+        for t in range(1, horizon + 1):
+            if not len(rows):
+                break
+            rows, sites, counts = _branch(envlaw, env_seed, rows, sites, counts, rng)
+            if freeze:
+                hit = sites < starts[rows]
+                np.add.at(frozen, rows[hit], counts[hit])
+                rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
+            first = _starts(rows)
+            live = rows[first]
+            last_seen[live] = t
+            last_origin[rows[sites == 0]] = t
+            total = np.add.reduceat(counts, first)
+            peak[live] = np.maximum(peak[live], total)
+            if log_h is not None:
+                x = np.log(counts) + sites * log_lam
+                top = np.maximum.reduceat(x, first)
+                spread = np.exp(x - top[np.searchsorted(live, rows)])
+                log_h[live, t] = top + np.log(np.add.reduceat(spread, first))
+            over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
+            if cap is None and over.any():
+                raise PopulationOverflowError(
+                    f"population guard hit at step {t}; shorten the horizon")
+            if cap is not None:
+                over |= total >= cap
+            if over.any():
+                status[live[over]] = CAP_REACHED
+                end_time[live[over]] = t
+                keep = ~over[np.searchsorted(live, rows)]
+                rows, sites, counts = rows[keep], sites[keep], counts[keep]
+    gone = (status == ALIVE_AT_HORIZON) & (last_seen < horizon)
+    status[gone] = EXTINCT
+    end_time[gone] = last_seen[gone] + 1
+    return BatchRun(status, end_time, last_origin, peak, frozen, log_h)
 
 
 def step(config: Configuration, env: QuenchedEnvironment, rng: np.random.Generator) -> Configuration:
@@ -96,7 +183,9 @@ def step(config: Configuration, env: QuenchedEnvironment, rng: np.random.Generat
         return Configuration(counts={}, time=config.time + 1)
     sites = np.array(sorted(config.counts), dtype=np.int64)
     counts = np.fromiter((config.counts[int(s)] for s in sites), np.int64, len(sites))
-    new_sites, new_counts = _step_arrays(sites, counts, env, rng)
+    _, new_sites, new_counts = _branch(
+        env.envlaw, env.seed, np.zeros(len(sites), dtype=np.int64), sites, counts, rng
+    )
     return Configuration(
         counts={int(s): int(c) for s, c in zip(new_sites, new_counts)},
         time=config.time + 1,
@@ -125,9 +214,10 @@ class TrialOutcome:
         )
 
 
-def _occupied_at_origin(sites: np.ndarray) -> bool:
-    i = np.searchsorted(sites, 0)
-    return i < len(sites) and sites[i] == 0
+def _outcomes(run: BatchRun) -> list[TrialOutcome]:
+    columns = (run.status, run.end_time, run.last_origin_visit, run.peak_population)
+    return [TrialOutcome(s, e if s == EXTINCT else None, o if o >= 0 else None, p, e)
+            for s, e, o, p in zip(*(c.tolist() for c in columns))]
 
 
 def run_trial(
@@ -143,23 +233,8 @@ def run_trial(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    env = QuenchedEnvironment(envlaw, env_seed)
-    rng = np.random.default_rng([env_seed, trial_seed])
-    sites = np.array([start_site], dtype=np.int64)
-    counts = np.array([1], dtype=np.int64)
-    last_origin = 0 if start_site == 0 else None
-    peak = 1
-    for t in range(1, horizon + 1):
-        sites, counts = _step_arrays(sites, counts, env, rng)
-        if len(sites) == 0:
-            return TrialOutcome(EXTINCT, t, last_origin, peak, t)
-        if _occupied_at_origin(sites):
-            last_origin = t
-        total = int(counts.sum())
-        peak = max(peak, total)
-        if total >= cap or int(counts.max()) >= _HARD_COUNT:
-            return TrialOutcome(CAP_REACHED, None, last_origin, peak, t)
-    return TrialOutcome(ALIVE_AT_HORIZON, None, last_origin, peak, horizon)
+    return _outcomes(run_batch(envlaw, env_seed, [start_site], 1, horizon,
+                               (env_seed, trial_seed), cap=cap))[0]
 
 
 @dataclass(frozen=True)
@@ -202,22 +277,19 @@ def survival_probabilities(
     """Monte Carlo survival frequencies over independent trials.
 
     mode "quenched" keeps one realized environment for every trial;
-    "annealed" draws a fresh environment per trial.
+    "annealed" gives trial i the environment seed derive_seed(env_seed, 1+i).
+    The trials run as rows of run_batch, TRIAL_BATCH rows per random
+    stream, and keep one TrialOutcome each.  n_workers is accepted for
+    compatibility and ignored: the result never depends on it.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if mode not in ("quenched", "annealed"):
         raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
-
-    def one(i: int) -> TrialOutcome:
-        e_seed = env_seed if mode == "quenched" else derive_seed(env_seed, 1 + i)
-        return run_trial(envlaw, e_seed, derive_seed(seed, i), horizon, cap, start_site)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = tuple(pool.map(one, range(trials)))
-    else:
-        outcomes = tuple(map(one, range(trials)))
+    env_seeds = env_seed if mode == "quenched" else np.array(
+        [derive_seed(env_seed, 1 + i) for i in range(trials)], np.uint64)
+    outcomes = _outcomes(run_batch(envlaw, env_seeds, np.full(trials, start_site), 1, horizon,
+                                   (env_seed, seed), cap=cap))
 
     g = sum(o.survived for o in outcomes) / trials
     l = sum(o.locally_alive_proxy for o in outcomes) / trials
@@ -228,21 +300,12 @@ def survival_probabilities(
         local_proxy_stderr=_binomial_stderr(l, trials),
         trials=trials,
         mode=mode,
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
     )
 
 
 # ---------------------------------------------------------------------------
 # Weighted-population supermartingale
-
-
-def _log_weighted_population(sites: np.ndarray, counts: np.ndarray, log_lam: float) -> float:
-    """ln of sum_x count(x) * lam^x, evaluated in log space."""
-    if len(sites) == 0:
-        return -math.inf
-    t = np.log(counts.astype(float)) + sites * log_lam
-    m = float(t.max())
-    return m + math.log(float(np.exp(t - m).sum()))
 
 
 @dataclass(frozen=True)
@@ -277,22 +340,9 @@ def supermartingale_trace(
             raise ValueError(
                 f"lambda={lam} infeasible for state with moments {m.as_tuple()}"
             )
-    env = QuenchedEnvironment(envlaw, env_seed)
-    log_lam = math.log(lam)
-    h = np.empty((trials, horizon + 1))
-    for i in range(trials):
-        rng = np.random.default_rng([env_seed, derive_seed(seed, i)])
-        sites = np.array([start_site], dtype=np.int64)
-        counts = np.array([1], dtype=np.int64)
-        h[i, 0] = math.exp(start_site * log_lam)
-        for t in range(1, horizon + 1):
-            if len(sites):
-                sites, counts = _step_arrays(sites, counts, env, rng)
-                if len(counts) and int(counts.max()) >= _HARD_COUNT:
-                    raise PopulationOverflowError(
-                        f"population guard hit at step {t}; shorten the horizon"
-                    )
-            h[i, t] = math.exp(_log_weighted_population(sites, counts, log_lam))
+    run = run_batch(envlaw, env_seed, np.full(trials, start_site), 1, horizon,
+                    (env_seed, seed), log_lam=math.log(lam))
+    h = np.exp(run.log_h)
     diffs = np.diff(h, axis=1)
     return SupermartingaleTrace(
         lam=lam,
@@ -309,34 +359,6 @@ def supermartingale_trace(
 # Freezing construction: progeny counts at a one-sided barrier
 
 
-def _frozen_run(
-    env: QuenchedEnvironment,
-    rng: np.random.Generator,
-    level: int,
-    start_count: int,
-    max_time: int,
-    max_population: int,
-) -> int | None:
-    """Start start_count particles at level; freeze everything reaching
-    level-1; return the frozen total once no live particles remain, or
-    None when a cap censors the run."""
-    barrier = level - 1
-    sites = np.array([level], dtype=np.int64)
-    counts = np.array([start_count], dtype=np.int64)
-    frozen = 0
-    for _ in range(max_time):
-        sites, counts = _step_arrays(sites, counts, env, rng)
-        at_barrier = sites <= barrier
-        if at_barrier.any():
-            frozen += int(counts[at_barrier].sum())
-            sites, counts = sites[~at_barrier], counts[~at_barrier]
-        if len(sites) == 0:
-            return frozen
-        if int(counts.sum()) > max_population:
-            return None
-    return None
-
-
 def frozen_progeny_trial(
     envlaw: EnvironmentLaw,
     env_seed: int,
@@ -350,11 +372,11 @@ def frozen_progeny_trial(
     """One sample of the frozen progeny count at the barrier below level.
 
     Meaningful in the right-vanishing regime, where the run terminates
-    almost surely; cap hits return None (censored).
+    almost surely; cap hits and max_time return None (censored).
     """
-    env = QuenchedEnvironment(envlaw, env_seed)
-    rng = np.random.default_rng([env_seed, level, trial_seed])
-    return _frozen_run(env, rng, level, start_count, max_time, max_population)
+    run = run_batch(envlaw, env_seed, [level], start_count, max_time,
+                    (env_seed, level, trial_seed), cap=max_population + 1, freeze=True)
+    return int(run.frozen[0]) if run.status[0] == EXTINCT else None
 
 
 @dataclass(frozen=True)
@@ -412,46 +434,31 @@ def frozen_mean_profile(
     Trials are batched: a run started with B particles is, by branching
     independence, exactly a sum of B independent single-particle samples,
     so the batched sample mean has the law of a trials_per_level-trial
-    mean while costing a constant number of array steps per generation.
-    Standard errors come from the dispersion across super-trials.
+    mean.  The super-trials of every level run together as rows of
+    run_batch; standard errors come from the dispersion across them.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if trials_per_level < 1:
         raise ValueError(f"trials_per_level must be >= 1, got {trials_per_level}")
-    env = QuenchedEnvironment(envlaw, env_seed)
     n_super = min(super_trials, trials_per_level)
     batch = -(-trials_per_level // n_super)  # ceil division
 
     ks = np.arange(1, levels + 1)
-    means = np.empty(levels)
-    stderrs = np.empty(levels)
-    censored_rates = np.empty(levels)
-    flagged: list[int] = []
-    for j, k in enumerate(ks):
-        per_super = []
-        censored = 0
-        for r in range(n_super):
-            rng = np.random.default_rng([env_seed, seed, int(k), r])
-            total = _frozen_run(env, rng, int(k), batch, max_time, max_population)
-            if total is None:
-                censored += 1
-            else:
-                per_super.append(total / batch)
-        rate = censored / n_super
-        censored_rates[j] = rate
-        if rate > censor_threshold:
-            raise CensoringError(
-                f"level {k}: censoring rate {rate:.3f} exceeds {censor_threshold}"
-            )
-        vals = np.array(per_super)
-        means[j] = vals.mean()
-        stderrs[j] = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        if means[j] <= 0.0:
-            flagged.append(int(k))
+    run = run_batch(envlaw, env_seed, np.repeat(ks, n_super), batch, max_time,
+                    (env_seed, seed), cap=max_population + 1, freeze=True)
+    done = (run.status == EXTINCT).reshape(levels, n_super)
+    censored_rates = (~done).sum(axis=1) / n_super
+    over = np.flatnonzero(censored_rates > censor_threshold)
+    if len(over):
+        raise CensoringError(f"level {ks[over[0]]}: censoring rate "
+                             f"{censored_rates[over[0]]:.3f} exceeds {censor_threshold}")
+    vals = [v[d] / batch for v, d in zip(run.frozen.reshape(levels, n_super), done)]
+    means = np.array([v.mean() for v in vals])
+    stderrs = np.array([v.std(ddof=1) / math.sqrt(len(v)) if len(v) > 1 else 0.0 for v in vals])
 
-    good = np.array([k not in flagged for k in ks])
-    logs = np.log(means[good])
+    flagged = [int(k) for k, m in zip(ks, means) if m <= 0.0]
+    logs = np.log(means[means > 0.0])
     log_avg = float(logs.mean())
     log_se = float(logs.std(ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
     return FrozenProfile(

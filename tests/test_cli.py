@@ -1,7 +1,9 @@
+import collections
 import json
 
 import pytest
 
+from brwre import cli, criteria, simulator, spectral
 from brwre.cli import (
     EXIT_CONDITIONS,
     EXIT_INCONCLUSIVE,
@@ -273,6 +275,31 @@ def test_crosscheck_all_rows_pass(tmp_path):
         assert r["verdict"] in ("pass", "skipped")
         assert "tolerance" in r
     assert (out / "supermartingale.csv").exists()
+
+
+def test_all_computes_each_stage_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),
+                         (simulator, "survival_probabilities"),
+                         (simulator, "frozen_mean_profile")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run(write_config(tmp_path), "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    assert calls == {"classify_environment": 1, "rho_sweep": 1,
+                     "survival_probabilities": 1, "frozen_mean_profile": 1}
+
+
+def test_all_report_unchanged_by_stage_reuse(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    assert run(path, "all", outdir=str(tmp_path / "reuse"), quiet=True) == EXIT_OK
+    original = cli.run_crosscheck
+    monkeypatch.setattr(cli, "run_crosscheck",
+                        lambda config, quiet=False, **_: original(config, quiet))
+    assert run(path, "all", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
+    reuse = (tmp_path / "reuse" / "report.json").read_bytes()
+    assert reuse == (tmp_path / "fresh" / "report.json").read_bytes()
 
 
 def test_report_byte_reproducibility(tmp_path):

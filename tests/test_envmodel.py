@@ -6,6 +6,7 @@ from brwre.envmodel import (
     EnvironmentLaw,
     OffspringLaw,
     OffspringVector,
+    derive_seed,
     law_from_atoms,
     moments,
     realize_window,
@@ -132,6 +133,21 @@ def test_vectorized_indices_match_scalar():
     vec = state_indices(env, 5, sites)
     scalar = np.array([state_at(env, 5, int(s)) for s in sites])
     np.testing.assert_array_equal(vec, scalar)
+
+
+def test_per_site_seeds_match_scalar_calls():
+    env = two_equal_states()
+    sites = np.arange(-150, 151)
+    seeds = np.array([derive_seed(11, k) for k in range(len(sites))], dtype=np.uint64)
+    vec = state_indices(env, seeds, sites)
+    per_site = [state_indices(env, int(q), np.array([s]))[0] for q, s in zip(seeds, sites)]
+    np.testing.assert_array_equal(vec, per_site)
+    np.testing.assert_array_equal(vec, [state_at(env, int(q), int(s)) for q, s in zip(seeds, sites)])
+    # a constant seed array is the scalar call
+    same = np.full(len(sites), 5, dtype=np.uint64)
+    np.testing.assert_array_equal(state_indices(env, same, sites), state_indices(env, 5, sites))
+    one = state_indices(single_env(GW_SUPERCRITICAL), seeds, sites)
+    assert one.shape == sites.shape and not one.any()
 
 
 def test_realize_window_singleton():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from brwre.envmodel import law_from_atoms
+from brwre import simulator
+from brwre.envmodel import derive_seed, law_from_atoms
 from brwre.simulator import (
     ALIVE_AT_HORIZON,
     CAP_REACHED,
     EXTINCT,
+    CensoringError,
     Configuration,
+    PopulationOverflowError,
     QuenchedEnvironment,
     frozen_mean_profile,
     frozen_progeny_trial,
@@ -120,6 +123,16 @@ def test_trial_deterministic_reproduction():
     assert a == b
 
 
+def test_trial_deterministic_split_tracks_origin_and_peak():
+    # every particle sends one child each way: 2^t particles on the sites of
+    # t's parity, so the origin is occupied exactly at even times
+    env = single_env([(1.0, (1, 0, 1))])
+    for horizon, last in ((10, 10), (9, 8)):
+        out = run_trial(env, 0, 0, horizon=horizon, cap=10**9)
+        assert out.status == ALIVE_AT_HORIZON and out.end_time == horizon
+        assert out.last_origin_visit == last and out.peak_population == 2**horizon
+
+
 def test_trial_cap_reached_flags_peak():
     env = single_env(TREBLE_OR_DIE)
     for seed in range(20):
@@ -197,6 +210,63 @@ def test_survival_workers_do_not_change_result():
         env, trials=120, horizon=60, cap=10**4, env_seed=7, seed=7, n_workers=4
     )
     assert a.outcomes == b.outcomes
+
+
+def _summary(outcomes):
+    """(value, stderr) of survival, local-proxy frequency and mean extinction time."""
+    n = len(outcomes)
+    out = []
+    for p in (np.mean([o.survived for o in outcomes]),
+              np.mean([o.locally_alive_proxy for o in outcomes])):
+        out.append((p, math.sqrt(p * (1.0 - p) / n)))
+    times = np.array([o.extinction_time for o in outcomes if o.status == EXTINCT], dtype=float)
+    out.append((times.mean(), times.std(ddof=1) / math.sqrt(len(times))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "env, mode",
+    [(single_env(TREBLE_OR_DIE), "quenched"), (two_state_env(), "quenched"),
+     (two_state_env(), "annealed")],
+    ids=["treble-quenched", "two-state-quenched", "two-state-annealed"],
+)
+def test_batched_survival_matches_single_trial_oracle(env, mode):
+    trials, horizon, cap, env_seed, seed = 1000, 200, 500, 21, 22
+    batched = survival_probabilities(env, trials=trials, horizon=horizon, cap=cap, mode=mode,
+                                     env_seed=env_seed, seed=seed)
+    oracle = [
+        run_trial(env, env_seed if mode == "quenched" else derive_seed(env_seed, 1 + i),
+                  derive_seed(seed, i), horizon, cap)
+        for i in range(trials)
+    ]
+    for (a, se_a), (b, se_b) in zip(_summary(batched.outcomes), _summary(oracle)):
+        assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
+    capped = [o for o in batched.outcomes if o.status == CAP_REACHED]
+    assert capped
+    assert all(o.peak_population >= cap and o.end_time < horizon for o in capped)
+    for o in batched.outcomes:
+        assert (o.extinction_time == o.end_time) == (o.status == EXTINCT)
+
+
+def test_batches_draw_independent_streams():
+    n = simulator.TRIAL_BATCH
+    kwargs = dict(horizon=50, cap=1000, env_seed=3, seed=4)
+    two = survival_probabilities(single_env(TREBLE_OR_DIE), trials=2 * n, **kwargs)
+    one = survival_probabilities(single_env(TREBLE_OR_DIE), trials=n, **kwargs)
+    assert two.outcomes[:n] != two.outcomes[n:]
+    # a batch's stream is fixed by its index, not by how many trials follow
+    assert two.outcomes[:n] == one.outcomes
+
+
+def test_hard_count_guard_in_batched_runs(monkeypatch):
+    monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
+    env = single_env(GW_SUPERCRITICAL)
+    with pytest.raises(PopulationOverflowError):
+        supermartingale_trace(env, 5, 2.0, trials=200, horizon=60, seed=1)
+    est = survival_probabilities(env, trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
+    capped = [o for o in est.outcomes if o.status == CAP_REACHED]
+    assert capped and all(o.peak_population < 10**9 for o in capped)
+    assert not any(o.status == ALIVE_AT_HORIZON for o in est.outcomes)
 
 
 # -- weighted-population supermartingale --------------------------------------
@@ -303,6 +373,11 @@ def test_profile_two_state_log_average_sign():
     env = two_state_env()
     profile = frozen_mean_profile(env, 17, 16, 3000, seed=2)
     assert profile.log_average > 0.0
+
+
+def test_profile_censoring_raises():
+    with pytest.raises(CensoringError):
+        frozen_mean_profile(single_env(TREBLE_OR_DIE), 0, 3, 100, max_population=1)
 
 
 def test_profile_rejects_bad_inputs():
