@@ -236,17 +236,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def worker_count() -> int:
-    """Worker cap from BRWRE_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("BRWRE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BRWRE_THREADS: expected an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"BRWRE_THREADS: must be >= 0, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    """Worker count of a run: always 1, since every stage runs on the calling thread.
+
+    BRWRE_THREADS is not read; results never depend on a worker count.
+    """
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,7 @@ def _classify(config: ExperimentConfig):
     return criteria.classify_environment(
         config.environment, seed=_seeds_for(config)["lyapunov"],
         steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-        sigma_margin=config.thresholds.sigma_margin, n_workers=worker_count(),
+        sigma_margin=config.thresholds.sigma_margin,
     )
 
 
@@ -393,7 +387,7 @@ def _exponent(config: ExperimentConfig, kind: str, salt: int | None = None, lam=
     seed = _seeds_for(config)["lyapunov"]
     return lyapunov.top_lyapunov(
         config.environment, kind, steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-        seed=seed if salt is None else derive_seed(seed, salt), lam=lam, n_workers=worker_count(),
+        seed=seed if salt is None else derive_seed(seed, salt), lam=lam,
     )
 
 
@@ -725,7 +719,10 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
                 status = EXIT_INCONCLUSIVE
 
         if status == EXIT_OK and subcommand in ("lyapunov", "all"):
-            est_a = _exponent(config, "A")
+            # the classifier's right-vanishing branch already drew this estimate
+            est_a = regime.gamma1 if regime is not None else None
+            if est_a is None or est_a.matrix_kind != "A":
+                est_a = _exponent(config, "A")
             est_t = _exponent(config, "A_tilde", 1)
             report["lyapunov"] = {
                 "gamma1": _estimate_section(est_a),

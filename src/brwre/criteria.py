@@ -228,7 +228,6 @@ def classify_environment(
     steps: int = 100_000,
     replicas: int = 32,
     sigma_margin: float = 3.0,
-    n_workers: int = 1,
 ) -> RegimeReport:
     """classify(), computing the one exponent estimate the branch needs."""
     report = validate_conditions(envlaw)
@@ -238,11 +237,9 @@ def classify_environment(
     gamma = gamma_tilde = None
     if not interval.is_empty and not one_in_feasible_set(envlaw):
         if interval.lo > 1.0 + ONE_MEMBERSHIP_TOL:
-            gamma = lyapunov.top_lyapunov(
-                envlaw, "A", steps=steps, replicas=replicas, seed=seed, n_workers=n_workers
-            )
+            gamma = lyapunov.top_lyapunov(envlaw, "A", steps=steps, replicas=replicas, seed=seed)
         elif interval.hi < 1.0 - ONE_MEMBERSHIP_TOL:
             gamma_tilde = lyapunov.top_lyapunov(
-                envlaw, "A_tilde", steps=steps, replicas=replicas, seed=seed, n_workers=n_workers
+                envlaw, "A_tilde", steps=steps, replicas=replicas, seed=seed
             )
     return classify(envlaw, gamma, gamma_tilde, sigma_margin=sigma_margin)

@@ -6,11 +6,21 @@ recursion matrix (kind "A"), its left/right-swapped counterpart
 feasible lambda ("A_lambda").  The top exponent is estimated from long
 renormalized products over independent replicas; the second exponent
 comes from the determinant sum rule rather than subspace tracking.
+
+A product is reduced by a pairwise tree that rescales every product to
+a max-abs entry of 1 and sums the logs of the scales.  The matrices are
+kept entry-wise, as rows a, b, c, d of a (4, n) array holding
+[[a, b], [c, d]], so one level is a few whole-array operations per entry.
+Level one of the tree only pairs two table matrices, so it is computed
+once per estimate, as a table over every ordered pair of states, and then
+gathered by the drawn indices.  `_log_norm_of_product` walks the same
+tree on a stack of matrices with matmul and is kept as the oracle the
+tests compare against; matmul may fuse a multiply-add where the entry
+rows round twice, so the two agree to roundoff, not bit for bit.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +149,111 @@ def _log_norm_of_product(mats: np.ndarray) -> float:
     return acc + float(np.log(np.abs(cur[0]).max()))
 
 
+def _normalized_products(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray, logs: np.ndarray, work: np.ndarray
+) -> None:
+    """Column-wise left @ right into out, each column scaled to max-abs entry 1.
+
+    Matrices [[a, b], [c, d]] are (4, m) entry rows.  logs receives the
+    log of each column's scale; a product that collapsed to zero gets -inf
+    there (and NaN entries), which the caller turns into a
+    FloatingPointError.  work is (m,) scratch.
+    """
+    la, lb, lc, ld = left
+    ra, rb, rc, rd = right
+    for row, (x, y, z, w) in zip(out, ((la, ra, lb, rc), (la, rb, lb, rd),
+                                      (lc, ra, ld, rc), (lc, rb, ld, rd))):
+        np.multiply(x, y, out=row)
+        row += np.multiply(z, w, out=work)
+    np.abs(out[0], out=logs)
+    for row in out[1:]:
+        np.maximum(logs, np.abs(row, out=work), out=logs)
+    out /= logs
+    np.log(logs, out=logs)
+
+
+class _ProductReduction:
+    """ln of the max-abs entry of T[idx[-1]] @ ... @ T[idx[0]], for idx of one length.
+
+    The reduction is the tree `_log_norm_of_product` walks: each level
+    multiplies the odd entries of its list (left) into the even ones,
+    rescales every product to max-abs entry 1 and adds the logs of the
+    scales; an odd tail is carried to the end of the next list.  Level one
+    only ever pairs two table matrices, so it is computed once, for every
+    ordered pair of states (column j*n_states + i holds T[j] @ T[i]), and
+    gathered by the drawn indices.  Later levels run on two (4, m) entry
+    buffers in turn.  Every buffer is allocated once and reused by each
+    replica of an estimate, so no replica pays for fresh pages.
+    """
+
+    def __init__(self, table: np.ndarray, weights: np.ndarray, steps: int):
+        n_states = table.shape[0]
+        self.entries = table.reshape(n_states, 4).T
+        left, right = np.divmod(np.arange(n_states * n_states), n_states)
+        self.pairs = np.empty((4, n_states * n_states))
+        self.pair_logs = np.empty(n_states * n_states)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _normalized_products(self.entries[:, left], self.entries[:, right],
+                                 self.pairs, self.pair_logs, np.empty(n_states * n_states))
+        self.cdf = weights.cumsum()
+        self.cdf /= self.cdf[-1]
+        h = steps // 2
+        self._u = np.empty(steps)
+        self._idx = np.empty(steps, dtype=np.intp)
+        self._which = np.empty(h, dtype=np.intp)
+        self._lists = (np.empty((4, h + 1)), np.empty((4, (h + 1) // 2 + 1)))
+        self._logs = np.empty(h)
+        self._work = np.empty((h + 1) // 2)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The indices rng.choice(n_states, size=steps, p=weights) would draw.
+
+        choice takes searchsorted(cdf, rng.random(steps), side="right") with
+        cdf = weights.cumsum() / weights.sum(); as cdf[-1] == 1 > u, that
+        is the count of the other edges at or below u.  The result is a
+        buffer that the next draw overwrites.
+        """
+        u = rng.random(out=self._u)
+        idx = self._idx
+        np.greater_equal(u, self.cdf[0], out=idx)
+        for edge in self.cdf[1:-1]:
+            idx += u >= edge
+        return idx
+
+    def __call__(self, idx: np.ndarray) -> float:
+        n_states = self.entries.shape[1]
+        n = idx.shape[0]
+        h = n // 2
+        which = np.multiply(idx[1 : 2 * h : 2], n_states, out=self._which)
+        which += idx[0 : 2 * h : 2]
+        cur = self._lists[0][:, : h + n % 2]
+        for row, pair_row in zip(cur, self.pairs):
+            np.take(pair_row, which, out=row[:h], mode="clip")
+        if n % 2:
+            cur[:, h] = self.entries[:, idx[-1]]
+        logs = np.take(self.pair_logs, which, out=self._logs, mode="clip")
+        acc = 0.0
+        depth = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                level = logs.sum()
+                if not level > -np.inf:
+                    raise FloatingPointError("matrix product collapsed to zero")
+                acc += float(level)
+                n = cur.shape[1]
+                if n == 1:
+                    return acc + float(np.log(np.abs(cur[:, 0]).max()))
+                h = n // 2
+                depth += 1
+                nxt = self._lists[depth % 2][:, : h + n % 2]
+                logs = self._logs[:h]
+                _normalized_products(cur[:, 1 : 2 * h : 2], cur[:, 0 : 2 * h : 2],
+                                     nxt[:, :h], logs, self._work[:h])
+                if n % 2:
+                    nxt[:, h] = cur[:, -1]
+                cur = nxt
+
+
 def top_lyapunov(
     envlaw: EnvironmentLaw,
     matrix_kind: str,
@@ -150,33 +265,33 @@ def top_lyapunov(
 ) -> LyapunovEstimate:
     """Estimate the top exponent of the i.i.d. product for one family.
 
-    Each replica draws its own state sequence from a stream keyed by
-    (seed, replica) and contributes ln ||product|| / steps; the reported
-    value is the replica mean and stderr the replica dispersion / sqrt(R).
+    Replica r draws its state sequence as rng.choice(n_states, steps,
+    p=weights) would on default_rng([seed, r]), reduces the product of the
+    drawn matrices with the pair table and the entry-wise tree (see the
+    module docstring) and contributes ln ||product|| / steps, one replica
+    at a time.  The value is the replica mean and stderr the replica
+    dispersion / sqrt(R).  With one state every replica draws the same
+    sequence, so one is reduced: its value is the estimate and the stderr
+    is exactly 0 (a mean and deviation over R copies could round away
+    from that when R is not a power of two).
+    n_workers is accepted for compatibility and ignored: the replicas run
+    on one thread and the result never depends on it.
     """
     if steps < 1_000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     table = state_matrices(envlaw, matrix_kind, lam)
-    weights = envlaw.weights
-
-    def one_replica(r: int) -> float:
-        rng = np.random.default_rng([seed, r])
-        if envlaw.n_states == 1:
-            idx = np.zeros(steps, dtype=np.int64)
-        else:
-            idx = rng.choice(envlaw.n_states, size=steps, p=weights)
-        return _log_norm_of_product(table[idx]) / steps
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            values = np.fromiter(pool.map(one_replica, range(replicas)), dtype=float, count=replicas)
+    reduce = _ProductReduction(table, envlaw.weights, steps)
+    if envlaw.n_states == 1:
+        value = reduce(np.zeros(steps, dtype=np.intp)) / steps
+        stderr = 0.0
     else:
-        values = np.fromiter(map(one_replica, range(replicas)), dtype=float, count=replicas)
-
-    value = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(replicas))
+        values = np.array([
+            reduce(reduce.draw(np.random.default_rng([seed, r]))) / steps for r in range(replicas)
+        ])
+        value = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(replicas))
     return LyapunovEstimate(
         value=value, stderr=stderr, steps=steps, replicas=replicas,
         matrix_kind=matrix_kind, lam=lam,

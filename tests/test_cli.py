@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from brwre import cli, criteria, simulator, spectral
+from brwre import cli, criteria, lyapunov, simulator, spectral
 from brwre.cli import (
     EXIT_CONDITIONS,
     EXIT_INCONCLUSIVE,
@@ -46,6 +46,15 @@ def write_config(tmp_path, name="config.json", **overrides):
 STRONG_LOCAL_ENV = {
     "states": [
         {"weight": 1.0, "atoms": [{"p": 0.5, "v": [1, 1, 1]}, {"p": 0.5, "v": [0, 0, 0]}]}
+    ]
+}
+
+TWO_STATE_RIGHT_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.7, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
+                                  {"p": 0.25, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.45, "v": [2, 0, 0]}, {"p": 0.08, "v": [0, 0, 1]},
+                                  {"p": 0.47, "v": [0, 0, 0]}]},
     ]
 }
 
@@ -300,6 +309,37 @@ def test_all_report_unchanged_by_stage_reuse(tmp_path, monkeypatch):
     assert run(path, "all", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
     reuse = (tmp_path / "reuse" / "report.json").read_bytes()
     assert reuse == (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+def test_all_draws_each_exponent_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    original = lyapunov.top_lyapunov
+
+    def counted(envlaw, matrix_kind, *args, **kwargs):
+        calls[matrix_kind, kwargs["seed"]] += 1
+        return original(envlaw, matrix_kind, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "top_lyapunov", counted)
+    path = write_config(tmp_path, environment=TWO_STATE_RIGHT_ENV)
+    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    assert report["regime"]["vanishing_direction"] == "right"
+    assert ("A", report["seeds"]["lyapunov"]) in calls
+    assert set(calls.values()) == {1}
+    # the lyapunov stage reuses the classifier's estimate: same section as a fresh run
+    assert run(path, "lyapunov", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
+    fresh = json.loads((tmp_path / "fresh" / "report.json").read_text())
+    assert report["lyapunov"] == fresh["lyapunov"]
+
+
+def test_thread_setting_is_ignored(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    assert run(path, "all", outdir=str(tmp_path / "unset"), quiet=True) == EXIT_OK
+    monkeypatch.setenv("BRWRE_THREADS", "not-a-number")
+    assert cli.worker_count() == 1
+    assert run(path, "all", outdir=str(tmp_path / "set"), quiet=True) == EXIT_OK
+    unset = (tmp_path / "unset" / "report.json").read_bytes()
+    assert unset == (tmp_path / "set" / "report.json").read_bytes()
 
 
 def test_report_byte_reproducibility(tmp_path):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from brwre.criteria import state_feasible_interval
-from brwre.envmodel import MomentTriple, reflected
+from brwre.criteria import lambda_feasible_set, state_feasible_interval
+from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
+    _log_norm_of_product,
+    _ProductReduction,
     build_A,
     build_A_lambda,
     build_A_tilde,
@@ -164,6 +166,69 @@ def test_top_lyapunov_workers_do_not_change_result():
     a = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9)
     b = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9, n_workers=4)
     assert a == b
+
+
+@st.composite
+def walk_laws(draw):
+    """1 to 4 states, each stepping left w.p. pl and right w.p. pr, else dying."""
+    n_states = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states))
+    states = []
+    for w in raw:
+        pl, pr = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
+        law = law_from_atoms([(pl, (1, 0, 0)), (pr, (0, 0, 1)), (1.0 - pl - pr, (0, 0, 0))])
+        states.append((w / sum(raw), law))
+    return EnvironmentLaw(states)
+
+
+def _unequal_three_states() -> EnvironmentLaw:
+    laws = [law_from_atoms([(pl, (1, 0, 0)), (0.3, (0, 0, 1)), (0.7 - pl, (0, 0, 0))])
+            for pl in (0.1, 0.2, 0.3)]
+    return EnvironmentLaw(list(zip((0.1, 0.2, 0.7), laws)))
+
+
+@given(env=walk_laws(), kind=st.sampled_from(["A", "A_tilde", "A_lambda"]),
+       steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
+@example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
+def test_pair_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
+    lam = None
+    if kind == "A_lambda":
+        interval = lambda_feasible_set(env)
+        assume(not interval.is_empty)
+        lam = math.sqrt(interval.lo * interval.hi)
+    table = state_matrices(env, kind, lam)
+    reduce = _ProductReduction(table, env.weights, steps)
+    values = []
+    for r in range(2):
+        idx = reduce.draw(np.random.default_rng([seed, r]))
+        expected = np.random.default_rng([seed, r]).choice(env.n_states, size=steps, p=env.weights)
+        np.testing.assert_array_equal(idx, expected)
+        oracle = _log_norm_of_product(table[idx]) / steps
+        values.append(reduce(idx) / steps)
+        assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    if env.n_states > 1:
+        est = top_lyapunov(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
+        assert est.value == float(np.mean(values))
+
+
+@pytest.mark.parametrize("steps", [20_000, 20_001])
+def test_constant_env_reduces_one_replica(steps):
+    env = single_env(GW_SUPERCRITICAL)
+    # seven copies of this value have a mean and deviation off by roundoff
+    est = top_lyapunov(env, "A", steps=steps, replicas=7, seed=3)
+    table = state_matrices(env, "A")
+    oracle = _log_norm_of_product(table[np.zeros(steps, dtype=np.intp)]) / steps
+    assert est.stderr == 0.0
+    assert est.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_collapsed_product_raises():
+    # mu- = 0 and mu0 = 1 make A = [[0, 0], [1, 0]], whose square is zero
+    env = single_env([(0.5, (0, 1, 1)), (0.5, (0, 1, 0))])
+    with pytest.raises(FloatingPointError):
+        _log_norm_of_product(state_matrices(env, "A")[np.zeros(1_000, dtype=np.intp)])
+    with pytest.raises(FloatingPointError):
+        top_lyapunov(env, "A", steps=1_000, replicas=2)
 
 
 def test_exponent_shift_identity_two_state():
