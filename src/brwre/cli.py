@@ -54,7 +54,6 @@ class LyapunovOpts:
 @dataclass(frozen=True)
 class SpectralOpts:
     n_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-    tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("spectral.n_values: must be a nonempty strictly increasing array")
-    spec_opts = SpectralOpts(
-        n_values=n_values,
-        tol=_expect_number(sp.get("tol", SpectralOpts.tol), "spectral.tol", positive=True),
-    )
+    spec_opts = SpectralOpts(n_values=n_values)
 
     sim = _expect_mapping(raw.get("simulate", {}), "simulate")
     mode = sim.get("mode", SimulateOpts.mode)
@@ -393,8 +389,7 @@ def _exponent(config: ExperimentConfig, kind: str, salt: int | None = None, lam=
 
 def _rho_sweep(config: ExperimentConfig):
     return spectral.rho_sweep(
-        config.environment, _seeds_for(config)["environment"], config.spectral.n_values,
-        tol=config.spectral.tol,
+        config.environment, _seeds_for(config)["environment"], config.spectral.n_values
     )
 
 
@@ -486,16 +481,15 @@ def run_crosscheck(
     sections["regime"] = _regime_section(regime)
     say(f"crosscheck: regime {regime.regime} ({regime.vanishing_direction})")
 
-    gamma = regime.gamma1
-    if gamma is None or gamma.matrix_kind != "A":
-        gamma = _exponent(config, "A", 11)
-
     if interval.is_empty:
         rows.append(_skipped("conjugacy_identity", "no feasible lambda"))
         rows.append(_skipped("exponent_shift", "no feasible lambda"))
         rows.append(_skipped("lambda_independence", "no feasible lambda"))
         rows.append(_skipped("supermartingale_monotone", "no feasible lambda"))
     else:
+        gamma = regime.gamma1
+        if gamma is None or gamma.matrix_kind != "A":
+            gamma = _exponent(config, "A", 11)
         lam_mid = math.sqrt(interval.lo * interval.hi)
         # conjugacy of the raw and nonnegative families at a feasible lambda
         residual = max(lyapunov.conjugacy_residual(m, lam_mid) for m in env.state_moments)
@@ -746,9 +740,7 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
             say(f"global survival frequency: {survival.global_freq:.4f}")
 
         if status == EXIT_OK and subcommand in ("frozen", "all"):
-            interval = criteria.lambda_feasible_set(config.environment)
-            right = not interval.is_empty and interval.lo > 1.0 + criteria.ONE_MEMBERSHIP_TOL
-            if right:
+            if criteria.vanishing_direction(config.environment) == "right":
                 profile = _frozen_profile(config)
                 sections["frozen_profile"] = _frozen_section(profile)
                 report["frozen_profile"] = sections["frozen_profile"]

@@ -114,6 +114,22 @@ def one_in_feasible_set(envlaw: EnvironmentLaw, tol: float = ONE_MEMBERSHIP_TOL)
     return all(criterion_value(m, 1.0) <= 1.0 + tol for m in envlaw.state_moments)
 
 
+def vanishing_direction(envlaw: EnvironmentLaw, tol: float = ONE_MEMBERSHIP_TOL) -> str:
+    """The classifier's branch from the closed form: "none" (empty feasible
+    set), "both" (1 feasible, or an endpoint within tol of 1), "right" (set
+    inside (1 + tol, inf)) or "left" (set inside (0, 1 - tol))."""
+    interval = lambda_feasible_set(envlaw)
+    if interval.is_empty:
+        return "none"
+    if one_in_feasible_set(envlaw, tol=tol):
+        return "both"
+    if interval.lo > 1.0 + tol:
+        return "right"
+    if interval.hi < 1.0 - tol:
+        return "left"
+    return "both"
+
+
 def expected_log_drift(envlaw: EnvironmentLaw) -> float:
     """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
     out = 0.0
@@ -175,39 +191,29 @@ def classify(
 
     interval = lambda_feasible_set(envlaw)
     drift = expected_log_drift(envlaw)
+    direction = vanishing_direction(envlaw, tol=one_tol)
 
-    if interval.is_empty:
+    if direction in ("none", "both"):
+        if direction == "none":
+            regime, margin = STRONG_LOCAL_SURVIVAL, math.inf
+        elif one_in_feasible_set(envlaw, tol=one_tol):
+            regime, margin = GLOBAL_EXTINCTION, math.inf
+        else:  # 1 is infeasible by more than one_tol, yet an endpoint is within one_tol of 1
+            regime, margin = INCONCLUSIVE, 0.0
         return RegimeReport(
-            regime=STRONG_LOCAL_SURVIVAL, vanishing_direction="none",
-            lambda_set=interval, drift=drift, gamma1=None, margin=math.inf,
-            conditions=report,
+            regime=regime, vanishing_direction=direction, lambda_set=interval, drift=drift,
+            gamma1=None, margin=margin, conditions=report,
         )
-    if one_in_feasible_set(envlaw, tol=one_tol):
-        return RegimeReport(
-            regime=GLOBAL_EXTINCTION, vanishing_direction="both",
-            lambda_set=interval, drift=drift, gamma1=None, margin=math.inf,
-            conditions=report,
-        )
-    if interval.lo > 1.0 + one_tol:
+    if direction == "right":
         if gamma is None:
             raise ValueError("right-vanishing branch needs a kind-A exponent estimate")
         margin = _signed_margin(drift - gamma.value, gamma.stderr)
-        direction = "right"
         est = gamma
-    elif interval.hi < 1.0 - one_tol:
+    else:
         if gamma_tilde is None:
             raise ValueError("left-vanishing branch needs a kind-A_tilde exponent estimate")
         margin = _signed_margin(-drift - gamma_tilde.value, gamma_tilde.stderr)
-        direction = "left"
         est = gamma_tilde
-    else:
-        # sliver where 1 is outside the set by more than the inequality
-        # tolerance yet an endpoint sits within one_tol of 1
-        return RegimeReport(
-            regime=INCONCLUSIVE, vanishing_direction="both",
-            lambda_set=interval, drift=drift, gamma1=None, margin=0.0,
-            conditions=report,
-        )
 
     if margin > sigma_margin:
         regime = GLOBAL_SURVIVAL_LOCAL_EXTINCTION
@@ -233,13 +239,12 @@ def classify_environment(
     report = validate_conditions(envlaw)
     if not report.ok:
         raise ConditionError(report)
-    interval = lambda_feasible_set(envlaw)
+    direction = vanishing_direction(envlaw)
     gamma = gamma_tilde = None
-    if not interval.is_empty and not one_in_feasible_set(envlaw):
-        if interval.lo > 1.0 + ONE_MEMBERSHIP_TOL:
-            gamma = lyapunov.top_lyapunov(envlaw, "A", steps=steps, replicas=replicas, seed=seed)
-        elif interval.hi < 1.0 - ONE_MEMBERSHIP_TOL:
-            gamma_tilde = lyapunov.top_lyapunov(
-                envlaw, "A_tilde", steps=steps, replicas=replicas, seed=seed
-            )
+    if direction == "right":
+        gamma = lyapunov.top_lyapunov(envlaw, "A", steps=steps, replicas=replicas, seed=seed)
+    elif direction == "left":
+        gamma_tilde = lyapunov.top_lyapunov(
+            envlaw, "A_tilde", steps=steps, replicas=replicas, seed=seed
+        )
     return classify(envlaw, gamma, gamma_tilde, sigma_margin=sigma_margin)

@@ -19,6 +19,7 @@ SUBCRITICAL_WALK = [(0.6, (1, 0, 0)), (0.15, (0, 0, 1)), (0.25, (0, 0, 0))]  # (
 SUBCRITICAL_BRANCHY = [(0.3, (2, 0, 0)), (0.15, (0, 0, 1)), (0.55, (0, 0, 0))]  # (0.6, 0, 0.15)
 TWO_STATE_A = [(0.7, (2, 0, 0)), (0.05, (0, 0, 1)), (0.25, (0, 0, 0))]  # (1.4, 0, 0.05)
 TWO_STATE_B = [(0.45, (2, 0, 0)), (0.08, (0, 0, 1)), (0.47, (0, 0, 0))]  # (0.9, 0, 0.08)
+MIRROR_LEFT = [(0.15, (1, 0, 0)), (0.3, (0, 0, 2)), (0.55, (0, 0, 0))]  # (0.15, 0, 0.6), SUBCRITICAL_BRANCHY reflected
 
 
 def single_env(atoms) -> EnvironmentLaw:

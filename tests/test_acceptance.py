@@ -204,8 +204,8 @@ def test_acceptance_3_conjugacy_and_sum_rule(gamma_two_state):
 
 def test_acceptance_4_spectral_sweep():
     def sweep_both():
-        treble = rho_sweep(single_env(TREBLE_OR_DIE), 0, list(range(1, 11)), tol=1e-11)
-        critical = rho_sweep(single_env(CRITICAL_PAIR), 0, list(range(1, 11)), tol=1e-11)
+        treble = rho_sweep(single_env(TREBLE_OR_DIE), 0, list(range(1, 11)))
+        critical = rho_sweep(single_env(CRITICAL_PAIR), 0, list(range(1, 11)))
         return treble, critical
 
     out = timed(sweep_both)

@@ -58,6 +58,15 @@ TWO_STATE_RIGHT_ENV = {
     ]
 }
 
+# 1 feasible within the membership tolerance although the lower root
+# exceeds 1 + tol (see tests/test_criteria.py::NEAR_CRITICAL_RIGHT)
+NEAR_CRITICAL_ENV = {
+    "states": [
+        {"weight": 1.0, "atoms": [{"p": 0.35 + 2.5e-10, "v": [2, 0, 0]}, {"p": 0.3, "v": [0, 0, 1]},
+                                  {"p": 0.35 - 2.5e-10, "v": [0, 0, 0]}]}
+    ]
+}
+
 NO_RIGHT_ENV = {
     "states": [
         {"weight": 1.0, "atoms": [{"p": 0.7, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 2, 0]}]}
@@ -330,6 +339,47 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch):
     assert run(path, "lyapunov", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
     fresh = json.loads((tmp_path / "fresh" / "report.json").read_text())
     assert report["lyapunov"] == fresh["lyapunov"]
+
+
+def test_frozen_stage_follows_the_classifier_branch(tmp_path):
+    path = write_config(tmp_path, environment=NEAR_CRITICAL_ENV)
+    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    regime = report["regime"]
+    assert (regime["regime"], regime["vanishing_direction"]) == ("GlobalExtinction", "both")
+    assert regime["lambda_set"]["lo"] > 1.0 + criteria.ONE_MEMBERSHIP_TOL
+    assert "skipped" in report["frozen_profile"]
+    frozen_rows = [r for r in report["crosscheck"]
+                   if r["identity"] in ("frozen_log_mean", "frozen_slope", "per_level_bound")]
+    assert [r["verdict"] for r in frozen_rows] == ["skipped"] * 3
+
+
+def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypatch):
+    calls = []
+    original = lyapunov.top_lyapunov
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "top_lyapunov", counted)
+    path = write_config(tmp_path, environment=STRONG_LOCAL_ENV)
+    assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "cc" / "report.json").read_text())
+    assert report["regime"]["regime"] == "StrongLocalSurvival"
+    assert calls == []
+
+
+def test_spectral_tol_is_ignored(tmp_path):
+    # the solver has no tolerance: spectral.tol is accepted and ignored
+    with_tol = write_config(tmp_path, "with.json", spectral={"n_values": [1, 2, 4], "tol": 1e-3})
+    without = write_config(tmp_path, "without.json", spectral={"n_values": [1, 2, 4]})
+    assert load_config(with_tol).spectral == load_config(without).spectral
+    for name, path in (("with", with_tol), ("without", without)):
+        assert run(path, "spectral", outdir=str(tmp_path / name), quiet=True) == EXIT_OK
+    with_report = json.loads((tmp_path / "with" / "report.json").read_text())
+    without_report = json.loads((tmp_path / "without" / "report.json").read_text())
+    assert with_report["rho_sweep"] == without_report["rho_sweep"]
 
 
 def test_thread_setting_is_ignored(tmp_path, monkeypatch):

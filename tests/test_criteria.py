@@ -217,6 +217,24 @@ def test_remark_precedence_when_one_is_an_endpoint():
     assert rep.vanishing_direction == "both"
 
 
+# (0.7 + 5e-10, 0, 0.3): lam = 1 fails the inequality by 5e-10, inside the
+# membership tolerance, while the lower root 1 + 1.25e-9 clears 1 + tol
+NEAR_CRITICAL_RIGHT = [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 2.5e-10, (0, 0, 0))]
+
+
+@pytest.mark.parametrize("env, direction", [
+    (single_env(TREBLE_OR_DIE), "none"),
+    (single_env(CRITICAL_PAIR), "both"),
+    (single_env(GW_SUPERCRITICAL), "right"),
+    (reflected(single_env(GW_SUPERCRITICAL)), "left"),
+    (single_env(NEAR_CRITICAL_RIGHT), "both"),
+], ids=["none", "both", "right", "left", "near-critical"])
+def test_vanishing_direction_is_the_classifier_branch(env, direction):
+    assert criteria.vanishing_direction(env) == direction
+    rep = classify(env, gamma=_exact_estimate(0.0), gamma_tilde=_exact_estimate(0.0, "A_tilde"))
+    assert rep.vanishing_direction == direction
+
+
 def test_classify_environment_computes_needed_estimate():
     rep = classify_environment(single_env(GW_SUPERCRITICAL), seed=5, steps=10_000, replicas=4)
     assert rep.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION

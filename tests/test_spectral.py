@@ -1,20 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from brwre.envmodel import EnvironmentLaw, law_from_atoms, realize_window
-from brwre.spectral import (
-    PowerIterationError,
-    rho_sweep,
-    spectral_radius,
-    truncated_matrix,
-)
+from brwre import spectral
+from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, realize_window
+from brwre.spectral import rho_sweep, spectral_radius, truncated_matrix
 from conftest import (
     CRITICAL_PAIR,
     GW_SUPERCRITICAL,
+    MIRROR_LEFT,
     SUBCRITICAL_BRANCHY,
+    SUBCRITICAL_WALK,
     TREBLE_OR_DIE,
+    TWO_STATE_A,
+    TWO_STATE_B,
     single_env,
     two_state_env,
 )
@@ -26,7 +28,14 @@ def toeplitz_top_root(mu_minus, mu_zero, mu_plus, size):
 
 
 def eig_oracle(tm) -> float:
-    return float(np.abs(np.linalg.eigvals(tm.to_dense())).max())
+    """Top eigenvalue of the symmetrized window by eigvalsh: same spectrum,
+    without the nonsymmetric solver's error on badly scaled windows."""
+    off = np.sqrt(tm.sup[:-1] * tm.sub[1:])
+    return float(np.linalg.eigvalsh(np.diag(tm.diag) + np.diag(off, 1) + np.diag(off, -1))[-1])
+
+
+def max_row_sum(tm) -> float:
+    return float((tm.sub + tm.diag + tm.sup).max())
 
 
 # -- matrix assembly ---------------------------------------------------------
@@ -57,25 +66,27 @@ def test_truncated_matrix_two_state_rows_follow_realization():
         assert tm.sup[offset] == m.mu_plus
 
 
-def test_matvec_matches_dense():
+def test_symmetrized_oracle_matches_dense_root():
+    # the nonsymmetric solver errs by up to ~6e-7 on these badly scaled windows
     env = two_state_env()
-    tm = truncated_matrix(realize_window(env, 3, -8, 8), env)
-    v = np.linspace(1.0, 2.0, tm.size)
-    np.testing.assert_allclose(tm.matvec(v), tm.to_dense() @ v, rtol=1e-13)
+    for seed in (1, 3):
+        tm = truncated_matrix(realize_window(env, seed, -12, 12), env)
+        dense_root = float(np.abs(np.linalg.eigvals(tm.to_dense())).max())
+        assert eig_oracle(tm) == pytest.approx(dense_root, abs=1e-6)
 
 
-# -- power iteration ---------------------------------------------------------
+# -- Sturm-count multisection ------------------------------------------------
 
 
 def test_spectral_radius_toeplitz_window():
     env = single_env(TREBLE_OR_DIE)
     tm = truncated_matrix(realize_window(env, 0, -10, 10), env)
-    est = spectral_radius(tm, tol=1e-11)
+    est = spectral_radius(tm)
     oracle = toeplitz_top_root(0.5, 0.5, 0.5, 21)
     assert oracle == pytest.approx(1.4898214418809327, rel=1e-12)
-    assert est.rho == pytest.approx(oracle, abs=1e-8)
-    assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-8)
-    assert est.residual <= 1e-11
+    assert est.rho == pytest.approx(oracle, abs=1e-14)
+    assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-14)
+    assert est.residual <= 4.0 * np.spacing(est.rho)
 
 
 def test_spectral_radius_scalar_window():
@@ -85,32 +96,94 @@ def test_spectral_radius_scalar_window():
 
 
 def test_spectral_radius_zero_diagonal_window():
-    # two-periodic truncation: the plain iteration oscillates, the shifted
-    # one must still converge to the Perron root
+    # two-periodic truncation: the spectrum is symmetric about 0, and the
+    # Perron root is the top eigenvalue, not the bottom one
     env = single_env(GW_SUPERCRITICAL)
     tm = truncated_matrix(realize_window(env, 0, -4, 4), env)
-    est = spectral_radius(tm, tol=1e-11)
-    assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-8)
+    est = spectral_radius(tm)
+    assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-12 * max_row_sum(tm))
+    assert est.rho == pytest.approx(toeplitz_top_root(1.2, 0.0, 0.05, 9), abs=1e-14)
 
 
 def test_spectral_radius_random_two_state_windows():
-    # quenched windows can have tiny spectral gaps, so the quotient-change
-    # criterion resolves them less sharply than the constant-env windows
+    # quenched windows are badly scaled (mu- / mu+ up to 28), which the
+    # symmetrized oracle and the Sturm counts both handle to roundoff
     env = two_state_env()
     for seed in (1, 2, 3):
         tm = truncated_matrix(realize_window(env, seed, -12, 12), env)
-        est = spectral_radius(tm, tol=1e-11)
-        assert est.rho == pytest.approx(eig_oracle(tm), abs=5e-6)
+        est = spectral_radius(tm)
+        assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-12 * max_row_sum(tm))
 
 
-def test_spectral_radius_reports_nonconvergence():
-    env = single_env(TREBLE_OR_DIE)
-    tm = truncated_matrix(realize_window(env, 0, -10, 10), env)
-    with pytest.raises(PowerIterationError):
-        spectral_radius(tm, tol=1e-14, max_iter=5)
+def test_zero_pivot_counts_as_nonnegative(monkeypatch):
+    # with one shift per round the first shift is 0.5, an eigenvalue of the
+    # leading 2x2 block, so the second pivot is exactly zero
+    monkeypatch.setattr(spectral, "SHIFTS", 1)
+    env = single_env(CRITICAL_PAIR)
+    tm = truncated_matrix(realize_window(env, 0, -1, 1), env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = spectral_radius(tm)
+    assert est.rho == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
+    assert est.iterations > 40  # bisection: one bit per round
+
+
+def test_one_sided_window_root_is_its_top_diagonal():
+    # mu- = 0 zeroes every off-diagonal product: the window is triangular
+    env = EnvironmentLaw([
+        (0.5, law_from_atoms([(0.5, (0, 1, 1)), (0.5, (0, 0, 0))])),
+        (0.5, law_from_atoms([(0.2, (0, 1, 1)), (0.8, (0, 0, 0))])),
+    ])
+    tm = truncated_matrix(realize_window(env, 4, -6, 6), env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = spectral_radius(tm)
+    assert est.rho == pytest.approx(tm.diag.max(), abs=1e-15)
+
+
+def test_zero_operator_has_root_zero():
+    env = single_env([(1.0, (0, 0, 0))])
+    est = spectral_radius(truncated_matrix(realize_window(env, 0, -3, 3), env))
+    assert (est.rho, est.iterations, est.residual) == (0.0, 0, 0.0)
+
+
+_ATOM_SETS = [GW_SUPERCRITICAL, TREBLE_OR_DIE, CRITICAL_PAIR, SUBCRITICAL_WALK,
+              SUBCRITICAL_BRANCHY, TWO_STATE_A, TWO_STATE_B, MIRROR_LEFT]
+
+
+@st.composite
+def window_matrices(draw):
+    """A window of up to 301 sites of a 1-4 state law over the suite's atom sets."""
+    n_states = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states))
+    atoms = draw(st.lists(st.sampled_from(_ATOM_SETS), min_size=n_states, max_size=n_states))
+    env = EnvironmentLaw([(w / sum(raw), law_from_atoms(a)) for w, a in zip(raw, atoms)])
+    n = draw(st.integers(0, 150))
+    window = realize_window(env, draw(st.integers(0, 2**32 - 1)), -n, n)
+    return truncated_matrix(window, env)
+
+
+@given(window_matrices())
+def test_spectral_radius_matches_eigvalsh(tm):
+    est = spectral_radius(tm)
+    assert abs(est.rho - eig_oracle(tm)) <= 1e-12 * max_row_sum(tm)
+    assert est.iterations <= 12
 
 
 # -- window sweep ------------------------------------------------------------
+
+
+def test_sweep_mirror_pair_monotone_below_closed_form_limit():
+    # each state's own window roots tend to 0.6, but min over lam of
+    # max_s (mu-_s/lam + mu0_s + mu+_s*lam) = 0.75 (at lam = 1) is the
+    # sweep's limit, approached from below
+    env = EnvironmentLaw(
+        [(0.5, law_from_atoms(SUBCRITICAL_BRANCHY)), (0.5, law_from_atoms(MIRROR_LEFT))]
+    )
+    values = [rho for _, rho in rho_sweep(env, derive_seed(3, 1), [2**k for k in range(10)])]
+    assert all(a <= b for a, b in zip(values, values[1:])), values
+    assert values[-1] <= 0.75 + 1e-12
+    assert values[-1] == pytest.approx(0.75, abs=1e-9)
 
 
 def test_sweep_supercritical_exceeds_one_by_two():
