@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .envmodel import (
     OffspringVector,
     derive_seed,
     validate_conditions,
-)
-
-SUBCOMMANDS = (
-    "validate", "classify", "lyapunov", "spectral", "simulate", "frozen", "crosscheck", "all",
 )
 
 EXIT_OK = 0
@@ -113,7 +110,12 @@ def _expect_int(value, path, minimum=None):
 def _expect_number(value, path, *, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if positive and value <= 0.0:
         raise ConfigError(f"{path}: must be positive, got {value}")
     return value
@@ -289,19 +291,93 @@ def dumps_report(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Section builders and the stage computations behind them
+# Stage estimates and the report sections built from them
 
 
-def _seeds_for(config: ExperimentConfig) -> dict:
-    s = config.seed
-    return {
-        "master": s,
-        "environment": derive_seed(s, 1),
-        "lyapunov": derive_seed(s, 2),
-        "simulate": derive_seed(s, 3),
-        "frozen": derive_seed(s, 4),
-        "supermartingale": derive_seed(s, 5),
-    }
+class Stages:
+    """The estimates of one config, each computed on first use and then reused:
+    a section reads the same whichever subcommand writes it, and each (matrix
+    kind, lambda) exponent is drawn at most once per run."""
+
+    def __init__(self, config: ExperimentConfig):
+        s = config.seed
+        self.config = config
+        self.env = config.environment
+        self.seeds = {
+            "master": s,
+            "environment": derive_seed(s, 1),
+            "lyapunov": derive_seed(s, 2),
+            "simulate": derive_seed(s, 3),
+            "frozen": derive_seed(s, 4),
+            "supermartingale": derive_seed(s, 5),
+        }
+
+    @cached_property
+    def regime(self):
+        """The classifier's verdict; its statistical branch draws one exponent."""
+        return criteria.classify_environment(
+            self.env, seed=self.seeds["lyapunov"], steps=self.config.lyapunov.steps,
+            replicas=self.config.lyapunov.replicas, sigma_margin=self.config.thresholds.sigma_margin,
+        )
+
+    def exponent(self, kind: str, salt: int | None = None, lam=None):
+        """Top exponent of one matrix family, seeded by the lyapunov seed or a salt of it."""
+        seed = self.seeds["lyapunov"]
+        return lyapunov.top_lyapunov(
+            self.env, kind, steps=self.config.lyapunov.steps, replicas=self.config.lyapunov.replicas,
+            seed=seed if salt is None else derive_seed(seed, salt), lam=lam,
+        )
+
+    def _classified(self, kind: str, salt: int | None):
+        est = self.regime.gamma1
+        return est if est is not None and est.matrix_kind == kind else self.exponent(kind, salt)
+
+    @cached_property
+    def gamma(self):
+        """Kind-A top exponent: the classifier's draw on the right-vanishing branch."""
+        return self._classified("A", None)
+
+    @cached_property
+    def gamma_tilde(self):
+        """Kind-A_tilde top exponent: the classifier's draw on the left-vanishing branch."""
+        return self._classified("A_tilde", 1)
+
+    @cached_property
+    def sweep(self):
+        return spectral.rho_sweep(self.env, self.seeds["environment"], self.config.spectral.n_values)
+
+    @cached_property
+    def survival(self):
+        sim = self.config.simulate
+        return simulator.survival_probabilities(
+            self.env, trials=sim.trials, horizon=sim.horizon, cap=sim.cap, mode=sim.mode,
+            env_seed=self.seeds["environment"], seed=self.seeds["simulate"],
+        )
+
+    @cached_property
+    def profile(self):
+        """Frozen mean profile, or None outside the right-vanishing branch."""
+        if criteria.vanishing_direction(self.env) != "right":
+            return None
+        fr = self.config.frozen
+        return simulator.frozen_mean_profile(
+            self.env, self.seeds["environment"], fr.levels, fr.trials_per_level,
+            seed=self.seeds["frozen"], max_time=fr.max_time, max_population=fr.max_population,
+            censor_threshold=fr.censor_threshold,
+        )
+
+    @cached_property
+    def trace(self):
+        """Supermartingale trace at the feasible set's geometric midpoint, or None
+        when the set is empty."""
+        iv = criteria.lambda_feasible_set(self.env)
+        if iv.is_empty:
+            return None
+        sim = self.config.simulate
+        return simulator.supermartingale_trace(
+            self.env, self.seeds["environment"], math.sqrt(iv.lo * iv.hi), min(sim.trials, 10_000),
+            min(sim.horizon, 60), seed=self.seeds["supermartingale"],
+        )
 
 
 def _conditions_section(report) -> dict:
@@ -317,12 +393,6 @@ def _conditions_section(report) -> dict:
     }
 
 
-def _interval_section(interval) -> dict:
-    if interval.is_empty:
-        return {"empty": True}
-    return {"empty": False, "lo": interval.lo, "hi": interval.hi}
-
-
 def _estimate_section(est) -> dict | None:
     if est is None:
         return None
@@ -335,18 +405,33 @@ def _estimate_section(est) -> dict | None:
     }
 
 
-def _regime_section(report) -> dict:
+def _regime_section(st: Stages, say) -> dict:
+    r = st.regime
+    say(f"regime: {r.regime} (vanishing {r.vanishing_direction})")
+    iv = r.lambda_set
     return {
-        "regime": report.regime,
-        "vanishing_direction": report.vanishing_direction,
-        "lambda_set": _interval_section(report.lambda_set),
-        "drift": report.drift,
-        "gamma1": _estimate_section(report.gamma1),
-        "margin": report.margin,
+        "regime": r.regime,
+        "vanishing_direction": r.vanishing_direction,
+        "lambda_set": {"empty": True} if iv.is_empty else {"empty": False, "lo": iv.lo, "hi": iv.hi},
+        "drift": r.drift,
+        "gamma1": _estimate_section(r.gamma1),
+        "margin": r.margin,
     }
 
 
-def _survival_section(est) -> dict:
+def _lyapunov_section(st: Stages, say) -> dict:
+    say(f"gamma1 = {st.gamma.value:.6f} +- {st.gamma.stderr:.2e}")
+    return {"gamma1": _estimate_section(st.gamma), "gamma1_tilde": _estimate_section(st.gamma_tilde)}
+
+
+def _rho_sweep_section(st: Stages, say) -> list:
+    say(f"rho sweep: {st.sweep[-1][1]:.6f} at N={st.sweep[-1][0]}")
+    return [[n, r] for n, r in st.sweep]
+
+
+def _survival_section(st: Stages, say) -> dict:
+    est = st.survival
+    say(f"global survival frequency: {est.global_freq:.4f}")
     return {
         "mode": est.mode,
         "trials": est.trials,
@@ -357,7 +442,11 @@ def _survival_section(est) -> dict:
     }
 
 
-def _frozen_section(profile) -> dict:
+def _frozen_section(st: Stages, say) -> dict:
+    profile = st.profile
+    if profile is None:
+        return {"skipped": "freezing construction needs the right-vanishing branch"}
+    say(f"frozen log-average: {profile.log_average:.5f}")
     return {
         "levels": [int(k) for k in profile.levels],
         "level_means": list(profile.level_means),
@@ -370,46 +459,41 @@ def _frozen_section(profile) -> dict:
     }
 
 
-def _classify(config: ExperimentConfig):
-    return criteria.classify_environment(
-        config.environment, seed=_seeds_for(config)["lyapunov"],
-        steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-        sigma_margin=config.thresholds.sigma_margin,
-    )
+def _crosscheck_section(st: Stages, say) -> list[dict]:
+    rows = run_crosscheck(st)
+    n_fail = sum(r["verdict"] == "fail" for r in rows)
+    say(f"crosscheck: {len(rows)} rows, {n_fail} failing")
+    return rows
 
 
-def _exponent(config: ExperimentConfig, kind: str, salt: int | None = None, lam=None):
-    """Top exponent of one matrix family, seeded by the lyapunov seed or a salt of it."""
-    seed = _seeds_for(config)["lyapunov"]
-    return lyapunov.top_lyapunov(
-        config.environment, kind, steps=config.lyapunov.steps, replicas=config.lyapunov.replicas,
-        seed=seed if salt is None else derive_seed(seed, salt), lam=lam,
-    )
+def _supermartingale_section(st: Stages, say) -> dict | None:
+    trace = st.trace
+    if trace is None:
+        return None
+    return {"lambda": trace.lam, "trials": trace.trials, "horizon": trace.horizon,
+            "mean_h": list(trace.mean_h)}
 
 
-def _rho_sweep(config: ExperimentConfig):
-    return spectral.rho_sweep(
-        config.environment, _seeds_for(config)["environment"], config.spectral.n_values
-    )
+# Private builders only: they reach run_crosscheck and the stage functions through
+# module attributes at call time, so a replaced attribute (a monkeypatch, a tracer) runs.
+SECTIONS = {
+    "regime": _regime_section,
+    "lyapunov": _lyapunov_section,
+    "rho_sweep": _rho_sweep_section,
+    "survival": _survival_section,
+    "frozen_profile": _frozen_section,
+    "crosscheck": _crosscheck_section,
+    "supermartingale": _supermartingale_section,
+}
 
-
-def _simulate(config: ExperimentConfig):
-    seeds = _seeds_for(config)
-    return simulator.survival_probabilities(
-        config.environment, trials=config.simulate.trials, horizon=config.simulate.horizon,
-        cap=config.simulate.cap, mode=config.simulate.mode,
-        env_seed=seeds["environment"], seed=seeds["simulate"],
-    )
-
-
-def _frozen_profile(config: ExperimentConfig):
-    seeds = _seeds_for(config)
-    return simulator.frozen_mean_profile(
-        config.environment, seeds["environment"], config.frozen.levels,
-        config.frozen.trials_per_level, seed=seeds["frozen"],
-        max_time=config.frozen.max_time, max_population=config.frozen.max_population,
-        censor_threshold=config.frozen.censor_threshold,
-    )
+# the sections each subcommand writes after "conditions" (which every run writes),
+# in table order
+SUBCOMMAND_SECTIONS = {
+    "validate": (), "classify": ("regime",), "lyapunov": ("lyapunov",), "spectral": ("rho_sweep",),
+    "simulate": ("survival",), "frozen": ("frozen_profile",),
+    "crosscheck": tuple(s for s in SECTIONS if s != "lyapunov"), "all": tuple(SECTIONS),
+}
+SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -454,43 +538,20 @@ def _ols_slope_and_se(log_f: np.ndarray, sigma_inc: float) -> tuple[float, float
     return slope, se
 
 
-def run_crosscheck(
-    config: ExperimentConfig, quiet: bool = False, survival=None, regime=None,
-    sweep=None, profile=None,
-) -> tuple[list[dict], dict]:
-    """All identity checks on one config; returns (rows, sections).
-
-    A survival estimate, regime, rho sweep or frozen profile the caller
-    already computed from this config may be passed to avoid recomputing it.
-    """
-    env = config.environment
-    seeds = _seeds_for(config)
+def run_crosscheck(st: Stages) -> list[dict]:
+    """All identity checks on the estimates of one config, as report rows."""
+    env, regime = st.env, st.regime
+    interval = regime.lambda_set
+    steps = st.config.lyapunov.steps
     rows: list[dict] = []
-    sections: dict = {}
-
-    interval = criteria.lambda_feasible_set(env)
-    drift = criteria.expected_log_drift(env)
-
-    def say(msg):
-        if not quiet:
-            print(msg)
-
-    # classifier verdict (computes the one exponent its branch needs)
-    if regime is None:
-        regime = _classify(config)
-    sections["regime"] = _regime_section(regime)
-    say(f"crosscheck: regime {regime.regime} ({regime.vanishing_direction})")
 
     if interval.is_empty:
-        rows.append(_skipped("conjugacy_identity", "no feasible lambda"))
-        rows.append(_skipped("exponent_shift", "no feasible lambda"))
-        rows.append(_skipped("lambda_independence", "no feasible lambda"))
-        rows.append(_skipped("supermartingale_monotone", "no feasible lambda"))
+        for name in ("conjugacy_identity", "exponent_shift", "lambda_independence",
+                     "supermartingale_monotone"):
+            rows.append(_skipped(name, "no feasible lambda"))
     else:
-        gamma = regime.gamma1
-        if gamma is None or gamma.matrix_kind != "A":
-            gamma = _exponent(config, "A", 11)
-        lam_mid = math.sqrt(interval.lo * interval.hi)
+        gamma, trace = st.gamma, st.trace
+        lam_mid = trace.lam
         # conjugacy of the raw and nonnegative families at a feasible lambda
         residual = max(lyapunov.conjugacy_residual(m, lam_mid) for m in env.state_moments)
         scale = max(float(np.abs(lyapunov.build_A(m)).max()) for m in env.state_moments)
@@ -498,9 +559,9 @@ def run_crosscheck(
         rows.append(_row("conjugacy_identity", residual, 0.0, tol, residual <= tol,
                          f"lambda={lam_mid:.6g}"))
 
-        gamma_lam_mid = _exponent(config, "A_lambda", 12, lam_mid)
+        gamma_lam_mid = st.exponent("A_lambda", 12, lam_mid)
         shift = gamma_lam_mid.value + math.log(lam_mid)
-        tol = _identity_tol(math.hypot(gamma.stderr, gamma_lam_mid.stderr), config.lyapunov.steps)
+        tol = _identity_tol(math.hypot(gamma.stderr, gamma_lam_mid.stderr), steps)
         rows.append(_row("exponent_shift", gamma.value, shift, tol,
                          abs(gamma.value - shift) <= tol, f"lambda={lam_mid:.6g}"))
 
@@ -508,26 +569,16 @@ def run_crosscheck(
             log_lo, log_hi = math.log(interval.lo), math.log(interval.hi)
             lam_a = math.exp(log_lo + 0.35 * (log_hi - log_lo))
             lam_b = math.exp(log_lo + 0.70 * (log_hi - log_lo))
-            est_a = _exponent(config, "A_lambda", 13, lam_a)
-            est_b = _exponent(config, "A_lambda", 14, lam_b)
+            est_a = st.exponent("A_lambda", 13, lam_a)
+            est_b = st.exponent("A_lambda", 14, lam_b)
             fa = math.log(lam_a) + lyapunov.second_exponent_via_det(env, lam_a, est_a.value)
             fb = math.log(lam_b) + lyapunov.second_exponent_via_det(env, lam_b, est_b.value)
-            tol = _identity_tol(math.hypot(est_a.stderr, est_b.stderr), config.lyapunov.steps)
+            tol = _identity_tol(math.hypot(est_a.stderr, est_b.stderr), steps)
             rows.append(_row("lambda_independence", fa, fb, tol, abs(fa - fb) <= tol,
                              f"lambda_a={lam_a:.6g} lambda_b={lam_b:.6g}"))
         else:
             rows.append(_skipped("lambda_independence", "feasible set is a single point"))
 
-        trace_trials = min(config.simulate.trials, 10_000)
-        trace_horizon = min(config.simulate.horizon, 60)
-        trace = simulator.supermartingale_trace(
-            env, seeds["environment"], lam_mid, trace_trials, trace_horizon,
-            seed=seeds["supermartingale"],
-        )
-        sections["supermartingale"] = {
-            "lambda": lam_mid, "trials": trace_trials, "horizon": trace_horizon,
-            "mean_h": list(trace.mean_h),
-        }
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(
                 trace.diff_stderr > 0.0,
@@ -539,11 +590,7 @@ def run_crosscheck(
                          f"lambda={lam_mid:.6g}, max paired-increment z-score"))
 
     # Monte Carlo survival vs verdict
-    if survival is None:
-        survival = _simulate(config)
-    sections["survival"] = _survival_section(survival)
-    say(f"crosscheck: simulated global survival {survival.global_freq:.4f}")
-
+    survival = st.survival
     if regime.regime == criteria.INCONCLUSIVE:
         rows.append(_skipped("survival_concordance", "verdict inconclusive"))
         rows.append(_skipped("local_global_coincidence", "verdict inconclusive"))
@@ -552,26 +599,24 @@ def run_crosscheck(
                          survival.global_freq <= 0.01, "extinction verdict"))
         rows.append(_row("local_global_coincidence", survival.local_proxy_freq, 0.0, 0.01,
                          survival.local_proxy_freq <= 0.01, "local dies with global"))
-    elif regime.regime == criteria.STRONG_LOCAL_SURVIVAL:
+    else:
         rows.append(_row("survival_concordance", survival.global_freq, 1.0, 0.95,
                          survival.global_freq > 0.05, "survival verdict: freq must exceed 0.05"))
-        tol = 3.0 * math.hypot(survival.global_stderr, survival.local_proxy_stderr)
-        rows.append(_row("local_global_coincidence", survival.global_freq,
-                         survival.local_proxy_freq, tol,
-                         abs(survival.global_freq - survival.local_proxy_freq) <= tol,
-                         "strong local survival: the two events coincide"))
-    else:  # global survival with local extinction
-        rows.append(_row("survival_concordance", survival.global_freq, 1.0, 0.95,
-                         survival.global_freq > 0.05, "survival verdict: freq must exceed 0.05"))
-        rows.append(_row("local_global_coincidence", survival.local_proxy_freq, 0.0, 0.01,
-                         survival.local_proxy_freq <= 0.01, "local extinction despite survival"))
+        if regime.regime == criteria.STRONG_LOCAL_SURVIVAL:
+            tol = 3.0 * math.hypot(survival.global_stderr, survival.local_proxy_stderr)
+            rows.append(_row("local_global_coincidence", survival.global_freq,
+                             survival.local_proxy_freq, tol,
+                             abs(survival.global_freq - survival.local_proxy_freq) <= tol,
+                             "strong local survival: the two events coincide"))
+        else:  # global survival with local extinction
+            rows.append(_row("local_global_coincidence", survival.local_proxy_freq, 0.0, 0.01,
+                             survival.local_proxy_freq <= 0.01, "local extinction despite survival"))
 
     # freezing construction (right-vanishing branch only)
-    if regime.vanishing_direction == "right" and not interval.is_empty:
-        if profile is None:
-            profile = _frozen_profile(config)
-        sections["frozen_profile"] = _frozen_section(profile)
-        target = drift - gamma.value
+    profile = st.profile
+    if profile is not None:
+        gamma = st.gamma
+        target = regime.drift - gamma.value
         tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
         rows.append(_row("frozen_log_mean", profile.log_average, target, tol,
                          abs(profile.log_average - target) <= tol,
@@ -593,30 +638,26 @@ def run_crosscheck(
         rows.append(_row("per_level_bound", excess, 0.0, 0.0, excess <= 0.0,
                          "level means bounded by the top feasible lambda"))
     else:
-        rows.append(_skipped("frozen_log_mean", "not in the right-vanishing branch"))
-        rows.append(_skipped("frozen_slope", "not in the right-vanishing branch"))
-        rows.append(_skipped("per_level_bound", "not in the right-vanishing branch"))
+        for name in ("frozen_log_mean", "frozen_slope", "per_level_bound"):
+            rows.append(_skipped(name, "not in the right-vanishing branch"))
 
     # spectral sweep vs criterion
-    if sweep is None:
-        sweep = _rho_sweep(config)
-    sections["rho_sweep"] = [[n, r] for n, r in sweep]
-    max_rho = max(r for _, r in sweep)
+    max_rho = max(r for _, r in st.sweep)
     if interval.is_empty:
         rows.append(_row("spectral_criterion", max_rho, 1.0, 1e-8, max_rho > 1.0 + 1e-8,
                          "local survival: some truncation must exceed 1"))
     else:
         rows.append(_row("spectral_criterion", max_rho, 1.0, 1e-8, max_rho <= 1.0 + 1e-8,
                          "local extinction: every truncation stays below 1"))
-
-    return rows, sections
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # CSV writers
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
+    path = os.path.join(outdir, name)
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -630,37 +671,30 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
 
 
-def _write_series(outdir: str, sections: dict) -> list[str]:
+def _write_series(outdir: str, report: dict, st: Stages) -> list[str]:
     written = []
-    if "rho_sweep" in sections:
-        path = os.path.join(outdir, "rho_sweep.csv")
-        _write_csv(path, ["N", "rho"], sections["rho_sweep"])
-        written.append(path)
-    if "survival_outcomes" in sections:
-        path = os.path.join(outdir, "survival.csv")
-        _write_csv(
-            path,
-            ["trial", "status", "extinction_time", "last_origin_visit"],
-            sections["survival_outcomes"],
-        )
-        written.append(path)
-    if "frozen_profile" in sections:
-        fp = sections["frozen_profile"]
-        path = os.path.join(outdir, "frozen_profile.csv")
+    if "rho_sweep" in report:
+        written.append(_write_csv(outdir, "rho_sweep.csv", ["N", "rho"], report["rho_sweep"]))
+    if "survival" in report:
+        written.append(_write_csv(
+            outdir, "survival.csv", ["trial", "status", "extinction_time", "last_origin_visit"],
+            ([i, o.status, o.extinction_time, o.last_origin_visit]
+             for i, o in enumerate(st.survival.outcomes)),
+        ))
+    if "levels" in report.get("frozen_profile", {}):
+        fp = report["frozen_profile"]
         ln_f = 0.0
         rows = []
         for k, m in zip(fp["levels"], fp["level_means"]):
             ln_f = ln_f + math.log(m) if m > 0 else math.nan
             rows.append([k, m, ln_f])
-        _write_csv(path, ["k", "m_k", "ln_f_k"], rows)
-        written.append(path)
-    if "supermartingale" in sections:
-        path = os.path.join(outdir, "supermartingale.csv")
-        rows = [[n, v] for n, v in enumerate(sections["supermartingale"]["mean_h"])]
-        _write_csv(path, ["n", "mean_h"], rows)
-        written.append(path)
+        written.append(_write_csv(outdir, "frozen_profile.csv", ["k", "m_k", "ln_f_k"], rows))
+    if "supermartingale" in report:
+        rows = [[n, v] for n, v in enumerate(report["supermartingale"]["mean_h"])]
+        written.append(_write_csv(outdir, "supermartingale.csv", ["n", "mean_h"], rows))
     return written
 
 
@@ -681,92 +715,32 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
         return EXIT_INTERNAL
 
     os.makedirs(outdir, exist_ok=True)
-    seeds = _seeds_for(config)
+    st = Stages(config)
     report: dict = {
         "tool": "brwre",
         "subcommand": subcommand,
         "config_sha256": config.sha256,
-        "seeds": seeds,
+        "seeds": st.seeds,
     }
-    sections: dict = {}
     status = EXIT_OK
-
-    def say(msg):
-        if not quiet:
-            print(msg)
-
+    say = (lambda msg: None) if quiet else print
     try:
         conditions = validate_conditions(config.environment)
         report["conditions"] = _conditions_section(conditions)
         if not conditions.ok:
             say("conditions: FAILED")
             status = EXIT_CONDITIONS
-        elif subcommand in ("validate",):
+        elif subcommand == "validate":
             say("conditions: ok")
-
-        regime = sweep = survival = profile = None
-        if status == EXIT_OK and subcommand in ("classify", "all"):
-            regime = _classify(config)
-            report["regime"] = _regime_section(regime)
-            say(f"regime: {regime.regime} (vanishing {regime.vanishing_direction})")
-            if strict and regime.regime == criteria.INCONCLUSIVE:
+        for name in SUBCOMMAND_SECTIONS[subcommand] if conditions.ok else ():
+            section = SECTIONS[name](st, say)
+            if section is not None:
+                report[name] = section
+            if name == "regime" and strict and st.regime.regime == criteria.INCONCLUSIVE:
                 status = EXIT_INCONCLUSIVE
-
-        if status == EXIT_OK and subcommand in ("lyapunov", "all"):
-            # the classifier's right-vanishing branch already drew this estimate
-            est_a = regime.gamma1 if regime is not None else None
-            if est_a is None or est_a.matrix_kind != "A":
-                est_a = _exponent(config, "A")
-            est_t = _exponent(config, "A_tilde", 1)
-            report["lyapunov"] = {
-                "gamma1": _estimate_section(est_a),
-                "gamma1_tilde": _estimate_section(est_t),
-            }
-            say(f"gamma1 = {est_a.value:.6f} +- {est_a.stderr:.2e}")
-
-        if status == EXIT_OK and subcommand in ("spectral", "all"):
-            sweep = _rho_sweep(config)
-            sections["rho_sweep"] = [[n, r] for n, r in sweep]
-            report["rho_sweep"] = sections["rho_sweep"]
-            say(f"rho sweep: {sweep[-1][1]:.6f} at N={sweep[-1][0]}")
-
-        if status == EXIT_OK and subcommand in ("simulate", "all"):
-            survival = _simulate(config)
-            report["survival"] = _survival_section(survival)
-            sections["survival_outcomes"] = [
-                [i, o.status, o.extinction_time, o.last_origin_visit]
-                for i, o in enumerate(survival.outcomes)
-            ]
-            say(f"global survival frequency: {survival.global_freq:.4f}")
-
-        if status == EXIT_OK and subcommand in ("frozen", "all"):
-            if criteria.vanishing_direction(config.environment) == "right":
-                profile = _frozen_profile(config)
-                sections["frozen_profile"] = _frozen_section(profile)
-                report["frozen_profile"] = sections["frozen_profile"]
-                say(f"frozen log-average: {profile.log_average:.5f}")
-            else:
-                report["frozen_profile"] = {
-                    "skipped": "freezing construction needs the right-vanishing branch"
-                }
-
-        if status == EXIT_OK and subcommand in ("crosscheck", "all"):
-            rows, extra = run_crosscheck(config, quiet=quiet, survival=survival, regime=regime,
-                                         sweep=sweep, profile=profile)
-            report["crosscheck"] = rows
-            for key in ("regime", "rho_sweep", "survival", "frozen_profile", "supermartingale"):
-                if key in extra and key not in report:
-                    report[key] = extra[key]
-            sections.update(extra)
-            n_fail = sum(r["verdict"] == "fail" for r in rows)
-            say(f"crosscheck: {len(rows)} rows, {n_fail} failing")
-            if strict and report.get("regime", {}).get("regime") == criteria.INCONCLUSIVE:
-                status = EXIT_INCONCLUSIVE
-
-    except criteria.ConditionError as exc:
-        report["conditions"] = _conditions_section(exc.report)
-        status = EXIT_CONDITIONS
-    except (ConfigError, ValueError, RuntimeError) as exc:
+                if subcommand == "all":
+                    break  # all stops at the verdict; crosscheck still checks it
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -775,7 +749,7 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
         fh.write(dumps_report(report))
     say(f"wrote {report_path}")
     if fmt in ("csv", "both"):
-        for path in _write_series(outdir, sections):
+        for path in _write_series(outdir, report, st):
             say(f"wrote {path}")
     return status
 

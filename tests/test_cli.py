@@ -58,6 +58,35 @@ TWO_STATE_RIGHT_ENV = {
     ]
 }
 
+# TWO_STATE_RIGHT_ENV reflected: every offspring vector reversed
+TWO_STATE_LEFT_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.7, "v": [0, 0, 2]}, {"p": 0.05, "v": [1, 0, 0]},
+                                  {"p": 0.25, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.45, "v": [0, 0, 2]}, {"p": 0.08, "v": [1, 0, 0]},
+                                  {"p": 0.47, "v": [0, 0, 0]}]},
+    ]
+}
+
+# a state and its reflection: 1 is feasible, so the verdict is closed-form
+# GlobalExtinction in both directions
+BOTH_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.3, "v": [2, 0, 0]}, {"p": 0.15, "v": [0, 0, 1]},
+                                  {"p": 0.55, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.15, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 0, 2]},
+                                  {"p": 0.55, "v": [0, 0, 0]}]},
+    ]
+}
+
+# one law per classifier branch, named by its vanishing direction
+BRANCH_LAWS = pytest.mark.parametrize("environment, direction", [
+    pytest.param(TWO_STATE_RIGHT_ENV, "right", id="right"),
+    pytest.param(TWO_STATE_LEFT_ENV, "left", id="left"),
+    pytest.param(BOTH_ENV, "both", id="both"),
+    pytest.param(STRONG_LOCAL_ENV, "none", id="none"),
+])
+
 # 1 feasible within the membership tolerance although the lower root
 # exceeds 1 + tol (see tests/test_criteria.py::NEAR_CRITICAL_RIGHT)
 NEAR_CRITICAL_ENV = {
@@ -97,6 +126,10 @@ def test_load_config_defaults(tmp_path):
         ({"spectral": {"n_values": [4, 2]}}, "spectral.n_values"),
         ({"thresholds": {"sigma_margin": -2}}, "thresholds.sigma_margin"),
         ({"bogus": 1}, "config.bogus"),
+        ({"thresholds": {"sigma_margin": float("nan")}}, "thresholds.sigma_margin"),
+        ({"thresholds": {"sigma_margin": float("inf")}}, "thresholds.sigma_margin"),
+        ({"frozen": {"censor_threshold": float("nan")}}, "frozen.censor_threshold"),
+        ({"thresholds": {"sigma_margin": 10**400}}, "thresholds.sigma_margin"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
@@ -309,36 +342,57 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch):
                      "survival_probabilities": 1, "frozen_mean_profile": 1}
 
 
-def test_all_report_unchanged_by_stage_reuse(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    assert run(path, "all", outdir=str(tmp_path / "reuse"), quiet=True) == EXIT_OK
-    original = cli.run_crosscheck
-    monkeypatch.setattr(cli, "run_crosscheck",
-                        lambda config, quiet=False, **_: original(config, quiet))
-    assert run(path, "all", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
-    reuse = (tmp_path / "reuse" / "report.json").read_bytes()
-    assert reuse == (tmp_path / "fresh" / "report.json").read_bytes()
-
-
-def test_all_draws_each_exponent_once(tmp_path, monkeypatch):
+@BRANCH_LAWS
+@pytest.mark.parametrize("subcommand", ["lyapunov", "crosscheck", "all"])
+def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environment, direction):
     calls = collections.Counter()
     original = lyapunov.top_lyapunov
 
     def counted(envlaw, matrix_kind, *args, **kwargs):
-        calls[matrix_kind, kwargs["seed"]] += 1
+        calls[matrix_kind, kwargs.get("lam")] += 1
         return original(envlaw, matrix_kind, *args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "top_lyapunov", counted)
-    path = write_config(tmp_path, environment=TWO_STATE_RIGHT_ENV)
-    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
-    report = json.loads((tmp_path / "all" / "report.json").read_text())
-    assert report["regime"]["vanishing_direction"] == "right"
-    assert ("A", report["seeds"]["lyapunov"]) in calls
-    assert set(calls.values()) == {1}
-    # the lyapunov stage reuses the classifier's estimate: same section as a fresh run
-    assert run(path, "lyapunov", outdir=str(tmp_path / "fresh"), quiet=True) == EXIT_OK
-    fresh = json.loads((tmp_path / "fresh" / "report.json").read_text())
-    assert report["lyapunov"] == fresh["lyapunov"]
+    path = write_config(tmp_path, environment=environment)
+    assert criteria.vanishing_direction(load_config(path).environment) == direction
+    assert run(path, subcommand, outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    assert all(n == 1 for n in calls.values()), calls
+    if subcommand == "lyapunov":
+        assert set(calls) == {("A", None), ("A_tilde", None)}
+
+
+@BRANCH_LAWS
+def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direction):
+    calls = collections.Counter()
+    for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),
+                         (simulator, "survival_probabilities"),
+                         (simulator, "frozen_mean_profile"), (simulator, "supermartingale_trace")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    path = write_config(tmp_path, environment=environment)
+    reports = {}
+    for subcommand in cli.SUBCOMMANDS:
+        calls.clear()
+        out = tmp_path / subcommand
+        assert run(path, subcommand, outdir=str(out), quiet=True) == EXIT_OK
+        reports[subcommand] = json.loads((out / "report.json").read_text())
+        if subcommand in ("crosscheck", "all"):
+            # every stage runs once, and the branch-specific ones only on their branch
+            assert calls == collections.Counter({
+                "classify_environment": 1, "rho_sweep": 1, "survival_probabilities": 1,
+                "frozen_mean_profile": int(direction == "right"),
+                "supermartingale_trace": int(direction != "none"),
+            })
+    full = reports["all"]
+    assert full["regime"]["vanishing_direction"] == direction
+    assert "frozen_profile" in reports["crosscheck"]
+    for subcommand, report in reports.items():
+        assert list(report) == [key for key in full if key in report]
+        for key, section in report.items():
+            if key != "subcommand":
+                assert section == full[key], (subcommand, key)
 
 
 def test_frozen_stage_follows_the_classifier_branch(tmp_path):
