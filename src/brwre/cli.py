@@ -643,11 +643,12 @@ def run_crosscheck(st: Stages) -> list[dict]:
 
     # spectral sweep vs criterion
     max_rho = max(r for _, r in st.sweep)
+    tol = spectral.root_error_bound(env)
     if interval.is_empty:
-        rows.append(_row("spectral_criterion", max_rho, 1.0, 1e-8, max_rho > 1.0 + 1e-8,
+        rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho > 1.0 + tol,
                          "local survival: some truncation must exceed 1"))
     else:
-        rows.append(_row("spectral_criterion", max_rho, 1.0, 1e-8, max_rho <= 1.0 + 1e-8,
+        rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho <= 1.0 + tol,
                          "local extinction: every truncation stays below 1"))
     return rows
 

@@ -11,12 +11,18 @@ A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
 kept entry-wise, as rows a, b, c, d of a (4, n) array holding
 [[a, b], [c, d]], so one level is a few whole-array operations per entry.
-Level one of the tree only pairs two table matrices, so it is computed
-once per estimate, as a table over every ordered pair of states, and then
-gathered by the drawn indices.  `_log_norm_of_product` walks the same
-tree on a stack of matrices with matmul and is kept as the oracle the
-tests compare against; matmul may fuse a multiply-add where the entry
-rows round twice, so the two agree to roundoff, not bit for bit.
+The first k levels of the tree only combine table matrices in aligned
+blocks of L = 2**k, so they are computed once per estimate, as a word
+table of every state word of length L, and gathered by the codes of the
+drawn blocks.  L is the largest power of two with n_states**L <=
+WORD_BUDGET and L <= steps, so the tree starts L times shorter; the fewer
+than L leftover matrices join its list singly.  The words are bitwise
+nodes of the full tree; only the order of the log sums and the grouping
+of the leftover tail differ from it.
+`_log_norm_of_product` walks the same tree on a stack of matrices with
+matmul and is kept as the oracle the tests compare against; matmul may
+fuse a multiply-add where the entry rows round twice, so the two agree to
+roundoff, not bit for bit.
 """
 from __future__ import annotations
 
@@ -172,38 +178,57 @@ def _normalized_products(
     np.log(logs, out=logs)
 
 
+# most state words a word table holds: n_states**L words of length L, so
+# that its five float rows (160 kB at the budget) stay in cache for gathers
+WORD_BUDGET = 4096
+
+
 class _ProductReduction:
-    """ln of the max-abs entry of T[idx[-1]] @ ... @ T[idx[0]], for idx of one length.
+    """ln of the max-abs entry of T[idx[-1]] @ ... @ T[idx[0]], for idx of length steps.
 
     The reduction is the tree `_log_norm_of_product` walks: each level
     multiplies the odd entries of its list (left) into the even ones,
     rescales every product to max-abs entry 1 and adds the logs of the
-    scales; an odd tail is carried to the end of the next list.  Level one
-    only ever pairs two table matrices, so it is computed once, for every
-    ordered pair of states (column j*n_states + i holds T[j] @ T[i]), and
-    gathered by the drawn indices.  Later levels run on two (4, m) entry
-    buffers in turn.  Every buffer is allocated once and reused by each
-    replica of an estimate, so no replica pays for fresh pages.
+    scales; an odd tail is carried to the end of the next list.  The word
+    table (see the module docstring) is the entry table squared k times:
+    column j*n**m + i of a square holds word j applied after word i, so a
+    word's first-applied state is its lowest base-n_states digit.  A
+    replica gathers its steps // L words, sums their logs, appends the
+    leftover single matrices and runs the tree on two (4, m) entry buffers
+    in turn.  Every buffer is allocated once and reused by each replica of
+    an estimate, so no replica pays for fresh pages.  A collapsed word has
+    a log of -inf or NaN and raises only in a replica that draws it.
     """
 
     def __init__(self, table: np.ndarray, weights: np.ndarray, steps: int):
         n_states = table.shape[0]
         self.entries = table.reshape(n_states, 4).T
-        left, right = np.divmod(np.arange(n_states * n_states), n_states)
-        self.pairs = np.empty((4, n_states * n_states))
-        self.pair_logs = np.empty(n_states * n_states)
+        words, logs = self.entries, np.zeros(n_states)
+        length = 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            _normalized_products(self.entries[:, left], self.entries[:, right],
-                                 self.pairs, self.pair_logs, np.empty(n_states * n_states))
+            while 2 * length <= steps and words.shape[1] ** 2 <= WORD_BUDGET:
+                size = words.shape[1]
+                left, right = np.divmod(np.arange(size * size), size)
+                squared = np.empty((4, size * size))
+                squared_logs = np.empty(size * size)
+                _normalized_products(words[:, left], words[:, right],
+                                     squared, squared_logs, np.empty(size * size))
+                squared_logs += logs[left]
+                squared_logs += logs[right]
+                words, logs, length = squared, squared_logs, 2 * length
+        self.words, self.word_logs, self.length = words, logs, length
         self.cdf = weights.cumsum()
         self.cdf /= self.cdf[-1]
-        h = steps // 2
+        n_words = steps // length
+        m = n_words + steps % length
         self._u = np.empty(steps)
-        self._idx = np.empty(steps, dtype=np.intp)
-        self._which = np.empty(h, dtype=np.intp)
-        self._lists = (np.empty((4, h + 1)), np.empty((4, (h + 1) // 2 + 1)))
-        self._logs = np.empty(h)
-        self._work = np.empty((h + 1) // 2)
+        self._idx = np.empty(steps, dtype=np.min_scalar_type(n_states - 1))
+        code_type = np.min_scalar_type(words.shape[1] - 1)
+        self._codes = (np.empty(n_words * length // 2, dtype=code_type),
+                       np.empty(n_words * length // 4, dtype=code_type))
+        self._lists = (np.empty((4, m)), np.empty((4, (m + 1) // 2)))
+        self._logs = np.empty(max(n_words, m // 2))
+        self._work = np.empty(m // 2)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The indices rng.choice(n_states, size=steps, p=weights) would draw.
@@ -211,7 +236,7 @@ class _ProductReduction:
         choice takes searchsorted(cdf, rng.random(steps), side="right") with
         cdf = weights.cumsum() / weights.sum(); as cdf[-1] == 1 > u, that
         is the count of the other edges at or below u.  The result is a
-        buffer that the next draw overwrites.
+        buffer of the narrowest unsigned dtype that the next draw overwrites.
         """
         u = rng.random(out=self._u)
         idx = self._idx
@@ -220,18 +245,30 @@ class _ProductReduction:
             idx += u >= edge
         return idx
 
+    def _encode(self, idx: np.ndarray) -> np.ndarray:
+        """Base-n_states codes of the aligned L-blocks of idx, first-applied lowest.
+
+        Digits combine pairwise, block halves of length m into codes of
+        length 2m as hi * n_states**m + lo, the way the table squares.
+        """
+        codes = idx[: idx.shape[0] - idx.shape[0] % self.length]
+        base = self.entries.shape[1]
+        for depth in range(self.length.bit_length() - 1):
+            h = codes.shape[0] // 2
+            nxt = self._codes[depth % 2][:h]
+            np.multiply(codes[1::2], base, out=nxt, dtype=nxt.dtype, casting="unsafe")
+            np.add(nxt, codes[0::2], out=nxt, dtype=nxt.dtype, casting="unsafe")
+            codes, base = nxt, base * base
+        return codes
+
     def __call__(self, idx: np.ndarray) -> float:
-        n_states = self.entries.shape[1]
-        n = idx.shape[0]
-        h = n // 2
-        which = np.multiply(idx[1 : 2 * h : 2], n_states, out=self._which)
-        which += idx[0 : 2 * h : 2]
-        cur = self._lists[0][:, : h + n % 2]
-        for row, pair_row in zip(cur, self.pairs):
-            np.take(pair_row, which, out=row[:h], mode="clip")
-        if n % 2:
-            cur[:, h] = self.entries[:, idx[-1]]
-        logs = np.take(self.pair_logs, which, out=self._logs, mode="clip")
+        codes = self._encode(idx)
+        n_words = codes.shape[0]
+        cur = self._lists[0]
+        for row, word_row in zip(cur, self.words):
+            np.take(word_row, codes, out=row[:n_words], mode="clip")
+        cur[:, n_words:] = self.entries[:, idx[n_words * self.length :]]
+        logs = np.take(self.word_logs, codes, out=self._logs[:n_words], mode="clip")
         acc = 0.0
         depth = 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -267,7 +304,7 @@ def top_lyapunov(
 
     Replica r draws its state sequence as rng.choice(n_states, steps,
     p=weights) would on default_rng([seed, r]), reduces the product of the
-    drawn matrices with the pair table and the entry-wise tree (see the
+    drawn matrices with the word table and the entry-wise tree (see the
     module docstring) and contributes ln ||product|| / steps, one replica
     at a time.  The value is the replica mean and stderr the replica
     dispersion / sqrt(R).  With one state every replica draws the same

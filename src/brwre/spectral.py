@@ -14,7 +14,9 @@ counts; Barth, Martin & Wilkinson 1967).  In floating point each count is
 exact for a T whose off-diagonals move by at most 3 eps relatively
 (Kahan), shifting the root by at most 3 eps rho; with the final bracket of
 4 ulp, the returned root is within 6 eps * (max row sum), about 1.3e-15
-times it, of the exact one: far inside the spectral_criterion row's 1e-8.
+times it, of the exact one.  `root_error_bound` states that bound for
+every window of a law, and the spectral_criterion row uses it as its
+tolerance.
 """
 from __future__ import annotations
 
@@ -108,6 +110,15 @@ def spectral_radius(tm: TruncatedMomentMatrix) -> SpectralEstimate:
         lo, hi = float(edges[j]), float(edges[j + 1])
         rounds += 1
     return SpectralEstimate(rho=0.5 * (lo + hi), iterations=rounds, residual=hi - lo)
+
+
+def root_error_bound(envlaw: EnvironmentLaw) -> float:
+    """Bound on the error of `spectral_radius` on any window of envlaw.
+
+    6 eps times the largest row sum any window can have, the largest
+    mu-_s + mu0_s + mu+_s over the states s of the law.
+    """
+    return 6.0 * np.finfo(float).eps * max(sum(m.as_tuple()) for m in envlaw.state_moments)
 
 
 def rho_sweep(

@@ -328,6 +328,20 @@ def test_crosscheck_all_rows_pass(tmp_path):
     assert (out / "supermartingale.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, feasible", [
+    pytest.param({"environment": STRONG_LOCAL_ENV}, False, id="empty-feasible-set"),
+    pytest.param({}, True, id="nonempty-feasible-set"),
+])
+def test_spectral_criterion_tolerance_is_the_solver_bound(tmp_path, overrides, feasible):
+    path = write_config(tmp_path, **overrides)
+    assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "cc" / "report.json").read_text())
+    assert report["regime"]["lambda_set"]["empty"] != feasible
+    row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
+    assert row["verdict"] == "pass"
+    assert row["tolerance"] == spectral.root_error_bound(load_config(path).environment)
+
+
 def test_all_computes_each_stage_once(tmp_path, monkeypatch):
     calls = collections.Counter()
     for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from brwre.criteria import lambda_feasible_set, state_feasible_interval
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
+    WORD_BUDGET,
     _log_norm_of_product,
     _ProductReduction,
     build_A,
@@ -181,16 +182,36 @@ def walk_laws(draw):
     return EnvironmentLaw(states)
 
 
-def _unequal_three_states() -> EnvironmentLaw:
+def _walk_law(weights, pls) -> EnvironmentLaw:
     laws = [law_from_atoms([(pl, (1, 0, 0)), (0.3, (0, 0, 1)), (0.7 - pl, (0, 0, 0))])
-            for pl in (0.1, 0.2, 0.3)]
-    return EnvironmentLaw(list(zip((0.1, 0.2, 0.7), laws)))
+            for pl in pls]
+    return EnvironmentLaw(list(zip(weights, laws)))
+
+
+def _unequal_three_states() -> EnvironmentLaw:
+    return _walk_law((0.1, 0.2, 0.7), (0.1, 0.2, 0.3))
+
+
+# word lengths: 2048 or 4096 for one state (the budget never binds), 8 for
+# two states (2**16 > WORD_BUDGET), 4 for three and four; each law is run
+# with no leftover tail and with a tail of L - 1 single matrices
+_ONE_STATE = _walk_law((1.0,), (0.2,))
+_TWO_STATES = _walk_law((0.3, 0.7), (0.1, 0.3))
+_FOUR_STATES = _walk_law((0.4, 0.3, 0.2, 0.1), (0.05, 0.15, 0.25, 0.35))
 
 
 @given(env=walk_laws(), kind=st.sampled_from(["A", "A_tilde", "A_lambda"]),
        steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
 @example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
-def test_pair_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
+@example(env=_ONE_STATE, kind="A", steps=4_096, seed=1)
+@example(env=_ONE_STATE, kind="A_tilde", steps=4_095, seed=1)
+@example(env=_TWO_STATES, kind="A", steps=4_096, seed=2)
+@example(env=_TWO_STATES, kind="A_lambda", steps=4_095, seed=2)
+@example(env=_unequal_three_states(), kind="A_tilde", steps=1_000, seed=3)
+@example(env=_unequal_three_states(), kind="A", steps=1_003, seed=3)
+@example(env=_FOUR_STATES, kind="A", steps=1_000, seed=4)
+@example(env=_FOUR_STATES, kind="A_tilde", steps=1_003, seed=4)
+def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
     lam = None
     if kind == "A_lambda":
         interval = lambda_feasible_set(env)
@@ -198,6 +219,10 @@ def test_pair_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
         lam = math.sqrt(interval.lo * interval.hi)
     table = state_matrices(env, kind, lam)
     reduce = _ProductReduction(table, env.weights, steps)
+    length = reduce.length
+    # the longest power-of-two word length within the budget and the steps
+    assert env.n_states**length <= WORD_BUDGET and length <= steps
+    assert env.n_states ** (2 * length) > WORD_BUDGET or 2 * length > steps
     values = []
     for r in range(2):
         idx = reduce.draw(np.random.default_rng([seed, r]))
@@ -211,6 +236,26 @@ def test_pair_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
         assert est.value == float(np.mean(values))
 
 
+@pytest.mark.parametrize("env", [_ONE_STATE, _TWO_STATES, _unequal_three_states(), _FOUR_STATES],
+                         ids=["1", "2", "3", "4"])
+def test_word_table_column_is_its_state_word(env):
+    table = state_matrices(env, "A")
+    reduce = _ProductReduction(table, env.weights, 1_000)
+    n_states, length = env.n_states, reduce.length
+    assert reduce.words.shape == (4, n_states**length)
+    for code in range(n_states**length):
+        # the first-applied matrix is the lowest base-n_states digit
+        word = [code // n_states**t % n_states for t in range(length)]
+        assert reduce.word_logs[code] == pytest.approx(
+            _log_norm_of_product(table[word]), rel=1e-12, abs=0.0)
+        product = table[word[0]]
+        for state in word[1:]:
+            product = table[state] @ product
+            product /= np.abs(product).max()
+        np.testing.assert_allclose(reduce.words[:, code].reshape(2, 2),
+                                   product / np.abs(product).max(), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("steps", [20_000, 20_001])
 def test_constant_env_reduces_one_replica(steps):
     env = single_env(GW_SUPERCRITICAL)
@@ -222,13 +267,39 @@ def test_constant_env_reduces_one_replica(steps):
     assert est.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+# A = [[0, 0], [1, 0]] (mu- = 0, mu0 = 1), whose square is zero
+NILPOTENT = [(0.5, (0, 1, 1)), (0.5, (0, 1, 0))]
+
+
 def test_collapsed_product_raises():
-    # mu- = 0 and mu0 = 1 make A = [[0, 0], [1, 0]], whose square is zero
-    env = single_env([(0.5, (0, 1, 1)), (0.5, (0, 1, 0))])
+    env = single_env(NILPOTENT)
     with pytest.raises(FloatingPointError):
         _log_norm_of_product(state_matrices(env, "A")[np.zeros(1_000, dtype=np.intp)])
     with pytest.raises(FloatingPointError):
         top_lyapunov(env, "A", steps=1_000, replicas=2)
+
+    # with a second, invertible state a product collapses exactly where two
+    # 0s are adjacent, so 1, 0, 1, 0, ... never collapses; two-state words
+    # have length 8 and every word holding 0, 0 is collapsed in the table
+    env = EnvironmentLaw([(0.5, law_from_atoms(NILPOTENT)),
+                          (0.5, law_from_atoms(GW_SUPERCRITICAL))])
+    table = state_matrices(env, "A")
+    alternating = np.tile(np.array([1, 0], dtype=np.intp), 500)
+    sound_word = int(alternating[:8] @ 2 ** np.arange(8))
+    # the collapsed words are never drawn: no raise
+    reduce = _ProductReduction(table, env.weights, 1_000)
+    assert reduce.length == 8
+    assert np.isfinite(reduce.word_logs[sound_word])
+    assert not np.isfinite(reduce.word_logs).all()
+    assert reduce(alternating) == pytest.approx(
+        _log_norm_of_product(table[alternating]), rel=1e-12, abs=0.0)
+    # 125 sound words, then a leftover tail 1, 0, 0 that collapses
+    reduce = _ProductReduction(table, env.weights, 1_003)
+    idx = np.concatenate([alternating, [1, 0, 0]])
+    with pytest.raises(FloatingPointError):
+        reduce(idx)
+    with pytest.raises(FloatingPointError):
+        _log_norm_of_product(table[idx])
 
 
 def test_exponent_shift_identity_two_state():
