@@ -500,9 +500,11 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 # Cross-check table
 
 
-def _row(name, lhs, rhs, tolerance, passed, note=None) -> dict:
+def _row(name, lhs, rhs, tolerance, passed, note=None, *, roundoff=False) -> dict:
+    # a roundoff tolerance is no multiple of a standard error, so a row
+    # tested against one has no distance in sigmas
     sigma = None
-    if passed is not None and tolerance not in (None, 0.0):
+    if passed is not None and tolerance not in (None, 0.0) and not roundoff:
         sigma = 3.0 * abs(lhs - rhs) / tolerance if tolerance > 0 else math.inf
     return {
         "identity": name,
@@ -557,7 +559,7 @@ def run_crosscheck(st: Stages) -> list[dict]:
         scale = max(float(np.abs(lyapunov.build_A(m)).max()) for m in env.state_moments)
         tol = 1e-9 * (1.0 + scale)
         rows.append(_row("conjugacy_identity", residual, 0.0, tol, residual <= tol,
-                         f"lambda={lam_mid:.6g}"))
+                         f"lambda={lam_mid:.6g}", roundoff=True))
 
         gamma_lam_mid = st.exponent("A_lambda", 12, lam_mid)
         shift = gamma_lam_mid.value + math.log(lam_mid)
@@ -646,10 +648,10 @@ def run_crosscheck(st: Stages) -> list[dict]:
     tol = spectral.root_error_bound(env)
     if interval.is_empty:
         rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho > 1.0 + tol,
-                         "local survival: some truncation must exceed 1"))
+                         "local survival: some truncation must exceed 1", roundoff=True))
     else:
         rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho <= 1.0 + tol,
-                         "local extinction: every truncation stays below 1"))
+                         "local extinction: every truncation stays below 1", roundoff=True))
     return rows
 
 

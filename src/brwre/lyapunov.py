@@ -11,18 +11,20 @@ A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
 kept entry-wise, as rows a, b, c, d of a (4, n) array holding
 [[a, b], [c, d]], so one level is a few whole-array operations per entry.
-The first k levels of the tree only combine table matrices in aligned
-blocks of L = 2**k, so they are computed once per estimate, as a word
-table of every state word of length L, and gathered by the codes of the
-drawn blocks.  L is the largest power of two with n_states**L <=
-WORD_BUDGET and L <= steps, so the tree starts L times shorter; the fewer
-than L leftover matrices join its list singly.  The words are bitwise
-nodes of the full tree; only the order of the log sums and the grouping
-of the leftover tail differ from it.
-`_log_norm_of_product` walks the same tree on a stack of matrices with
-matmul and is kept as the oracle the tests compare against; matmul may
-fuse a multiply-add where the entry rows round twice, so the two agree to
-roundoff, not bit for bit.
+A replica's product is split into aligned words of L states, and every
+state word of length L is computed once per estimate, as a word table.
+L is the largest integer with max(n_states, 2)**L <= WORD_BUDGET and
+L <= steps.  The words of a replica are i.i.d. with the product of their
+states' weights as law, so they are sampled directly from that law with
+one uniform per word through Walker's alias table, and gathered from the
+table; the steps % L leftover states are drawn singly and join the list
+after them.  The tree thus starts L times shorter, and no state sequence
+is ever drawn.
+`_log_norm_of_product` walks the plain pairwise tree over the whole state
+sequence on a stack of matrices with matmul and is kept as the oracle the
+tests compare against.  It groups the products differently (a word is
+built one state at a time) and matmul may fuse a multiply-add where the
+entry rows round twice, so the two agree to roundoff, not bit for bit.
 """
 from __future__ import annotations
 
@@ -179,95 +181,114 @@ def _normalized_products(
 
 
 # most state words a word table holds: n_states**L words of length L, so
-# that its five float rows (160 kB at the budget) stay in cache for gathers
+# that its five float rows (160 kB at the budget) and its alias table stay
+# in cache for gathers
 WORD_BUDGET = 4096
 
 
-class _ProductReduction:
-    """ln of the max-abs entry of T[idx[-1]] @ ... @ T[idx[0]], for idx of length steps.
+def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table for the law p over 0..K-1, by Vose's construction.
 
-    The reduction is the tree `_log_norm_of_product` walks: each level
-    multiplies the odd entries of its list (left) into the even ones,
-    rescales every product to max-abs entry 1 and adds the logs of the
-    scales; an odd tail is carried to the end of the next list.  The word
-    table (see the module docstring) is the entry table squared k times:
-    column j*n**m + i of a square holds word j applied after word i, so a
-    word's first-applied state is its lowest base-n_states digit.  A
-    replica gathers its steps // L words, sums their logs, appends the
-    leftover single matrices and runs the tree on two (4, m) entry buffers
-    in turn.  Every buffer is allocated once and reused by each replica of
-    an estimate, so no replica pays for fresh pages.  A collapsed word has
-    a log of -inf or NaN and raises only in a replica that draws it.
+    A bin i uniform on 0..K-1 yields code i with probability prob[i] and
+    code alias[i] otherwise, so p[c] * K == prob[c] + the sum of
+    1 - prob[i] over every i != c with alias[i] == c.  Bins left over when
+    the small or the large list runs out (by roundoff) keep prob 1.
+    """
+    size = p.shape[0]
+    scaled = (p * (size / p.sum())).tolist()
+    prob = np.ones(size)
+    alias = np.arange(size)
+    small = [i for i, q in enumerate(scaled) if q < 1.0]
+    large = [i for i, q in enumerate(scaled) if q >= 1.0]
+    while small and large:
+        less, more = small.pop(), large[-1]
+        prob[less] = scaled[less]
+        alias[less] = more
+        scaled[more] = (scaled[more] + scaled[less]) - 1.0
+        if scaled[more] < 1.0:
+            small.append(large.pop())
+    return prob, alias
+
+
+class _ProductReduction:
+    """ln of the max-abs entry of the product of a sampled word sequence and tail.
+
+    The product applies steps // L words of the word table (see the module
+    docstring), first-applied first, then steps % L single states.  The
+    table grows one state per round: column s*n**m + c of round m + 1
+    holds state s applied after word c, so a word's first-applied state is
+    its lowest base-n_states digit.  `sample` draws the word codes from
+    the word law, the product of its states' weights, with one uniform
+    each through Walker's alias table, and the tail states from the state
+    CDF.  A replica gathers its words, sums their logs, appends the tail
+    matrices and runs the tree `_log_norm_of_product` walks on two (4, m)
+    entry buffers in turn: each level multiplies the odd entries of its
+    list (left) into the even ones, rescales every product to max-abs
+    entry 1 and adds the logs of the scales; an odd tail is carried to the
+    end of the next list.  Every buffer is allocated once and reused by
+    each replica of an estimate, so no replica pays for fresh pages.  A
+    collapsed word has a log of -inf or NaN and raises only in a replica
+    that samples it.
     """
 
     def __init__(self, table: np.ndarray, weights: np.ndarray, steps: int):
         n_states = table.shape[0]
         self.entries = table.reshape(n_states, 4).T
-        words, logs = self.entries, np.zeros(n_states)
         length = 1
+        while length < steps and max(n_states, 2) ** (length + 1) <= WORD_BUDGET:
+            length += 1
+        state_p = weights / weights.sum()
+        words, logs, word_p = self.entries, np.zeros(n_states), state_p
         with np.errstate(divide="ignore", invalid="ignore"):
-            while 2 * length <= steps and words.shape[1] ** 2 <= WORD_BUDGET:
-                size = words.shape[1]
-                left, right = np.divmod(np.arange(size * size), size)
-                squared = np.empty((4, size * size))
-                squared_logs = np.empty(size * size)
-                _normalized_products(words[:, left], words[:, right],
-                                     squared, squared_logs, np.empty(size * size))
-                squared_logs += logs[left]
-                squared_logs += logs[right]
-                words, logs, length = squared, squared_logs, 2 * length
+            for _ in range(length - 1):
+                size = n_states * words.shape[1]
+                state, word = np.divmod(np.arange(size), words.shape[1])
+                grown, grown_logs = np.empty((4, size)), np.empty(size)
+                _normalized_products(self.entries[:, state], words[:, word],
+                                     grown, grown_logs, np.empty(size))
+                grown_logs += logs[word]
+                words, logs = grown, grown_logs
+                word_p = np.outer(state_p, word_p).ravel()
         self.words, self.word_logs, self.length = words, logs, length
-        self.cdf = weights.cumsum()
-        self.cdf /= self.cdf[-1]
-        n_words = steps // length
-        m = n_words + steps % length
-        self._u = np.empty(steps)
-        self._idx = np.empty(steps, dtype=np.min_scalar_type(n_states - 1))
-        code_type = np.min_scalar_type(words.shape[1] - 1)
-        self._codes = (np.empty(n_words * length // 2, dtype=code_type),
-                       np.empty(n_words * length // 4, dtype=code_type))
+        self.prob, self.alias = _alias_table(word_p)
+        self.cdf = state_p.cumsum()
+        n_words, self._n_tail = divmod(steps, length)
+        m = n_words + self._n_tail
+        self._u = np.empty(n_words)
+        self._bins = np.empty(n_words, dtype=np.intp)
+        self._codes = np.empty(n_words, dtype=np.intp)
+        self._keep = np.empty(n_words, dtype=bool)
         self._lists = (np.empty((4, m)), np.empty((4, (m + 1) // 2)))
         self._logs = np.empty(max(n_words, m // 2))
-        self._work = np.empty(m // 2)
+        self._work = np.empty(max(n_words, m // 2))
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The indices rng.choice(n_states, size=steps, p=weights) would draw.
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """The word codes the alias table assigns to uniforms u in [0, 1).
 
-        choice takes searchsorted(cdf, rng.random(steps), side="right") with
-        cdf = weights.cumsum() / weights.sum(); as cdf[-1] == 1 > u, that
-        is the count of the other edges at or below u.  The result is a
-        buffer of the narrowest unsigned dtype that the next draw overwrites.
+        u is overwritten; the result is a buffer the next call overwrites.
         """
-        u = rng.random(out=self._u)
-        idx = self._idx
-        np.greater_equal(u, self.cdf[0], out=idx)
-        for edge in self.cdf[1:-1]:
-            idx += u >= edge
-        return idx
-
-    def _encode(self, idx: np.ndarray) -> np.ndarray:
-        """Base-n_states codes of the aligned L-blocks of idx, first-applied lowest.
-
-        Digits combine pairwise, block halves of length m into codes of
-        length 2m as hi * n_states**m + lo, the way the table squares.
-        """
-        codes = idx[: idx.shape[0] - idx.shape[0] % self.length]
-        base = self.entries.shape[1]
-        for depth in range(self.length.bit_length() - 1):
-            h = codes.shape[0] // 2
-            nxt = self._codes[depth % 2][:h]
-            np.multiply(codes[1::2], base, out=nxt, dtype=nxt.dtype, casting="unsafe")
-            np.add(nxt, codes[0::2], out=nxt, dtype=nxt.dtype, casting="unsafe")
-            codes, base = nxt, base * base
+        n = u.shape[0]
+        bins, codes, keep = self._bins[:n], self._codes[:n], self._keep[:n]
+        u *= self.prob.shape[0]
+        np.copyto(bins, u, casting="unsafe")
+        u -= bins
+        np.less(u, np.take(self.prob, bins, out=self._work[:n]), out=keep)
+        np.take(self.alias, bins, out=codes)
+        np.copyto(codes, bins, where=keep)
         return codes
 
-    def __call__(self, idx: np.ndarray) -> float:
-        codes = self._encode(idx)
+    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One replica's word codes and tail states, from steps // L and then steps % L uniforms."""
+        codes = self.codes(rng.random(out=self._u))
+        tail = np.searchsorted(self.cdf[:-1], rng.random(self._n_tail), side="right")
+        return codes, tail
+
+    def __call__(self, codes: np.ndarray, tail: np.ndarray) -> float:
         n_words = codes.shape[0]
         cur = self._lists[0]
         for row, word_row in zip(cur, self.words):
             np.take(word_row, codes, out=row[:n_words], mode="clip")
-        cur[:, n_words:] = self.entries[:, idx[n_words * self.length :]]
+        cur[:, n_words:] = self.entries[:, tail]
         logs = np.take(self.word_logs, codes, out=self._logs[:n_words], mode="clip")
         acc = 0.0
         depth = 0
@@ -302,15 +323,18 @@ def top_lyapunov(
 ) -> LyapunovEstimate:
     """Estimate the top exponent of the i.i.d. product for one family.
 
-    Replica r draws its state sequence as rng.choice(n_states, steps,
-    p=weights) would on default_rng([seed, r]), reduces the product of the
-    drawn matrices with the word table and the entry-wise tree (see the
+    Replica r samples its steps // L word codes and steps % L tail states
+    on default_rng([seed, r]) (see `_ProductReduction.sample`), so its
+    state sequence is i.i.d. with law weights; it reduces the product of
+    those matrices with the word table and the entry-wise tree (see the
     module docstring) and contributes ln ||product|| / steps, one replica
     at a time.  The value is the replica mean and stderr the replica
-    dispersion / sqrt(R).  With one state every replica draws the same
-    sequence, so one is reduced: its value is the estimate and the stderr
-    is exactly 0 (a mean and deviation over R copies could round away
-    from that when R is not a power of two).
+    dispersion / sqrt(R).  With one state every replica has the same
+    sequence, so one is reduced and nothing is drawn (a classification
+    that needs only this exponent starts no random generator): its value
+    is the estimate and the stderr is exactly 0 (a mean and deviation
+    over R copies could round away from that when R is not a power of
+    two).
     n_workers is accepted for compatibility and ignored: the replicas run
     on one thread and the result never depends on it.
     """
@@ -321,11 +345,14 @@ def top_lyapunov(
     table = state_matrices(envlaw, matrix_kind, lam)
     reduce = _ProductReduction(table, envlaw.weights, steps)
     if envlaw.n_states == 1:
-        value = reduce(np.zeros(steps, dtype=np.intp)) / steps
+        # every word and tail state is state 0, so nothing is drawn
+        n_words, n_tail = divmod(steps, reduce.length)
+        value = reduce(np.zeros(n_words, dtype=np.intp), np.zeros(n_tail, dtype=np.intp)) / steps
         stderr = 0.0
     else:
         values = np.array([
-            reduce(reduce.draw(np.random.default_rng([seed, r]))) / steps for r in range(replicas)
+            reduce(*reduce.sample(np.random.default_rng([seed, r]))) / steps
+            for r in range(replicas)
         ])
         value = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(replicas))

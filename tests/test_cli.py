@@ -342,6 +342,20 @@ def test_spectral_criterion_tolerance_is_the_solver_bound(tmp_path, overrides, f
     assert row["tolerance"] == spectral.root_error_bound(load_config(path).environment)
 
 
+def test_roundoff_rows_have_no_sigma_distance(tmp_path):
+    path = write_config(tmp_path)
+    assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "cc" / "report.json").read_text())
+    rows = {r["identity"]: r for r in report["crosscheck"]}
+    for name in ("conjugacy_identity", "spectral_criterion"):
+        assert rows[name]["verdict"] == "pass"
+        assert rows[name]["sigma_distance"] is None
+    # a row tested against 3 stderr keeps its distance in sigmas
+    row = rows["exponent_shift"]
+    assert row["sigma_distance"] == pytest.approx(
+        3.0 * abs(row["lhs"] - row["rhs"]) / row["tolerance"], rel=1e-12)
+
+
 def test_all_computes_each_stage_once(tmp_path, monkeypatch):
     calls = collections.Counter()
     for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),

@@ -192,25 +192,44 @@ def _unequal_three_states() -> EnvironmentLaw:
     return _walk_law((0.1, 0.2, 0.7), (0.1, 0.2, 0.3))
 
 
-# word lengths: 2048 or 4096 for one state (the budget never binds), 8 for
-# two states (2**16 > WORD_BUDGET), 4 for three and four; each law is run
-# with no leftover tail and with a tail of L - 1 single matrices
+# word lengths: 12 for one and two states, 7 for three, 6 for four; each
+# law is run with no leftover tail and with a tail of L - 1 single matrices
 _ONE_STATE = _walk_law((1.0,), (0.2,))
 _TWO_STATES = _walk_law((0.3, 0.7), (0.1, 0.3))
 _FOUR_STATES = _walk_law((0.4, 0.3, 0.2, 0.1), (0.05, 0.15, 0.25, 0.35))
+_LAWS = pytest.mark.parametrize("env", [_ONE_STATE, _TWO_STATES, _unequal_three_states(),
+                                        _FOUR_STATES], ids=["1", "2", "3", "4"])
+
+
+def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
+    """(len(codes), length) states of each word, first-applied first."""
+    return codes[:, None] // n_states ** np.arange(length) % n_states
+
+
+@_LAWS
+def test_word_length_is_the_longest_within_budget(env):
+    table = state_matrices(env, "A")
+    length = {1: 12, 2: 12, 3: 7, 4: 6}[env.n_states]
+    assert max(env.n_states, 2) ** length <= WORD_BUDGET < max(env.n_states, 2) ** (length + 1)
+    assert _ProductReduction(table, env.weights, 1_000).length == length
+    # fewer steps than the budget allows: one word of every step
+    for steps in (length - 1, 1):
+        reduce = _ProductReduction(table, env.weights, steps)
+        assert reduce.length == steps
+        assert reduce.words.shape == (4, env.n_states**steps)
 
 
 @given(env=walk_laws(), kind=st.sampled_from(["A", "A_tilde", "A_lambda"]),
        steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
 @example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
-@example(env=_ONE_STATE, kind="A", steps=4_096, seed=1)
-@example(env=_ONE_STATE, kind="A_tilde", steps=4_095, seed=1)
-@example(env=_TWO_STATES, kind="A", steps=4_096, seed=2)
-@example(env=_TWO_STATES, kind="A_lambda", steps=4_095, seed=2)
+@example(env=_ONE_STATE, kind="A", steps=4_092, seed=1)
+@example(env=_ONE_STATE, kind="A_tilde", steps=4_103, seed=1)
+@example(env=_TWO_STATES, kind="A", steps=4_092, seed=2)
+@example(env=_TWO_STATES, kind="A_lambda", steps=4_103, seed=2)
 @example(env=_unequal_three_states(), kind="A_tilde", steps=1_000, seed=3)
 @example(env=_unequal_three_states(), kind="A", steps=1_003, seed=3)
-@example(env=_FOUR_STATES, kind="A", steps=1_000, seed=4)
-@example(env=_FOUR_STATES, kind="A_tilde", steps=1_003, seed=4)
+@example(env=_FOUR_STATES, kind="A", steps=1_002, seed=4)
+@example(env=_FOUR_STATES, kind="A_tilde", steps=1_001, seed=4)
 def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
     lam = None
     if kind == "A_lambda":
@@ -220,24 +239,20 @@ def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
     table = state_matrices(env, kind, lam)
     reduce = _ProductReduction(table, env.weights, steps)
     length = reduce.length
-    # the longest power-of-two word length within the budget and the steps
-    assert env.n_states**length <= WORD_BUDGET and length <= steps
-    assert env.n_states ** (2 * length) > WORD_BUDGET or 2 * length > steps
     values = []
     for r in range(2):
-        idx = reduce.draw(np.random.default_rng([seed, r]))
-        expected = np.random.default_rng([seed, r]).choice(env.n_states, size=steps, p=env.weights)
-        np.testing.assert_array_equal(idx, expected)
+        codes, tail = reduce.sample(np.random.default_rng([seed, r]))
+        assert codes.shape == (steps // length,) and tail.shape == (steps % length,)
+        idx = np.concatenate([_digits(codes, env.n_states, length).ravel(), tail])
         oracle = _log_norm_of_product(table[idx]) / steps
-        values.append(reduce(idx) / steps)
+        values.append(reduce(codes, tail) / steps)
         assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
     if env.n_states > 1:
         est = top_lyapunov(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
         assert est.value == float(np.mean(values))
 
 
-@pytest.mark.parametrize("env", [_ONE_STATE, _TWO_STATES, _unequal_three_states(), _FOUR_STATES],
-                         ids=["1", "2", "3", "4"])
+@_LAWS
 def test_word_table_column_is_its_state_word(env):
     table = state_matrices(env, "A")
     reduce = _ProductReduction(table, env.weights, 1_000)
@@ -256,9 +271,74 @@ def test_word_table_column_is_its_state_word(env):
                                    product / np.abs(product).max(), rtol=0.0, atol=1e-12)
 
 
+@_LAWS
+def test_alias_table_rebuilds_the_word_law(env):
+    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
+    n_states, length = env.n_states, reduce.length
+    size = n_states**length
+    assert reduce.prob.shape == reduce.alias.shape == (size,)
+    assert np.all((reduce.prob > 0.0) & (reduce.prob <= 1.0))
+    assert np.all((reduce.alias >= 0) & (reduce.alias < size))
+    # bin i yields i w.p. prob[i] and alias[i] otherwise
+    rebuilt = reduce.prob.copy()
+    np.add.at(rebuilt, reduce.alias, 1.0 - reduce.prob)
+    weights = np.asarray(env.weights) / sum(env.weights)
+    word_law = weights[_digits(np.arange(size), n_states, length)].prod(axis=1)
+    np.testing.assert_allclose(rebuilt / size, word_law, rtol=1e-12, atol=0.0)
+
+
+def test_sampled_codes_follow_the_word_law():
+    env = _unequal_three_states()
+    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 7 * 100_000)
+    assert reduce.length == 7
+    counts = np.zeros(3**7)
+    for r in range(5):
+        codes, tail = reduce.sample(np.random.default_rng([11, r]))
+        assert tail.shape == (0,)
+        counts += np.bincount(codes, minlength=3**7)
+    word_law = np.array([0.1, 0.2, 0.7])[_digits(np.arange(3**7), 3, 7)].prod(axis=1)
+    expected = counts.sum() * word_law
+    # words expected fewer than 5 times are pooled into one bin
+    rare = expected < 5.0
+    observed = np.append(counts[~rare], counts[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    dof = observed.shape[0] - 1
+    # Wilson-Hilferty upper quantile of chi2(dof) at z = 4.75 (one-sided 1e-6)
+    bound = dof * (1.0 - 2.0 / (9 * dof) + 4.75 * math.sqrt(2.0 / (9 * dof))) ** 3
+    assert chi2 <= bound
+
+
+def test_tail_states_follow_the_state_law():
+    env = _unequal_three_states()
+    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
+    assert 1_000 % reduce.length == 6
+    tails = [reduce.sample(np.random.default_rng([12, r]))[1] for r in range(3_000)]
+    observed = np.bincount(np.concatenate(tails), minlength=3)
+    expected = observed.sum() * np.array([0.1, 0.2, 0.7])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    # chi2 with 2 degrees of freedom exceeds 2 ln(1e6) with probability 1e-6
+    assert chi2 <= 2.0 * math.log(1e6)
+
+
+@pytest.mark.parametrize("env", [_unequal_three_states(), _walk_law((0.3, 0.3, 0.2, 0.1, 0.1),
+                                                                     (0.1, 0.2, 0.3, 0.3, 0.3))],
+                         ids=["3", "5"])
+def test_alias_bin_stays_below_the_word_count(env):
+    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
+    size = reduce.prob.shape[0]
+    assert size in (3**7, 5**5)  # neither a power of two
+    top = np.nextafter(1.0, 0.0)
+    codes = reduce.codes(np.array([top, 0.0, 0.5]))
+    assert np.all((codes >= 0) & (codes < size))
+    assert codes[0] in (size - 1, reduce.alias[size - 1])
+
+
 @pytest.mark.parametrize("steps", [20_000, 20_001])
-def test_constant_env_reduces_one_replica(steps):
+def test_constant_env_reduces_one_replica(steps, monkeypatch):
     env = single_env(GW_SUPERCRITICAL)
+    # the one state sequence needs no random generator
+    monkeypatch.setattr(np.random, "default_rng", None)
     # seven copies of this value have a mean and deviation off by roundoff
     est = top_lyapunov(env, "A", steps=steps, replicas=7, seed=3)
     table = state_matrices(env, "A")
@@ -280,26 +360,28 @@ def test_collapsed_product_raises():
 
     # with a second, invertible state a product collapses exactly where two
     # 0s are adjacent, so 1, 0, 1, 0, ... never collapses; two-state words
-    # have length 8 and every word holding 0, 0 is collapsed in the table
+    # have length 12 and every word holding 0, 0 is collapsed in the table
     env = EnvironmentLaw([(0.5, law_from_atoms(NILPOTENT)),
                           (0.5, law_from_atoms(GW_SUPERCRITICAL))])
     table = state_matrices(env, "A")
-    alternating = np.tile(np.array([1, 0], dtype=np.intp), 500)
-    sound_word = int(alternating[:8] @ 2 ** np.arange(8))
-    # the collapsed words are never drawn: no raise
-    reduce = _ProductReduction(table, env.weights, 1_000)
-    assert reduce.length == 8
+    alternating = np.tile(np.array([1, 0], dtype=np.intp), 504)
+    sound_word = int(alternating[:12] @ 2 ** np.arange(12))
+    # the collapsed words are never sampled: no raise
+    reduce = _ProductReduction(table, env.weights, 1_008)
+    assert reduce.length == 12
     assert np.isfinite(reduce.word_logs[sound_word])
     assert not np.isfinite(reduce.word_logs).all()
-    assert reduce(alternating) == pytest.approx(
+    codes = np.full(84, sound_word, dtype=np.intp)
+    no_tail = np.zeros(0, dtype=np.intp)
+    assert reduce(codes, no_tail) == pytest.approx(
         _log_norm_of_product(table[alternating]), rel=1e-12, abs=0.0)
-    # 125 sound words, then a leftover tail 1, 0, 0 that collapses
-    reduce = _ProductReduction(table, env.weights, 1_003)
-    idx = np.concatenate([alternating, [1, 0, 0]])
+    # 84 sound words, then a leftover tail 1, 0, 0 that collapses
+    reduce = _ProductReduction(table, env.weights, 1_011)
+    tail = np.array([1, 0, 0], dtype=np.intp)
     with pytest.raises(FloatingPointError):
-        reduce(idx)
+        reduce(codes, tail)
     with pytest.raises(FloatingPointError):
-        _log_norm_of_product(table[idx])
+        _log_norm_of_product(table[np.concatenate([alternating, tail])])
 
 
 def test_exponent_shift_identity_two_state():
