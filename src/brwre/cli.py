@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,13 +39,15 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config schema: each int option carries its minimum, and mode its allowed
+# values, in the field metadata read by _parse_opts; every float option must
+# be positive
 
 
 @dataclass(frozen=True)
 class LyapunovOpts:
-    steps: int = 100_000
-    replicas: int = 32
+    steps: int = field(default=100_000, metadata={"minimum": 1000})
+    replicas: int = field(default=32, metadata={"minimum": 2})
 
 
 @dataclass(frozen=True)
@@ -55,18 +57,18 @@ class SpectralOpts:
 
 @dataclass(frozen=True)
 class SimulateOpts:
-    trials: int = 10_000
-    horizon: int = 400
-    cap: int = 1_000_000
-    mode: str = "quenched"
+    trials: int = field(default=10_000, metadata={"minimum": 100})
+    horizon: int = field(default=400, metadata={"minimum": 1})
+    cap: int = field(default=1_000_000, metadata={"minimum": 1})
+    mode: str = field(default="quenched", metadata={"choices": ("quenched", "annealed")})
 
 
 @dataclass(frozen=True)
 class FrozenOpts:
-    levels: int = 20
-    trials_per_level: int = 10_000
-    max_time: int = 5_000
-    max_population: int = 1_000_000
+    levels: int = field(default=20, metadata={"minimum": 1})
+    trials_per_level: int = field(default=10_000, metadata={"minimum": 1})
+    max_time: int = field(default=5_000, metadata={"minimum": 1})
+    max_population: int = field(default=1_000_000, metadata={"minimum": 1})
     censor_threshold: float = 0.01
 
 
@@ -153,6 +155,24 @@ def _parse_environment(raw, path="environment") -> EnvironmentLaw:
         raise ConfigError(f"{path}.states: {exc}") from exc
 
 
+def _parse_opts(cls, raw, section):
+    """One options section: each field of `cls` read from `raw`, or its default."""
+    raw = _expect_mapping(raw, section)
+    values = {}
+    for f in fields(cls):
+        value, path = raw.get(f.name, f.default), f"{section}.{f.name}"
+        if "minimum" in f.metadata:
+            value = _expect_int(value, path, minimum=f.metadata["minimum"])
+        elif "choices" in f.metadata:
+            if value not in f.metadata["choices"]:
+                expected = " or ".join(repr(c) for c in f.metadata["choices"])
+                raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        else:
+            value = _expect_number(value, path, positive=True)
+        values[f.name] = value
+    return cls(**values)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "rb") as fh:
@@ -165,19 +185,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     raw = _expect_mapping(raw, "config")
 
-    known = {"environment", "seed", "lyapunov", "spectral", "simulate", "frozen", "thresholds"}
+    known = {f.name for f in fields(ExperimentConfig)} - {"sha256"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"config.{key}: unknown field")
 
     env = _parse_environment(raw.get("environment"))
     seed = _expect_int(raw.get("seed", 0), "seed", minimum=0)
-
-    ly = _expect_mapping(raw.get("lyapunov", {}), "lyapunov")
-    lyap = LyapunovOpts(
-        steps=_expect_int(ly.get("steps", LyapunovOpts.steps), "lyapunov.steps", minimum=1000),
-        replicas=_expect_int(ly.get("replicas", LyapunovOpts.replicas), "lyapunov.replicas", minimum=2),
-    )
+    lyap = _parse_opts(LyapunovOpts, raw.get("lyapunov", {}), "lyapunov")
 
     sp = _expect_mapping(raw.get("spectral", {}), "spectral")
     n_values_raw = sp.get("n_values", list(SpectralOpts.n_values))
@@ -187,48 +202,12 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("spectral.n_values: must be a nonempty strictly increasing array")
-    spec_opts = SpectralOpts(n_values=n_values)
-
-    sim = _expect_mapping(raw.get("simulate", {}), "simulate")
-    mode = sim.get("mode", SimulateOpts.mode)
-    if mode not in ("quenched", "annealed"):
-        raise ConfigError(f"simulate.mode: expected 'quenched' or 'annealed', got {mode!r}")
-    sim_opts = SimulateOpts(
-        trials=_expect_int(sim.get("trials", SimulateOpts.trials), "simulate.trials", minimum=100),
-        horizon=_expect_int(sim.get("horizon", SimulateOpts.horizon), "simulate.horizon", minimum=1),
-        cap=_expect_int(sim.get("cap", SimulateOpts.cap), "simulate.cap", minimum=1),
-        mode=mode,
-    )
-
-    fr = _expect_mapping(raw.get("frozen", {}), "frozen")
-    frozen_opts = FrozenOpts(
-        levels=_expect_int(fr.get("levels", FrozenOpts.levels), "frozen.levels", minimum=1),
-        trials_per_level=_expect_int(
-            fr.get("trials_per_level", FrozenOpts.trials_per_level),
-            "frozen.trials_per_level", minimum=1,
-        ),
-        max_time=_expect_int(fr.get("max_time", FrozenOpts.max_time), "frozen.max_time", minimum=1),
-        max_population=_expect_int(
-            fr.get("max_population", FrozenOpts.max_population),
-            "frozen.max_population", minimum=1,
-        ),
-        censor_threshold=_expect_number(
-            fr.get("censor_threshold", FrozenOpts.censor_threshold),
-            "frozen.censor_threshold", positive=True,
-        ),
-    )
-
-    th = _expect_mapping(raw.get("thresholds", {}), "thresholds")
-    thresholds = Thresholds(
-        sigma_margin=_expect_number(
-            th.get("sigma_margin", Thresholds.sigma_margin),
-            "thresholds.sigma_margin", positive=True,
-        ),
-    )
 
     return ExperimentConfig(
-        environment=env, seed=seed, lyapunov=lyap, spectral=spec_opts,
-        simulate=sim_opts, frozen=frozen_opts, thresholds=thresholds,
+        environment=env, seed=seed, lyapunov=lyap, spectral=SpectralOpts(n_values=n_values),
+        simulate=_parse_opts(SimulateOpts, raw.get("simulate", {}), "simulate"),
+        frozen=_parse_opts(FrozenOpts, raw.get("frozen", {}), "frozen"),
+        thresholds=_parse_opts(Thresholds, raw.get("thresholds", {}), "thresholds"),
         sha256=hashlib.sha256(blob).hexdigest(),
     )
 
@@ -500,27 +479,6 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 # Cross-check table
 
 
-def _row(name, lhs, rhs, tolerance, passed, note=None, *, roundoff=False) -> dict:
-    # a roundoff tolerance is no multiple of a standard error, so a row
-    # tested against one has no distance in sigmas
-    sigma = None
-    if passed is not None and tolerance not in (None, 0.0) and not roundoff:
-        sigma = 3.0 * abs(lhs - rhs) / tolerance if tolerance > 0 else math.inf
-    return {
-        "identity": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "tolerance": tolerance,
-        "sigma_distance": sigma,
-        "verdict": "skipped" if passed is None else ("pass" if passed else "fail"),
-        "note": note,
-    }
-
-
-def _skipped(name, note) -> dict:
-    return _row(name, None, None, None, None, note)
-
-
 def _identity_tol(se_combined: float, steps: int) -> float:
     # replica stderr is exactly 0 in constant environments; fall back to the
     # estimator's deterministic O(1/steps) resolution so the tolerance never
@@ -540,118 +498,145 @@ def _ols_slope_and_se(log_f: np.ndarray, sigma_inc: float) -> tuple[float, float
     return slope, se
 
 
-def run_crosscheck(st: Stages) -> list[dict]:
-    """All identity checks on the estimates of one config, as report rows."""
-    env, regime = st.env, st.regime
-    interval = regime.lambda_set
-    steps = st.config.lyapunov.steps
-    rows: list[dict] = []
+# Each check reads the stages and returns a skip note or (lhs, rhs, tolerance,
+# passed, note).
 
-    if interval.is_empty:
-        for name in ("conjugacy_identity", "exponent_shift", "lambda_independence",
-                     "supermartingale_monotone"):
-            rows.append(_skipped(name, "no feasible lambda"))
-    else:
-        gamma, trace = st.gamma, st.trace
-        lam_mid = trace.lam
-        # conjugacy of the raw and nonnegative families at a feasible lambda
-        residual = max(lyapunov.conjugacy_residual(m, lam_mid) for m in env.state_moments)
-        scale = max(float(np.abs(lyapunov.build_A(m)).max()) for m in env.state_moments)
-        tol = 1e-9 * (1.0 + scale)
-        rows.append(_row("conjugacy_identity", residual, 0.0, tol, residual <= tol,
-                         f"lambda={lam_mid:.6g}", roundoff=True))
 
-        gamma_lam_mid = st.exponent("A_lambda", 12, lam_mid)
-        shift = gamma_lam_mid.value + math.log(lam_mid)
-        tol = _identity_tol(math.hypot(gamma.stderr, gamma_lam_mid.stderr), steps)
-        rows.append(_row("exponent_shift", gamma.value, shift, tol,
-                         abs(gamma.value - shift) <= tol, f"lambda={lam_mid:.6g}"))
+def _conjugacy_identity(st: Stages):
+    lam, moments = st.trace.lam, st.env.state_moments
+    residual = max(lyapunov.conjugacy_residual(m, lam) for m in moments)
+    tol = 1e-9 * (1.0 + max(float(np.abs(lyapunov.build_A(m)).max()) for m in moments))
+    return residual, 0.0, tol, residual <= tol, f"lambda={lam:.6g}"
 
-        if interval.hi / interval.lo > 1.0 + 1e-9:
-            log_lo, log_hi = math.log(interval.lo), math.log(interval.hi)
-            lam_a = math.exp(log_lo + 0.35 * (log_hi - log_lo))
-            lam_b = math.exp(log_lo + 0.70 * (log_hi - log_lo))
-            est_a = st.exponent("A_lambda", 13, lam_a)
-            est_b = st.exponent("A_lambda", 14, lam_b)
-            fa = math.log(lam_a) + lyapunov.second_exponent_via_det(env, lam_a, est_a.value)
-            fb = math.log(lam_b) + lyapunov.second_exponent_via_det(env, lam_b, est_b.value)
-            tol = _identity_tol(math.hypot(est_a.stderr, est_b.stderr), steps)
-            rows.append(_row("lambda_independence", fa, fb, tol, abs(fa - fb) <= tol,
-                             f"lambda_a={lam_a:.6g} lambda_b={lam_b:.6g}"))
-        else:
-            rows.append(_skipped("lambda_independence", "feasible set is a single point"))
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(
-                trace.diff_stderr > 0.0,
-                trace.diff_mean / trace.diff_stderr,
-                np.where(trace.diff_mean > 0.0, np.inf, 0.0),
-            )
-        worst = float(np.max(z)) if len(z) else 0.0
-        rows.append(_row("supermartingale_monotone", worst, 0.0, 3.0, worst <= 3.0,
-                         f"lambda={lam_mid:.6g}, max paired-increment z-score"))
+def _exponent_shift(st: Stages):
+    lam, gamma = st.trace.lam, st.gamma
+    gamma_lam = st.exponent("A_lambda", 12, lam)
+    shift = gamma_lam.value + math.log(lam)
+    tol = _identity_tol(math.hypot(gamma.stderr, gamma_lam.stderr), st.config.lyapunov.steps)
+    return gamma.value, shift, tol, abs(gamma.value - shift) <= tol, f"lambda={lam:.6g}"
 
-    # Monte Carlo survival vs verdict
-    survival = st.survival
-    if regime.regime == criteria.INCONCLUSIVE:
-        rows.append(_skipped("survival_concordance", "verdict inconclusive"))
-        rows.append(_skipped("local_global_coincidence", "verdict inconclusive"))
-    elif regime.regime == criteria.GLOBAL_EXTINCTION:
-        rows.append(_row("survival_concordance", survival.global_freq, 0.0, 0.01,
-                         survival.global_freq <= 0.01, "extinction verdict"))
-        rows.append(_row("local_global_coincidence", survival.local_proxy_freq, 0.0, 0.01,
-                         survival.local_proxy_freq <= 0.01, "local dies with global"))
-    else:
-        rows.append(_row("survival_concordance", survival.global_freq, 1.0, 0.95,
-                         survival.global_freq > 0.05, "survival verdict: freq must exceed 0.05"))
-        if regime.regime == criteria.STRONG_LOCAL_SURVIVAL:
-            tol = 3.0 * math.hypot(survival.global_stderr, survival.local_proxy_stderr)
-            rows.append(_row("local_global_coincidence", survival.global_freq,
-                             survival.local_proxy_freq, tol,
-                             abs(survival.global_freq - survival.local_proxy_freq) <= tol,
-                             "strong local survival: the two events coincide"))
-        else:  # global survival with local extinction
-            rows.append(_row("local_global_coincidence", survival.local_proxy_freq, 0.0, 0.01,
-                             survival.local_proxy_freq <= 0.01, "local extinction despite survival"))
 
-    # freezing construction (right-vanishing branch only)
+def _lambda_independence(st: Stages):
+    iv = st.regime.lambda_set
+    if iv.hi / iv.lo <= 1.0 + 1e-9:
+        return "feasible set is a single point"
+    log_lo, log_hi = math.log(iv.lo), math.log(iv.hi)
+    lam_a = math.exp(log_lo + 0.35 * (log_hi - log_lo))
+    lam_b = math.exp(log_lo + 0.70 * (log_hi - log_lo))
+    est_a = st.exponent("A_lambda", 13, lam_a)
+    est_b = st.exponent("A_lambda", 14, lam_b)
+    fa = math.log(lam_a) + lyapunov.second_exponent_via_det(st.env, lam_a, est_a.value)
+    fb = math.log(lam_b) + lyapunov.second_exponent_via_det(st.env, lam_b, est_b.value)
+    tol = _identity_tol(math.hypot(est_a.stderr, est_b.stderr), st.config.lyapunov.steps)
+    return fa, fb, tol, abs(fa - fb) <= tol, f"lambda_a={lam_a:.6g} lambda_b={lam_b:.6g}"
+
+
+def _supermartingale_monotone(st: Stages):
+    trace = st.trace
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(
+            trace.diff_stderr > 0.0,
+            trace.diff_mean / trace.diff_stderr,
+            np.where(trace.diff_mean > 0.0, np.inf, 0.0),
+        )
+    worst = float(np.max(z)) if len(z) else 0.0
+    return worst, 0.0, 3.0, worst <= 3.0, f"lambda={trace.lam:.6g}, max paired-increment z-score"
+
+
+def _survival_concordance(st: Stages):
+    regime, freq = st.regime.regime, st.survival.global_freq
+    if regime == criteria.INCONCLUSIVE:
+        return "verdict inconclusive"
+    if regime == criteria.GLOBAL_EXTINCTION:
+        return freq, 0.0, 0.01, freq <= 0.01, "extinction verdict"
+    return freq, 1.0, 0.95, freq > 0.05, "survival verdict: freq must exceed 0.05"
+
+
+def _local_global_coincidence(st: Stages):
+    regime, sv = st.regime.regime, st.survival
+    if regime == criteria.INCONCLUSIVE:
+        return "verdict inconclusive"
+    if regime == criteria.STRONG_LOCAL_SURVIVAL:
+        tol = 3.0 * math.hypot(sv.global_stderr, sv.local_proxy_stderr)
+        return (sv.global_freq, sv.local_proxy_freq, tol,
+                abs(sv.global_freq - sv.local_proxy_freq) <= tol,
+                "strong local survival: the two events coincide")
+    note = ("local dies with global" if regime == criteria.GLOBAL_EXTINCTION
+            else "local extinction despite survival")
+    return sv.local_proxy_freq, 0.0, 0.01, sv.local_proxy_freq <= 0.01, note
+
+
+def _frozen_log_mean(st: Stages):
+    profile, gamma = st.profile, st.gamma
+    target = st.regime.drift - gamma.value
+    tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
+    return (profile.log_average, target, tol, abs(profile.log_average - target) <= tol,
+            "mean log frozen count vs drift minus top exponent")
+
+
+def _frozen_slope(st: Stages):
+    profile, gamma = st.profile, st.gamma
+    if profile.flagged_levels:
+        return "flagged zero-mean levels"
+    target = st.regime.drift - gamma.value
+    sigma_inc = profile.log_average_stderr * math.sqrt(len(profile.levels))
+    slope, slope_se = _ols_slope_and_se(profile.log_partial_sums(), sigma_inc)
+    tol = 3.0 * math.hypot(slope_se, gamma.stderr)
+    return slope, target, tol, abs(slope - target) <= tol, "regression slope of the log relay-product"
+
+
+def _per_level_bound(st: Stages):
     profile = st.profile
-    if profile is not None:
-        gamma = st.gamma
-        target = regime.drift - gamma.value
-        tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
-        rows.append(_row("frozen_log_mean", profile.log_average, target, tol,
-                         abs(profile.log_average - target) <= tol,
-                         "mean log frozen count vs drift minus top exponent"))
+    rel = np.where(profile.level_means > 0,
+                   profile.level_stderrs / np.maximum(profile.level_means, 1e-300), 0.0)
+    bound = st.regime.lambda_set.hi * (1.0 + 3.0 * rel)
+    excess = float(np.max(profile.level_means - bound))
+    return excess, 0.0, 0.0, excess <= 0.0, "level means bounded by the top feasible lambda"
 
-        if not profile.flagged_levels:
-            sigma_inc = profile.log_average_stderr * math.sqrt(len(profile.levels))
-            slope, slope_se = _ols_slope_and_se(profile.log_partial_sums(), sigma_inc)
-            tol = 3.0 * math.hypot(slope_se, gamma.stderr)
-            rows.append(_row("frozen_slope", slope, target, tol, abs(slope - target) <= tol,
-                             "regression slope of the log relay-product"))
-        else:
-            rows.append(_skipped("frozen_slope", "flagged zero-mean levels"))
 
-        rel = np.where(profile.level_means > 0,
-                       profile.level_stderrs / np.maximum(profile.level_means, 1e-300), 0.0)
-        bound = interval.hi * (1.0 + 3.0 * rel)
-        excess = float(np.max(profile.level_means - bound))
-        rows.append(_row("per_level_bound", excess, 0.0, 0.0, excess <= 0.0,
-                         "level means bounded by the top feasible lambda"))
-    else:
-        for name in ("frozen_log_mean", "frozen_slope", "per_level_bound"):
-            rows.append(_skipped(name, "not in the right-vanishing branch"))
-
-    # spectral sweep vs criterion
+def _spectral_criterion(st: Stages):
     max_rho = max(r for _, r in st.sweep)
-    tol = spectral.root_error_bound(env)
-    if interval.is_empty:
-        rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho > 1.0 + tol,
-                         "local survival: some truncation must exceed 1", roundoff=True))
-    else:
-        rows.append(_row("spectral_criterion", max_rho, 1.0, tol, max_rho <= 1.0 + tol,
-                         "local extinction: every truncation stays below 1", roundoff=True))
+    tol = spectral.root_error_bound(st.env)
+    if st.regime.lambda_set.is_empty:
+        return (max_rho, 1.0, tol, max_rho > 1.0 + tol,
+                "local survival: some truncation must exceed 1")
+    return (max_rho, 1.0, tol, max_rho <= 1.0 + tol,
+            "local extinction: every truncation stays below 1")
+
+
+# the note of a row skipped because the stage it needs is None
+_SKIP_NOTES = {"trace": "no feasible lambda", "profile": "not in the right-vanishing branch"}
+
+# The rows in report order: (identity, the stage the row needs or None, check,
+# whether the tolerance is a roundoff or exact bound rather than a multiple of
+# standard errors, so that the row has no distance in sigmas).
+CROSSCHECKS = (
+    ("conjugacy_identity", "trace", _conjugacy_identity, True),
+    ("exponent_shift", "trace", _exponent_shift, False),
+    ("lambda_independence", "trace", _lambda_independence, False),
+    ("supermartingale_monotone", "trace", _supermartingale_monotone, False),
+    ("survival_concordance", None, _survival_concordance, False),
+    ("local_global_coincidence", None, _local_global_coincidence, False),
+    ("frozen_log_mean", "profile", _frozen_log_mean, False),
+    ("frozen_slope", "profile", _frozen_slope, False),
+    ("per_level_bound", "profile", _per_level_bound, True),
+    ("spectral_criterion", None, _spectral_criterion, True),
+)
+
+
+def run_crosscheck(st: Stages) -> list[dict]:
+    """Every CROSSCHECKS row on the estimates of one config, as report rows."""
+    rows = []
+    for name, needs, check, bound in CROSSCHECKS:
+        result = _SKIP_NOTES[needs] if needs and getattr(st, needs) is None else check(st)
+        if isinstance(result, str):
+            result = (None, None, None, None, result)
+        lhs, rhs, tol, passed, note = result
+        sigma = None if passed is None or bound or tol == 0.0 else 3.0 * abs(lhs - rhs) / tol
+        verdict = "skipped" if passed is None else ("pass" if passed else "fail")
+        rows.append({"identity": name, "lhs": lhs, "rhs": rhs, "tolerance": tol,
+                     "sigma_distance": sigma, "verdict": verdict, "note": note})
     return rows
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import pytest
@@ -136,6 +137,42 @@ def test_load_config_names_offending_field(tmp_path, overrides, fragment):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         load_config(path)
+
+
+OPTION_FIELDS = [
+    pytest.param(section, fld, id=f"{section}.{fld.name}")
+    for section, cls in (("lyapunov", cli.LyapunovOpts), ("spectral", cli.SpectralOpts),
+                         ("simulate", cli.SimulateOpts), ("frozen", cli.FrozenOpts),
+                         ("thresholds", cli.Thresholds))
+    for fld in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("section, fld", OPTION_FIELDS)
+def test_option_defaults_and_bounds(tmp_path, section, fld):
+    def load(value=None):
+        options = {} if value is None else {fld.name: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"environment": STRONG_LOCAL_ENV, section: options}))
+        return getattr(getattr(load_config(str(path)), section), fld.name)
+
+    assert load() == fld.default
+    field_path = f"{section}.{fld.name}"
+    if "minimum" in fld.metadata:
+        minimum = fld.metadata["minimum"]
+        assert load(minimum) == minimum
+        bad, message = minimum - 1, f"{field_path}: must be >= {minimum}, got {minimum - 1}"
+    elif "choices" in fld.metadata:
+        assert [load(c) for c in fld.metadata["choices"]] == list(fld.metadata["choices"])
+        bad, message = "sideways", f"{field_path}: expected 'quenched' or 'annealed', got 'sideways'"
+    elif fld.name == "n_values":
+        bad, message = [], "spectral.n_values: must be a nonempty strictly increasing array"
+    else:  # a float option: any positive value, but not zero
+        assert load(1e-300) == 1e-300
+        bad, message = 0, f"{field_path}: must be positive, got 0.0"
+    with pytest.raises(ConfigError) as excinfo:
+        load(bad)
+    assert str(excinfo.value) == message
 
 
 def test_load_config_flags_bad_atom(tmp_path):
@@ -314,12 +351,12 @@ def test_crosscheck_all_rows_pass(tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     rows = {r["identity"]: r for r in report["crosscheck"]}
-    expected = {
+    expected = [
         "conjugacy_identity", "exponent_shift", "lambda_independence",
         "supermartingale_monotone", "survival_concordance", "local_global_coincidence",
         "frozen_log_mean", "frozen_slope", "per_level_bound", "spectral_criterion",
-    }
-    assert set(rows) == expected
+    ]
+    assert list(rows) == expected
     failing = [n for n, r in rows.items() if r["verdict"] == "fail"]
     assert failing == []
     for r in rows.values():
@@ -347,13 +384,25 @@ def test_roundoff_rows_have_no_sigma_distance(tmp_path):
     assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "cc" / "report.json").read_text())
     rows = {r["identity"]: r for r in report["crosscheck"]}
-    for name in ("conjugacy_identity", "spectral_criterion"):
+    for name in ("conjugacy_identity", "per_level_bound", "spectral_criterion"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
     # a row tested against 3 stderr keeps its distance in sigmas
     row = rows["exponent_shift"]
     assert row["sigma_distance"] == pytest.approx(
         3.0 * abs(row["lhs"] - row["rhs"]) / row["tolerance"], rel=1e-12)
+
+
+def test_zero_stderr_tolerance_has_no_sigma_distance(tmp_path):
+    # every particle has three children, so both survival events are sure, both
+    # frequencies read 1 with zero stderr, and the row's 3-stderr tolerance is 0
+    sure = {"states": [{"weight": 1.0, "atoms": [{"p": 1.0, "v": [1, 1, 1]}]}]}
+    path = write_config(tmp_path, environment=sure)
+    assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "cc" / "report.json").read_text())
+    assert report["regime"]["regime"] == "StrongLocalSurvival"
+    row = next(r for r in report["crosscheck"] if r["identity"] == "local_global_coincidence")
+    assert (row["tolerance"], row["verdict"], row["sigma_distance"]) == (0, "pass", None)
 
 
 def test_all_computes_each_stage_once(tmp_path, monkeypatch):
@@ -415,6 +464,8 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
             })
     full = reports["all"]
     assert full["regime"]["vanishing_direction"] == direction
+    # the rows keep the table's order, which perfbench's self-check indexes
+    assert [r["identity"] for r in full["crosscheck"]] == [c[0] for c in cli.CROSSCHECKS]
     assert "frozen_profile" in reports["crosscheck"]
     for subcommand, report in reports.items():
         assert list(report) == [key for key in full if key in report]

@@ -257,18 +257,21 @@ def test_word_table_column_is_its_state_word(env):
     table = state_matrices(env, "A")
     reduce = _ProductReduction(table, env.weights, 1_000)
     n_states, length = env.n_states, reduce.length
-    assert reduce.words.shape == (4, n_states**length)
-    for code in range(n_states**length):
-        # the first-applied matrix is the lowest base-n_states digit
-        word = [code // n_states**t % n_states for t in range(length)]
-        assert reduce.word_logs[code] == pytest.approx(
-            _log_norm_of_product(table[word]), rel=1e-12, abs=0.0)
-        product = table[word[0]]
-        for state in word[1:]:
-            product = table[state] @ product
-            product /= np.abs(product).max()
-        np.testing.assert_allclose(reduce.words[:, code].reshape(2, 2),
-                                   product / np.abs(product).max(), rtol=0.0, atol=1e-12)
+    size = n_states**length
+    assert reduce.words.shape == (4, size)
+    # every word at once, one matmul per position: the first-applied matrix is
+    # the lowest base-n_states digit, and the product is rescaled after each
+    # step, so a word's log is the sum of its scales' logs
+    words = _digits(np.arange(size), n_states, length)
+    product = np.broadcast_to(np.eye(2), (size, 2, 2))
+    logs = np.zeros(size)
+    for t in range(length):
+        product = table[words[:, t]] @ product
+        scale = np.abs(product).max(axis=(1, 2))
+        product /= scale[:, None, None]
+        logs += np.log(scale)
+    np.testing.assert_allclose(reduce.word_logs, logs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(reduce.words.T.reshape(size, 2, 2), product, rtol=0.0, atol=1e-12)
 
 
 @_LAWS
