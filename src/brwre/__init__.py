@@ -49,15 +49,12 @@ from .spectral import (
     truncated_matrix,
 )
 from .simulator import (
-    Configuration,
+    BatchRun,
     FrozenProfile,
-    QuenchedEnvironment,
     SurvivalEstimates,
     TrialOutcome,
     frozen_mean_profile,
-    frozen_progeny_trial,
-    run_trial,
-    step,
+    run_batch,
     supermartingale_trace,
     survival_probabilities,
 )

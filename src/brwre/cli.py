@@ -41,7 +41,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config schema: each int option carries its minimum, and mode its allowed
 # values, in the field metadata read by _parse_opts; every float option must
-# be positive
+# be positive, and numpy holds every int option but the seed as an int64
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,20 @@ def _expect_list(value, path):
     return value
 
 
-def _expect_int(value, path, minimum=None):
+def _expect_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
     return value
+
+
+def _expect_known_keys(raw, known, path):
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
 
 
 def _expect_number(value, path, *, positive=False):
@@ -158,11 +168,12 @@ def _parse_environment(raw, path="environment") -> EnvironmentLaw:
 def _parse_opts(cls, raw, section):
     """One options section: each field of `cls` read from `raw`, or its default."""
     raw = _expect_mapping(raw, section)
+    _expect_known_keys(raw, {f.name for f in fields(cls)}, section)
     values = {}
     for f in fields(cls):
         value, path = raw.get(f.name, f.default), f"{section}.{f.name}"
         if "minimum" in f.metadata:
-            value = _expect_int(value, path, minimum=f.metadata["minimum"])
+            value = _expect_int(value, path, minimum=f.metadata["minimum"], maximum=_INT64_MAX)
         elif "choices" in f.metadata:
             if value not in f.metadata["choices"]:
                 expected = " or ".join(repr(c) for c in f.metadata["choices"])
@@ -185,19 +196,17 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     raw = _expect_mapping(raw, "config")
 
-    known = {f.name for f in fields(ExperimentConfig)} - {"sha256"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"config.{key}: unknown field")
+    _expect_known_keys(raw, {f.name for f in fields(ExperimentConfig)} - {"sha256"}, "config")
 
     env = _parse_environment(raw.get("environment"))
     seed = _expect_int(raw.get("seed", 0), "seed", minimum=0)
     lyap = _parse_opts(LyapunovOpts, raw.get("lyapunov", {}), "lyapunov")
 
     sp = _expect_mapping(raw.get("spectral", {}), "spectral")
+    _expect_known_keys(sp, ("n_values", "tol"), "spectral")  # an old config's tol is ignored
     n_values_raw = sp.get("n_values", list(SpectralOpts.n_values))
     n_values = tuple(
-        _expect_int(n, f"spectral.n_values[{i}]", minimum=0)
+        _expect_int(n, f"spectral.n_values[{i}]", minimum=0, maximum=_INT64_MAX)
         for i, n in enumerate(_expect_list(n_values_raw, "spectral.n_values"))
     )
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import lyapunov
 from .envmodel import EnvironmentLaw, MomentTriple, validate_conditions, ConditionReport
-from .lyapunov import LyapunovEstimate
+from .lyapunov import LyapunovEstimate, expected_log_drift
 
 STRONG_LOCAL_SURVIVAL = "StrongLocalSurvival"
 GLOBAL_SURVIVAL_LOCAL_EXTINCTION = "GlobalSurvivalLocalExtinction"
@@ -109,35 +109,25 @@ def lambda_feasible_set(envlaw: EnvironmentLaw) -> LambdaInterval:
     return out
 
 
-def one_in_feasible_set(envlaw: EnvironmentLaw, tol: float = ONE_MEMBERSHIP_TOL) -> bool:
+def one_in_feasible_set(envlaw: EnvironmentLaw) -> bool:
     """Test lam=1 membership on the inequality itself, not via roots."""
-    return all(criterion_value(m, 1.0) <= 1.0 + tol for m in envlaw.state_moments)
+    return all(criterion_value(m, 1.0) <= 1.0 + ONE_MEMBERSHIP_TOL for m in envlaw.state_moments)
 
 
-def vanishing_direction(envlaw: EnvironmentLaw, tol: float = ONE_MEMBERSHIP_TOL) -> str:
-    """The classifier's branch from the closed form: "none" (empty feasible
-    set), "both" (1 feasible, or an endpoint within tol of 1), "right" (set
-    inside (1 + tol, inf)) or "left" (set inside (0, 1 - tol))."""
+def vanishing_direction(envlaw: EnvironmentLaw) -> str:
+    """The classifier's branch from the closed form, with tol = ONE_MEMBERSHIP_TOL:
+    "none" (empty feasible set), "both" (1 feasible, or an endpoint within tol
+    of 1), "right" (set inside (1 + tol, inf)) or "left" (set inside (0, 1 - tol))."""
     interval = lambda_feasible_set(envlaw)
     if interval.is_empty:
         return "none"
-    if one_in_feasible_set(envlaw, tol=tol):
+    if one_in_feasible_set(envlaw):
         return "both"
-    if interval.lo > 1.0 + tol:
+    if interval.lo > 1.0 + ONE_MEMBERSHIP_TOL:
         return "right"
-    if interval.hi < 1.0 - tol:
+    if interval.hi < 1.0 - ONE_MEMBERSHIP_TOL:
         return "left"
     return "both"
-
-
-def expected_log_drift(envlaw: EnvironmentLaw) -> float:
-    """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
-    out = 0.0
-    for w, m in zip(envlaw.weights, envlaw.state_moments):
-        if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
-            raise ValueError(f"log drift needs positive mu-, mu+; got {m.as_tuple()}")
-        out += w * math.log(m.mu_minus / m.mu_plus)
-    return out
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,6 @@ def classify(
     gamma_tilde: LyapunovEstimate | None = None,
     *,
     sigma_margin: float = 3.0,
-    one_tol: float = ONE_MEMBERSHIP_TOL,
 ) -> RegimeReport:
     """Decide the survival regime from the feasible set and exponents.
 
@@ -191,14 +180,14 @@ def classify(
 
     interval = lambda_feasible_set(envlaw)
     drift = expected_log_drift(envlaw)
-    direction = vanishing_direction(envlaw, tol=one_tol)
+    direction = vanishing_direction(envlaw)
 
     if direction in ("none", "both"):
         if direction == "none":
             regime, margin = STRONG_LOCAL_SURVIVAL, math.inf
-        elif one_in_feasible_set(envlaw, tol=one_tol):
+        elif one_in_feasible_set(envlaw):
             regime, margin = GLOBAL_EXTINCTION, math.inf
-        else:  # 1 is infeasible by more than one_tol, yet an endpoint is within one_tol of 1
+        else:  # 1 is infeasible by more than the tolerance, yet an endpoint is within it of 1
             regime, margin = INCONCLUSIVE, 0.0
         return RegimeReport(
             regime=regime, vanishing_direction=direction, lambda_set=interval, drift=drift,

@@ -301,14 +301,6 @@ class EnvironmentWindow:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def sites(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
-
-    def index_at(self, site: int) -> int:
-        if not (self.lo <= site <= self.hi):
-            raise IndexError(f"site {site} outside window [{self.lo}, {self.hi}]")
-        return int(self.state_indices[site - self.lo])
-
 
 def realize_window(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> EnvironmentWindow:
     """Materialize the quenched states on [lo, hi]; restriction-compatible."""

@@ -362,13 +362,20 @@ def top_lyapunov(
     )
 
 
+def expected_log_drift(envlaw: EnvironmentLaw) -> float:
+    """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
+    out = 0.0
+    for w, m in zip(envlaw.weights, envlaw.state_moments):
+        if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
+            raise ValueError(f"log drift needs positive mu-, mu+; got {m.as_tuple()}")
+        out += w * math.log(m.mu_minus / m.mu_plus)
+    return out
+
+
 def second_exponent_via_det(envlaw: EnvironmentLaw, lam: float, gamma1_lambda: float) -> float:
     """Second exponent of the A_lambda family via the determinant sum rule.
 
     gamma1 + gamma2 equals the mean log determinant, which for this family
     is E ln(mu-/mu+) - 2 ln(lam).
     """
-    mean_log_det = 0.0
-    for w, m in zip(envlaw.weights, envlaw.state_moments):
-        mean_log_det += w * math.log(m.mu_minus / m.mu_plus)
-    return mean_log_det - 2.0 * math.log(lam) - gamma1_lambda
+    return expected_log_drift(envlaw) - 2.0 * math.log(lam) - gamma1_lambda

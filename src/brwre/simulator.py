@@ -4,15 +4,15 @@ Particles are never tracked individually: one step draws, per occupied
 site, a multinomial split of the site's count over its offspring atoms,
 equal in law to per-particle draws at O(occupied sites) cost.  run_batch
 steps many independent runs (rows) at once on flat (row, site, count)
-arrays.  Survival trials, the supermartingale trace and the freezing
-construction are rows of it; run_trial, step and frozen_progeny_trial are
-its one-row oracles.  Each TRIAL_BATCH rows share one random stream keyed
-by (env_seed, seed, batch index), so results never depend on threads.
+arrays; it is the one Monte Carlo entry point, and survival trials, the
+supermartingale trace and the freezing construction are rows of it.  Each
+TRIAL_BATCH rows share one random stream keyed by (env_seed, seed, batch
+index), so results never depend on threads.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,9 @@ _HARD_COUNT = 1 << 55
 # rows stepped together on one random stream; part of the stream layout
 TRIAL_BATCH = 1024
 
+# super-trials per level of the frozen profile; its stderrs are their spread
+SUPER_TRIALS = 50
+
 
 class CensoringError(RuntimeError):
     """Too many cap-censored trials for the estimate to be trusted."""
@@ -38,34 +41,6 @@ class CensoringError(RuntimeError):
 
 class PopulationOverflowError(RuntimeError):
     """A capless run outgrew the exact-integer guard."""
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Sparse particle configuration: positive counts per occupied site."""
-
-    counts: dict[int, int] = field(default_factory=dict)
-    time: int = 0
-
-    def __post_init__(self):
-        if any(c <= 0 for c in self.counts.values()):
-            raise ValueError("configuration must not store nonpositive counts")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @classmethod
-    def single(cls, site: int = 0) -> "Configuration":
-        return cls(counts={int(site): 1}, time=0)
-
-
-@dataclass(frozen=True)
-class QuenchedEnvironment:
-    """One realized environment: a law and the seed its site states derive from."""
-
-    envlaw: EnvironmentLaw
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +152,6 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     return BatchRun(status, end_time, last_origin, peak, frozen, log_h)
 
 
-def step(config: Configuration, env: QuenchedEnvironment, rng: np.random.Generator) -> Configuration:
-    """Advance a configuration by one generation in the quenched environment."""
-    if not config.counts:
-        return Configuration(counts={}, time=config.time + 1)
-    sites = np.array(sorted(config.counts), dtype=np.int64)
-    counts = np.fromiter((config.counts[int(s)] for s in sites), np.int64, len(sites))
-    _, new_sites, new_counts = _branch(
-        env.envlaw, env.seed, np.zeros(len(sites), dtype=np.int64), sites, counts, rng
-    )
-    return Configuration(
-        counts={int(s): int(c) for s, c in zip(new_sites, new_counts)},
-        time=config.time + 1,
-    )
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
@@ -218,23 +178,6 @@ def _outcomes(run: BatchRun) -> list[TrialOutcome]:
     columns = (run.status, run.end_time, run.last_origin_visit, run.peak_population)
     return [TrialOutcome(s, e if s == EXTINCT else None, o if o >= 0 else None, p, e)
             for s, e, o, p in zip(*(c.tolist() for c in columns))]
-
-
-def run_trial(
-    envlaw: EnvironmentLaw,
-    env_seed: int,
-    trial_seed: int,
-    horizon: int,
-    cap: int,
-    start_site: int = 0,
-) -> TrialOutcome:
-    """Evolve one particle until extinction, the population cap, or the horizon."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    return _outcomes(run_batch(envlaw, env_seed, [start_site], 1, horizon,
-                               (env_seed, trial_seed), cap=cap))[0]
 
 
 @dataclass(frozen=True)
@@ -271,7 +214,6 @@ def survival_probabilities(
     mode: str = "quenched",
     env_seed: int = 0,
     seed: int = 0,
-    start_site: int = 0,
     n_workers: int = 1,
 ) -> SurvivalEstimates:
     """Monte Carlo survival frequencies over independent trials.
@@ -288,7 +230,7 @@ def survival_probabilities(
         raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
     env_seeds = env_seed if mode == "quenched" else np.array(
         [derive_seed(env_seed, 1 + i) for i in range(trials)], np.uint64)
-    outcomes = _outcomes(run_batch(envlaw, env_seeds, np.full(trials, start_site), 1, horizon,
+    outcomes = _outcomes(run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon,
                                    (env_seed, seed), cap=cap))
 
     g = sum(o.survived for o in outcomes) / trials
@@ -328,7 +270,6 @@ def supermartingale_trace(
     trials: int,
     horizon: int,
     seed: int = 0,
-    start_site: int = 0,
 ) -> SupermartingaleTrace:
     """Trace h(n) = sum_x count(x) lam^x over quenched trials.
 
@@ -340,7 +281,7 @@ def supermartingale_trace(
             raise ValueError(
                 f"lambda={lam} infeasible for state with moments {m.as_tuple()}"
             )
-    run = run_batch(envlaw, env_seed, np.full(trials, start_site), 1, horizon,
+    run = run_batch(envlaw, env_seed, np.zeros(trials, np.int64), 1, horizon,
                     (env_seed, seed), log_lam=math.log(lam))
     h = np.exp(run.log_h)
     diffs = np.diff(h, axis=1)
@@ -357,26 +298,6 @@ def supermartingale_trace(
 
 # ---------------------------------------------------------------------------
 # Freezing construction: progeny counts at a one-sided barrier
-
-
-def frozen_progeny_trial(
-    envlaw: EnvironmentLaw,
-    env_seed: int,
-    level: int,
-    trial_seed: int,
-    *,
-    max_time: int = 5_000,
-    max_population: int = 1_000_000,
-    start_count: int = 1,
-) -> int | None:
-    """One sample of the frozen progeny count at the barrier below level.
-
-    Meaningful in the right-vanishing regime, where the run terminates
-    almost surely; cap hits and max_time return None (censored).
-    """
-    run = run_batch(envlaw, env_seed, [level], start_count, max_time,
-                    (env_seed, level, trial_seed), cap=max_population + 1, freeze=True)
-    return int(run.frozen[0]) if run.status[0] == EXTINCT else None
 
 
 @dataclass(frozen=True)
@@ -424,7 +345,6 @@ def frozen_mean_profile(
     trials_per_level: int,
     *,
     seed: int = 0,
-    super_trials: int = 50,
     max_time: int = 5_000,
     max_population: int = 1_000_000,
     censor_threshold: float = 0.01,
@@ -434,14 +354,14 @@ def frozen_mean_profile(
     Trials are batched: a run started with B particles is, by branching
     independence, exactly a sum of B independent single-particle samples,
     so the batched sample mean has the law of a trials_per_level-trial
-    mean.  The super-trials of every level run together as rows of
+    mean.  The SUPER_TRIALS super-trials of every level run as rows of
     run_batch; standard errors come from the dispersion across them.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if trials_per_level < 1:
         raise ValueError(f"trials_per_level must be >= 1, got {trials_per_level}")
-    n_super = min(super_trials, trials_per_level)
+    n_super = min(SUPER_TRIALS, trials_per_level)
     batch = -(-trials_per_level // n_super)  # ceil division
 
     ks = np.arange(1, levels + 1)

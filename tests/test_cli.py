@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -131,11 +132,14 @@ def test_load_config_defaults(tmp_path):
         ({"thresholds": {"sigma_margin": float("inf")}}, "thresholds.sigma_margin"),
         ({"frozen": {"censor_threshold": float("nan")}}, "frozen.censor_threshold"),
         ({"thresholds": {"sigma_margin": 10**400}}, "thresholds.sigma_margin"),
+        ({"lyapunov": {"steps": 10**30}}, "lyapunov.steps"),
+        ({"spectral": {"n_values": [1, 2**63]}}, "spectral.n_values[1]"),
+        ({"spectral": {"n_values": [1], "tols": 1e-3}}, "spectral.tols"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
     path = write_config(tmp_path, **overrides)
-    with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         load_config(path)
 
 
@@ -159,20 +163,29 @@ def test_option_defaults_and_bounds(tmp_path, section, fld):
     assert load() == fld.default
     field_path = f"{section}.{fld.name}"
     if "minimum" in fld.metadata:
-        minimum = fld.metadata["minimum"]
-        assert load(minimum) == minimum
-        bad, message = minimum - 1, f"{field_path}: must be >= {minimum}, got {minimum - 1}"
+        minimum, top = fld.metadata["minimum"], 2**63 - 1  # numpy holds the value as an int64
+        assert load(minimum) == minimum and load(top) == top
+        bad = [(minimum - 1, f"{field_path}: must be >= {minimum}, got {minimum - 1}"),
+               (top + 1, f"{field_path}: must be <= {top}, got {top + 1}")]
     elif "choices" in fld.metadata:
         assert [load(c) for c in fld.metadata["choices"]] == list(fld.metadata["choices"])
-        bad, message = "sideways", f"{field_path}: expected 'quenched' or 'annealed', got 'sideways'"
+        bad = [("sideways", f"{field_path}: expected 'quenched' or 'annealed', got 'sideways'")]
     elif fld.name == "n_values":
-        bad, message = [], "spectral.n_values: must be a nonempty strictly increasing array"
+        bad = [([], "spectral.n_values: must be a nonempty strictly increasing array")]
     else:  # a float option: any positive value, but not zero
         assert load(1e-300) == 1e-300
-        bad, message = 0, f"{field_path}: must be positive, got 0.0"
-    with pytest.raises(ConfigError) as excinfo:
-        load(bad)
-    assert str(excinfo.value) == message
+        bad = [(0, f"{field_path}: must be positive, got 0.0")]
+    for value, message in bad:
+        with pytest.raises(ConfigError) as excinfo:
+            load(value)
+        assert str(excinfo.value) == message
+
+
+def test_validate_rejects_unknown_section_key(tmp_path, capsys):
+    path = write_config(tmp_path, simulate={"trails": 5})
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "simulate.trails: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_flags_bad_atom(tmp_path):

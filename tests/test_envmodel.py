@@ -152,7 +152,7 @@ def test_per_site_seeds_match_scalar_calls():
 
 def test_realize_window_singleton():
     w = realize_window(single_env(GW_SUPERCRITICAL), 3, 0, 0)
-    assert w.size == 1 and w.index_at(0) == 0
+    assert w.size == 1 and w.state_indices[0] == 0
 
 
 def test_realize_window_restriction_compatible():

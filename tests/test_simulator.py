@@ -10,13 +10,9 @@ from brwre.simulator import (
     CAP_REACHED,
     EXTINCT,
     CensoringError,
-    Configuration,
     PopulationOverflowError,
-    QuenchedEnvironment,
     frozen_mean_profile,
-    frozen_progeny_trial,
-    run_trial,
-    step,
+    run_batch,
     supermartingale_trace,
     survival_probabilities,
 )
@@ -31,39 +27,46 @@ from conftest import (
 )
 
 
+def branch_once(envlaw, counts, rng, env_seed=0):
+    """One generation of a single row from {site: count}, as {site: count}."""
+    sites = np.array(sorted(counts), dtype=np.int64)
+    rows = np.zeros(len(sites), dtype=np.int64)
+    _, sites, counts = simulator._branch(
+        envlaw, env_seed, rows, sites, np.array([counts[s] for s in sites.tolist()]), rng)
+    return dict(zip(sites.tolist(), counts.tolist()))
+
+
+def one_trial(envlaw, env_seed, trial_seed, horizon, cap):
+    """One trial from the origin: a one-row run_batch on stream (env_seed, trial_seed)."""
+    run = run_batch(envlaw, env_seed, [0], 1, horizon, (env_seed, trial_seed), cap=cap)
+    return simulator._outcomes(run)[0]
+
+
+def frozen_trial(envlaw, env_seed, level, trial_seed, max_time=5_000, max_population=1_000_000):
+    """One frozen progeny count from level, on stream (env_seed, level, trial_seed),
+    or None when the run is censored."""
+    run = run_batch(envlaw, env_seed, [level], 1, max_time, (env_seed, level, trial_seed),
+                    cap=max_population + 1, freeze=True)
+    return int(run.frozen[0]) if run.status[0] == EXTINCT else None
+
+
 # -- stepping ----------------------------------------------------------------
 
 
 def test_step_deterministic_split_offspring(rng):
-    env = QuenchedEnvironment(single_env([(1.0, (1, 0, 1))]), 0)
-    out = step(Configuration.single(0), env, rng)
-    assert out.counts == {-1: 1, 1: 1}
-    assert out.time == 1
+    out = branch_once(single_env([(1.0, (1, 0, 1))]), {0: 1}, rng)
+    assert out == {-1: 1, 1: 1}
 
 
 def test_step_null_offspring_kills_everything(rng):
-    env = QuenchedEnvironment(single_env([(1.0, (0, 0, 0))]), 0)
-    out = step(Configuration.single(0), env, rng)
-    assert out.counts == {} and out.total == 0
+    assert branch_once(single_env([(1.0, (0, 0, 0))]), {0: 1}, rng) == {}
 
 
 def test_step_mean_offspring_large_population(rng):
     # mean total offspring 1.25, per-particle variance 0.8875: the relative
     # error of the mean over 1e6 particles is within 0.01 at ~10 sigma
-    env = QuenchedEnvironment(single_env(GW_SUPERCRITICAL), 0)
-    out = step(Configuration(counts={0: 10**6}), env, rng)
-    assert abs(out.total / 1e6 - 1.25) < 0.01
-
-
-def test_step_empty_configuration_advances_time(rng):
-    env = QuenchedEnvironment(single_env(GW_SUPERCRITICAL), 0)
-    out = step(Configuration(counts={}, time=3), env, rng)
-    assert out.counts == {} and out.time == 4
-
-
-def test_configuration_rejects_zero_counts():
-    with pytest.raises(ValueError):
-        Configuration(counts={0: 0})
+    out = branch_once(single_env(GW_SUPERCRITICAL), {0: 10**6}, rng)
+    assert abs(sum(out.values()) / 1e6 - 1.25) < 0.01
 
 
 def test_step_aggregation_matches_per_particle_sampling(rng):
@@ -110,7 +113,7 @@ def test_step_aggregation_matches_per_particle_sampling(rng):
 
 
 def test_trial_null_offspring_extinct_at_one():
-    out = run_trial(single_env([(1.0, (0, 0, 0))]), 0, 0, horizon=10, cap=100)
+    out = one_trial(single_env([(1.0, (0, 0, 0))]), 0, 0, horizon=10, cap=100)
     assert out.status == EXTINCT
     assert out.extinction_time == 1 and out.end_time == 1
     assert out.peak_population == 1
@@ -118,8 +121,8 @@ def test_trial_null_offspring_extinct_at_one():
 
 def test_trial_deterministic_reproduction():
     env = single_env(GW_SUPERCRITICAL)
-    a = run_trial(env, 12, 34, horizon=50, cap=10**4)
-    b = run_trial(env, 12, 34, horizon=50, cap=10**4)
+    a = one_trial(env, 12, 34, horizon=50, cap=10**4)
+    b = one_trial(env, 12, 34, horizon=50, cap=10**4)
     assert a == b
 
 
@@ -128,7 +131,7 @@ def test_trial_deterministic_split_tracks_origin_and_peak():
     # t's parity, so the origin is occupied exactly at even times
     env = single_env([(1.0, (1, 0, 1))])
     for horizon, last in ((10, 10), (9, 8)):
-        out = run_trial(env, 0, 0, horizon=horizon, cap=10**9)
+        out = one_trial(env, 0, 0, horizon=horizon, cap=10**9)
         assert out.status == ALIVE_AT_HORIZON and out.end_time == horizon
         assert out.last_origin_visit == last and out.peak_population == 2**horizon
 
@@ -136,7 +139,7 @@ def test_trial_deterministic_split_tracks_origin_and_peak():
 def test_trial_cap_reached_flags_peak():
     env = single_env(TREBLE_OR_DIE)
     for seed in range(20):
-        out = run_trial(env, 1, seed, horizon=400, cap=1000)
+        out = one_trial(env, 1, seed, horizon=400, cap=1000)
         if out.status == CAP_REACHED:
             assert out.peak_population >= 1000
             assert out.end_time < 400
@@ -235,7 +238,7 @@ def test_batched_survival_matches_single_trial_oracle(env, mode):
     batched = survival_probabilities(env, trials=trials, horizon=horizon, cap=cap, mode=mode,
                                      env_seed=env_seed, seed=seed)
     oracle = [
-        run_trial(env, env_seed if mode == "quenched" else derive_seed(env_seed, 1 + i),
+        one_trial(env, env_seed if mode == "quenched" else derive_seed(env_seed, 1 + i),
                   derive_seed(seed, i), horizon, cap)
         for i in range(trials)
     ]
@@ -310,12 +313,12 @@ def test_trace_rejects_infeasible_lambda():
 def test_frozen_deterministic_left_walker():
     env = single_env([(1.0, (1, 0, 0))])
     for level in (1, 3):
-        assert frozen_progeny_trial(env, 0, level, 0) == 1
+        assert frozen_trial(env, 0, level, 0) == 1
 
 
 def test_frozen_null_offspring():
     env = single_env([(1.0, (0, 0, 0))])
-    assert frozen_progeny_trial(env, 0, 1, 0) == 0
+    assert frozen_trial(env, 0, 1, 0) == 0
 
 
 def test_frozen_mean_matches_minimal_root():
@@ -323,7 +326,7 @@ def test_frozen_mean_matches_minimal_root():
     env = single_env(GW_SUPERCRITICAL)
     root = min(np.roots([0.05, -1.0, 1.2]).real)
     assert root == pytest.approx(1.2822021129186527, rel=1e-12)
-    vals = [frozen_progeny_trial(env, 7, 1, t) for t in range(4000)]
+    vals = [frozen_trial(env, 7, 1, t) for t in range(4000)]
     assert None not in vals
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -332,7 +335,7 @@ def test_frozen_mean_matches_minimal_root():
 
 def test_frozen_censoring_returns_none():
     env = single_env(TREBLE_OR_DIE)  # no drift: freezing often never ends
-    vals = [frozen_progeny_trial(env, 0, 1, t, max_time=5, max_population=50) for t in range(40)]
+    vals = [frozen_trial(env, 0, 1, t, max_time=5, max_population=50) for t in range(40)]
     assert any(v is None for v in vals)
 
 
