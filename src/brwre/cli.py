@@ -152,7 +152,8 @@ def _parse_environment(raw, path="environment") -> EnvironmentLaw:
             v = _expect_list(atom.get("v"), f"{apath}.v")
             if len(v) != 3:
                 raise ConfigError(f"{apath}.v: expected [v_minus, v_zero, v_plus]")
-            comps = [_expect_int(c, f"{apath}.v[{k}]", minimum=0) for k, c in enumerate(v)]
+            comps = [_expect_int(c, f"{apath}.v[{k}]", minimum=0, maximum=_INT64_MAX)
+                     for k, c in enumerate(v)]
             atoms.append((p, OffspringVector(*comps)))
         try:
             law = OffspringLaw(atoms)
@@ -528,7 +529,7 @@ def _exponent_shift(st: Stages):
 
 def _lambda_independence(st: Stages):
     iv = st.regime.lambda_set
-    if iv.hi / iv.lo <= 1.0 + 1e-9:
+    if iv.hi / iv.lo <= 1.0 + criteria.FEASIBILITY_TOL:
         return "feasible set is a single point"
     log_lo, log_hi = math.log(iv.lo), math.log(iv.hi)
     lam_a = math.exp(log_lo + 0.35 * (log_hi - log_lo))
@@ -586,6 +587,8 @@ def _frozen_log_mean(st: Stages):
 
 def _frozen_slope(st: Stages):
     profile, gamma = st.profile, st.gamma
+    if len(profile.levels) < 2:
+        return "slope needs two or more levels"
     if profile.flagged_levels:
         return "flagged zero-mean levels"
     target = st.regime.drift - gamma.value

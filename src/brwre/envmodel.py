@@ -17,6 +17,10 @@ import numpy as np
 # inputs inside the tolerance are renormalized, anything else is rejected.
 PROB_TOL = 1e-12
 
+# lam is feasible for a state when MomentTriple.slack(lam) >= -FEASIBILITY_TOL: the
+# one tolerance of every closed-form decision, so no double root is lost to rounding
+FEASIBILITY_TOL = 1e-9
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -105,6 +109,12 @@ class MomentTriple:
     def reflected(self) -> "MomentTriple":
         return MomentTriple(self.mu_plus, self.mu_zero, self.mu_minus)
 
+    def slack(self, lam: float) -> float:
+        """1 - (mu-/lam + mu0 + mu+*lam): nonnegative iff lam is feasible for this state."""
+        if lam <= 0.0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        return 1.0 - self.mu_zero - self.mu_minus / lam - self.mu_plus * lam
+
 
 def moments(law: OffspringLaw) -> MomentTriple:
     """Probability-weighted mean of each offspring component."""
@@ -170,12 +180,19 @@ def law_from_atoms(atoms) -> OffspringLaw:
 
 
 def reflected(envlaw: EnvironmentLaw) -> EnvironmentLaw:
-    """Mirror the environment through the origin (swap left/right roles)."""
+    """Mirror the environment through the origin (swap left/right roles).
+
+    The weights and probabilities, normalized already, are kept bit for bit
+    rather than normalized again, so every estimate of the mirror is exact."""
     states = []
     for w, law in envlaw.states:
-        atoms = [(p, OffspringVector(v.v_plus, v.v_zero, v.v_minus)) for p, v in law.atoms]
-        states.append((w, OffspringLaw(atoms)))
-    return EnvironmentLaw(states)
+        mirror = object.__new__(OffspringLaw)
+        object.__setattr__(mirror, "atoms", tuple(
+            (p, OffspringVector(v.v_plus, v.v_zero, v.v_minus)) for p, v in law.atoms))
+        states.append((w, mirror))
+    out = object.__new__(EnvironmentLaw)
+    object.__setattr__(out, "states", tuple(states))
+    return out
 
 
 # ---------------------------------------------------------------------------

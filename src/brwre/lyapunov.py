@@ -1,11 +1,12 @@
 """Lyapunov exponents of i.i.d. products of the model's 2x2 matrices.
 
 Three matrix families are built from a state's moment triple: the raw
-recursion matrix (kind "A"), its left/right-swapped counterpart
-("A_tilde"), and a nonnegative conjugate family parameterized by a
-feasible lambda ("A_lambda").  The top exponent is estimated from long
-renormalized products over independent replicas; the second exponent
-comes from the determinant sum rule rather than subspace tracking.
+recursion matrix (kind "A"), its mirror ("A_tilde", kind A of the
+reflected triple), and a nonnegative conjugate family ("A_lambda") at a
+lambda whose `MomentTriple.slack` is at least -`envmodel.FEASIBILITY_TOL`.
+The top exponent is estimated from long renormalized products over
+independent replicas; the second exponent comes from the determinant sum
+rule rather than subspace tracking.
 
 A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
@@ -33,13 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw, MomentTriple
+from .envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple
 
 MATRIX_KINDS = ("A", "A_tilde", "A_lambda")
-
-# entries of A_lambda may come out ~-1e-17 from float cancellation at the
-# interval endpoints; treat anything above this as genuinely infeasible
-_FEAS_SLACK = 1e-9
 
 
 def build_A(m: MomentTriple) -> np.ndarray:
@@ -52,35 +49,25 @@ def build_A(m: MomentTriple) -> np.ndarray:
 
 
 def build_A_tilde(m: MomentTriple) -> np.ndarray:
-    """Mirror of build_A: left and right roles swapped; det = mu+/mu-."""
+    """build_A of the reflected triple: left and right roles swapped; det = mu+/mu-."""
     if m.mu_minus <= 0.0:
         raise ValueError("matrix kind A_tilde needs mu_minus > 0")
-    return np.array(
-        [[(1.0 - m.mu_zero) / m.mu_minus, -m.mu_plus / m.mu_minus], [1.0, 0.0]]
-    )
-
-
-def feasibility_slack(m: MomentTriple, lam: float) -> float:
-    """1 - (mu-/lam + mu0 + mu+*lam); nonnegative iff lam is feasible."""
-    return 1.0 - m.mu_zero - m.mu_minus / lam - m.mu_plus * lam
+    return build_A(m.reflected())
 
 
 def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
     """Nonnegative conjugate of build_A at a feasible lambda.
 
     [[ mu-/(lam^2 mu+), s/(lam mu+) ], [ mu-/(lam^2 mu+), 1 + s/(lam mu+) ]]
-    with s the feasibility slack; det = mu-/(lam^2 mu+).
+    with s = m.slack(lam), clipped at 0 (it may come out ~-1e-17 from
+    cancellation at an interval endpoint); det = mu-/(lam^2 mu+).
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    slack = m.slack(lam)
     if m.mu_plus <= 0.0:
         raise ValueError("matrix kind A_lambda needs mu_plus > 0")
-    slack = feasibility_slack(m, lam)
-    if slack < -_FEAS_SLACK:
-        raise ValueError(
-            f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
-            f"slack {slack:.3e} < 0"
-        )
+    if slack < -FEASIBILITY_TOL:
+        raise ValueError(f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
+                         f"slack {slack:.3e} < 0")
     a = m.mu_minus / (lam * lam * m.mu_plus)
     b = max(slack, 0.0) / (lam * m.mu_plus)
     return np.array([[a, b], [a, 1.0 + b]])
@@ -122,15 +109,11 @@ def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None =
     """(n_states, 2, 2) table of the chosen family, one matrix per state."""
     if matrix_kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
-    if matrix_kind == "A_lambda":
-        if lam is None:
-            raise ValueError("matrix kind A_lambda needs a lambda value")
-        mats = [build_A_lambda(m, lam) for m in envlaw.state_moments]
-    elif matrix_kind == "A":
-        mats = [build_A(m) for m in envlaw.state_moments]
-    else:
-        mats = [build_A_tilde(m) for m in envlaw.state_moments]
-    return np.stack(mats)
+    if matrix_kind == "A_lambda" and lam is None:
+        raise ValueError("matrix kind A_lambda needs a lambda value")
+    build = {"A": build_A, "A_tilde": build_A_tilde,
+             "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
+    return np.stack([build(m) for m in envlaw.state_moments])
 
 
 def _log_norm_of_product(mats: np.ndarray) -> float:

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import criterion_value
-from .envmodel import EnvironmentLaw, derive_seed, state_indices
+from .envmodel import FEASIBILITY_TOL, EnvironmentLaw, derive_seed, state_indices
 
 EXTINCT = "Extinct"
 CAP_REACHED = "CapReached"
@@ -277,7 +276,7 @@ def supermartingale_trace(
     never increases, which the paired per-step increments make testable.
     """
     for m in envlaw.state_moments:
-        if criterion_value(m, lam) > 1.0 + 1e-9:
+        if m.slack(lam) < -FEASIBILITY_TOL:
             raise ValueError(
                 f"lambda={lam} infeasible for state with moments {m.as_tuple()}"
             )

@@ -135,6 +135,8 @@ def test_load_config_defaults(tmp_path):
         ({"lyapunov": {"steps": 10**30}}, "lyapunov.steps"),
         ({"spectral": {"n_values": [1, 2**63]}}, "spectral.n_values[1]"),
         ({"spectral": {"n_values": [1], "tols": 1e-3}}, "spectral.tols"),
+        ({"environment": {"states": [{"weight": 1.0, "atoms": [{"p": 1.0, "v": [2**63, 0, 0]}]}]}},
+         "environment.states[0].atoms[0].v[0]: must be <= 9223372036854775807"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
@@ -493,11 +495,21 @@ def test_frozen_stage_follows_the_classifier_branch(tmp_path):
     report = json.loads((tmp_path / "all" / "report.json").read_text())
     regime = report["regime"]
     assert (regime["regime"], regime["vanishing_direction"]) == ("GlobalExtinction", "both")
-    assert regime["lambda_set"]["lo"] > 1.0 + criteria.ONE_MEMBERSHIP_TOL
+    assert regime["lambda_set"]["lo"] > 1.0 + criteria.FEASIBILITY_TOL
     assert "skipped" in report["frozen_profile"]
     frozen_rows = [r for r in report["crosscheck"]
                    if r["identity"] in ("frozen_log_mean", "frozen_slope", "per_level_bound")]
     assert [r["verdict"] for r in frozen_rows] == ["skipped"] * 3
+
+
+def test_all_with_one_frozen_level_skips_the_slope(tmp_path):
+    # 1 is the documented minimum of frozen.levels; a regression slope needs two
+    path = write_config(tmp_path, frozen={"levels": 1})
+    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    assert report["frozen_profile"]["levels"] == [1]
+    row = next(r for r in report["crosscheck"] if r["identity"] == "frozen_slope")
+    assert (row["verdict"], row["note"]) == ("skipped", "slope needs two or more levels")
 
 
 def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brwre import criteria
 from brwre.criteria import (
@@ -10,14 +10,14 @@ from brwre.criteria import (
     LambdaInterval,
     classify,
     classify_environment,
-    criterion_value,
     expected_log_drift,
     lambda_feasible_set,
     one_in_feasible_set,
     state_feasible_interval,
 )
-from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
-from brwre.lyapunov import LyapunovEstimate
+from brwre.envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms, reflected
+from brwre.lyapunov import LyapunovEstimate, build_A_lambda, top_lyapunov
+from brwre.simulator import supermartingale_trace
 from conftest import (
     CRITICAL_PAIR,
     GW_SUPERCRITICAL,
@@ -158,7 +158,7 @@ def test_classify_global_extinction_at_critical_point():
     rep = classify(single_env(CRITICAL_PAIR))
     assert rep.regime == criteria.GLOBAL_EXTINCTION
     assert rep.vanishing_direction == "both"
-    assert rep.lambda_set.contains(1.0)
+    assert rep.lambda_set.lo <= 1.0 <= rep.lambda_set.hi
 
 
 def test_classify_global_extinction_interval_straddles_one():
@@ -170,7 +170,7 @@ def test_classify_global_extinction_interval_straddles_one():
 def test_classify_survival_with_local_extinction():
     # constant environment: top exponent is ln of the top eigenvalue
     gamma = _exact_estimate(math.log(18.717797887081346))
-    rep = classify(single_env(GW_SUPERCRITICAL), gamma=gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
     assert rep.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION
     assert rep.vanishing_direction == "right"
     assert rep.margin == math.inf
@@ -178,7 +178,7 @@ def test_classify_survival_with_local_extinction():
 
 def test_classify_extinction_when_exponent_dominates():
     gamma = _exact_estimate(math.log(24.0) + 0.5)
-    rep = classify(single_env(GW_SUPERCRITICAL), gamma=gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
     assert rep.regime == criteria.GLOBAL_EXTINCTION
     assert rep.vanishing_direction == "right"
 
@@ -187,7 +187,7 @@ def test_classify_inconclusive_inside_margin():
     gamma = LyapunovEstimate(
         value=math.log(24.0) - 0.001, stderr=0.01, steps=10**4, replicas=4, matrix_kind="A"
     )
-    rep = classify(single_env(GW_SUPERCRITICAL), gamma=gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
     assert rep.regime == criteria.INCONCLUSIVE
     assert abs(rep.margin) < 3.0
 
@@ -212,7 +212,7 @@ def test_remark_precedence_when_one_is_an_endpoint():
     assert iv.lo == pytest.approx(1.0, abs=1e-12)
     assert iv.hi == pytest.approx(4.0, rel=1e-12)
     assert one_in_feasible_set(env)
-    rep = classify(env, gamma=_exact_estimate(0.0))
+    rep = classify(env, lambda kind: _exact_estimate(0.0))
     assert rep.regime == criteria.GLOBAL_EXTINCTION
     assert rep.vanishing_direction == "both"
 
@@ -231,7 +231,7 @@ NEAR_CRITICAL_RIGHT = [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 2.
 ], ids=["none", "both", "right", "left", "near-critical"])
 def test_vanishing_direction_is_the_classifier_branch(env, direction):
     assert criteria.vanishing_direction(env) == direction
-    rep = classify(env, gamma=_exact_estimate(0.0), gamma_tilde=_exact_estimate(0.0, "A_tilde"))
+    rep = classify(env, lambda kind: _exact_estimate(0.0, kind))
     assert rep.vanishing_direction == direction
 
 
@@ -261,7 +261,7 @@ def test_interval_is_sublevel_set(m, frac):
     iv = state_feasible_interval(m)
     assume(not iv.is_empty)
     lam = iv.lo + frac * (iv.hi - iv.lo)
-    assert criterion_value(m, lam) <= 1.0 + 1e-9
+    assert 1.0 - m.slack(lam) <= 1.0 + 1e-9
 
 
 @given(_feasible_moments)
@@ -269,7 +269,7 @@ def test_outside_interval_fails_inequality(m):
     iv = state_feasible_interval(m)
     assume(not iv.is_empty)
     for lam in (iv.lo * (1.0 - 2e-6), iv.hi * (1.0 + 2e-6)):
-        assert criterion_value(m, lam) > 1.0
+        assert 1.0 - m.slack(lam) > 1.0
 
 
 @given(_feasible_moments)
@@ -296,15 +296,98 @@ def test_mirror_negates_drift_and_swaps_direction():
     assert expected_log_drift(menv) == pytest.approx(-expected_log_drift(env), rel=1e-14)
     gamma = _exact_estimate(math.log(18.717797887081346))
     gamma_t = _exact_estimate(math.log(18.717797887081346), kind="A_tilde")
-    right = classify(env, gamma=gamma)
-    left = classify(menv, gamma_tilde=gamma_t)
+    right = classify(env, lambda kind: gamma)
+    left = classify(menv, lambda kind: gamma_t)
     assert right.regime == left.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION
     assert (right.vanishing_direction, left.vanishing_direction) == ("right", "left")
 
 
 def test_interval_intersection_algebra():
-    a = LambdaInterval(1.0, 4.0)
-    b = LambdaInterval(2.0, 8.0)
-    assert a.intersect(b) == LambdaInterval(2.0, 4.0)
-    assert a.intersect(LambdaInterval(5.0, 6.0)).is_empty
-    assert a.intersect(LambdaInterval.empty()).is_empty
+    # overlapping per-state intervals [0.5, 2] and [1, 4] meet in [1, 2]: the
+    # max of the lower ends and the min of the upper ends
+    wide = [(0.2, (2, 0, 0)), (0.4, (0, 0, 1)), (0.4, (0, 0, 0))]  # mu = (0.4, 0, 0.4)
+    narrow = [(0.4, (2, 0, 0)), (0.2, (0, 0, 1)), (0.4, (0, 0, 0))]  # mu = (0.8, 0, 0.2)
+    iv = lambda_feasible_set(EnvironmentLaw(
+        [(0.5, law_from_atoms(wide)), (0.5, law_from_atoms(narrow))]))
+    assert (iv.lo, iv.hi) == (state_feasible_interval(MomentTriple(0.8, 0.0, 0.2)).lo,
+                              state_feasible_interval(MomentTriple(0.4, 0.0, 0.4)).hi)
+    assert iv.lo == pytest.approx(1.0, abs=1e-12) and iv.hi == pytest.approx(2.0, rel=1e-12)
+    # [0.25, 1] and GW_SUPERCRITICAL's [1.28, 18.7] are disjoint, neither empty
+    low = [(0.2, (1, 0, 0)), (0.4, (0, 0, 2)), (0.4, (0, 0, 0))]  # mu = (0.2, 0, 0.8)
+    disjoint = EnvironmentLaw([(0.5, law_from_atoms(low)), (0.5, law_from_atoms(GW_SUPERCRITICAL))])
+    assert not any(state_feasible_interval(m).is_empty for m in disjoint.state_moments)
+    assert lambda_feasible_set(disjoint).is_empty
+
+
+# -- the mirror and the one feasibility decision -----------------------------
+
+
+@st.composite
+def _valid_laws(draw):
+    """1 to 3 states, each with atoms (l, 0, 0), (0, 0, r) and (0, k, 0).  The
+    left share of the mass on the first two atoms is drawn once per law, so
+    the states lean the same way and every branch of the classifier comes up."""
+    split, states = draw(st.floats(0.02, 0.98)), []
+    for _ in range(draw(st.integers(1, 3))):
+        left, right = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        stay, moving = draw(st.integers(0, 1)), draw(st.floats(0.05, 0.95))
+        atoms = [(moving * split, (left, 0, 0)), (moving * (1.0 - split), (0, 0, right)),
+                 (1.0 - moving, (0, stay, 0))]
+        states.append((draw(st.floats(0.1, 1.0)), law_from_atoms(atoms)))
+    total = sum(w for w, _ in states)
+    return EnvironmentLaw([(w / total, law) for w, law in states])
+
+
+def _distance_to_decision_boundary(env: EnvironmentLaw, margin: float) -> float:
+    """Least distance of a closed-form decision quantity, or of |margin|, from
+    the threshold it is compared with."""
+    gaps = [abs(abs(margin) - 3.0)] if math.isfinite(margin) else []
+    ivs = []
+    for m in env.state_moments:
+        b = 1.0 - m.mu_zero
+        gaps += [abs(b), abs(b * b - 4.0 * m.mu_minus * m.mu_plus),
+                 abs(m.slack(1.0) + FEASIBILITY_TOL)]
+        ivs.append(state_feasible_interval(m))
+    if not any(iv.is_empty for iv in ivs):
+        lo, hi = max(iv.lo for iv in ivs), min(iv.hi for iv in ivs)
+        gaps += [abs(hi - lo), abs(lo - 1.0 - FEASIBILITY_TOL), abs(hi - 1.0 + FEASIBILITY_TOL)]
+    return min(gaps)
+
+
+_MIRRORED = {"right": "left", "left": "right", "both": "both", "none": "none"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_laws(), st.integers(2, 4), st.integers(0, 2**32))
+def test_mirror_law_gives_the_mirrored_classification(env, replicas, seed):
+    assume(any(v.total >= 2 for law in env.laws for _, v in law.atoms))
+    menv = reflected(env)
+    kw = dict(steps=1000, replicas=replicas, seed=seed)
+    a, a_tilde = top_lyapunov(env, "A", **kw), top_lyapunov(menv, "A_tilde", **kw)
+    assert math.isclose(a_tilde.value, a.value, rel_tol=1e-12)
+    assert math.isclose(a_tilde.stderr, a.stderr, rel_tol=1e-12)
+    rep, mrep = classify_environment(env, **kw), classify_environment(menv, **kw)
+    assume(_distance_to_decision_boundary(env, rep.margin) > 1e-9)
+    assert mrep.vanishing_direction == _MIRRORED[rep.vanishing_direction]
+    assert mrep.regime == rep.regime
+    assert math.isclose(mrep.margin, rep.margin, rel_tol=1e-9)
+
+
+def test_one_feasibility_decision_at_the_tolerance():
+    # NEAR_CRITICAL_RIGHT (tests/test_cli.py's NEAR_CRITICAL_ENV) misses lam = 1
+    # by a slack of -5e-10, inside the tolerance; moving 7.5e-10 more mass onto
+    # its first atom makes that slack -2e-9, outside it
+    inside = single_env(NEAR_CRITICAL_RIGHT)
+    outside = single_env([(0.35 + 1e-9, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 1e-9, (0, 0, 0))])
+    assert inside.state_moments[0].slack(1.0) == pytest.approx(-5e-10, rel=1e-6)
+    assert outside.state_moments[0].slack(1.0) == pytest.approx(-2e-9, rel=1e-6)
+
+    assert one_in_feasible_set(inside)
+    assert build_A_lambda(inside.state_moments[0], 1.0).min() >= 0.0
+    assert supermartingale_trace(inside, 0, 1.0, trials=100, horizon=5, seed=1).lam == 1.0
+
+    assert not one_in_feasible_set(outside)
+    with pytest.raises(ValueError, match="infeasible"):
+        build_A_lambda(outside.state_moments[0], 1.0)
+    with pytest.raises(ValueError, match="infeasible"):
+        supermartingale_trace(outside, 0, 1.0, trials=100, horizon=5, seed=1)
