@@ -496,18 +496,6 @@ def _identity_tol(se_combined: float, steps: int) -> float:
     return max(3.0 * se_combined, 20.0 / steps)
 
 
-def _ols_slope_and_se(log_f: np.ndarray, sigma_inc: float) -> tuple[float, float]:
-    """OLS slope of a cumulative-sum series against 1..K, with the exact
-    standard error implied by i.i.d. increments of dispersion sigma_inc."""
-    k = np.arange(1, len(log_f) + 1, dtype=float)
-    kc = k - k.mean()
-    denom = float((kc**2).sum())
-    slope = float((kc * log_f).sum()) / denom
-    tails = np.array([kc[j:].sum() for j in range(len(log_f))])
-    se = sigma_inc * math.sqrt(float((tails**2).sum())) / denom
-    return slope, se
-
-
 # Each check reads the stages and returns a skip note or (lhs, rhs, tolerance,
 # passed, note).
 
@@ -579,23 +567,12 @@ def _local_global_coincidence(st: Stages):
 
 def _frozen_log_mean(st: Stages):
     profile, gamma = st.profile, st.gamma
+    if profile.log_average_stderr == 0.0:  # at most one unflagged level, or equal means
+        return "no spread across unflagged levels to bound the log-average"
     target = st.regime.drift - gamma.value
     tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
     return (profile.log_average, target, tol, abs(profile.log_average - target) <= tol,
             "mean log frozen count vs drift minus top exponent")
-
-
-def _frozen_slope(st: Stages):
-    profile, gamma = st.profile, st.gamma
-    if len(profile.levels) < 2:
-        return "slope needs two or more levels"
-    if profile.flagged_levels:
-        return "flagged zero-mean levels"
-    target = st.regime.drift - gamma.value
-    sigma_inc = profile.log_average_stderr * math.sqrt(len(profile.levels))
-    slope, slope_se = _ols_slope_and_se(profile.log_partial_sums(), sigma_inc)
-    tol = 3.0 * math.hypot(slope_se, gamma.stderr)
-    return slope, target, tol, abs(slope - target) <= tol, "regression slope of the log relay-product"
 
 
 def _per_level_bound(st: Stages):
@@ -631,7 +608,6 @@ CROSSCHECKS = (
     ("survival_concordance", None, _survival_concordance, False),
     ("local_global_coincidence", None, _local_global_coincidence, False),
     ("frozen_log_mean", "profile", _frozen_log_mean, False),
-    ("frozen_slope", "profile", _frozen_slope, False),
     ("per_level_bound", "profile", _per_level_bound, True),
     ("spectral_criterion", None, _spectral_criterion, True),
 )

@@ -303,10 +303,12 @@ def supermartingale_trace(
 class FrozenProfile:
     """Per-level quenched means of the frozen progeny counts.
 
-    level_means[j] estimates the mean frozen count for one particle
-    started at levels[j]; log_average is the mean of ln(level_means) over
-    unflagged levels and estimates the log-mean growth functional whose
-    sign decides global survival in the right-vanishing regime.
+    Plain data.  level_means[j] estimates the mean frozen count for one
+    particle started at levels[j]; a level whose mean is 0 is flagged.
+    log_average is the mean of ln(level_means) over unflagged levels (NaN
+    when every level is flagged) and estimates the log-mean growth
+    functional whose sign decides global survival in the right-vanishing
+    regime; log_average_stderr is 0 below two unflagged levels.
     """
 
     levels: np.ndarray
@@ -317,24 +319,6 @@ class FrozenProfile:
     trials_per_level: int
     log_average: float
     log_average_stderr: float
-
-    def log_partial_sums(self) -> np.ndarray:
-        """Cumulative sums of ln(level_means): ln of the relay-product means."""
-        if self.flagged_levels:
-            raise ValueError(
-                f"levels {self.flagged_levels} have zero estimated mean; rerun with more trials"
-            )
-        return np.cumsum(np.log(self.level_means))
-
-    def g_series(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """(g, delta): g[k] = lam^-k * product of the first k means, g[0]=1,
-        and delta[k-1] = g[k] - g[k-1]."""
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        log_f = np.concatenate([[0.0], self.log_partial_sums()])
-        k = np.arange(len(log_f))
-        g = np.exp(log_f - k * math.log(lam))
-        return g, np.diff(g)
 
 
 def frozen_mean_profile(
@@ -378,7 +362,7 @@ def frozen_mean_profile(
 
     flagged = [int(k) for k, m in zip(ks, means) if m <= 0.0]
     logs = np.log(means[means > 0.0])
-    log_avg = float(logs.mean())
+    log_avg = float(logs.mean()) if len(logs) else math.nan
     log_se = float(logs.std(ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
     return FrozenProfile(
         levels=ks,

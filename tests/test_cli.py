@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -369,7 +370,7 @@ def test_crosscheck_all_rows_pass(tmp_path):
     expected = [
         "conjugacy_identity", "exponent_shift", "lambda_independence",
         "supermartingale_monotone", "survival_concordance", "local_global_coincidence",
-        "frozen_log_mean", "frozen_slope", "per_level_bound", "spectral_criterion",
+        "frozen_log_mean", "per_level_bound", "spectral_criterion",
     ]
     assert list(rows) == expected
     failing = [n for n, r in rows.items() if r["verdict"] == "fail"]
@@ -498,18 +499,34 @@ def test_frozen_stage_follows_the_classifier_branch(tmp_path):
     assert regime["lambda_set"]["lo"] > 1.0 + criteria.FEASIBILITY_TOL
     assert "skipped" in report["frozen_profile"]
     frozen_rows = [r for r in report["crosscheck"]
-                   if r["identity"] in ("frozen_log_mean", "frozen_slope", "per_level_bound")]
-    assert [r["verdict"] for r in frozen_rows] == ["skipped"] * 3
+                   if r["identity"] in ("frozen_log_mean", "per_level_bound")]
+    assert [r["verdict"] for r in frozen_rows] == ["skipped"] * 2
 
 
-def test_all_with_one_frozen_level_skips_the_slope(tmp_path):
-    # 1 is the documented minimum of frozen.levels; a regression slope needs two
-    path = write_config(tmp_path, frozen={"levels": 1})
+@pytest.mark.parametrize("overrides, means", [
+    # 1 is the documented minimum of frozen.levels
+    pytest.param({"frozen": {"levels": 1}}, [1.2758], id="one-level"),
+    pytest.param({"frozen": {"levels": 4, "trials_per_level": 1}, "seed": 9}, [0, 2, 2, 2],
+                 id="equal-unflagged-means"),
+    # gamma's stderr alone would bound the row, with no environment noise in it
+    pytest.param({"frozen": {"levels": 1}, "environment": TWO_STATE_RIGHT_ENV}, [1.4668],
+                 id="one-level-two-state"),
+    # every level flagged: the log-average is NaN, with no warning (the suite's
+    # filter turns one into an error that run() does not catch)
+    pytest.param({"frozen": {"levels": 1, "trials_per_level": 1}, "seed": 3}, [0],
+                 id="all-flagged"),
+])
+def test_frozen_log_mean_skips_without_level_spread(tmp_path, overrides, means):
+    path = write_config(tmp_path, **overrides)
     assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "all" / "report.json").read_text())
-    assert report["frozen_profile"]["levels"] == [1]
-    row = next(r for r in report["crosscheck"] if r["identity"] == "frozen_slope")
-    assert (row["verdict"], row["note"]) == ("skipped", "slope needs two or more levels")
+    profile = report["frozen_profile"]
+    assert profile["level_means"] == means
+    assert math.isnan(profile["log_average"]) == (max(means) == 0)
+    assert profile["log_average_stderr"] == 0.0
+    row = next(r for r in report["crosscheck"] if r["identity"] == "frozen_log_mean")
+    assert (row["verdict"], row["note"]) == (
+        "skipped", "no spread across unflagged levels to bound the log-average")
 
 
 def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypatch):
