@@ -38,7 +38,6 @@ from .lyapunov import (
     build_A_lambda,
     build_A_tilde,
     conjugacy_residual,
-    second_exponent_via_det,
     top_lyapunov,
 )
 from .spectral import (

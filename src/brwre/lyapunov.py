@@ -5,8 +5,7 @@ recursion matrix (kind "A"), its mirror ("A_tilde", kind A of the
 reflected triple), and a nonnegative conjugate family ("A_lambda") at a
 lambda whose `MomentTriple.slack` is at least -`envmodel.FEASIBILITY_TOL`.
 The top exponent is estimated from long renormalized products over
-independent replicas; the second exponent comes from the determinant sum
-rule rather than subspace tracking.
+independent replicas.
 
 A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
@@ -354,11 +353,3 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
         out += w * math.log(m.mu_minus / m.mu_plus)
     return out
 
-
-def second_exponent_via_det(envlaw: EnvironmentLaw, lam: float, gamma1_lambda: float) -> float:
-    """Second exponent of the A_lambda family via the determinant sum rule.
-
-    gamma1 + gamma2 equals the mean log determinant, which for this family
-    is E ln(mu-/mu+) - 2 ln(lam).
-    """
-    return expected_log_drift(envlaw) - 2.0 * math.log(lam) - gamma1_lambda

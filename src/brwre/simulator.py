@@ -35,7 +35,8 @@ SUPER_TRIALS = 50
 
 
 class CensoringError(RuntimeError):
-    """Too many cap-censored trials for the estimate to be trusted."""
+    """Too many censored trials, or none finished at a frozen level, for the
+    estimate to be trusted."""
 
 
 class PopulationOverflowError(RuntimeError):
@@ -352,10 +353,12 @@ def frozen_mean_profile(
                     (env_seed, seed), cap=max_population + 1, freeze=True)
     done = (run.status == EXTINCT).reshape(levels, n_super)
     censored_rates = (~done).sum(axis=1) / n_super
-    over = np.flatnonzero(censored_rates > censor_threshold)
+    over = np.flatnonzero((censored_rates > censor_threshold) | ~done.any(axis=1))
     if len(over):
-        raise CensoringError(f"level {ks[over[0]]}: censoring rate "
-                             f"{censored_rates[over[0]]:.3f} exceeds {censor_threshold}")
+        k, rate = ks[over[0]], censored_rates[over[0]]
+        reason = (f"exceeds {censor_threshold}" if rate > censor_threshold
+                  else "leaves no finished super-trial")
+        raise CensoringError(f"level {k}: censoring rate {rate:.3f} {reason}")
     vals = [v[d] / batch for v, d in zip(run.frozen.reshape(levels, n_super), done)]
     means = np.array([v.mean() for v in vals])
     stderrs = np.array([v.std(ddof=1) / math.sqrt(len(v)) if len(v) > 1 else 0.0 for v in vals])

@@ -118,6 +118,9 @@ def test_load_config_defaults(tmp_path):
     assert cfg.simulate.mode == "quenched"
     assert cfg.frozen.levels == 20
     assert len(cfg.sha256) == 64
+    # derive_seed reads the seed as 64 bits, so the largest one still loads
+    path.write_text(json.dumps({"environment": STRONG_LOCAL_ENV, "seed": 2**64 - 1}))
+    assert load_config(str(path)).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -138,6 +141,7 @@ def test_load_config_defaults(tmp_path):
         ({"spectral": {"n_values": [1], "tols": 1e-3}}, "spectral.tols"),
         ({"environment": {"states": [{"weight": 1.0, "atoms": [{"p": 1.0, "v": [2**63, 0, 0]}]}]}},
          "environment.states[0].atoms[0].v[0]: must be <= 9223372036854775807"),
+        ({"seed": 2**64 + 7}, "seed: must be <= 18446744073709551615, got 18446744073709551623"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
@@ -368,8 +372,8 @@ def test_crosscheck_all_rows_pass(tmp_path):
     report = json.loads((out / "report.json").read_text())
     rows = {r["identity"]: r for r in report["crosscheck"]}
     expected = [
-        "conjugacy_identity", "exponent_shift", "lambda_independence",
-        "supermartingale_monotone", "survival_concordance", "local_global_coincidence",
+        "conjugacy_identity", "exponent_shift", "supermartingale_monotone",
+        "survival_concordance", "local_global_coincidence",
         "frozen_log_mean", "per_level_bound", "spectral_criterion",
     ]
     assert list(rows) == expected
@@ -450,6 +454,9 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
     assert criteria.vanishing_direction(load_config(path).environment) == direction
     assert run(path, subcommand, outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
     assert all(n == 1 for n in calls.values()), calls
+    if subcommand in ("crosscheck", "all"):
+        # only exponent_shift draws an A_lambda estimate, and only with a feasible lambda
+        assert sum(kind == "A_lambda" for kind, _ in calls) == int(direction != "none"), calls
     if subcommand == "lyapunov":
         assert set(calls) == {("A", None), ("A_tilde", None)}
 

@@ -15,7 +15,6 @@ from brwre.lyapunov import (
     build_A_tilde,
     conjugacy_matrix,
     conjugacy_residual,
-    second_exponent_via_det,
     state_matrices,
     top_lyapunov,
 )
@@ -403,37 +402,6 @@ def test_mirror_exponent_identity():
     mirrored = top_lyapunov(reflected(env), "A", steps=30_000, replicas=8, seed=5)
     tol = 3.0 * math.hypot(tilde.stderr, mirrored.stderr)
     assert abs(tilde.value - mirrored.value) <= tol
-
-
-# -- second exponent via the determinant sum rule ----------------------------
-
-
-def test_second_exponent_critical_case():
-    env = single_env([(0.5, (1, 0, 1)), (0.5, (0, 0, 0))])
-    assert second_exponent_via_det(env, 1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_second_exponent_gw_example():
-    # with the conjugacy value gamma1(2) = gamma1 - ln 2, the sum rule gives
-    # gamma2(2) = ln 6 - ln(18.7178/2) = ln 0.64110...
-    env = single_env(GW_SUPERCRITICAL)
-    gamma1 = math.log(18.717797887081346)
-    g2 = second_exponent_via_det(env, 2.0, gamma1 - math.log(2.0))
-    assert g2 == pytest.approx(math.log(6.0) - gamma1 + math.log(2.0), rel=1e-12)
-    assert g2 == pytest.approx(math.log(12.0 / 18.717797887081346), rel=1e-9)
-
-
-@given(st.floats(0.5, 10.0), st.floats(-1.0, 1.0))
-def test_sum_rule_is_algebraic_identity(lam, g1):
-    # gamma1 + gamma2 must reproduce the mean log determinant exactly
-    env = two_state_env()
-    mean_log_det = sum(
-        w * math.log(m.mu_minus / (lam * lam * m.mu_plus))
-        for w, m in zip(env.weights, env.state_moments)
-    )
-    assert g1 + second_exponent_via_det(env, lam, g1) == pytest.approx(
-        mean_log_det, rel=1e-12, abs=1e-12
-    )
 
 
 def test_state_matrices_tables():

@@ -375,8 +375,15 @@ def test_profile_two_state_log_average_sign():
 
 
 def test_profile_censoring_raises():
-    with pytest.raises(CensoringError):
-        frozen_mean_profile(single_env(TREBLE_OR_DIE), 0, 3, 100, max_population=1)
+    cases = [
+        (TREBLE_OR_DIE, 100, {"max_population": 1}, "exceeds 0.01"),
+        # every super-trial of a level censored, under a threshold no rate can exceed
+        (GW_SUPERCRITICAL, 10_000, {"max_time": 1, "censor_threshold": 1.0},
+         "level 1: censoring rate 1.000 leaves no finished super-trial"),
+    ]
+    for law, trials, options, message in cases:
+        with pytest.raises(CensoringError, match=message):
+            frozen_mean_profile(single_env(law), 0, 3, trials, **options)
 
 
 def test_profile_rejects_bad_inputs():
