@@ -5,6 +5,7 @@ crosscheck, all.  Every run reads one JSON config, writes report.json
 into the output directory, and optionally CSV series.  Reports are
 byte-reproducible for identical configs: all randomness is derived from
 the config seed and floats are emitted with 17 significant digits.
+Config, emitter and closed-form verdict need no numpy; stages import it on first use.
 """
 from __future__ import annotations
 
@@ -17,9 +18,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-import numpy as np
-
-from . import criteria, lyapunov, simulator, spectral
+from . import criteria
 from .envmodel import (
     EnvironmentLaw,
     OffspringLaw,
@@ -27,6 +26,8 @@ from .envmodel import (
     derive_seed,
     validate_conditions,
 )
+if "numpy" in sys.modules:  # numpy already loaded: import the array modules now, not mid-run
+    from . import lyapunov, simulator, spectral
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -242,9 +243,9 @@ def _emit_json(value, out: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, int):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         x = float(value)
         if math.isnan(x):
             out.append("NaN")
@@ -263,13 +264,15 @@ def _emit_json(value, out: list[str]) -> None:
             out.append(": ")
             _emit_json(v, out)
         out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, v in enumerate(value):
             if i:
                 out.append(", ")
             _emit_json(v, out)
         out.append("]")
+    elif hasattr(value, "tolist"):  # a numpy array or scalar, as Python lists and numbers
+        _emit_json(value.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -312,6 +315,7 @@ class Stages:
 
     def exponent(self, kind: str, salt: int | None = None, lam=None):
         """Top exponent of one matrix family, seeded by the lyapunov seed or a salt of it."""
+        from . import lyapunov
         seed = self.seeds["lyapunov"]
         return lyapunov.top_lyapunov(
             self.env, kind, steps=self.config.lyapunov.steps, replicas=self.config.lyapunov.replicas,
@@ -334,10 +338,12 @@ class Stages:
 
     @cached_property
     def sweep(self):
+        from . import spectral
         return spectral.rho_sweep(self.env, self.seeds["environment"], self.config.spectral.n_values)
 
     @cached_property
     def survival(self):
+        from . import simulator
         sim = self.config.simulate
         return simulator.survival_probabilities(
             self.env, trials=sim.trials, horizon=sim.horizon, cap=sim.cap, mode=sim.mode,
@@ -349,6 +355,7 @@ class Stages:
         """Frozen mean profile, or None outside the right-vanishing branch."""
         if criteria.vanishing_direction(self.env) != "right":
             return None
+        from . import simulator
         fr = self.config.frozen
         return simulator.frozen_mean_profile(
             self.env, self.seeds["environment"], fr.levels, fr.trials_per_level,
@@ -363,6 +370,7 @@ class Stages:
         iv = criteria.lambda_feasible_set(self.env)
         if iv.is_empty:
             return None
+        from . import simulator
         sim = self.config.simulate
         return simulator.supermartingale_trace(
             self.env, self.seeds["environment"], math.sqrt(iv.lo * iv.hi), min(sim.trials, 10_000),
@@ -495,9 +503,10 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 
 
 def _conjugacy_identity(st: Stages):
+    from . import lyapunov
     lam, moments = st.trace.lam, st.env.state_moments
     residual = max(lyapunov.conjugacy_residual(m, lam) for m in moments)
-    tol = 1e-9 * (1.0 + max(float(np.abs(lyapunov.build_A(m)).max()) for m in moments))
+    tol = 1e-9 * (1.0 + max(float(abs(x)) for m in moments for x in lyapunov.build_A(m).flat))
     return residual, 0.0, tol, residual <= tol, f"lambda={lam:.6g}"
 
 
@@ -513,13 +522,11 @@ def _exponent_shift(st: Stages):
 
 
 def _supermartingale_monotone(st: Stages):
+    import numpy as np
     trace = st.trace
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(
-            trace.diff_stderr > 0.0,
-            trace.diff_mean / trace.diff_stderr,
-            np.where(trace.diff_mean > 0.0, np.inf, 0.0),
-        )
+        z = np.where(trace.diff_stderr > 0.0, trace.diff_mean / trace.diff_stderr,
+                     np.where(trace.diff_mean > 0.0, np.inf, 0.0))
     worst = float(np.max(z)) if len(z) else 0.0
     return worst, 0.0, 3.0, worst <= 3.0, f"lambda={trace.lam:.6g}, max paired-increment z-score"
 
@@ -558,6 +565,7 @@ def _frozen_log_mean(st: Stages):
 
 
 def _per_level_bound(st: Stages):
+    import numpy as np
     profile = st.profile
     rel = np.where(profile.level_means > 0,
                    profile.level_stderrs / np.maximum(profile.level_means, 1e-300), 0.0)
@@ -567,6 +575,7 @@ def _per_level_bound(st: Stages):
 
 
 def _spectral_criterion(st: Stages):
+    from . import spectral
     max_rho = max(r for _, r in st.sweep)
     tol = spectral.root_error_bound(st.env)
     if st.regime.lambda_set.is_empty:
@@ -617,15 +626,8 @@ def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
     path = os.path.join(outdir, name)
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(format(float(cell), ".17g"))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if cell is None else format(float(cell), ".17g")
+                              if isinstance(cell, float) else str(cell) for cell in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

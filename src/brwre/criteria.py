@@ -11,19 +11,20 @@ extinction is equivalent to the per-state intervals having a common
 point; where that intersection lies relative to 1 decides the branch.
 `classify` calls its `exponent(kind)` once, on a statistical branch only:
 kind A against the log drift on the right, kind A_tilde (kind A of the
-reflected law) against the negated drift on the left.
+reflected law) against the negated drift on the left.  Only that call, in
+`classify_environment`, imports `lyapunov` and numpy; the rest is `math`.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import lyapunov
 from .envmodel import (FEASIBILITY_TOL, ConditionReport, EnvironmentLaw, MomentTriple,
                        validate_conditions)
-from .lyapunov import LyapunovEstimate, expected_log_drift
+
+if TYPE_CHECKING:
+    from .lyapunov import LyapunovEstimate
 
 STRONG_LOCAL_SURVIVAL = "StrongLocalSurvival"
 GLOBAL_SURVIVAL_LOCAL_EXTINCTION = "GlobalSurvivalLocalExtinction"
@@ -99,6 +100,16 @@ def one_in_feasible_set(envlaw: EnvironmentLaw) -> bool:
     """Test lam=1 membership on the slack itself, not via roots, so the
     critical double-root case is not lost to root rounding."""
     return all(m.slack(1.0) >= -FEASIBILITY_TOL for m in envlaw.state_moments)
+
+
+def expected_log_drift(envlaw: EnvironmentLaw) -> float:
+    """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
+    out = 0.0
+    for (w, _), m in zip(envlaw.states, envlaw.state_moments):
+        if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
+            raise ValueError(f"log drift needs positive mu-, mu+; got {m.as_tuple()}")
+        out += w * math.log(m.mu_minus / m.mu_plus)
+    return out
 
 
 def _direction(interval: LambdaInterval, one_in: bool) -> str:
@@ -179,6 +190,7 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
 def classify_environment(envlaw: EnvironmentLaw, *, seed: int = 0, steps: int = 100_000,
                          replicas: int = 32, sigma_margin: float = 3.0) -> RegimeReport:
     """classify(), drawing the one exponent estimate its branch needs with top_lyapunov."""
-    exponent = functools.partial(lyapunov.top_lyapunov, envlaw, steps=steps, replicas=replicas,
-                                 seed=seed)
+    def exponent(kind):
+        from . import lyapunov
+        return lyapunov.top_lyapunov(envlaw, kind, steps=steps, replicas=replicas, seed=seed)
     return classify(envlaw, exponent, sigma_margin=sigma_margin)

@@ -5,13 +5,20 @@ A particle at site x is replaced, in one time step, by children placed on
 drawn independently per site from a finite mixture of finite-support laws;
 a 64-bit seed plus the site index determine the realized law, so arbitrary
 stretches of the line can be materialized on demand without storing them.
+Laws are tuples of floats and ints; numpy is imported only by the array views,
+`state_indices` and `realize_window`, on first use.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Probabilities/weights must sum to 1 within this tolerance at construction;
 # inputs inside the tolerance are renormalized, anything else is rejected.
@@ -35,7 +42,7 @@ class OffspringVector:
     def __post_init__(self):
         for name in ("v_minus", "v_zero", "v_plus"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
     @property
@@ -79,20 +86,22 @@ class OffspringLaw:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
+        import numpy as np
         return np.array([p for p, _ in self.atoms], dtype=float)
 
     @cached_property
     def vectors(self) -> np.ndarray:
         """(n_atoms, 3) int64 array of [v_minus, v_zero, v_plus] rows."""
+        import numpy as np
         return np.array([v.as_tuple() for _, v in self.atoms], dtype=np.int64)
 
     def mass_with_left_child(self) -> float:
         """Probability of emitting at least one child to the left."""
-        return float(self.probabilities[self.vectors[:, 0] >= 1].sum())
+        return float(sum(p for p, v in self.atoms if v.v_minus >= 1))
 
     def mass_with_right_child(self) -> float:
         """Probability of emitting at least one child to the right."""
-        return float(self.probabilities[self.vectors[:, 2] >= 1].sum())
+        return float(sum(p for p, v in self.atoms if v.v_plus >= 1))
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,12 @@ class MomentTriple:
 
 
 def moments(law: OffspringLaw) -> MomentTriple:
-    """Probability-weighted mean of each offspring component."""
-    m = law.probabilities @ law.vectors
-    return MomentTriple(float(m[0]), float(m[1]), float(m[2]))
+    """Probability-weighted mean of each offspring component, correctly rounded: each
+    probability is exactly n / 2**k, so int / int rounds the exact sum once."""
+    ratios = [(p.as_integer_ratio(), [int(c) for c in v.as_tuple()]) for p, v in law.atoms]
+    scale = max(d for (_, d), _ in ratios)
+    return MomentTriple(*(sum(n * (scale // d) * v[i] for (n, d), v in ratios) / scale
+                          for i in range(3)))
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,7 @@ class EnvironmentLaw:
 
     @cached_property
     def weights(self) -> np.ndarray:
+        import numpy as np
         return np.array([w for w, _ in self.states], dtype=float)
 
     @cached_property
@@ -164,10 +177,15 @@ class EnvironmentLaw:
         return tuple(moments(law) for law in self.laws)
 
     @cached_property
-    def _cumulative_weights(self) -> np.ndarray:
-        c = np.cumsum(self.weights)
+    def _cumulative_weights(self) -> list[float]:
+        c = list(itertools.accumulate(w for w, _ in self.states))
         c[-1] = 1.0  # guard float drift so every uniform in [0,1) maps to a state
         return c
+
+    @cached_property
+    def _cumulative_array(self) -> np.ndarray:
+        import numpy as np
+        return np.array(self._cumulative_weights)
 
     @classmethod
     def single(cls, law: OffspringLaw) -> "EnvironmentLaw":
@@ -240,9 +258,7 @@ def validate_conditions(envlaw: EnvironmentLaw) -> ConditionReport:
             violations.append(Violation("S", i, "no atom places a child to the left"))
         if law.mass_with_right_child() <= 0.0:
             violations.append(Violation("S", i, "no atom places a child to the right"))
-    can_branch = any(
-        any(v.total >= 2 for p, v in law.atoms if p > 0.0) for law in envlaw.laws
-    )
+    can_branch = any(v.total >= 2 for law in envlaw.laws for p, v in law.atoms if p > 0.0)
     if not can_branch:
         violations.append(Violation("B", None, "no state has an atom with two or more children"))
     return ConditionReport(
@@ -283,13 +299,13 @@ def derive_seed(seed: int, salt: int) -> int:
 
 def state_at(envlaw: EnvironmentLaw, seed: int, site: int) -> int:
     """State index realized at one site; pure in (seed, site)."""
-    u = site_uniform(seed, site)
-    idx = int(np.searchsorted(envlaw._cumulative_weights, u, side="right"))
+    idx = bisect.bisect_right(envlaw._cumulative_weights, site_uniform(seed, site))
     return min(idx, envlaw.n_states - 1)
 
 
 def state_indices(envlaw: EnvironmentLaw, seed, sites: np.ndarray) -> np.ndarray:
     """Vectorized state_at over an int array of sites; seed may be per-site."""
+    import numpy as np
     s = np.asarray(sites, dtype=np.int64)
     if envlaw.n_states == 1:
         return np.zeros(s.shape, dtype=np.int64)
@@ -301,7 +317,7 @@ def state_indices(envlaw: EnvironmentLaw, seed, sites: np.ndarray) -> np.ndarray
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     u = z / 2.0**64
-    idx = np.searchsorted(envlaw._cumulative_weights, u, side="right")
+    idx = np.searchsorted(envlaw._cumulative_array, u, side="right")
     return np.minimum(idx, envlaw.n_states - 1).astype(np.int64)
 
 
@@ -321,6 +337,7 @@ class EnvironmentWindow:
 
 def realize_window(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> EnvironmentWindow:
     """Materialize the quenched states on [lo, hi]; restriction-compatible."""
+    import numpy as np
     if hi < lo:
         raise ValueError(f"window bounds out of order: lo={lo}, hi={hi}")
     idx = state_indices(envlaw, seed, np.arange(lo, hi + 1, dtype=np.int64))

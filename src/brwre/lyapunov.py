@@ -343,13 +343,3 @@ def top_lyapunov(
         matrix_kind=matrix_kind, lam=lam,
     )
 
-
-def expected_log_drift(envlaw: EnvironmentLaw) -> float:
-    """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
-    out = 0.0
-    for w, m in zip(envlaw.weights, envlaw.state_moments):
-        if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
-            raise ValueError(f"log drift needs positive mu-, mu+; got {m.as_tuple()}")
-        out += w * math.log(m.mu_minus / m.mu_plus)
-    return out
-

@@ -1,3 +1,9 @@
+import importlib.util
+import json
+import pathlib
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +21,10 @@ from brwre.envmodel import (
     state_indices,
     validate_conditions,
 )
+import conftest
 from conftest import GW_SUPERCRITICAL, single_env
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # -- construction -----------------------------------------------------------
@@ -24,6 +33,14 @@ from conftest import GW_SUPERCRITICAL, single_env
 def test_offspring_vector_rejects_negative():
     with pytest.raises(ValueError):
         OffspringVector(-1, 0, 0)
+
+
+def test_offspring_vector_rejects_booleans():
+    with pytest.raises(ValueError, match="v_minus must be a nonnegative integer, got True"):
+        OffspringVector(True, False, 2)
+    with pytest.raises(ValueError, match="v_minus"):
+        law_from_atoms([(0.5, (True, 0, True)), (0.5, (0, 0, 0))])
+    assert OffspringVector(np.int64(1), 0, np.uint8(2)).total == 3  # numpy integers still count
 
 
 def test_law_rejects_bad_probability_sum():
@@ -67,6 +84,32 @@ def test_moments_null_offspring():
 def test_moments_weighted_sum():
     m = moments(law_from_atoms(GW_SUPERCRITICAL))
     assert m.as_tuple() == pytest.approx((1.2, 0.0, 0.05), abs=1e-15)
+
+
+def _canonical_laws():
+    """Every conftest atom set, each state of each benchmark workload and the README law."""
+    laws = [law_from_atoms(atoms) for name, atoms in vars(conftest).items()
+            if name.isupper() and isinstance(atoms, list)]
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
+    environments = [w["environment"] for w in workloads.WORKLOADS.values()]
+    environments.append(json.loads(example.group(1))["environment"])
+    for env in environments:
+        for state in env["states"]:
+            laws.append(law_from_atoms([(a["p"], a["v"]) for a in state["atoms"]]))
+    return laws
+
+
+def test_moments_match_numpy_on_the_canonical_laws():
+    # the exact dot product agrees with the matmul it replaced on every law a
+    # fixture or a benchmark report is built from, so none of those reports moves
+    laws = _canonical_laws()
+    assert len(laws) >= 12
+    for law in laws:
+        assert moments(law).as_tuple() == tuple((law.probabilities @ law.vectors).tolist())
 
 
 # -- conditions -------------------------------------------------------------
@@ -179,8 +222,8 @@ _vectors = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 
 
 @st.composite
-def offspring_laws(draw):
-    vecs = draw(st.lists(_vectors, min_size=1, max_size=4, unique=True))
+def offspring_laws(draw, max_atoms=4):
+    vecs = draw(st.lists(_vectors, min_size=1, max_size=max_atoms, unique=True))
     raw = draw(
         st.lists(st.floats(0.05, 1.0), min_size=len(vecs), max_size=len(vecs))
     )
@@ -188,6 +231,12 @@ def offspring_laws(draw):
     return OffspringLaw(
         [(w / total, OffspringVector(*v)) for w, v in zip(raw, vecs)]
     )
+
+
+@given(offspring_laws(max_atoms=6))
+def test_moments_are_the_correctly_rounded_dot_product(law):
+    exact = [sum(Fraction(p) * v.as_tuple()[i] for p, v in law.atoms) for i in range(3)]
+    assert moments(law).as_tuple() == tuple(float(x) for x in exact)  # one rounding each
 
 
 @given(offspring_laws())
