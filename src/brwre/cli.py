@@ -4,18 +4,20 @@ Subcommands: validate, classify, lyapunov, spectral, simulate, frozen,
 crosscheck, all.  Every run reads one JSON config, writes report.json
 into the output directory, and optionally CSV series.  Reports are
 byte-reproducible for identical configs: all randomness is derived from
-the config seed and floats are emitted with 17 significant digits.
+the config seed, and `json` and `csv` write each float as its shortest
+round-trip repr, which reads back as the same double.
 Config, emitter and closed-form verdict need no numpy; stages import it on first use.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 from . import criteria
@@ -137,6 +139,7 @@ def _expect_number(value, path, *, positive=False):
 
 def _parse_environment(raw, path="environment") -> EnvironmentLaw:
     raw = _expect_mapping(raw, path)
+    _expect_known_keys(raw, ("states",), path)
     states_raw = _expect_list(raw.get("states"), f"{path}.states")
     if not states_raw:
         raise ConfigError(f"{path}.states: needs at least one state")
@@ -144,12 +147,14 @@ def _parse_environment(raw, path="environment") -> EnvironmentLaw:
     for i, state in enumerate(states_raw):
         spath = f"{path}.states[{i}]"
         state = _expect_mapping(state, spath)
+        _expect_known_keys(state, ("weight", "atoms"), spath)
         weight = _expect_number(state.get("weight"), f"{spath}.weight", positive=True)
         atoms_raw = _expect_list(state.get("atoms"), f"{spath}.atoms")
         atoms = []
         for j, atom in enumerate(atoms_raw):
             apath = f"{spath}.atoms[{j}]"
             atom = _expect_mapping(atom, apath)
+            _expect_known_keys(atom, ("p", "v"), apath)
             p = _expect_number(atom.get("p"), f"{apath}.p", positive=True)
             v = _expect_list(atom.get("v"), f"{apath}.v")
             if len(v) != 3:
@@ -233,54 +238,18 @@ def worker_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON emitter (fixed key order, 17-significant-digit floats)
+# Report encoding: json and csv write each float as its shortest round-trip repr
 
 
-def _emit_json(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(int(value)))
-    elif isinstance(value, float):
-        x = float(value)
-        if math.isnan(x):
-            out.append("NaN")
-        elif math.isinf(x):
-            out.append("Infinity" if x > 0 else "-Infinity")
-        else:
-            out.append(format(x, ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit_json(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit_json(v, out)
-        out.append("]")
-    elif hasattr(value, "tolist"):  # a numpy array or scalar, as Python lists and numbers
-        _emit_json(value.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+def _plain(value):
+    """A numpy array or scalar as Python lists and numbers; anything else is an error."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_report(report: dict) -> str:
-    out: list[str] = []
-    _emit_json(report, out)
-    return "".join(out) + "\n"
+    return json.dumps(report, default=_plain) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +368,7 @@ def _estimate_section(est) -> dict | None:
         "stderr": est.stderr,
         "steps": est.steps,
         "replicas": est.replicas,
-        "matrix_kind": est.label,
+        "matrix_kind": est.matrix_kind,
     }
 
 
@@ -424,7 +393,7 @@ def _lyapunov_section(st: Stages, say) -> dict:
 
 def _rho_sweep_section(st: Stages, say) -> list:
     say(f"rho sweep: {st.sweep[-1][1]:.6f} at N={st.sweep[-1][0]}")
-    return [[n, r] for n, r in st.sweep]
+    return st.sweep
 
 
 def _survival_section(st: Stages, say) -> dict:
@@ -445,16 +414,7 @@ def _frozen_section(st: Stages, say) -> dict:
     if profile is None:
         return {"skipped": "freezing construction needs the right-vanishing branch"}
     say(f"frozen log-average: {profile.log_average:.5f}")
-    return {
-        "levels": [int(k) for k in profile.levels],
-        "level_means": list(profile.level_means),
-        "level_stderrs": list(profile.level_stderrs),
-        "censored_rates": list(profile.censored_rates),
-        "flagged_levels": list(profile.flagged_levels),
-        "trials_per_level": profile.trials_per_level,
-        "log_average": profile.log_average,
-        "log_average_stderr": profile.log_average_stderr,
-    }
+    return asdict(profile)
 
 
 def _crosscheck_section(st: Stages, say) -> list[dict]:
@@ -469,7 +429,7 @@ def _supermartingale_section(st: Stages, say) -> dict | None:
     if trace is None:
         return None
     return {"lambda": trace.lam, "trials": trace.trials, "horizon": trace.horizon,
-            "mean_h": list(trace.mean_h)}
+            "mean_h": trace.mean_h}
 
 
 # Private builders only: they reach run_crosscheck and the stage functions through
@@ -624,12 +584,10 @@ def run_crosscheck(st: Stages) -> list[dict]:
 
 def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
     path = os.path.join(outdir, name)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if cell is None else format(float(cell), ".17g")
-                              if isinstance(cell, float) else str(cell) for cell in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

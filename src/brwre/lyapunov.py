@@ -97,12 +97,6 @@ class LyapunovEstimate:
     matrix_kind: str
     lam: float | None = None
 
-    @property
-    def label(self) -> str:
-        if self.matrix_kind == "A_lambda":
-            return f"A_lambda({self.lam:g})"
-        return self.matrix_kind
-
 
 def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> np.ndarray:
     """(n_states, 2, 2) table of the chosen family, one matrix per state."""

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from brwre import cli, criteria, lyapunov, simulator, spectral
@@ -142,6 +143,12 @@ def test_load_config_defaults(tmp_path):
         ({"environment": {"states": [{"weight": 1.0, "atoms": [{"p": 1.0, "v": [2**63, 0, 0]}]}]}},
          "environment.states[0].atoms[0].v[0]: must be <= 9223372036854775807"),
         ({"seed": 2**64 + 7}, "seed: must be <= 18446744073709551615, got 18446744073709551623"),
+        ({"environment": {**STRONG_LOCAL_ENV, "mode": "annealed"}}, "environment.mode: unknown field"),
+        ({"environment": {"states": [{**STRONG_LOCAL_ENV["states"][0], "wieght": 1.0}]}},
+         "environment.states[0].wieght: unknown field"),
+        ({"environment": {"states": [{"weight": 1.0,
+                                      "atoms": [{"p": 1.0, "v": [1, 1, 1], "prob": 1.0}]}]}},
+         "environment.states[0].atoms[0].prob: unknown field"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
@@ -238,6 +245,32 @@ def test_dumps_report_formats():
 def test_dumps_report_17_digits():
     text = dumps_report({"x": 0.1 + 0.2})
     assert "0.30000000000000004" in text
+
+
+def test_dumps_report_numpy_values():
+    assert dumps_report({"a": np.arange(3), "b": np.float32(0.5), "c": np.int64(2)}) == (
+        '{"a": [0, 1, 2], "b": 0.5, "c": 2}\n')
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps_report({"x": object()})
+
+
+@BRANCH_LAWS
+def test_report_round_trips_through_json(tmp_path, environment, direction):
+    path = write_config(tmp_path, environment=environment)
+    assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text)
+    assert dumps_report(report) == text
+    # an integral float reads back as a float, not an int
+    row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
+    assert type(row["rhs"]) is float and row["rhs"] == 1.0
+
+
+def test_csv_cells_are_round_trip_reprs(tmp_path):
+    cli._write_csv(str(tmp_path), "t.csv", ["a", "b", "c"],
+                   [[1, 0.416, None], [2, math.nan, "x"], [3, np.float64(0.1) + 0.2, -math.inf]])
+    assert (tmp_path / "t.csv").read_text() == (
+        "a,b,c\n1,0.416,\n2,nan,x\n3,0.30000000000000004,-inf\n")
 
 
 # -- subcommands -------------------------------------------------------------

@@ -1,0 +1,93 @@
+"""Golden verdicts: the machine-independent fields of `all` on the CLI fixtures.
+
+golden_verdicts.json records `all` on each environment fixture of
+tests/test_cli.py, quenched and annealed, at write_config sizes: the exit
+code, the section list, the regime, the vanishing direction, the lambda set,
+the drift, and each cross-check row's identity and verdict.  Floats compare
+at 1e-12 relative.  Report bytes stay out, since an unpinned numpy or libm can
+move a float or a binomial draw.  Failing rows are recorded as they are, so a
+fix shows up as a golden change.  A change that moves an entry regenerates
+the file and lists the moved entries:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import math
+import pathlib
+import tempfile
+
+import pytest
+
+from brwre.cli import run
+from test_cli import (
+    BOTH_ENV,
+    NEAR_CRITICAL_ENV,
+    NO_RIGHT_ENV,
+    STRONG_LOCAL_ENV,
+    TWO_STATE_LEFT_ENV,
+    TWO_STATE_RIGHT_ENV,
+    write_config,
+)
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_verdicts.json")
+
+ENVIRONMENTS = {
+    "default": None,  # write_config's own law
+    "strong_local": STRONG_LOCAL_ENV,
+    "two_state_right": TWO_STATE_RIGHT_ENV,
+    "two_state_left": TWO_STATE_LEFT_ENV,
+    "both": BOTH_ENV,
+    "near_critical": NEAR_CRITICAL_ENV,
+    "no_right": NO_RIGHT_ENV,
+}
+RUNS = [f"{env}/{mode}" for env in ENVIRONMENTS for mode in ("quenched", "annealed")]
+
+
+def verdict_record(tmp_path: pathlib.Path, name: str) -> dict:
+    """The golden fields of `all` on run `name`, "<environment>/<mode>"."""
+    env, mode = name.split("/")
+    overrides = {} if ENVIRONMENTS[env] is None else {"environment": ENVIRONMENTS[env]}
+    # write_config's simulate section in the given mode
+    path = write_config(tmp_path, simulate={"trials": 200, "horizon": 60, "cap": 100000,
+                                            "mode": mode}, **overrides)
+    code = run(path, "all", outdir=str(tmp_path / "out"), quiet=True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    regime = report.get("regime", {})
+    return {
+        "exit": code,
+        "sections": list(report),
+        **{key: regime.get(key) for key in ("regime", "vanishing_direction", "lambda_set", "drift")},
+        "rows": [[r["identity"], r["verdict"]] for r in report.get("crosscheck", [])],
+    }
+
+
+def _matches(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and list(got) == list(want) and all(
+            _matches(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_matches, got, want))
+    return got == want
+
+
+def test_golden_lists_every_run():
+    assert list(json.loads(GOLDEN.read_text())) == RUNS
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_all_matches_golden_verdicts(tmp_path, name):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = verdict_record(tmp_path, name)
+    assert _matches(got, want), (got, want)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        records = {}
+        for i, name in enumerate(RUNS):
+            (pathlib.Path(tmp) / str(i)).mkdir()
+            records[name] = verdict_record(pathlib.Path(tmp) / str(i), name)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -1,0 +1,158 @@
+"""Compare the outputs of two brwre trees, run by run.
+
+    python tools/report_diff.py --base REV
+
+Checks REV out into a temporary git worktree, removed afterwards, and runs
+every subcommand with `--format both` there and in this working tree, each
+as a fresh `python -m brwre.cli` process.  The configs are the perfbench
+workloads at seeds 1 and 2 (scale 50) and the README's example config.
+
+For each run it prints whether the exit code, stdout (with the output
+directory normalized), stderr, report.json and each CSV match; a file
+matches byte for byte or by value.  By value, floats compare by
+`float.hex`, and an int equal to a float counts as equal.  It lists the
+fields that moved, and exits 1 on any difference but a byte difference
+between value-identical files.  `--base HEAD` on a clean tree checks that
+every output is byte-reproducible across processes.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import workloads  # noqa: E402
+from brwre.cli import SUBCOMMANDS  # noqa: E402
+
+SEEDS = (1, 2)
+SCALE = 50
+SHOWN = 10  # moved fields listed per file
+
+
+def write_configs(directory: Path) -> dict[str, Path]:
+    """The compared configs by name, written into `directory`."""
+    configs = {}
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            path = directory / f"{name}-{seed}.json"
+            workloads.write_config(path, name, seed, scale=SCALE)
+            configs[path.stem] = path
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
+    configs["readme-example"] = directory / "readme-example.json"
+    configs["readme-example"].write_text(block.group(1))
+    return configs
+
+
+def run(tree: Path, subcommand: str, config: Path, out: Path) -> dict:
+    """One CLI process of `tree`: its exit code, normalized output and files."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "brwre.cli", subcommand, "--config", str(config),
+         "--out", str(out), "--format", "both"],
+        capture_output=True, text=True, cwd=out.parent,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+    )
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit code": proc.returncode, "stdout": proc.stdout.replace(str(out), "<out>"),
+            "stderr": proc.stderr, "files": files}
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse(name: str, blob: bytes):
+    """A report as its JSON value, a CSV as its rows of numbers and strings."""
+    text = blob.decode()
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _same(a, b) -> bool:
+    """Floats by float.hex, an int equal to a float counting as equal; the rest by type and value."""
+    if {type(a), type(b)} in ({float}, {int, float}):
+        return float(a).hex() == float(b).hex()
+    return type(a) is type(b) and a == b
+
+
+def moved(a, b, path: str) -> list[str]:
+    """The fields at which two parsed documents differ, as 'path: base -> here'."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = [] if list(a) == list(b) else [f"{path}: keys {list(a)} -> {list(b)}"]
+        return out + [m for k in a if k in b for m in moved(a[k], b[k], f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list):
+        out = [] if len(a) == len(b) else [f"{path}: length {len(a)} -> {len(b)}"]
+        return out + [m for i, (x, y) in enumerate(zip(a, b)) for m in moved(x, y, f"{path}[{i}]")]
+    return [] if _same(a, b) else [f"{path}: {a!r} -> {b!r}"]
+
+
+def compare(base: dict, here: dict) -> tuple[list[str], list[str]]:
+    """Per-item verdicts of one run, and the differences that count against it."""
+    verdicts, diffs = [], []
+    for item in ("exit code", "stdout", "stderr"):
+        same = base[item] == here[item]
+        verdicts.append(f"{item} {'same' if same else 'DIFFERS'}")
+        if not same:
+            diffs.append(f"{item}: {base[item]!r} -> {here[item]!r}")
+    for name in sorted(base["files"].keys() | here["files"].keys()):
+        if name not in base["files"] or name not in here["files"]:
+            verdicts.append(f"{name} MISSING")
+            diffs.append(f"{name}: only in {'here' if name in here['files'] else 'base'}")
+            continue
+        a, b = base["files"][name], here["files"][name]
+        fields = [] if a == b else moved(parse(name, a), parse(name, b), name)
+        verdicts.append(f"{name} {'bytes' if a == b else 'DIFFERS' if fields else 'values'}")
+        diffs += fields[:SHOWN] + ([f"{name}: ... {len(fields) - SHOWN} more"]
+                                   if len(fields) > SHOWN else [])
+    return verdicts, diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    tmp = Path(tempfile.mkdtemp(prefix="report_diff-"))
+    base_tree = tmp / "base"
+    try:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(base_tree), args.base], check=True)
+        (tmp / "configs").mkdir()
+        configs = write_configs(tmp / "configs")
+        counts = {"bytes": 0, "values": 0, "differ": 0}
+        for cname, config in configs.items():
+            for sub in SUBCOMMANDS:
+                verdicts, diffs = compare(*(
+                    run(tree, sub, config, tmp / f"{cname}-{sub}-{side}")
+                    for side, tree in (("base", base_tree), ("here", ROOT))))
+                counts["differ" if diffs else "values" if any(
+                    v.endswith(" values") for v in verdicts) else "bytes"] += 1
+                print(f"{cname} {sub}: {', '.join(verdicts)}")
+                for d in diffs:
+                    print(f"    {d}")
+        print(f"{sum(counts.values())} runs against {args.base}: {counts['bytes']} byte-identical, "
+              f"{counts['values']} value-identical, {counts['differ']} differ")
+        return 1 if counts["differ"] else 0
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base_tree)],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
