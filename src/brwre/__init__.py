@@ -13,9 +13,8 @@ Exports load from their modules on first access (PEP 562), so `import brwre` nee
 import importlib
 
 _EXPORTS = {
-    "envmodel": "ConditionReport EnvironmentLaw EnvironmentWindow MomentTriple OffspringLaw "
-                "OffspringVector law_from_atoms moments realize_window reflected state_at "
-                "validate_conditions",
+    "envmodel": "ConditionReport EnvironmentLaw MomentTriple OffspringLaw OffspringVector "
+                "law_from_atoms moments reflected state_at validate_conditions",
     "criteria": "ConditionError LambdaInterval RegimeReport classify classify_environment "
                 "expected_log_drift lambda_feasible_set state_feasible_interval",
     "lyapunov": "LyapunovEstimate build_A build_A_lambda build_A_tilde conjugacy_residual "

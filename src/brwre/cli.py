@@ -256,10 +256,14 @@ def dumps_report(report: dict) -> str:
 # Stage estimates and the report sections built from them
 
 
+# the stream of each matrix family: the lyapunov seed, or derive_seed of it with the salt
+EXPONENT_SALTS = {"A": None, "A_tilde": 1, "A_lambda": 12}
+
+
 class Stages:
     """The estimates of one config, each computed on first use and then reused:
     a section reads the same whichever subcommand writes it, and each (matrix
-    kind, lambda) exponent is drawn at most once per run."""
+    kind, lambda) exponent is drawn at most once per run, on its family's stream."""
 
     def __init__(self, config: ExperimentConfig):
         s = config.seed
@@ -273,37 +277,25 @@ class Stages:
             "frozen": derive_seed(s, 4),
             "supermartingale": derive_seed(s, 5),
         }
+        self._exponents = {}
 
     @cached_property
     def regime(self):
-        """The classifier's verdict; its statistical branch draws one exponent."""
-        return criteria.classify_environment(
-            self.env, seed=self.seeds["lyapunov"], steps=self.config.lyapunov.steps,
-            replicas=self.config.lyapunov.replicas, sigma_margin=self.config.thresholds.sigma_margin,
-        )
+        """The classifier's verdict; its statistical branch reads one exponent."""
+        return criteria.classify(self.env, self.exponent,
+                                 sigma_margin=self.config.thresholds.sigma_margin)
 
-    def exponent(self, kind: str, salt: int | None = None, lam=None):
-        """Top exponent of one matrix family, seeded by the lyapunov seed or a salt of it."""
-        from . import lyapunov
-        seed = self.seeds["lyapunov"]
-        return lyapunov.top_lyapunov(
-            self.env, kind, steps=self.config.lyapunov.steps, replicas=self.config.lyapunov.replicas,
-            seed=seed if salt is None else derive_seed(seed, salt), lam=lam,
-        )
-
-    def _classified(self, kind: str, salt: int | None):
-        est = self.regime.gamma1
-        return est if est is not None and est.matrix_kind == kind else self.exponent(kind, salt)
-
-    @cached_property
-    def gamma(self):
-        """Kind-A top exponent: the classifier's draw on the right-vanishing branch."""
-        return self._classified("A", None)
-
-    @cached_property
-    def gamma_tilde(self):
-        """Kind-A_tilde top exponent: the classifier's draw on the left-vanishing branch."""
-        return self._classified("A_tilde", 1)
+    def exponent(self, kind: str, lam: float | None = None):
+        """Top exponent of one matrix family, drawn on first use per (kind, lam)."""
+        if (kind, lam) not in self._exponents:
+            from . import lyapunov
+            seed, salt = self.seeds["lyapunov"], EXPONENT_SALTS[kind]
+            self._exponents[kind, lam] = lyapunov.top_lyapunov(
+                self.env, kind, steps=self.config.lyapunov.steps,
+                replicas=self.config.lyapunov.replicas,
+                seed=seed if salt is None else derive_seed(seed, salt), lam=lam,
+            )
+        return self._exponents[kind, lam]
 
     @cached_property
     def sweep(self):
@@ -361,15 +353,7 @@ def _conditions_section(report) -> dict:
 
 
 def _estimate_section(est) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "value": est.value,
-        "stderr": est.stderr,
-        "steps": est.steps,
-        "replicas": est.replicas,
-        "matrix_kind": est.matrix_kind,
-    }
+    return None if est is None else asdict(est)
 
 
 def _regime_section(st: Stages, say) -> dict:
@@ -387,8 +371,10 @@ def _regime_section(st: Stages, say) -> dict:
 
 
 def _lyapunov_section(st: Stages, say) -> dict:
-    say(f"gamma1 = {st.gamma.value:.6f} +- {st.gamma.stderr:.2e}")
-    return {"gamma1": _estimate_section(st.gamma), "gamma1_tilde": _estimate_section(st.gamma_tilde)}
+    gamma = st.exponent("A")
+    say(f"gamma1 = {gamma.value:.6f} +- {gamma.stderr:.2e}")
+    return {"gamma1": _estimate_section(gamma),
+            "gamma1_tilde": _estimate_section(st.exponent("A_tilde"))}
 
 
 def _rho_sweep_section(st: Stages, say) -> list:
@@ -471,8 +457,8 @@ def _conjugacy_identity(st: Stages):
 
 
 def _exponent_shift(st: Stages):
-    lam, gamma = st.trace.lam, st.gamma
-    gamma_lam = st.exponent("A_lambda", 12, lam)
+    lam = st.trace.lam
+    gamma, gamma_lam = st.exponent("A"), st.exponent("A_lambda", lam)
     shift = gamma_lam.value + math.log(lam)
     # replica stderr is exactly 0 in constant environments; fall back to the
     # estimator's deterministic O(1/steps) resolution so the tolerance never
@@ -515,7 +501,7 @@ def _local_global_coincidence(st: Stages):
 
 
 def _frozen_log_mean(st: Stages):
-    profile, gamma = st.profile, st.gamma
+    profile, gamma = st.profile, st.exponent("A")
     if profile.log_average_stderr == 0.0:  # at most one unflagged level, or equal means
         return "no spread across unflagged levels to bound the log-average"
     target = st.regime.drift - gamma.value

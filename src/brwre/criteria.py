@@ -11,8 +11,10 @@ extinction is equivalent to the per-state intervals having a common
 point; where that intersection lies relative to 1 decides the branch.
 `classify` calls its `exponent(kind)` once, on a statistical branch only:
 kind A against the log drift on the right, kind A_tilde (kind A of the
-reflected law) against the negated drift on the left.  Only that call, in
-`classify_environment`, imports `lyapunov` and numpy; the rest is `math`.
+reflected law) against the negated drift on the left.  The caller supplies
+the draw (`classify_environment` calls `lyapunov.top_lyapunov`, the CLI
+reads its stage table), and only the draw imports `lyapunov` and numpy;
+the rest is `math`.
 """
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ class LambdaInterval:
 
 
 def state_feasible_interval(m: MomentTriple) -> LambdaInterval:
-    """Sublevel set {lam > 0 : m.slack(lam) >= 0} in closed form."""
+    """Sublevel set {lam > 0 : m.slack(lam) >= 0} in closed form, or the vertex
+    b / (2 mu+) alone when only it clears -FEASIBILITY_TOL."""
     if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
         raise ValueError(
             f"feasible interval needs mu_minus > 0 and mu_plus > 0, got {m.as_tuple()}"
@@ -74,7 +77,10 @@ def state_feasible_interval(m: MomentTriple) -> LambdaInterval:
     if b <= 0.0:
         return LambdaInterval.empty()
     disc = b * b - 4.0 * m.mu_minus * m.mu_plus
-    if disc < 0.0:
+    if disc < 0.0:  # a double root may round to a negative disc: keep the vertex if feasible
+        vertex = b / (2.0 * m.mu_plus)
+        if m.slack(vertex) >= -FEASIBILITY_TOL:
+            return LambdaInterval(vertex, vertex)
         return LambdaInterval.empty()
     root = math.sqrt(disc)
     lo = (b - root) / (2.0 * m.mu_plus)

@@ -5,8 +5,8 @@ A particle at site x is replaced, in one time step, by children placed on
 drawn independently per site from a finite mixture of finite-support laws;
 a 64-bit seed plus the site index determine the realized law, so arbitrary
 stretches of the line can be materialized on demand without storing them.
-Laws are tuples of floats and ints; numpy is imported only by the array views,
-`state_indices` and `realize_window`, on first use.
+Laws are tuples of floats and ints; numpy is imported only by the array views
+and `state_indices`, on first use.
 """
 from __future__ import annotations
 
@@ -319,27 +319,3 @@ def state_indices(envlaw: EnvironmentLaw, seed, sites: np.ndarray) -> np.ndarray
     u = z / 2.0**64
     idx = np.searchsorted(envlaw._cumulative_array, u, side="right")
     return np.minimum(idx, envlaw.n_states - 1).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class EnvironmentWindow:
-    """Realized state indices on the contiguous block of sites [lo, hi]."""
-
-    lo: int
-    hi: int
-    state_indices: np.ndarray
-    seed: int
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-
-def realize_window(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> EnvironmentWindow:
-    """Materialize the quenched states on [lo, hi]; restriction-compatible."""
-    import numpy as np
-    if hi < lo:
-        raise ValueError(f"window bounds out of order: lo={lo}, hi={hi}")
-    idx = state_indices(envlaw, seed, np.arange(lo, hi + 1, dtype=np.int64))
-    idx.flags.writeable = False
-    return EnvironmentWindow(lo=int(lo), hi=int(hi), state_indices=idx, seed=int(seed))

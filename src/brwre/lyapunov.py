@@ -95,7 +95,6 @@ class LyapunovEstimate:
     steps: int
     replicas: int
     matrix_kind: str
-    lam: float | None = None
 
 
 def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> np.ndarray:
@@ -332,8 +331,6 @@ def top_lyapunov(
         ])
         value = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(replicas))
-    return LyapunovEstimate(
-        value=value, stderr=stderr, steps=steps, replicas=replicas,
-        matrix_kind=matrix_kind, lam=lam,
-    )
+    return LyapunovEstimate(value=value, stderr=stderr, steps=steps, replicas=replicas,
+                            matrix_kind=matrix_kind)
 

@@ -25,26 +25,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .envmodel import EnvironmentLaw, EnvironmentWindow, realize_window
+from .envmodel import EnvironmentLaw, state_indices
 
 
 @dataclass(frozen=True)
 class TruncatedMomentMatrix:
-    """Tridiagonal mean-offspring matrix restricted to a window.
+    """Tridiagonal mean-offspring matrix restricted to a window of sites.
 
     sub/diag/sup hold the per-site (mu-, mu0, mu+) aligned with the window
     sites; the first sub and last sup entries fall outside the window and
     are never used in the operator.
     """
 
-    window: EnvironmentWindow
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.window.size
+        return len(self.diag)
 
     def to_dense(self) -> np.ndarray:
         n = self.size
@@ -55,16 +54,15 @@ class TruncatedMomentMatrix:
         return m
 
 
-def truncated_matrix(window: EnvironmentWindow, envlaw: EnvironmentLaw) -> TruncatedMomentMatrix:
-    """Fill the three diagonals from the states realized on the window."""
+def truncated_matrix(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> TruncatedMomentMatrix:
+    """The three diagonals on the sites [lo, hi] of the quenched environment
+    `seed`; a window's rows are those of every window that contains it."""
+    if hi < lo:
+        raise ValueError(f"window bounds out of order: lo={lo}, hi={hi}")
     triples = np.array([m.as_tuple() for m in envlaw.state_moments])
-    per_site = triples[window.state_indices]
-    return TruncatedMomentMatrix(
-        window=window,
-        sub=per_site[:, 0].copy(),
-        diag=per_site[:, 1].copy(),
-        sup=per_site[:, 2].copy(),
-    )
+    sites = np.arange(lo, hi + 1, dtype=np.int64)
+    sub, diag, sup = triples[state_indices(envlaw, seed, sites)].T.copy()
+    return TruncatedMomentMatrix(sub=sub, diag=diag, sup=sup)
 
 
 # shifts per multisection round; each round narrows the bracket 65-fold
@@ -132,7 +130,5 @@ def rho_sweep(
         raise ValueError(f"n_values must be nonnegative, got {n_values}")
     out = []
     for n in n_values:
-        window = realize_window(envlaw, seed, -n, n)
-        est = spectral_radius(truncated_matrix(window, envlaw))
-        out.append((int(n), est.rho))
+        out.append((int(n), spectral_radius(truncated_matrix(envlaw, seed, -n, n)).rho))
     return out

@@ -18,6 +18,7 @@ from brwre.cli import (
     main,
     run,
 )
+from brwre.envmodel import derive_seed
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -460,7 +461,7 @@ def test_zero_stderr_tolerance_has_no_sigma_distance(tmp_path):
 
 def test_all_computes_each_stage_once(tmp_path, monkeypatch):
     calls = collections.Counter()
-    for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),
+    for module, name in ((criteria, "classify"), (spectral, "rho_sweep"),
                          (simulator, "survival_probabilities"),
                          (simulator, "frozen_mean_profile")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
@@ -468,7 +469,7 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert run(write_config(tmp_path), "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
-    assert calls == {"classify_environment": 1, "rho_sweep": 1,
+    assert calls == {"classify": 1, "rho_sweep": 1,
                      "survival_probabilities": 1, "frozen_mean_profile": 1}
 
 
@@ -495,9 +496,30 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
 
 
 @BRANCH_LAWS
+def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, direction):
+    path = write_config(tmp_path, environment=environment)
+    assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    config = load_config(path)
+    seed = report["seeds"]["lyapunov"]
+
+    def drawn(kind, stream):
+        return dataclasses.asdict(lyapunov.top_lyapunov(
+            config.environment, kind, steps=config.lyapunov.steps,
+            replicas=config.lyapunov.replicas, seed=stream))
+
+    assert report["lyapunov"] == {"gamma1": drawn("A", seed),
+                                  "gamma1_tilde": drawn("A_tilde", derive_seed(seed, 1))}
+    # the classifier reads the section's draw, whichever branch it takes
+    section_entry = {"right": "gamma1", "left": "gamma1_tilde"}.get(direction)
+    expected = report["lyapunov"][section_entry] if section_entry else None
+    assert report["regime"]["gamma1"] == expected
+
+
+@BRANCH_LAWS
 def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direction):
     calls = collections.Counter()
-    for module, name in ((criteria, "classify_environment"), (spectral, "rho_sweep"),
+    for module, name in ((criteria, "classify"), (spectral, "rho_sweep"),
                          (simulator, "survival_probabilities"),
                          (simulator, "frozen_mean_profile"), (simulator, "supermartingale_trace")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
@@ -514,7 +536,7 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
         if subcommand in ("crosscheck", "all"):
             # every stage runs once, and the branch-specific ones only on their branch
             assert calls == collections.Counter({
-                "classify_environment": 1, "rho_sweep": 1, "survival_probabilities": 1,
+                "classify": 1, "rho_sweep": 1, "survival_probabilities": 1,
                 "frozen_mean_profile": int(direction == "right"),
                 "supermartingale_trace": int(direction != "none"),
             })
@@ -567,6 +589,30 @@ def test_frozen_log_mean_skips_without_level_spread(tmp_path, overrides, means):
     row = next(r for r in report["crosscheck"] if r["identity"] == "frozen_log_mean")
     assert (row["verdict"], row["note"]) == (
         "skipped", "no spread across unflagged levels to bound the log-average")
+
+
+# one state whose double root rounds to disc = -2.2e-16: 2 sqrt(mu- mu+) + mu0 = 1,
+# so rho = 1, the feasible set is the point 1/0.7 and local survival fails
+DOUBLE_ROOT_ENV = {
+    "states": [
+        {"weight": 1.0, "atoms": [{"p": 0.35714285714285715, "v": [2, 0, 0]},
+                                  {"p": 0.35, "v": [0, 0, 1]},
+                                  {"p": 0.2928571428571428, "v": [0, 0, 0]}]}
+    ]
+}
+
+
+def test_double_root_lost_to_rounding_is_feasible(tmp_path):
+    path = write_config(tmp_path, environment=DOUBLE_ROOT_ENV, lyapunov={"steps": 2000},
+                        spectral={"n_values": [1, 2, 4, 8, 16, 32, 64]})
+    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    regime = report["regime"]
+    assert (regime["regime"], regime["vanishing_direction"]) == (
+        "GlobalSurvivalLocalExtinction", "right")
+    assert regime["lambda_set"]["lo"] == regime["lambda_set"]["hi"] == pytest.approx(1 / 0.7)
+    row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
+    assert row["verdict"] == "pass" and row["lhs"] < 1.0
 
 
 def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypatch):

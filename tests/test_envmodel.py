@@ -15,7 +15,6 @@ from brwre.envmodel import (
     derive_seed,
     law_from_atoms,
     moments,
-    realize_window,
     reflected,
     state_at,
     state_indices,
@@ -191,23 +190,6 @@ def test_per_site_seeds_match_scalar_calls():
     np.testing.assert_array_equal(state_indices(env, same, sites), state_indices(env, 5, sites))
     one = state_indices(single_env(GW_SUPERCRITICAL), seeds, sites)
     assert one.shape == sites.shape and not one.any()
-
-
-def test_realize_window_singleton():
-    w = realize_window(single_env(GW_SUPERCRITICAL), 3, 0, 0)
-    assert w.size == 1 and w.state_indices[0] == 0
-
-
-def test_realize_window_restriction_compatible():
-    env = two_equal_states()
-    small = realize_window(env, 11, -5, 5)
-    large = realize_window(env, 11, -10, 10)
-    np.testing.assert_array_equal(small.state_indices, large.state_indices[5:16])
-
-
-def test_realize_window_rejects_reversed_bounds():
-    with pytest.raises(ValueError):
-        realize_window(single_env(GW_SUPERCRITICAL), 0, 3, 2)
 
 
 def test_reflected_swaps_sides():

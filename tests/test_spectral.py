@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brwre import spectral
-from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, realize_window
+from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_at
 from brwre.spectral import rho_sweep, spectral_radius, truncated_matrix
 from conftest import (
     CRITICAL_PAIR,
@@ -43,34 +43,53 @@ def max_row_sum(tm) -> float:
 
 def test_truncated_matrix_constant_env():
     env = single_env(TREBLE_OR_DIE)
-    tm = truncated_matrix(realize_window(env, 0, -1, 1), env)
+    tm = truncated_matrix(env, 0, -1, 1)
     expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5]])
     np.testing.assert_allclose(tm.to_dense(), expected, rtol=1e-15)
 
 
 def test_truncated_matrix_length_one():
     env = single_env(TREBLE_OR_DIE)
-    tm = truncated_matrix(realize_window(env, 0, 4, 4), env)
+    tm = truncated_matrix(env, 0, 4, 4)
     assert tm.to_dense().shape == (1, 1)
     assert tm.to_dense()[0, 0] == pytest.approx(0.5)
 
 
 def test_truncated_matrix_two_state_rows_follow_realization():
     env = two_state_env()
-    window = realize_window(env, 21, -6, 6)
-    tm = truncated_matrix(window, env)
-    for offset, idx in enumerate(window.state_indices):
-        m = env.state_moments[idx]
+    tm = truncated_matrix(env, 21, -6, 6)
+    for offset, site in enumerate(range(-6, 7)):
+        m = env.state_moments[state_at(env, 21, site)]
         assert tm.sub[offset] == m.mu_minus
         assert tm.diag[offset] == m.mu_zero
         assert tm.sup[offset] == m.mu_plus
+
+
+def test_truncated_matrix_singleton():
+    env = single_env(GW_SUPERCRITICAL)
+    tm = truncated_matrix(env, 3, 0, 0)
+    assert tm.size == 1
+    assert (tm.sub[0], tm.diag[0], tm.sup[0]) == env.state_moments[0].as_tuple()
+
+
+def test_truncated_matrix_restriction_compatible():
+    env = two_state_env()
+    small = truncated_matrix(env, 11, -5, 5)
+    large = truncated_matrix(env, 11, -10, 10)
+    for name in ("sub", "diag", "sup"):
+        np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[5:16])
+
+
+def test_truncated_matrix_rejects_reversed_bounds():
+    with pytest.raises(ValueError, match="out of order"):
+        truncated_matrix(single_env(GW_SUPERCRITICAL), 0, 3, 2)
 
 
 def test_symmetrized_oracle_matches_dense_root():
     # the nonsymmetric solver errs by up to ~6e-7 on these badly scaled windows
     env = two_state_env()
     for seed in (1, 3):
-        tm = truncated_matrix(realize_window(env, seed, -12, 12), env)
+        tm = truncated_matrix(env, seed, -12, 12)
         dense_root = float(np.abs(np.linalg.eigvals(tm.to_dense())).max())
         assert eig_oracle(tm) == pytest.approx(dense_root, abs=1e-6)
 
@@ -80,7 +99,7 @@ def test_symmetrized_oracle_matches_dense_root():
 
 def test_spectral_radius_toeplitz_window():
     env = single_env(TREBLE_OR_DIE)
-    tm = truncated_matrix(realize_window(env, 0, -10, 10), env)
+    tm = truncated_matrix(env, 0, -10, 10)
     est = spectral_radius(tm)
     oracle = toeplitz_top_root(0.5, 0.5, 0.5, 21)
     assert oracle == pytest.approx(1.4898214418809327, rel=1e-12)
@@ -91,7 +110,7 @@ def test_spectral_radius_toeplitz_window():
 
 def test_spectral_radius_scalar_window():
     env = single_env(TREBLE_OR_DIE)
-    tm = truncated_matrix(realize_window(env, 0, 0, 0), env)
+    tm = truncated_matrix(env, 0, 0, 0)
     assert spectral_radius(tm).rho == pytest.approx(0.5, abs=1e-12)
 
 
@@ -99,7 +118,7 @@ def test_spectral_radius_zero_diagonal_window():
     # two-periodic truncation: the spectrum is symmetric about 0, and the
     # Perron root is the top eigenvalue, not the bottom one
     env = single_env(GW_SUPERCRITICAL)
-    tm = truncated_matrix(realize_window(env, 0, -4, 4), env)
+    tm = truncated_matrix(env, 0, -4, 4)
     est = spectral_radius(tm)
     assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-12 * max_row_sum(tm))
     assert est.rho == pytest.approx(toeplitz_top_root(1.2, 0.0, 0.05, 9), abs=1e-14)
@@ -110,7 +129,7 @@ def test_spectral_radius_random_two_state_windows():
     # symmetrized oracle and the Sturm counts both handle to roundoff
     env = two_state_env()
     for seed in (1, 2, 3):
-        tm = truncated_matrix(realize_window(env, seed, -12, 12), env)
+        tm = truncated_matrix(env, seed, -12, 12)
         est = spectral_radius(tm)
         assert est.rho == pytest.approx(eig_oracle(tm), abs=1e-12 * max_row_sum(tm))
 
@@ -120,7 +139,7 @@ def test_zero_pivot_counts_as_nonnegative(monkeypatch):
     # leading 2x2 block, so the second pivot is exactly zero
     monkeypatch.setattr(spectral, "SHIFTS", 1)
     env = single_env(CRITICAL_PAIR)
-    tm = truncated_matrix(realize_window(env, 0, -1, 1), env)
+    tm = truncated_matrix(env, 0, -1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = spectral_radius(tm)
@@ -134,7 +153,7 @@ def test_one_sided_window_root_is_its_top_diagonal():
         (0.5, law_from_atoms([(0.5, (0, 1, 1)), (0.5, (0, 0, 0))])),
         (0.5, law_from_atoms([(0.2, (0, 1, 1)), (0.8, (0, 0, 0))])),
     ])
-    tm = truncated_matrix(realize_window(env, 4, -6, 6), env)
+    tm = truncated_matrix(env, 4, -6, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = spectral_radius(tm)
@@ -143,7 +162,7 @@ def test_one_sided_window_root_is_its_top_diagonal():
 
 def test_zero_operator_has_root_zero():
     env = single_env([(1.0, (0, 0, 0))])
-    est = spectral_radius(truncated_matrix(realize_window(env, 0, -3, 3), env))
+    est = spectral_radius(truncated_matrix(env, 0, -3, 3))
     assert (est.rho, est.iterations, est.residual) == (0.0, 0, 0.0)
 
 
@@ -159,8 +178,7 @@ def window_matrices(draw):
     atoms = draw(st.lists(st.sampled_from(_ATOM_SETS), min_size=n_states, max_size=n_states))
     env = EnvironmentLaw([(w / sum(raw), law_from_atoms(a)) for w, a in zip(raw, atoms)])
     n = draw(st.integers(0, 150))
-    window = realize_window(env, draw(st.integers(0, 2**32 - 1)), -n, n)
-    return truncated_matrix(window, env)
+    return truncated_matrix(env, draw(st.integers(0, 2**32 - 1)), -n, n)
 
 
 @given(window_matrices())

@@ -5,7 +5,9 @@
 Checks REV out into a temporary git worktree, removed afterwards, and runs
 every subcommand with `--format both` there and in this working tree, each
 as a fresh `python -m brwre.cli` process.  The configs are the perfbench
-workloads at seeds 1 and 2 (scale 50) and the README's example config.
+workloads at seeds 1 and 2 (scale 50), the README's example config, and
+one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
+that every branch of the classifier is run.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -39,6 +41,24 @@ SCALE = 50
 SHOWN = 10  # moved fields listed per file
 
 
+def _mirrored(atoms):
+    return [(p, v[::-1]) for p, v in atoms]
+
+
+# the left-vanishing and strong-local-survival branches, as (weight, atoms) states,
+# run at the sizes of tests/test_cli.py's write_config
+BRANCH_LAWS = {
+    "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
+                       (0.5, _mirrored(workloads.TWO_STATE_B))),
+    "strong-local": ((1.0, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]),),
+}
+BRANCH_SIZES = {
+    "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
+    "simulate": {"trials": 200, "horizon": 60, "cap": 100_000},
+    "frozen": {"levels": 4, "trials_per_level": 500},
+}
+
+
 def write_configs(directory: Path) -> dict[str, Path]:
     """The compared configs by name, written into `directory`."""
     configs = {}
@@ -51,6 +71,10 @@ def write_configs(directory: Path) -> dict[str, Path]:
     block = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
     configs["readme-example"] = directory / "readme-example.json"
     configs["readme-example"].write_text(block.group(1))
+    for name, states in BRANCH_LAWS.items():
+        configs[name] = directory / f"{name}.json"
+        configs[name].write_text(json.dumps({"environment": workloads._states(*states),
+                                             **BRANCH_SIZES}))
     return configs
 
 
