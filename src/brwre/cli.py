@@ -460,9 +460,9 @@ def _exponent_shift(st: Stages):
     lam = st.trace.lam
     gamma, gamma_lam = st.exponent("A"), st.exponent("A_lambda", lam)
     shift = gamma_lam.value + math.log(lam)
-    # replica stderr is exactly 0 in constant environments; fall back to the
-    # estimator's deterministic O(1/steps) resolution so the tolerance never
-    # degenerates below the finite-product bias
+    # both sides are exact on one-state laws; with more states the 20/steps
+    # floor covers the Monte Carlo estimator's O(1/steps) bias, which the
+    # replica stderr does not
     tol = max(3.0 * math.hypot(gamma.stderr, gamma_lam.stderr), 20.0 / st.config.lyapunov.steps)
     return gamma.value, shift, tol, abs(gamma.value - shift) <= tol, f"lambda={lam:.6g}"
 

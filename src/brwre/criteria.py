@@ -90,15 +90,17 @@ def state_feasible_interval(m: MomentTriple) -> LambdaInterval:
 
 def lambda_feasible_set(envlaw: EnvironmentLaw) -> LambdaInterval:
     """Intersection of the per-state intervals, the max of their lower ends
-    and the min of their upper ends; empty iff local survival."""
+    and the min of their upper ends; empty iff local survival.  Crossed ends
+    keep the point lo if every slack there clears -FEASIBILITY_TOL (a tie)."""
     lo, hi = 0.0, math.inf
     for m in envlaw.state_moments:
         iv = state_feasible_interval(m)
         if iv.is_empty:
             return iv
         lo, hi = max(lo, iv.lo), min(hi, iv.hi)
-        if lo > hi:
-            return LambdaInterval.empty()
+    if lo > hi:
+        tied = all(m.slack(lo) >= -FEASIBILITY_TOL for m in envlaw.state_moments)
+        return LambdaInterval(lo, lo) if tied else LambdaInterval.empty()
     return LambdaInterval(lo, hi)
 
 
@@ -139,7 +141,8 @@ def vanishing_direction(envlaw: EnvironmentLaw) -> str:
 class RegimeReport:
     """Final verdict plus its evidence.  margin is the criterion gap in units of
     the exponent's stderr, signed so that positive favors global survival;
-    closed-form verdicts carry an infinite margin."""
+    closed-form verdicts and exact one-state exponents (stderr 0) carry an
+    infinite margin."""
 
     regime: str
     vanishing_direction: str  # "right", "left", "both" or "none"

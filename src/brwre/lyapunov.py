@@ -4,8 +4,9 @@ Three matrix families are built from a state's moment triple: the raw
 recursion matrix (kind "A"), its mirror ("A_tilde", kind A of the
 reflected triple), and a nonnegative conjugate family ("A_lambda") at a
 lambda whose `MomentTriple.slack` is at least -`envmodel.FEASIBILITY_TOL`.
-The top exponent is estimated from long renormalized products over
-independent replicas.
+A one-state law's product is a power of its matrix, so its top exponent
+is the log of that matrix's spectral radius (Gelfand's formula); with more
+states it is estimated from long renormalized products over replicas.
 
 A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
@@ -13,7 +14,7 @@ kept entry-wise, as rows a, b, c, d of a (4, n) array holding
 [[a, b], [c, d]], so one level is a few whole-array operations per entry.
 A replica's product is split into aligned words of L states, and every
 state word of length L is computed once per estimate, as a word table.
-L is the largest integer with max(n_states, 2)**L <= WORD_BUDGET and
+L is the largest integer with n_states**L <= WORD_BUDGET and
 L <= steps.  The words of a replica are i.i.d. with the product of their
 states' weights as law, so they are sampled directly from that law with
 one uniform per word through Walker's alias table, and gathered from the
@@ -210,7 +211,7 @@ class _ProductReduction:
         n_states = table.shape[0]
         self.entries = table.reshape(n_states, 4).T
         length = 1
-        while length < steps and max(n_states, 2) ** (length + 1) <= WORD_BUDGET:
+        while length < steps and n_states ** (length + 1) <= WORD_BUDGET:
             length += 1
         state_p = weights / weights.sum()
         words, logs, word_p = self.entries, np.zeros(n_states), state_p
@@ -298,18 +299,14 @@ def top_lyapunov(
 ) -> LyapunovEstimate:
     """Estimate the top exponent of the i.i.d. product for one family.
 
-    Replica r samples its steps // L word codes and steps % L tail states
-    on default_rng([seed, r]) (see `_ProductReduction.sample`), so its
-    state sequence is i.i.d. with law weights; it reduces the product of
-    those matrices with the word table and the entry-wise tree (see the
-    module docstring) and contributes ln ||product|| / steps, one replica
-    at a time.  The value is the replica mean and stderr the replica
-    dispersion / sqrt(R).  With one state every replica has the same
-    sequence, so one is reduced and nothing is drawn (a classification
-    that needs only this exponent starts no random generator): its value
-    is the estimate and the stderr is exactly 0 (a mean and deviation
-    over R copies could round away from that when R is not a power of
-    two).
+    With one state it is exact: ln of the matrix's spectral radius, with
+    stderr 0 and nothing drawn; a nilpotent matrix raises
+    FloatingPointError.  Otherwise replica r samples its steps // L word
+    codes and steps % L tail states on default_rng([seed, r]) (see
+    `_ProductReduction.sample`), reduces the product of those matrices
+    with the word table and the entry-wise tree (see the module docstring)
+    and contributes ln ||product|| / steps.  The value is the replica mean
+    and stderr the replica dispersion / sqrt(R).
     n_workers is accepted for compatibility and ignored: the replicas run
     on one thread and the result never depends on it.
     """
@@ -318,13 +315,12 @@ def top_lyapunov(
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     table = state_matrices(envlaw, matrix_kind, lam)
-    reduce = _ProductReduction(table, envlaw.weights, steps)
     if envlaw.n_states == 1:
-        # every word and tail state is state 0, so nothing is drawn
-        n_words, n_tail = divmod(steps, reduce.length)
-        value = reduce(np.zeros(n_words, dtype=np.intp), np.zeros(n_tail, dtype=np.intp)) / steps
+        with np.errstate(divide="raise"):
+            value = float(np.log(np.abs(np.linalg.eigvals(table[0])).max()))
         stderr = 0.0
     else:
+        reduce = _ProductReduction(table, envlaw.weights, steps)
         values = np.array([
             reduce(*reduce.sample(np.random.default_rng([seed, r]))) / steps
             for r in range(replicas)
@@ -333,4 +329,3 @@ def top_lyapunov(
         stderr = float(values.std(ddof=1) / math.sqrt(replicas))
     return LyapunovEstimate(value=value, stderr=stderr, steps=steps, replicas=replicas,
                             matrix_kind=matrix_kind)
-

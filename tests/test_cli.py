@@ -611,6 +611,38 @@ def test_double_root_lost_to_rounding_is_feasible(tmp_path):
     assert (regime["regime"], regime["vanishing_direction"]) == (
         "GlobalSurvivalLocalExtinction", "right")
     assert regime["lambda_set"]["lo"] == regime["lambda_set"]["hi"] == pytest.approx(1 / 0.7)
+    # a power of one matrix: its exponent is ln of the double root, exactly
+    assert regime["gamma1"]["value"] == pytest.approx(math.log(1 / 0.7), rel=1e-12)
+    row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
+    assert row["verdict"] == "pass" and row["lhs"] < 1.0
+
+
+# two states whose intervals touch at one lambda, but whose computed ends cross
+# by 4.4e-16; the slacks there are 0 and -5.6e-17, so the tie is kept
+TIE_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.22876745398945247, "v": [2, 0, 0]},
+                                  {"p": 0.15567852502198387, "v": [0, 0, 1]},
+                                  {"p": 0.45807180434299477, "v": [0, 1, 0]},
+                                  {"p": 0.15748221664556894, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.365148052060621, "v": [2, 0, 0]},
+                                  {"p": 0.10784449955877619, "v": [0, 0, 1]},
+                                  {"p": 0.4221005981018707, "v": [0, 1, 0]},
+                                  {"p": 0.10490685027873214, "v": [0, 0, 0]}]},
+    ]
+}
+
+
+def test_tie_lost_to_rounding_is_feasible(tmp_path):
+    path = write_config(tmp_path, environment=TIE_ENV,
+                        spectral={"n_values": [1, 2, 4, 8, 16, 32, 64]})
+    assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "all" / "report.json").read_text())
+    regime = report["regime"]
+    assert (regime["regime"], regime["vanishing_direction"]) == (
+        "GlobalSurvivalLocalExtinction", "right")
+    assert regime["lambda_set"] == {"empty": False, "lo": 2.0413575105853745,
+                                    "hi": 2.0413575105853745}
     row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
     assert row["verdict"] == "pass" and row["lhs"] < 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from brwre import lyapunov
 from brwre.criteria import lambda_feasible_set, state_feasible_interval
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
@@ -126,7 +127,7 @@ def test_top_lyapunov_constant_env_matches_eigenvalue():
     oracle = log_spectral_radius(build_A(MomentTriple(1.2, 0.0, 0.05)))
     assert oracle == pytest.approx(math.log(18.717797887081346), rel=1e-12)
     assert est.value == pytest.approx(oracle, abs=1e-3)
-    assert est.stderr == 0.0  # identical replicas in a constant environment
+    assert est.stderr == 0.0  # exact in a constant environment
 
 
 def test_top_lyapunov_subcritical_constant_env():
@@ -136,10 +137,11 @@ def test_top_lyapunov_subcritical_constant_env():
 
 
 def test_top_lyapunov_unipotent_grows_polynomially():
-    # the critical-point matrix powers grow linearly, so log/steps -> 0
+    # the critical-point matrix is unipotent: its powers grow only linearly,
+    # and its spectral radius is 1, so the exponent is 0
     env = single_env([(0.5, (1, 0, 1)), (0.5, (0, 0, 0))])
     est = top_lyapunov(env, "A_lambda", steps=10_000, replicas=4, seed=3, lam=1.0)
-    assert 0.0 <= est.value <= 2.0 * math.log(10_000) / 10_000
+    assert abs(est.value) <= 1e-15
 
 
 def test_top_lyapunov_enforces_preconditions():
@@ -170,8 +172,8 @@ def test_top_lyapunov_workers_do_not_change_result():
 
 @st.composite
 def walk_laws(draw):
-    """1 to 4 states, each stepping left w.p. pl and right w.p. pr, else dying."""
-    n_states = draw(st.integers(1, 4))
+    """2 to 4 states, each stepping left w.p. pl and right w.p. pr, else dying."""
+    n_states = draw(st.integers(2, 4))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states))
     states = []
     for w in raw:
@@ -191,13 +193,12 @@ def _unequal_three_states() -> EnvironmentLaw:
     return _walk_law((0.1, 0.2, 0.7), (0.1, 0.2, 0.3))
 
 
-# word lengths: 12 for one and two states, 7 for three, 6 for four; each
-# law is run with no leftover tail and with a tail of L - 1 single matrices
-_ONE_STATE = _walk_law((1.0,), (0.2,))
+# word lengths: 12 for two states, 7 for three, 6 for four; each law is
+# run with no leftover tail and with a tail of L - 1 single matrices
 _TWO_STATES = _walk_law((0.3, 0.7), (0.1, 0.3))
 _FOUR_STATES = _walk_law((0.4, 0.3, 0.2, 0.1), (0.05, 0.15, 0.25, 0.35))
-_LAWS = pytest.mark.parametrize("env", [_ONE_STATE, _TWO_STATES, _unequal_three_states(),
-                                        _FOUR_STATES], ids=["1", "2", "3", "4"])
+_LAWS = pytest.mark.parametrize("env", [_TWO_STATES, _unequal_three_states(), _FOUR_STATES],
+                                ids=["2", "3", "4"])
 
 
 def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
@@ -208,8 +209,8 @@ def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
 @_LAWS
 def test_word_length_is_the_longest_within_budget(env):
     table = state_matrices(env, "A")
-    length = {1: 12, 2: 12, 3: 7, 4: 6}[env.n_states]
-    assert max(env.n_states, 2) ** length <= WORD_BUDGET < max(env.n_states, 2) ** (length + 1)
+    length = {2: 12, 3: 7, 4: 6}[env.n_states]
+    assert env.n_states**length <= WORD_BUDGET < env.n_states ** (length + 1)
     assert _ProductReduction(table, env.weights, 1_000).length == length
     # fewer steps than the budget allows: one word of every step
     for steps in (length - 1, 1):
@@ -221,8 +222,6 @@ def test_word_length_is_the_longest_within_budget(env):
 @given(env=walk_laws(), kind=st.sampled_from(["A", "A_tilde", "A_lambda"]),
        steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
 @example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
-@example(env=_ONE_STATE, kind="A", steps=4_092, seed=1)
-@example(env=_ONE_STATE, kind="A_tilde", steps=4_103, seed=1)
 @example(env=_TWO_STATES, kind="A", steps=4_092, seed=2)
 @example(env=_TWO_STATES, kind="A_lambda", steps=4_103, seed=2)
 @example(env=_unequal_three_states(), kind="A_tilde", steps=1_000, seed=3)
@@ -246,9 +245,8 @@ def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
         oracle = _log_norm_of_product(table[idx]) / steps
         values.append(reduce(codes, tail) / steps)
         assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
-    if env.n_states > 1:
-        est = top_lyapunov(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
-        assert est.value == float(np.mean(values))
+    est = top_lyapunov(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
+    assert est.value == float(np.mean(values))
 
 
 @_LAWS
@@ -336,17 +334,32 @@ def test_alias_bin_stays_below_the_word_count(env):
     assert codes[0] in (size - 1, reduce.alias[size - 1])
 
 
-@pytest.mark.parametrize("steps", [20_000, 20_001])
-def test_constant_env_reduces_one_replica(steps, monkeypatch):
-    env = single_env(GW_SUPERCRITICAL)
-    # the one state sequence needs no random generator
+# mu- = 1, mu0 = 0.5, mu+ = 0.2: A's characteristic roots are complex
+COMPLEX_ROOTS = [(0.5, (2, 1, 0)), (0.2, (0, 0, 1)), (0.3, (0, 0, 0))]
+
+
+# the roots of A's characteristic polynomial mu+ z^2 - (1 - mu0) z + mu- are the
+# ends lo <= hi of the state's feasible interval, and A_tilde's are 1/hi and 1/lo
+@pytest.mark.parametrize("atoms, kind, exponent", [
+    pytest.param(GW_SUPERCRITICAL, "A", lambda iv, lam, m: math.log(iv.hi), id="A"),
+    pytest.param(GW_SUPERCRITICAL, "A_tilde", lambda iv, lam, m: -math.log(iv.lo), id="A_tilde"),
+    pytest.param(GW_SUPERCRITICAL, "A_lambda", lambda iv, lam, m: math.log(iv.hi / lam),
+                 id="A_lambda"),
+    # a conjugate pair: |z|^2 = det A = mu- / mu+
+    pytest.param(COMPLEX_ROOTS, "A", lambda iv, lam, m: 0.5 * math.log(m.mu_minus / m.mu_plus),
+                 id="complex-roots"),
+])
+def test_constant_env_exponent_is_log_spectral_radius(atoms, kind, exponent, monkeypatch):
+    env = single_env(atoms)
+    m = env.state_moments[0]
+    iv = state_feasible_interval(m)
+    lam = None if iv.is_empty else math.sqrt(iv.lo * iv.hi)
+    # the power of one matrix needs no random generator and no word table
     monkeypatch.setattr(np.random, "default_rng", None)
-    # seven copies of this value have a mean and deviation off by roundoff
-    est = top_lyapunov(env, "A", steps=steps, replicas=7, seed=3)
-    table = state_matrices(env, "A")
-    oracle = _log_norm_of_product(table[np.zeros(steps, dtype=np.intp)]) / steps
+    monkeypatch.setattr(lyapunov, "_ProductReduction", None)
+    est = top_lyapunov(env, kind, steps=20_000, replicas=7, seed=3, lam=lam)
     assert est.stderr == 0.0
-    assert est.value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert est.value == pytest.approx(exponent(iv, lam, m), rel=1e-12, abs=0.0)
 
 
 # A = [[0, 0], [1, 0]] (mu- = 0, mu0 = 1), whose square is zero

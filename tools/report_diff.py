@@ -7,7 +7,9 @@ every subcommand with `--format both` there and in this working tree, each
 as a fresh `python -m brwre.cli` process.  The configs are the perfbench
 workloads at seeds 1 and 2 (scale 50), the README's example config, and
 one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
-that every branch of the classifier is run.
+that every branch of the classifier is run, plus two laws whose feasible
+set is a point that rounding would lose: a one-state double root and a tie
+between two states' intervals.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -45,12 +47,19 @@ def _mirrored(atoms):
     return [(p, v[::-1]) for p, v in atoms]
 
 
-# the left-vanishing and strong-local-survival branches, as (weight, atoms) states,
-# run at the sizes of tests/test_cli.py's write_config
+# the left-vanishing and strong-local-survival branches and the point feasible
+# sets of tests/test_cli.py (DOUBLE_ROOT_ENV, TIE_ENV), as (weight, atoms)
+# states, run at the sizes of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
     "strong-local": ((1.0, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]),),
+    "double-root": ((1.0, [(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
+                           (0.2928571428571428, (0, 0, 0))]),),
+    "tie": ((0.5, [(0.22876745398945247, (2, 0, 0)), (0.15567852502198387, (0, 0, 1)),
+                   (0.45807180434299477, (0, 1, 0)), (0.15748221664556894, (0, 0, 0))]),
+            (0.5, [(0.365148052060621, (2, 0, 0)), (0.10784449955877619, (0, 0, 1)),
+                   (0.4221005981018707, (0, 1, 0)), (0.10490685027873214, (0, 0, 0))])),
 }
 BRANCH_SIZES = {
     "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
