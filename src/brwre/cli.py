@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 from . import criteria
@@ -256,8 +256,9 @@ def dumps_report(report: dict) -> str:
 # Stage estimates and the report sections built from them
 
 
-# the stream of each matrix family: the lyapunov seed, or derive_seed of it with the salt
-EXPONENT_SALTS = {"A": None, "A_tilde": 1, "A_lambda": 12}
+# the stream of each matrix family: the lyapunov seed, or derive_seed of it with the salt;
+# the mirror law needs no stream, its exponent being gamma(A) - drift (see lyapunov)
+EXPONENT_SALTS = {"A": None, "A_lambda": 12}
 
 
 class Stages:
@@ -373,8 +374,9 @@ def _regime_section(st: Stages, say) -> dict:
 def _lyapunov_section(st: Stages, say) -> dict:
     gamma = st.exponent("A")
     say(f"gamma1 = {gamma.value:.6f} +- {gamma.stderr:.2e}")
-    return {"gamma1": _estimate_section(gamma),
-            "gamma1_tilde": _estimate_section(st.exponent("A_tilde"))}
+    tilde = replace(gamma, value=gamma.value - criteria.expected_log_drift(st.env),
+                    matrix_kind="A_tilde")
+    return {"gamma1": _estimate_section(gamma), "gamma1_tilde": _estimate_section(tilde)}
 
 
 def _rho_sweep_section(st: Stages, say) -> list:
@@ -446,14 +448,6 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 
 # Each check reads the stages and returns a skip note or (lhs, rhs, tolerance,
 # passed, note).
-
-
-def _conjugacy_identity(st: Stages):
-    from . import lyapunov
-    lam, moments = st.trace.lam, st.env.state_moments
-    residual = max(lyapunov.conjugacy_residual(m, lam) for m in moments)
-    tol = 1e-9 * (1.0 + max(float(abs(x)) for m in moments for x in lyapunov.build_A(m).flat))
-    return residual, 0.0, tol, residual <= tol, f"lambda={lam:.6g}"
 
 
 def _exponent_shift(st: Stages):
@@ -538,7 +532,6 @@ _SKIP_NOTES = {"trace": "no feasible lambda", "profile": "not in the right-vanis
 # whether the tolerance is a roundoff or exact bound rather than a multiple of
 # standard errors, so that the row has no distance in sigmas).
 CROSSCHECKS = (
-    ("conjugacy_identity", "trace", _conjugacy_identity, True),
     ("exponent_shift", "trace", _exponent_shift, False),
     ("supermartingale_monotone", "trace", _supermartingale_monotone, False),
     ("survival_concordance", None, _survival_concordance, False),

@@ -9,12 +9,14 @@ set is a closed interval (possibly empty or a point), computed exactly
 from the quadratic mu+ lam^2 - (1 - mu0) lam + mu- <= 0.  Local
 extinction is equivalent to the per-state intervals having a common
 point; where that intersection lies relative to 1 decides the branch.
-`classify` calls its `exponent(kind)` once, on a statistical branch only:
-kind A against the log drift on the right, kind A_tilde (kind A of the
-reflected law) against the negated drift on the left.  The caller supplies
-the draw (`classify_environment` calls `lyapunov.top_lyapunov`, the CLI
-reads its stage table), and only the draw imports `lyapunov` and numpy;
-the rest is `math`.
+`classify` calls its `exponent("A")` once, on a statistical branch only.
+With drift = E ln(mu-/mu+) = gamma_1 + gamma_2 of A, the right branch
+tests gamma_2 = drift - gamma_1 and the left branch -gamma_1 (the mirror
+law's test, -drift - gamma(mirror), since gamma(mirror) = gamma_1 - drift:
+see `lyapunov`), so global survival holds iff 0 lies outside
+[gamma_2, gamma_1].  The caller supplies the draw (`classify_environment`
+calls `lyapunov.top_lyapunov`, the CLI reads its stage table), and only
+the draw imports `lyapunov` and numpy; the rest is `math`.
 """
 from __future__ import annotations
 
@@ -111,7 +113,7 @@ def one_in_feasible_set(envlaw: EnvironmentLaw) -> bool:
 
 
 def expected_log_drift(envlaw: EnvironmentLaw) -> float:
-    """Mixture mean of ln(mu-/mu+); its negation serves the mirrored test."""
+    """Mixture mean of ln(mu-/mu+), the sum of A's two exponents."""
     out = 0.0
     for (w, _), m in zip(envlaw.states, envlaw.state_moments):
         if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
@@ -163,9 +165,9 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
     """Decide the survival regime from the feasible set and one exponent.
 
     Empty feasible set -> strong local survival; 1 in the set -> global
-    extinction; set inside (1, inf) -> exponent("A") against the log drift;
-    set inside (0, 1) -> exponent("A_tilde") against the negated drift.
-    Those two branches declare a side only beyond sigma_margin stderrs.
+    extinction; set inside (1, inf) or (0, 1) -> the gap drift - gamma_1 or
+    -gamma_1 of gamma_1 = exponent("A").value.  Those two branches declare
+    a side only beyond sigma_margin stderrs.
     """
     report = validate_conditions(envlaw)
     if not report.ok:
@@ -185,9 +187,9 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
     else:
         if exponent is None:
             raise ValueError(f"{direction}-vanishing branch needs an exponent estimate")
-        kind, gap = ("A", drift) if direction == "right" else ("A_tilde", -drift)
-        est = exponent(kind)
-        margin = _signed_margin(gap - est.value, est.stderr)
+        est = exponent("A")
+        gap = (drift if direction == "right" else 0.0) - est.value
+        margin = _signed_margin(gap, est.stderr)
         regime = (GLOBAL_SURVIVAL_LOCAL_EXTINCTION if margin > sigma_margin
                   else GLOBAL_EXTINCTION if margin < -sigma_margin else INCONCLUSIVE)
     return RegimeReport(

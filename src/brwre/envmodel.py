@@ -115,9 +115,6 @@ class MomentTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mu_minus, self.mu_zero, self.mu_plus)
 
-    def reflected(self) -> "MomentTriple":
-        return MomentTriple(self.mu_plus, self.mu_zero, self.mu_minus)
-
     def slack(self, lam: float) -> float:
         """1 - (mu-/lam + mu0 + mu+*lam): nonnegative iff lam is feasible for this state."""
         if lam <= 0.0:

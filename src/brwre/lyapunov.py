@@ -1,9 +1,15 @@
 """Lyapunov exponents of i.i.d. products of the model's 2x2 matrices.
 
-Three matrix families are built from a state's moment triple: the raw
-recursion matrix (kind "A"), its mirror ("A_tilde", kind A of the
-reflected triple), and a nonnegative conjugate family ("A_lambda") at a
-lambda whose `MomentTriple.slack` is at least -`envmodel.FEASIBILITY_TOL`.
+Two matrix families are built from a state's moment triple: the raw
+recursion matrix (kind "A") and a nonnegative conjugate family
+("A_lambda") at a lambda whose `MomentTriple.slack` is at least
+-`envmodel.FEASIBILITY_TOL`.  The mirror law (`envmodel.reflected`) needs
+no family of its own.  Its matrix is J A^-1 J with J = [[0, 1], [1, 0]],
+so its product over a state sequence is J P^-1 J, with P the A product of
+the reversed sequence.  For a 2x2 matrix the max-abs norm of M^-1 is
+||M|| / |det M|, and det A = mu-/mu+; the reversed i.i.d. sequence has
+the same law, so the mirror's top exponent is gamma(A) minus the log
+drift E ln(mu-/mu+) (the Furstenberg-Kesten sum rule: it is -gamma_2(A)).
 A one-state law's product is a power of its matrix, so its top exponent
 is the log of that matrix's spectral radius (Gelfand's formula); with more
 states it is estimated from long renormalized products over replicas.
@@ -36,7 +42,7 @@ import numpy as np
 
 from .envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple
 
-MATRIX_KINDS = ("A", "A_tilde", "A_lambda")
+MATRIX_KINDS = ("A", "A_lambda")
 
 
 def build_A(m: MomentTriple) -> np.ndarray:
@@ -48,15 +54,9 @@ def build_A(m: MomentTriple) -> np.ndarray:
     )
 
 
-def build_A_tilde(m: MomentTriple) -> np.ndarray:
-    """build_A of the reflected triple: left and right roles swapped; det = mu+/mu-."""
-    if m.mu_minus <= 0.0:
-        raise ValueError("matrix kind A_tilde needs mu_minus > 0")
-    return build_A(m.reflected())
-
-
 def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
-    """Nonnegative conjugate of build_A at a feasible lambda.
+    """Nonnegative conjugate of build_A at a feasible lambda:
+    build_A(m) = lam * B^-1 A_lambda B with B = [[1, -lam], [1, 0]].
 
     [[ mu-/(lam^2 mu+), s/(lam mu+) ], [ mu-/(lam^2 mu+), 1 + s/(lam mu+) ]]
     with s = m.slack(lam), clipped at 0 (it may come out ~-1e-17 from
@@ -71,20 +71,6 @@ def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
     a = m.mu_minus / (lam * lam * m.mu_plus)
     b = max(slack, 0.0) / (lam * m.mu_plus)
     return np.array([[a, b], [a, 1.0 + b]])
-
-
-def conjugacy_matrix(lam: float) -> np.ndarray:
-    """Constant change of basis B with A = lam * B^-1 A_lambda B."""
-    return np.array([[1.0, -lam], [1.0, 0.0]])
-
-
-def conjugacy_residual(m: MomentTriple, lam: float) -> float:
-    """Max-abs entry of A - lam * B^-1 A_lambda B (0 up to roundoff)."""
-    a = build_A(m)
-    al = build_A_lambda(m, lam)
-    b = conjugacy_matrix(lam)
-    recon = lam * np.linalg.solve(b, al @ b)
-    return float(np.abs(a - recon).max())
 
 
 @dataclass(frozen=True)
@@ -104,8 +90,7 @@ def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None =
         raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
     if matrix_kind == "A_lambda" and lam is None:
         raise ValueError("matrix kind A_lambda needs a lambda value")
-    build = {"A": build_A, "A_tilde": build_A_tilde,
-             "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
+    build = {"A": build_A, "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
     return np.stack([build(m) for m in envlaw.state_moments])
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from brwre.envmodel import EnvironmentLaw, law_from_atoms
+from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms
+from brwre.lyapunov import build_A, build_A_lambda
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -42,6 +43,12 @@ def gw_extinction_probability(atoms, iterations: int = 500) -> float:
     for _ in range(iterations):
         q = sum(p * q**k for k, p in totals.items())
     return q
+
+
+def conjugacy_residual(m: MomentTriple, lam: float) -> float:
+    """Max-abs entry of A - lam * B^-1 A_lambda B, B = [[1, -lam], [1, 0]]: 0 up to roundoff."""
+    b = np.array([[1.0, -lam], [1.0, 0.0]])
+    return float(np.abs(build_A(m) - lam * np.linalg.solve(b, build_A_lambda(m, lam) @ b)).max())
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 from brwre import criteria
 from brwre.criteria import classify_environment, expected_log_drift, lambda_feasible_set
 from brwre.envmodel import MomentTriple
-from brwre.lyapunov import build_A, conjugacy_residual, top_lyapunov
+from brwre.lyapunov import build_A, top_lyapunov
 from brwre.simulator import frozen_mean_profile, supermartingale_trace, survival_probabilities
 from brwre.spectral import rho_sweep
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     GW_SUPERCRITICAL,
     SUBCRITICAL_BRANCHY,
     TREBLE_OR_DIE,
+    conjugacy_residual,
     gw_extinction_probability,
     single_env,
     two_state_env,

@@ -18,7 +18,6 @@ from brwre.cli import (
     main,
     run,
 )
-from brwre.envmodel import derive_seed
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -406,7 +405,7 @@ def test_crosscheck_all_rows_pass(tmp_path):
     report = json.loads((out / "report.json").read_text())
     rows = {r["identity"]: r for r in report["crosscheck"]}
     expected = [
-        "conjugacy_identity", "exponent_shift", "supermartingale_monotone",
+        "exponent_shift", "supermartingale_monotone",
         "survival_concordance", "local_global_coincidence",
         "frozen_log_mean", "per_level_bound", "spectral_criterion",
     ]
@@ -438,7 +437,7 @@ def test_roundoff_rows_have_no_sigma_distance(tmp_path):
     assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "cc" / "report.json").read_text())
     rows = {r["identity"]: r for r in report["crosscheck"]}
-    for name in ("conjugacy_identity", "per_level_bound", "spectral_criterion"):
+    for name in ("per_level_bound", "spectral_criterion"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
     # a row tested against 3 stderr keeps its distance in sigmas
@@ -492,7 +491,7 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
         # only exponent_shift draws an A_lambda estimate, and only with a feasible lambda
         assert sum(kind == "A_lambda" for kind, _ in calls) == int(direction != "none"), calls
     if subcommand == "lyapunov":
-        assert set(calls) == {("A", None), ("A_tilde", None)}
+        assert set(calls) == {("A", None)}
 
 
 @BRANCH_LAWS
@@ -508,12 +507,29 @@ def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, dire
             config.environment, kind, steps=config.lyapunov.steps,
             replicas=config.lyapunov.replicas, seed=stream))
 
-    assert report["lyapunov"] == {"gamma1": drawn("A", seed),
-                                  "gamma1_tilde": drawn("A_tilde", derive_seed(seed, 1))}
-    # the classifier reads the section's draw, whichever branch it takes
-    section_entry = {"right": "gamma1", "left": "gamma1_tilde"}.get(direction)
-    expected = report["lyapunov"][section_entry] if section_entry else None
+    gamma = drawn("A", seed)
+    # the mirror exponent is gamma(A) - drift, read off the same draw
+    tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(config.environment),
+             "matrix_kind": "A_tilde"}
+    assert report["lyapunov"] == {"gamma1": gamma, "gamma1_tilde": tilde}
+    # the classifier reads the section's draw of A on both statistical branches
+    expected = gamma if direction in ("right", "left") else None
     assert report["regime"]["gamma1"] == expected
+
+
+@BRANCH_LAWS
+def test_library_and_cli_agree_on_every_branch(tmp_path, environment, direction):
+    path = write_config(tmp_path, environment=environment)
+    assert run(path, "classify", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    config = load_config(path)
+    rep = criteria.classify_environment(
+        config.environment, seed=report["seeds"]["lyapunov"], steps=config.lyapunov.steps,
+        replicas=config.lyapunov.replicas, sigma_margin=config.thresholds.sigma_margin)
+    assert rep.vanishing_direction == direction
+    gamma1 = None if rep.gamma1 is None else dataclasses.asdict(rep.gamma1)
+    assert (report["regime"]["regime"], report["regime"]["margin"], report["regime"]["gamma1"]) == (
+        rep.regime, rep.margin, gamma1)
 
 
 @BRANCH_LAWS

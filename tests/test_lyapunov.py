@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brwre import lyapunov
-from brwre.criteria import lambda_feasible_set, state_feasible_interval
+from brwre.criteria import expected_log_drift, lambda_feasible_set, state_feasible_interval
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
     WORD_BUDGET,
@@ -13,13 +13,16 @@ from brwre.lyapunov import (
     _ProductReduction,
     build_A,
     build_A_lambda,
-    build_A_tilde,
-    conjugacy_matrix,
-    conjugacy_residual,
     state_matrices,
     top_lyapunov,
 )
-from conftest import GW_SUPERCRITICAL, SUBCRITICAL_BRANCHY, single_env, two_state_env
+from conftest import (
+    GW_SUPERCRITICAL,
+    SUBCRITICAL_BRANCHY,
+    conjugacy_residual,
+    single_env,
+    two_state_env,
+)
 
 
 def log_spectral_radius(mat: np.ndarray) -> float:
@@ -43,16 +46,6 @@ def test_build_A_symmetric_example():
 def test_build_A_rejects_zero_right_mean():
     with pytest.raises(ValueError):
         build_A(MomentTriple(1.0, 0.0, 0.0))
-
-
-def test_build_A_tilde_gw_example():
-    a = build_A_tilde(MomentTriple(1.2, 0.0, 0.05))
-    np.testing.assert_allclose(a, [[1.0 / 1.2, -0.05 / 1.2], [1.0, 0.0]], rtol=1e-14)
-
-
-def test_build_A_tilde_equals_A_for_symmetric_law():
-    m = MomentTriple(0.7, 0.1, 0.7)
-    np.testing.assert_array_equal(build_A(m), build_A_tilde(m))
 
 
 def test_build_A_lambda_critical_point_is_unipotent():
@@ -80,7 +73,8 @@ _moments = st.tuples(
 @given(_moments)
 def test_determinants_of_raw_families(m):
     assert np.linalg.det(build_A(m)) == pytest.approx(m.mu_minus / m.mu_plus, rel=1e-10)
-    assert np.linalg.det(build_A_tilde(m)) == pytest.approx(m.mu_plus / m.mu_minus, rel=1e-10)
+    mirror = MomentTriple(m.mu_plus, m.mu_zero, m.mu_minus)
+    assert np.linalg.det(build_A(mirror)) == pytest.approx(m.mu_plus / m.mu_minus, rel=1e-10)
 
 
 @st.composite
@@ -111,11 +105,6 @@ def test_conjugacy_residual_sweep(pair):
 def test_conjugacy_residual_worked_examples():
     assert conjugacy_residual(MomentTriple(0.5, 0.0, 0.5), 1.0) <= 1e-12
     assert conjugacy_residual(MomentTriple(1.2, 0.0, 0.05), 2.0) <= 1e-12
-
-
-def test_conjugacy_matrix_shape():
-    b = conjugacy_matrix(2.0)
-    np.testing.assert_array_equal(b, [[1.0, -2.0], [1.0, 0.0]])
 
 
 # -- exponent estimation -----------------------------------------------------
@@ -219,15 +208,17 @@ def test_word_length_is_the_longest_within_budget(env):
         assert reduce.words.shape == (4, env.n_states**steps)
 
 
-@given(env=walk_laws(), kind=st.sampled_from(["A", "A_tilde", "A_lambda"]),
+# walk_laws holds the mirror of each of its laws, and a mirror law's A matrices
+# are those of the law it reflects with left and right swapped
+@given(env=walk_laws(), kind=st.sampled_from(["A", "A_lambda"]),
        steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
 @example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
 @example(env=_TWO_STATES, kind="A", steps=4_092, seed=2)
 @example(env=_TWO_STATES, kind="A_lambda", steps=4_103, seed=2)
-@example(env=_unequal_three_states(), kind="A_tilde", steps=1_000, seed=3)
+@example(env=reflected(_unequal_three_states()), kind="A", steps=1_000, seed=3)
 @example(env=_unequal_three_states(), kind="A", steps=1_003, seed=3)
 @example(env=_FOUR_STATES, kind="A", steps=1_002, seed=4)
-@example(env=_FOUR_STATES, kind="A_tilde", steps=1_001, seed=4)
+@example(env=reflected(_FOUR_STATES), kind="A", steps=1_001, seed=4)
 def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
     lam = None
     if kind == "A_lambda":
@@ -339,17 +330,18 @@ COMPLEX_ROOTS = [(0.5, (2, 1, 0)), (0.2, (0, 0, 1)), (0.3, (0, 0, 0))]
 
 
 # the roots of A's characteristic polynomial mu+ z^2 - (1 - mu0) z + mu- are the
-# ends lo <= hi of the state's feasible interval, and A_tilde's are 1/hi and 1/lo
-@pytest.mark.parametrize("atoms, kind, exponent", [
-    pytest.param(GW_SUPERCRITICAL, "A", lambda iv, lam, m: math.log(iv.hi), id="A"),
-    pytest.param(GW_SUPERCRITICAL, "A_tilde", lambda iv, lam, m: -math.log(iv.lo), id="A_tilde"),
-    pytest.param(GW_SUPERCRITICAL, "A_lambda", lambda iv, lam, m: math.log(iv.hi / lam),
+# ends lo <= hi of the state's feasible interval, and the mirror law's are 1/hi
+# and 1/lo, so its exponent is gamma(A) - drift = ln hi - ln(lo hi)
+@pytest.mark.parametrize("atoms, mirror, kind, exponent", [
+    pytest.param(GW_SUPERCRITICAL, False, "A", lambda iv, lam, m: math.log(iv.hi), id="A"),
+    pytest.param(GW_SUPERCRITICAL, True, "A", lambda iv, lam, m: -math.log(iv.lo), id="A_tilde"),
+    pytest.param(GW_SUPERCRITICAL, False, "A_lambda", lambda iv, lam, m: math.log(iv.hi / lam),
                  id="A_lambda"),
     # a conjugate pair: |z|^2 = det A = mu- / mu+
-    pytest.param(COMPLEX_ROOTS, "A", lambda iv, lam, m: 0.5 * math.log(m.mu_minus / m.mu_plus),
-                 id="complex-roots"),
+    pytest.param(COMPLEX_ROOTS, False, "A",
+                 lambda iv, lam, m: 0.5 * math.log(m.mu_minus / m.mu_plus), id="complex-roots"),
 ])
-def test_constant_env_exponent_is_log_spectral_radius(atoms, kind, exponent, monkeypatch):
+def test_constant_env_exponent_is_log_spectral_radius(atoms, mirror, kind, exponent, monkeypatch):
     env = single_env(atoms)
     m = env.state_moments[0]
     iv = state_feasible_interval(m)
@@ -357,7 +349,8 @@ def test_constant_env_exponent_is_log_spectral_radius(atoms, kind, exponent, mon
     # the power of one matrix needs no random generator and no word table
     monkeypatch.setattr(np.random, "default_rng", None)
     monkeypatch.setattr(lyapunov, "_ProductReduction", None)
-    est = top_lyapunov(env, kind, steps=20_000, replicas=7, seed=3, lam=lam)
+    est = top_lyapunov(reflected(env) if mirror else env, kind, steps=20_000, replicas=7, seed=3,
+                       lam=lam)
     assert est.stderr == 0.0
     assert est.value == pytest.approx(exponent(iv, lam, m), rel=1e-12, abs=0.0)
 
@@ -409,12 +402,38 @@ def test_exponent_shift_identity_two_state():
         assert abs(gamma.value - (shifted.value + math.log(lam))) <= tol
 
 
+@pytest.mark.parametrize("env", [two_state_env(), _unequal_three_states()], ids=["2", "3"])
+@pytest.mark.parametrize("length", [1, 7, 1_000])
+def test_mirror_product_is_the_reversed_product_over_its_determinant(env, length):
+    # J A^-1 J is the mirror's matrix, so its product over a sequence is J P^-1 J
+    # with P the A product of the reversed sequence, and ||P^-1|| = ||P|| / |det P|
+    table = state_matrices(env, "A")
+    mirror = np.stack([build_A(MomentTriple(m.mu_plus, m.mu_zero, m.mu_minus))
+                       for m in env.state_moments])
+    np.testing.assert_array_equal(mirror, state_matrices(reflected(env), "A"))
+    rng = np.random.default_rng(length)
+    seq = rng.choice(env.n_states, size=length, p=np.asarray(env.weights) / sum(env.weights))
+    log_det = sum(math.log(env.state_moments[s].mu_minus / env.state_moments[s].mu_plus)
+                  for s in seq)
+    got = _log_norm_of_product(mirror[seq])
+    want = _log_norm_of_product(table[seq[::-1]]) - log_det
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * length)
+
+
 def test_mirror_exponent_identity():
-    env = two_state_env()
-    tilde = top_lyapunov(env, "A_tilde", steps=30_000, replicas=8, seed=4)
-    mirrored = top_lyapunov(reflected(env), "A", steps=30_000, replicas=8, seed=5)
-    tol = 3.0 * math.hypot(tilde.stderr, mirrored.stderr)
-    assert abs(tilde.value - mirrored.value) <= tol
+    # the mirror law's top exponent is gamma(A) - drift, on every number of states
+    for env in (two_state_env(), _unequal_three_states(), single_env(GW_SUPERCRITICAL),
+                single_env(SUBCRITICAL_BRANCHY), single_env(COMPLEX_ROOTS)):
+        kw = dict(steps=30_000, replicas=8)
+        gamma = top_lyapunov(env, "A", seed=4, **kw)
+        mirrored = top_lyapunov(reflected(env), "A", seed=5, **kw)
+        expected = gamma.value - expected_log_drift(env)
+        if env.n_states == 1:
+            assert mirrored.stderr == gamma.stderr == 0.0
+            assert mirrored.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        else:
+            tol = 3.0 * math.hypot(gamma.stderr, mirrored.stderr) + 20.0 / kw["steps"]
+            assert abs(mirrored.value - expected) <= tol
 
 
 def test_state_matrices_tables():

@@ -16,8 +16,12 @@ directory normalized), stderr, report.json and each CSV match; a file
 matches byte for byte or by value.  By value, floats compare by
 `float.hex`, and an int equal to a float counts as equal.  It lists the
 fields that moved, and exits 1 on any difference but a byte difference
-between value-identical files.  `--base HEAD` on a clean tree checks that
-every output is byte-reproducible across processes.
+between value-identical files.  Cross-check rows are matched by their
+identity, so a row that only one side has is one line; a moved field with
+a sibling stderr (`value` and `stderr`, `x_freq` or `x` and `x_stderr`)
+also gives its move in combined stderrs of the two sides, unless a string
+sibling such as `matrix_kind` moved with it.  `--base HEAD` on a clean
+tree checks that every output is byte-reproducible across processes.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -124,12 +129,49 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def _rows(items: list) -> dict | None:
+    """A list of cross-check rows as {identity: row}, or None for any other list."""
+    if items and all(isinstance(r, dict) and "identity" in r for r in items):
+        return {r["identity"]: r for r in items}
+    return None
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _in_stderrs(a: dict, b: dict, key: str) -> str:
+    """' (z combined stderrs)' for a moved number with a numeric sibling stderr, else ''.
+
+    A string sibling that moved (a matrix kind, a mode) names another
+    estimand, so the move gets no scale."""
+    se = "stderr" if key == "value" else key.removesuffix("_freq") + "_stderr"
+    numbers = all(_is_number(x) for x in (a[key], b[key], a.get(se), b.get(se)))
+    if not numbers or any(isinstance(v, str) and b.get(k) != v for k, v in a.items()):
+        return ""
+    combined = math.hypot(a[se], b[se])
+    return f" ({(b[key] - a[key]) / combined:+.2f} combined stderrs)" if combined else " (stderr 0)"
+
+
 def moved(a, b, path: str) -> list[str]:
     """The fields at which two parsed documents differ, as 'path: base -> here'."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = [] if list(a) == list(b) else [f"{path}: keys {list(a)} -> {list(b)}"]
-        return out + [m for k in a if k in b for m in moved(a[k], b[k], f"{path}.{k}")]
+        for k in a:
+            fields = moved(a[k], b[k], f"{path}.{k}") if k in b else []
+            if fields:
+                fields[0] += _in_stderrs(a, b, k)
+            out += fields
+        return out
     if isinstance(a, list) and isinstance(b, list):
+        rows_a, rows_b = _rows(a), _rows(b)
+        if rows_a is not None and rows_b is not None:
+            out = [f"{path}: row {k} only in base" for k in rows_a if k not in rows_b]
+            out += [f"{path}: row {k} only in here" for k in rows_b if k not in rows_a]
+            order_a, order_b = [k for k in rows_a if k in rows_b], [k for k in rows_b if k in rows_a]
+            if order_a != order_b:
+                out.append(f"{path}: row order {order_a} -> {order_b}")
+            return out + [m for k in order_a for m in moved(rows_a[k], rows_b[k], f"{path}[{k}]")]
         out = [] if len(a) == len(b) else [f"{path}: length {len(a)} -> {len(b)}"]
         return out + [m for i, (x, y) in enumerate(zip(a, b)) for m in moved(x, y, f"{path}[{i}]")]
     return [] if _same(a, b) else [f"{path}: {a!r} -> {b!r}"]
