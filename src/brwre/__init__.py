@@ -15,9 +15,10 @@ import importlib
 _EXPORTS = {
     "envmodel": "ConditionReport EnvironmentLaw MomentTriple OffspringLaw OffspringVector "
                 "law_from_atoms moments reflected state_at validate_conditions",
-    "criteria": "ConditionError LambdaInterval RegimeReport classify classify_environment "
-                "expected_log_drift lambda_feasible_set state_feasible_interval",
-    "lyapunov": "LyapunovEstimate build_A build_A_lambda top_lyapunov",
+    "criteria": "ConditionError LambdaInterval LyapunovEstimate RegimeReport classify "
+                "classify_environment expected_log_drift lambda_feasible_set "
+                "state_feasible_interval",
+    "lyapunov": "build_A build_A_lambda top_lyapunov",
     "spectral": "SpectralEstimate TruncatedMomentMatrix rho_sweep spectral_radius truncated_matrix",
     "simulator": "BatchRun FrozenProfile SurvivalEstimates TrialOutcome frozen_mean_profile "
                  "run_batch supermartingale_trace survival_probabilities",

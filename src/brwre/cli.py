@@ -6,7 +6,8 @@ into the output directory, and optionally CSV series.  Reports are
 byte-reproducible for identical configs: all randomness is derived from
 the config seed, and `json` and `csv` write each float as its shortest
 round-trip repr, which reads back as the same double.
-Config, emitter and closed-form verdict need no numpy; stages import it on first use.
+Config, emitter, closed-form verdict and one-state exponents need no numpy; stages import it
+on first use.
 """
 from __future__ import annotations
 
@@ -52,8 +53,8 @@ _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class LyapunovOpts:
-    steps: int = field(default=100_000, metadata={"minimum": 1000})
-    replicas: int = field(default=32, metadata={"minimum": 2})
+    steps: int = field(default=100_000, metadata={"minimum": criteria.MIN_STEPS})
+    replicas: int = field(default=32, metadata={"minimum": criteria.MIN_REPLICAS})
 
 
 @dataclass(frozen=True)
@@ -289,9 +290,8 @@ class Stages:
     def exponent(self, kind: str, lam: float | None = None):
         """Top exponent of one matrix family, drawn on first use per (kind, lam)."""
         if (kind, lam) not in self._exponents:
-            from . import lyapunov
             seed, salt = self.seeds["lyapunov"], EXPONENT_SALTS[kind]
-            self._exponents[kind, lam] = lyapunov.top_lyapunov(
+            self._exponents[kind, lam] = criteria.top_exponent(
                 self.env, kind, steps=self.config.lyapunov.steps,
                 replicas=self.config.lyapunov.replicas,
                 seed=seed if salt is None else derive_seed(seed, salt), lam=lam,

@@ -15,20 +15,19 @@ tests gamma_2 = drift - gamma_1 and the left branch -gamma_1 (the mirror
 law's test, -drift - gamma(mirror), since gamma(mirror) = gamma_1 - drift:
 see `lyapunov`), so global survival holds iff 0 lies outside
 [gamma_2, gamma_1].  The caller supplies the draw (`classify_environment`
-calls `lyapunov.top_lyapunov`, the CLI reads its stage table), and only
-the draw imports `lyapunov` and numpy; the rest is `math`.
+and the CLI's stage table call `top_exponent`).  The same quadratic's
+roots are the eigenvalues of a state's matrix A, so a one-state law's
+exponent is exact here (`constant_exponent`); only an exponent of a law
+with more states imports `lyapunov` and numpy.  The rest is `math`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .envmodel import (FEASIBILITY_TOL, ConditionReport, EnvironmentLaw, MomentTriple,
                        validate_conditions)
-
-if TYPE_CHECKING:
-    from .lyapunov import LyapunovEstimate
 
 STRONG_LOCAL_SURVIVAL = "StrongLocalSurvival"
 GLOBAL_SURVIVAL_LOCAL_EXTINCTION = "GlobalSurvivalLocalExtinction"
@@ -122,6 +121,83 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
     return out
 
 
+MATRIX_KINDS = ("A", "A_lambda")
+MIN_STEPS, MIN_REPLICAS = 1_000, 2
+
+
+@dataclass(frozen=True)
+class LyapunovEstimate:
+    """Replica-averaged exponent in nats per step; exact, with stderr 0, on one state."""
+
+    value: float
+    stderr: float
+    steps: int
+    replicas: int
+    matrix_kind: str
+
+
+def feasible_slack(m: MomentTriple, lam: float) -> float:
+    """m.slack(lam), or ValueError when it is below -FEASIBILITY_TOL."""
+    slack = m.slack(lam)
+    if slack < -FEASIBILITY_TOL:
+        raise ValueError(f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
+                         f"slack {slack:.3e} < 0")
+    return slack
+
+
+def constant_exponent(m: MomentTriple, matrix_kind: str, lam: float | None = None) -> float:
+    """Top exponent of the constant environment m: ln of its matrix's spectral radius.
+
+    A power of one matrix grows like rho^n (Gelfand's formula).  A's
+    characteristic polynomial is mu+ z^2 - b z + mu- with b = 1 - mu0, the
+    quadratic of `state_feasible_interval`, so real roots give
+    rho = (|b| + sqrt(disc)) / (2 mu+) and complex ones |z| = sqrt(mu-/mu+);
+    A_lambda is similar to A / lam.
+    Raises ValueError where `lyapunov.state_matrices` does, and
+    FloatingPointError for a nilpotent matrix (rho = 0), as a product that
+    collapsed to zero does.
+    """
+    if matrix_kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
+    if matrix_kind == "A_lambda" and lam is None:
+        raise ValueError("matrix kind A_lambda needs a lambda value")
+    if m.mu_plus <= 0.0:
+        raise ValueError(f"matrix kind {matrix_kind} needs mu_plus > 0")
+    b = 1.0 - m.mu_zero
+    disc = b * b - 4.0 * m.mu_minus * m.mu_plus
+    if disc >= 0.0:
+        rho = (abs(b) + math.sqrt(disc)) / (2.0 * m.mu_plus)
+    else:
+        rho = math.sqrt(m.mu_minus / m.mu_plus)
+    if matrix_kind == "A_lambda":
+        feasible_slack(m, lam)
+        rho /= lam
+    if rho == 0.0:
+        raise FloatingPointError("matrix product collapsed to zero")
+    return math.log(rho)
+
+
+def check_budget(steps: int, replicas: int) -> None:
+    """ValueError unless an exponent's budget reaches MIN_STEPS and MIN_REPLICAS."""
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    if replicas < MIN_REPLICAS:
+        raise ValueError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
+
+
+def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
+                 replicas: int = 32, seed: int = 0, lam: float | None = None) -> LyapunovEstimate:
+    """Top exponent of one matrix family: on a one-state law `constant_exponent`
+    with stderr 0, and nothing imported or drawn; otherwise `lyapunov.top_lyapunov`."""
+    if envlaw.n_states > 1:
+        from . import lyapunov
+        return lyapunov.top_lyapunov(envlaw, matrix_kind, steps=steps, replicas=replicas,
+                                     seed=seed, lam=lam)
+    check_budget(steps, replicas)
+    return LyapunovEstimate(value=constant_exponent(envlaw.state_moments[0], matrix_kind, lam),
+                            stderr=0.0, steps=steps, replicas=replicas, matrix_kind=matrix_kind)
+
+
 def _direction(interval: LambdaInterval, one_in: bool) -> str:
     if interval.is_empty:
         return "none"
@@ -200,8 +276,6 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
 
 def classify_environment(envlaw: EnvironmentLaw, *, seed: int = 0, steps: int = 100_000,
                          replicas: int = 32, sigma_margin: float = 3.0) -> RegimeReport:
-    """classify(), drawing the one exponent estimate its branch needs with top_lyapunov."""
-    def exponent(kind):
-        from . import lyapunov
-        return lyapunov.top_lyapunov(envlaw, kind, steps=steps, replicas=replicas, seed=seed)
-    return classify(envlaw, exponent, sigma_margin=sigma_margin)
+    """classify(), drawing the one exponent estimate its branch needs with top_exponent."""
+    return classify(envlaw, lambda kind: top_exponent(envlaw, kind, steps, replicas, seed),
+                    sigma_margin=sigma_margin)

@@ -11,8 +11,11 @@ the reversed sequence.  For a 2x2 matrix the max-abs norm of M^-1 is
 the same law, so the mirror's top exponent is gamma(A) minus the log
 drift E ln(mu-/mu+) (the Furstenberg-Kesten sum rule: it is -gamma_2(A)).
 A one-state law's product is a power of its matrix, so its top exponent
-is the log of that matrix's spectral radius (Gelfand's formula); with more
-states it is estimated from long renormalized products over replicas.
+is the log of that matrix's spectral radius (Gelfand's formula), which
+`criteria.constant_exponent` reads off the roots of its characteristic
+polynomial without numpy; `criteria.top_exponent` returns it without
+importing this module.  With more states the exponent is estimated here,
+from long renormalized products over replicas.
 
 A product is reduced by a pairwise tree that rescales every product to
 a max-abs entry of 1 and sums the logs of the scales.  The matrices are
@@ -36,13 +39,12 @@ entry rows round twice, so the two agree to roundoff, not bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple
-
-MATRIX_KINDS = ("A", "A_lambda")
+from .criteria import (MATRIX_KINDS, LyapunovEstimate, check_budget, feasible_slack,
+                       top_exponent)
+from .envmodel import EnvironmentLaw, MomentTriple
 
 
 def build_A(m: MomentTriple) -> np.ndarray:
@@ -62,26 +64,12 @@ def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
     with s = m.slack(lam), clipped at 0 (it may come out ~-1e-17 from
     cancellation at an interval endpoint); det = mu-/(lam^2 mu+).
     """
-    slack = m.slack(lam)
     if m.mu_plus <= 0.0:
         raise ValueError("matrix kind A_lambda needs mu_plus > 0")
-    if slack < -FEASIBILITY_TOL:
-        raise ValueError(f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
-                         f"slack {slack:.3e} < 0")
+    slack = feasible_slack(m, lam)
     a = m.mu_minus / (lam * lam * m.mu_plus)
     b = max(slack, 0.0) / (lam * m.mu_plus)
     return np.array([[a, b], [a, 1.0 + b]])
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    """Replica-averaged exponent in nats per step."""
-
-    value: float
-    stderr: float
-    steps: int
-    replicas: int
-    matrix_kind: str
 
 
 def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> np.ndarray:
@@ -284,33 +272,26 @@ def top_lyapunov(
 ) -> LyapunovEstimate:
     """Estimate the top exponent of the i.i.d. product for one family.
 
-    With one state it is exact: ln of the matrix's spectral radius, with
-    stderr 0 and nothing drawn; a nilpotent matrix raises
-    FloatingPointError.  Otherwise replica r samples its steps // L word
-    codes and steps % L tail states on default_rng([seed, r]) (see
-    `_ProductReduction.sample`), reduces the product of those matrices
-    with the word table and the entry-wise tree (see the module docstring)
-    and contributes ln ||product|| / steps.  The value is the replica mean
+    With one state it is exact: `criteria.top_exponent` returns the closed
+    form, with stderr 0 and nothing drawn; a nilpotent matrix raises
+    FloatingPointError.
+    Otherwise replica r samples its steps // L word codes and steps % L
+    tail states on default_rng([seed, r]) (see `_ProductReduction.sample`),
+    reduces the product of those matrices with the word table and the
+    entry-wise tree (see the module docstring) and contributes
+    ln ||product|| / steps.  The value is the replica mean
     and stderr the replica dispersion / sqrt(R).
     n_workers is accepted for compatibility and ignored: the replicas run
     on one thread and the result never depends on it.
     """
-    if steps < 1_000:
-        raise ValueError(f"steps must be >= 1000, got {steps}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
-    table = state_matrices(envlaw, matrix_kind, lam)
     if envlaw.n_states == 1:
-        with np.errstate(divide="raise"):
-            value = float(np.log(np.abs(np.linalg.eigvals(table[0])).max()))
-        stderr = 0.0
-    else:
-        reduce = _ProductReduction(table, envlaw.weights, steps)
-        values = np.array([
-            reduce(*reduce.sample(np.random.default_rng([seed, r]))) / steps
-            for r in range(replicas)
-        ])
-        value = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(replicas))
-    return LyapunovEstimate(value=value, stderr=stderr, steps=steps, replicas=replicas,
-                            matrix_kind=matrix_kind)
+        return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, lam=lam)
+    check_budget(steps, replicas)
+    reduce = _ProductReduction(state_matrices(envlaw, matrix_kind, lam), envlaw.weights, steps)
+    values = np.array([
+        reduce(*reduce.sample(np.random.default_rng([seed, r]))) / steps
+        for r in range(replicas)
+    ])
+    return LyapunovEstimate(value=float(values.mean()),
+                            stderr=float(values.std(ddof=1) / math.sqrt(replicas)),
+                            steps=steps, replicas=replicas, matrix_kind=matrix_kind)

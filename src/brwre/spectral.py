@@ -45,14 +45,6 @@ class TruncatedMomentMatrix:
     def size(self) -> int:
         return len(self.diag)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        m = np.diag(self.diag)
-        if n > 1:
-            m += np.diag(self.sub[1:], k=-1)
-            m += np.diag(self.sup[:-1], k=1)
-        return m
-
 
 def truncated_matrix(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> TruncatedMomentMatrix:
     """The three diagonals on the sites [lo, hi] of the quenched environment

@@ -476,13 +476,14 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("subcommand", ["lyapunov", "crosscheck", "all"])
 def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environment, direction):
     calls = collections.Counter()
-    original = lyapunov.top_lyapunov
+    original = criteria.top_exponent
 
     def counted(envlaw, matrix_kind, *args, **kwargs):
         calls[matrix_kind, kwargs.get("lam")] += 1
         return original(envlaw, matrix_kind, *args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "top_lyapunov", counted)
+    # every exponent, closed-form or drawn, goes through the one entry point
+    monkeypatch.setattr(criteria, "top_exponent", counted)
     path = write_config(tmp_path, environment=environment)
     assert criteria.vanishing_direction(load_config(path).environment) == direction
     assert run(path, subcommand, outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
@@ -665,13 +666,14 @@ def test_tie_lost_to_rounding_is_feasible(tmp_path):
 
 def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypatch):
     calls = []
-    original = lyapunov.top_lyapunov
+    original = criteria.top_exponent
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "top_lyapunov", counted)
+    # STRONG_LOCAL_ENV has one state: its exponents never reach lyapunov.top_lyapunov
+    monkeypatch.setattr(criteria, "top_exponent", counted)
     path = write_config(tmp_path, environment=STRONG_LOCAL_ENV)
     assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "cc" / "report.json").read_text())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brwre import lyapunov
-from brwre.criteria import expected_log_drift, lambda_feasible_set, state_feasible_interval
+from brwre.criteria import (constant_exponent, expected_log_drift, lambda_feasible_set,
+                            state_feasible_interval, top_exponent)
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
     WORD_BUDGET,
@@ -355,6 +356,72 @@ def test_constant_env_exponent_is_log_spectral_radius(atoms, mirror, kind, expon
     assert est.value == pytest.approx(exponent(iv, lam, m), rel=1e-12, abs=0.0)
 
 
+@st.composite
+def one_state_laws(draw):
+    """One state with atoms (l, 0, 0), (0, k, 0), (0, 0, r) and (0, 0, 0): A's
+    roots are real (positive, or negative when mu0 > 1) or complex."""
+    l, k, r = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    p_l, p_k, p_r = draw(st.floats(0.02, 0.3)), draw(st.floats(0.0, 0.3)), draw(st.floats(0.02, 0.3))
+    atoms = [(p_l, (l, 0, 0)), (p_r, (0, 0, r)), (1.0 - p_l - p_r - p_k, (0, 0, 0))]
+    return single_env(atoms + [(p_k, (0, k, 0))] if p_k > 0.0 else atoms)
+
+
+@given(one_state_laws())
+@example(single_env(GW_SUPERCRITICAL))
+@example(single_env(COMPLEX_ROOTS))
+@example(single_env([(0.3, (1, 0, 0)), (0.3, (0, 4, 0)), (0.3, (0, 0, 1)), (0.1, (0, 0, 0))]))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_the_eigenvalue_oracle(env):
+    m = env.state_moments[0]
+    b = 1.0 - m.mu_zero
+    # near a double root the eigenvalues move by sqrt(eps) under roundoff, in either solver
+    assume(abs(b * b - 4.0 * m.mu_minus * m.mu_plus) > 1e-6 * (b * b + 4.0 * m.mu_minus * m.mu_plus))
+    iv = state_feasible_interval(m)
+    kinds = [("A", None, build_A(m))]
+    if not iv.is_empty:
+        lam = math.sqrt(iv.lo * iv.hi)
+        kinds.append(("A_lambda", lam, build_A_lambda(m, lam)))
+    for kind, lam, mat in kinds:
+        value = constant_exponent(m, kind, lam)
+        assert math.exp(value) == pytest.approx(math.exp(log_spectral_radius(mat)), rel=1e-12)
+        # top_lyapunov and the numpy-free entry point both return it, exactly
+        est = top_exponent(env, kind, steps=1_000, replicas=2, lam=lam)
+        assert est == top_lyapunov(env, kind, steps=1_000, replicas=2, lam=lam)
+        assert (est.value, est.stderr) == (value, 0.0)
+
+
+def test_closed_form_double_root():
+    # mu- = 5/7, mu0 = 0, mu+ = 0.35: b^2 = 4 mu- mu+, so both roots are 1/0.7
+    env = single_env([(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
+                      (0.2928571428571428, (0, 0, 0))])
+    assert constant_exponent(env.state_moments[0], "A") == pytest.approx(
+        math.log(1.0 / 0.7), rel=0.0, abs=1e-15)
+
+
+def test_closed_form_keeps_the_matrix_checks():
+    m = single_env(GW_SUPERCRITICAL).state_moments[0]
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        constant_exponent(m, "A_tilde")
+    with pytest.raises(ValueError, match="needs a lambda"):
+        constant_exponent(m, "A_lambda")
+    # the interval is [1.282, 18.72]: lambda = 1 is infeasible
+    with pytest.raises(ValueError, match="infeasible") as closed:
+        constant_exponent(m, "A_lambda", 1.0)
+    with pytest.raises(ValueError, match="infeasible") as matrix:
+        build_A_lambda(m, 1.0)
+    assert str(closed.value) == str(matrix.value)
+
+
+def test_one_state_entry_point_skips_the_estimator(monkeypatch):
+    env = single_env(GW_SUPERCRITICAL)
+    # a budget below the minimum is rejected on one state too
+    with pytest.raises(ValueError, match="steps must be"):
+        top_exponent(env, "A", steps=999)
+    monkeypatch.setattr(lyapunov, "top_lyapunov", None)
+    assert top_exponent(env, "A").value == pytest.approx(
+        math.log(state_feasible_interval(env.state_moments[0]).hi), rel=1e-15, abs=0.0)
+
+
 # A = [[0, 0], [1, 0]] (mu- = 0, mu0 = 1), whose square is zero
 NILPOTENT = [(0.5, (0, 1, 1)), (0.5, (0, 1, 0))]
 
@@ -365,6 +432,8 @@ def test_collapsed_product_raises():
         _log_norm_of_product(state_matrices(env, "A")[np.zeros(1_000, dtype=np.intp)])
     with pytest.raises(FloatingPointError):
         top_lyapunov(env, "A", steps=1_000, replicas=2)
+    with pytest.raises(FloatingPointError):
+        top_exponent(env, "A", steps=1_000, replicas=2)
 
     # with a second, invertible state a product collapses exactly where two
     # 0s are adjacent, so 1, 0, 1, 0, ... never collapses; two-state words

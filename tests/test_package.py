@@ -26,9 +26,20 @@ BOTH_LAW = {"states": [
     {"weight": 0.5, "atoms": [{"p": 0.15, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 0, 2]},
                               {"p": 0.55, "v": [0, 0, 0]}]},
 ]}
-# GlobalSurvivalLocalExtinction on the right-vanishing branch: classify draws an exponent
+# GlobalSurvivalLocalExtinction on the right-vanishing branch, one state (the README
+# example): its exponent is closed-form
 RIGHT_LAW = {"states": [{"weight": 1.0, "atoms": [
     {"p": 0.6, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]}, {"p": 0.35, "v": [0, 0, 0]}]}]}
+# the same law reflected: the left-vanishing branch
+LEFT_LAW = {"states": [{"weight": 1.0, "atoms": [
+    {"p": 0.6, "v": [0, 0, 2]}, {"p": 0.05, "v": [1, 0, 0]}, {"p": 0.35, "v": [0, 0, 0]}]}]}
+# two states on the right-vanishing branch: classify draws an exponent
+TWO_STATE_RIGHT_LAW = {"states": [
+    {"weight": 0.5, "atoms": [{"p": 0.7, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
+                              {"p": 0.25, "v": [0, 0, 0]}]},
+    {"weight": 0.5, "atoms": [{"p": 0.45, "v": [2, 0, 0]}, {"p": 0.08, "v": [0, 0, 1]},
+                              {"p": 0.47, "v": [0, 0, 0]}]},
+]}
 
 
 def loaded_after(code: str, tmp_path) -> dict:
@@ -66,8 +77,19 @@ def test_closed_form_verdict_runs_without_numpy(tmp_path):
         "GlobalExtinction", "both")
 
 
+@pytest.mark.parametrize("law, direction", [(RIGHT_LAW, "right"), (LEFT_LAW, "left")],
+                         ids=["right", "left"])
+def test_one_state_statistical_verdict_runs_without_numpy(tmp_path, law, direction):
+    code = run_code(law, ("classify",), tmp_path)
+    assert not any(loaded_after(code, tmp_path).values())
+    report = json.loads((tmp_path / "classify" / "report.json").read_text())
+    assert (report["regime"]["regime"], report["regime"]["vanishing_direction"]) == (
+        "GlobalSurvivalLocalExtinction", direction)
+    assert report["regime"]["gamma1"]["stderr"] == 0
+
+
 def test_statistical_verdict_loads_the_exponent_module(tmp_path):
-    code = run_code(RIGHT_LAW, ("classify",), tmp_path)
+    code = run_code(TWO_STATE_RIGHT_LAW, ("classify",), tmp_path)
     loaded = loaded_after(code, tmp_path)
     assert loaded["numpy"] and loaded["brwre.lyapunov"], loaded
     report = json.loads((tmp_path / "classify" / "report.json").read_text())

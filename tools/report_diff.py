@@ -7,9 +7,10 @@ every subcommand with `--format both` there and in this working tree, each
 as a fresh `python -m brwre.cli` process.  The configs are the perfbench
 workloads at seeds 1 and 2 (scale 50), the README's example config, and
 one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
-that every branch of the classifier is run, plus two laws whose feasible
-set is a point that rounding would lose: a one-state double root and a tie
-between two states' intervals.
+that every branch of the classifier is run, the README law mirrored (a
+one-state left branch), a law with 1 feasible only within the membership
+tolerance, and two laws whose feasible set is a point that rounding would
+lose: a one-state double root and a tie between two states' intervals.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -52,12 +53,16 @@ def _mirrored(atoms):
     return [(p, v[::-1]) for p, v in atoms]
 
 
-# the left-vanishing and strong-local-survival branches and the point feasible
-# sets of tests/test_cli.py (DOUBLE_ROOT_ENV, TIE_ENV), as (weight, atoms)
-# states, run at the sizes of tests/test_cli.py's write_config
+# the left-vanishing and strong-local-survival branches, the one-state left
+# branch, and the near-critical law and point feasible sets of
+# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), as
+# (weight, atoms) states, run at the sizes of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
+    "one-state-left": ((1.0, _mirrored(workloads.GW_RIGHT_ATOMS)),),
+    "near-critical": ((1.0, [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)),
+                             (0.35 - 2.5e-10, (0, 0, 0))]),),
     "strong-local": ((1.0, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]),),
     "double-root": ((1.0, [(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
                            (0.2928571428571428, (0, 0, 0))]),),
