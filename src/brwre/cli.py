@@ -277,7 +277,6 @@ class Stages:
             "lyapunov": derive_seed(s, 2),
             "simulate": derive_seed(s, 3),
             "frozen": derive_seed(s, 4),
-            "supermartingale": derive_seed(s, 5),
         }
         self._exponents = {}
 
@@ -305,11 +304,16 @@ class Stages:
 
     @cached_property
     def survival(self):
+        """Survival trials; with a nonempty feasible set the same run records the
+        supermartingale trace at its geometric midpoint, so every subcommand
+        that writes the survival section fails where that trace overflows."""
         from . import simulator
         sim = self.config.simulate
+        iv = criteria.lambda_feasible_set(self.env)
         return simulator.survival_probabilities(
             self.env, trials=sim.trials, horizon=sim.horizon, cap=sim.cap, mode=sim.mode,
             env_seed=self.seeds["environment"], seed=self.seeds["simulate"],
+            lam=None if iv.is_empty else math.sqrt(iv.lo * iv.hi),
         )
 
     @cached_property
@@ -325,19 +329,11 @@ class Stages:
             censor_threshold=fr.censor_threshold,
         )
 
-    @cached_property
+    @property
     def trace(self):
-        """Supermartingale trace at the feasible set's geometric midpoint, or None
-        when the set is empty."""
-        iv = criteria.lambda_feasible_set(self.env)
-        if iv.is_empty:
-            return None
-        from . import simulator
-        sim = self.config.simulate
-        return simulator.supermartingale_trace(
-            self.env, self.seeds["environment"], math.sqrt(iv.lo * iv.hi), min(sim.trials, 10_000),
-            min(sim.horizon, 60), seed=self.seeds["supermartingale"],
-        )
+        """The survival run's supermartingale trace, or None when the feasible set
+        is empty."""
+        return self.survival.trace
 
 
 def _conditions_section(report) -> dict:

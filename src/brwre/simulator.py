@@ -5,9 +5,10 @@ site, a multinomial split of the site's count over its offspring atoms,
 equal in law to per-particle draws at O(occupied sites) cost.  run_batch
 steps many independent runs (rows) at once on flat (row, site, count)
 arrays; it is the one Monte Carlo entry point, and survival trials, the
-supermartingale trace and the freezing construction are rows of it.  Each
-TRIAL_BATCH rows share one random stream keyed by (env_seed, seed, batch
-index), so results never depend on threads.
+supermartingale trace and the freezing construction are rows of it (one
+run gives the survival trials and the trace of their first generations).
+Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
+batch index), so results never depend on threads.
 """
 from __future__ import annotations
 
@@ -32,6 +33,11 @@ TRIAL_BATCH = 1024
 
 # super-trials per level of the frozen profile; its stderrs are their spread
 SUPER_TRIALS = 50
+
+# the supermartingale trace that survival_probabilities records: its first
+# trials, through this many generations
+TRACE_TRIALS = 10_000
+TRACE_HORIZON = 60
 
 
 class CensoringError(RuntimeError):
@@ -86,12 +92,12 @@ class BatchRun(NamedTuple):
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     peak_population: np.ndarray
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
-    log_h: np.ndarray | None  # (rows, horizon+1) ln sum_x count(x) lam^x
+    log_h: np.ndarray | None  # (trace rows, trace horizon+1) ln sum_x count(x) lam^x
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
-              *, cap: int | None = None, freeze: bool = False,
-              log_lam: float | None = None) -> BatchRun:
+              *, cap: int | None = None, freeze: bool = False, log_lam: float | None = None,
+              trace_rows: int | None = None, trace_horizon: int | None = None) -> BatchRun:
     """Evolve independent rows, row i from start_count particles at starts[i].
 
     env_seed is one quenched seed or one seed per row.  Rows step together
@@ -99,8 +105,17 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     A row ends Extinct with no particle left, CapReached once its total
     reaches cap or a site count reaches _HARD_COUNT (without a cap that
     raises PopulationOverflowError), else AliveAtHorizon.  freeze moves
-    particles below starts[i] into the row's frozen count after each step;
-    log_lam records the log of the lam-weighted population at every time.
+    particles below starts[i] into the row's frozen count after each step.
+
+    log_lam records the log of the lam-weighted population of the first
+    trace_rows rows (default all) at every time up to trace_horizon (default
+    horizon).  A trace row that reaches the cap before the trace horizon is
+    CapReached, its status, end time, last origin visit and peak frozen at
+    that time, but keeps stepping, unseen by those columns, until the trace
+    horizon, so the cap never censors the trace; a trace row whose site
+    count reaches _HARD_COUNT by then raises PopulationOverflowError.  The
+    rows that keep stepping draw from their batch's stream, so the other
+    rows of a batch where one reached the cap early see other draws.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
@@ -108,10 +123,14 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     peak = np.full(n, start_count, dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    n_trace = t_trace = 0
     log_h = None
     if log_lam is not None:
-        log_h = np.full((n, horizon + 1), -math.inf)
-        log_h[:, 0] = np.log(peak) + starts * log_lam
+        n_trace = n if trace_rows is None else min(trace_rows, n)
+        t_trace = horizon if trace_horizon is None else min(trace_horizon, horizon)
+        log_h = np.full((n_trace, t_trace + 1), -math.inf)
+        log_h[:, 0] = np.log(peak[:n_trace]) + starts[:n_trace] * log_lam
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
@@ -126,25 +145,33 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
             first = _starts(rows)
             live = rows[first]
-            last_seen[live] = t
-            last_origin[rows[sites == 0]] = t
-            total = np.add.reduceat(counts, first)
-            peak[live] = np.maximum(peak[live], total)
-            if log_h is not None:
-                x = np.log(counts) + sites * log_lam
-                top = np.maximum.reduceat(x, first)
-                spread = np.exp(x - top[np.searchsorted(live, rows)])
-                log_h[live, t] = top + np.log(np.add.reduceat(spread, first))
+            if t <= t_trace and len(live) and live[0] < n_trace:
+                k = np.searchsorted(live, n_trace)  # the live trace rows, a prefix
+                e = first[k] if k < len(first) else len(rows)
+                x = np.log(counts[:e]) + sites[:e] * log_lam
+                top = np.maximum.reduceat(x, first[:k])
+                spread = np.exp(x - top[np.searchsorted(live[:k], rows[:e])])
+                log_h[live[:k], t] = top + np.log(np.add.reduceat(spread, first[:k]))
             over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
-            if cap is None and over.any():
+            if over.any() and (cap is None or (t <= t_trace and live[over][0] < n_trace)):
                 raise PopulationOverflowError(
                     f"population guard hit at step {t}; shorten the horizon")
+            # rows already CapReached step on for the trace alone
+            fresh = ~capped[live]
+            live, over = live[fresh], over[fresh]
+            total = np.add.reduceat(counts, first)[fresh]
+            last_seen[live] = t
+            at_origin = rows[sites == 0]
+            last_origin[at_origin[~capped[at_origin]]] = t
+            peak[live] = np.maximum(peak[live], total)
             if cap is not None:
                 over |= total >= cap
             if over.any():
                 status[live[over]] = CAP_REACHED
                 end_time[live[over]] = t
-                keep = ~over[np.searchsorted(live, rows)]
+                capped[live[over]] = True
+            if over.any() or t == t_trace:
+                keep = ~capped[rows] | ((rows < n_trace) & (t < t_trace))
                 rows, sites, counts = rows[keep], sites[keep], counts[keep]
     gone = (status == ALIVE_AT_HORIZON) & (last_seen < horizon)
     status[gone] = EXTINCT
@@ -189,7 +216,8 @@ class SurvivalEstimates:
     is negligible, and the bias direction is upward on survival).
     local_proxy_freq counts trials whose origin was still occupied in the
     second half of their span; a finite-horizon stand-in for infinitely
-    many visits, reported as a proxy only.
+    many visits, reported as a proxy only.  trace is the same run's
+    supermartingale trace when a lambda was given, else None.
     """
 
     global_freq: float
@@ -199,6 +227,7 @@ class SurvivalEstimates:
     trials: int
     mode: str
     outcomes: tuple[TrialOutcome, ...]
+    trace: SupermartingaleTrace | None = None
 
 
 def _binomial_stderr(p: float, n: int) -> float:
@@ -215,6 +244,7 @@ def survival_probabilities(
     env_seed: int = 0,
     seed: int = 0,
     n_workers: int = 1,
+    lam: float | None = None,
 ) -> SurvivalEstimates:
     """Monte Carlo survival frequencies over independent trials.
 
@@ -223,6 +253,17 @@ def survival_probabilities(
     The trials run as rows of run_batch, TRIAL_BATCH rows per random
     stream, and keep one TrialOutcome each.  n_workers is accepted for
     compatibility and ignored: the result never depends on it.
+
+    With lam, which must be feasible for every state, the same run also
+    records the supermartingale trace of its first min(trials, TRACE_TRIALS)
+    trials through generation min(horizon, TRACE_HORIZON), uncensored by
+    the cap (see run_batch).  In annealed mode the trace reads annealed
+    trials: lam is feasible in every environment, so h is a supermartingale
+    in each.  A trial's outcome keeps its meaning, but in a batch where a
+    trial reached the cap before the trace horizon the other trials see
+    other draws, and a trace trial that outgrows _HARD_COUNT by then raises
+    PopulationOverflowError.  Without lam the result is that of a run with
+    no trace.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -230,11 +271,12 @@ def survival_probabilities(
         raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
     env_seeds = env_seed if mode == "quenched" else np.array(
         [derive_seed(env_seed, 1 + i) for i in range(trials)], np.uint64)
-    outcomes = _outcomes(run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon,
-                                   (env_seed, seed), cap=cap))
-
-    g = sum(o.survived for o in outcomes) / trials
-    l = sum(o.locally_alive_proxy for o in outcomes) / trials
+    run = run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon, (env_seed, seed),
+                    cap=cap, log_lam=None if lam is None else _feasible_log(envlaw, lam),
+                    trace_rows=TRACE_TRIALS, trace_horizon=TRACE_HORIZON)
+    alive = run.status != EXTINCT
+    g = np.count_nonzero(alive) / trials
+    l = np.count_nonzero(alive & (2 * run.last_origin_visit >= run.end_time)) / trials
     return SurvivalEstimates(
         global_freq=g,
         global_stderr=_binomial_stderr(g, trials),
@@ -242,7 +284,8 @@ def survival_probabilities(
         local_proxy_stderr=_binomial_stderr(l, trials),
         trials=trials,
         mode=mode,
-        outcomes=tuple(outcomes),
+        outcomes=tuple(_outcomes(run)),
+        trace=None if lam is None else _trace(lam, run.log_h),
     )
 
 
@@ -263,27 +306,20 @@ class SupermartingaleTrace:
     horizon: int
 
 
-def supermartingale_trace(
-    envlaw: EnvironmentLaw,
-    env_seed: int,
-    lam: float,
-    trials: int,
-    horizon: int,
-    seed: int = 0,
-) -> SupermartingaleTrace:
-    """Trace h(n) = sum_x count(x) lam^x over quenched trials.
-
-    Requires lam feasible for every state; then the conditional mean of h
-    never increases, which the paired per-step increments make testable.
-    """
+def _feasible_log(envlaw: EnvironmentLaw, lam: float) -> float:
+    """ln lam, once lam is checked feasible for every state."""
     for m in envlaw.state_moments:
         if m.slack(lam) < -FEASIBILITY_TOL:
             raise ValueError(
                 f"lambda={lam} infeasible for state with moments {m.as_tuple()}"
             )
-    run = run_batch(envlaw, env_seed, np.zeros(trials, np.int64), 1, horizon,
-                    (env_seed, seed), log_lam=math.log(lam))
-    h = np.exp(run.log_h)
+    return math.log(lam)
+
+
+def _trace(lam: float, log_h: np.ndarray) -> SupermartingaleTrace:
+    """The trace statistics of one run's (trials, horizon+1) log weighted populations."""
+    h = np.exp(log_h)
+    trials, horizon = h.shape[0], h.shape[1] - 1
     diffs = np.diff(h, axis=1)
     return SupermartingaleTrace(
         lam=lam,
@@ -294,6 +330,26 @@ def supermartingale_trace(
         trials=trials,
         horizon=horizon,
     )
+
+
+def supermartingale_trace(
+    envlaw: EnvironmentLaw,
+    env_seed: int,
+    lam: float,
+    trials: int,
+    horizon: int,
+    seed: int = 0,
+) -> SupermartingaleTrace:
+    """Trace h(n) = sum_x count(x) lam^x over quenched trials, in a run of its
+    own with no cap (survival_probabilities records the same trace on its
+    survival trials).
+
+    Requires lam feasible for every state; then the conditional mean of h
+    never increases, which the paired per-step increments make testable.
+    """
+    run = run_batch(envlaw, env_seed, np.zeros(trials, np.int64), 1, horizon,
+                    (env_seed, seed), log_lam=_feasible_log(envlaw, lam))
+    return _trace(lam, run.log_h)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from brwre import cli, criteria, lyapunov, simulator, spectral
 from brwre.cli import (
     EXIT_CONDITIONS,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     ConfigError,
     dumps_report,
@@ -284,7 +285,7 @@ def test_validate_ok(tmp_path, capsys):
     assert report["conditions"]["ok"] is True
     assert report["config_sha256"]
     assert set(report["seeds"]) == {
-        "master", "environment", "lyapunov", "simulate", "frozen", "supermartingale",
+        "master", "environment", "lyapunov", "simulate", "frozen",
     }
 
 
@@ -551,11 +552,12 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
         assert run(path, subcommand, outdir=str(out), quiet=True) == EXIT_OK
         reports[subcommand] = json.loads((out / "report.json").read_text())
         if subcommand in ("crosscheck", "all"):
-            # every stage runs once, and the branch-specific ones only on their branch
+            # every stage runs once, and the branch-specific ones only on their branch;
+            # the survival run records the supermartingale trace, so the stage graph
+            # never calls the standalone trace
             assert calls == collections.Counter({
                 "classify": 1, "rho_sweep": 1, "survival_probabilities": 1,
-                "frozen_mean_profile": int(direction == "right"),
-                "supermartingale_trace": int(direction != "none"),
+                "frozen_mean_profile": int(direction == "right"), "supermartingale_trace": 0,
             })
     full = reports["all"]
     assert full["regime"]["vanishing_direction"] == direction
@@ -567,6 +569,16 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
         for key, section in report.items():
             if key != "subcommand":
                 assert section == full[key], (subcommand, key)
+
+
+def test_simulate_fails_where_the_trace_overflows(tmp_path, monkeypatch, capsys):
+    # the survival run records the trace, so simulate fails as all does when a
+    # trace trial outgrows the exact-integer guard before the trace horizon
+    monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
+    path = write_config(tmp_path)
+    for subcommand in ("simulate", "all"):
+        assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_INTERNAL
+        assert "population guard hit" in capsys.readouterr().err
 
 
 def test_frozen_stage_follows_the_classifier_branch(tmp_path):

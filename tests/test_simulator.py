@@ -266,10 +266,77 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
     env = single_env(GW_SUPERCRITICAL)
     with pytest.raises(PopulationOverflowError):
         supermartingale_trace(env, 5, 2.0, trials=200, horizon=60, seed=1)
-    est = survival_probabilities(env, trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
+    kwargs = dict(trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
+    est = survival_probabilities(env, **kwargs)
     capped = [o for o in est.outcomes if o.status == CAP_REACHED]
     assert capped and all(o.peak_population < 10**9 for o in capped)
     assert not any(o.status == ALIVE_AT_HORIZON for o in est.outcomes)
+    # a trace row that reaches the guard before the trace horizon raises, as the
+    # capless trace does
+    with pytest.raises(PopulationOverflowError):
+        survival_probabilities(env, lam=2.0, **kwargs)
+    # past the trace horizon the guard caps trace rows as before: no row can
+    # reach 40 particles in 5 generations, so no row steps on past its cap
+    monkeypatch.setattr(simulator, "TRACE_HORIZON", 5)
+    assert survival_probabilities(env, lam=2.0, **kwargs).outcomes == est.outcomes
+
+
+def test_shared_trace_is_not_censored_by_the_cap():
+    # one state: E h_n = (mu-/lam + mu0 + mu+ lam)^n exactly; lam = 1.5 keeps the
+    # tail of h_n light enough for its sample stderr
+    lam, trials, horizon = 1.5, 2000, simulator.TRACE_HORIZON
+    env = single_env(GW_SUPERCRITICAL)
+    est = survival_probabilities(env, trials=trials, horizon=horizon, cap=1000, env_seed=3,
+                                 seed=4, lam=lam)
+    early = sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes)
+    assert early > 0.9 * sum(o.survived for o in est.outcomes)
+    trace = est.trace
+    assert (trace.lam, trace.trials, trace.horizon) == (lam, trials, horizon)
+    exact = (1.2 / lam + 0.05 * lam) ** np.arange(horizon + 1)
+    assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
+    assert np.all(np.abs(trace.mean_h[1:] - exact[1:]) <= 4.0 * trace.stderr_h[1:])
+    # every row steps to the trace horizon, so with the survival horizon there the
+    # run draws what the capless run on the same stream draws
+    capless = supermartingale_trace(env, 3, lam, trials, horizon, seed=4)
+    for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
+        assert np.array_equal(getattr(trace, field), getattr(capless, field))
+
+
+@pytest.mark.parametrize("mode", ["quenched", "annealed"])
+def test_trace_leaves_survival_columns_unchanged(mode):
+    # two children one step left, surely: 2^t particles at -t, so every row
+    # reaches the cap 32 at t = 5 and h_n = (2/lam)^n
+    env, lam, horizon = single_env([(1.0, (2, 0, 0))]), 4.0, 20
+    kwargs = dict(trials=100, horizon=horizon, cap=32, mode=mode, env_seed=1, seed=2)
+    plain = survival_probabilities(env, **kwargs)
+    shared = survival_probabilities(env, lam=lam, **kwargs)
+    assert plain.trace is None
+    assert shared.outcomes == plain.outcomes
+    assert (shared.global_freq, shared.local_proxy_freq) == (plain.global_freq,
+                                                              plain.local_proxy_freq)
+    assert {(o.status, o.end_time, o.last_origin_visit, o.peak_population)
+            for o in shared.outcomes} == {(CAP_REACHED, 5, 0, 32)}
+    exact = (2.0 / lam) ** np.arange(horizon + 1)
+    np.testing.assert_allclose(shared.trace.mean_h, exact, rtol=1e-12)
+    run = run_batch(env, 1, np.zeros(100, np.int64), 1, horizon, (1, 2), cap=32,
+                    log_lam=math.log(lam), trace_rows=60, trace_horizon=15)
+    assert run.log_h.shape == (60, 16)
+    np.testing.assert_allclose(run.log_h, np.tile(np.log(exact[:16]), (60, 1)), atol=1e-12)
+    assert set(run.status) == {CAP_REACHED} and set(run.end_time) == {5}
+
+
+def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
+    # with the trace rows exactly the first batch, the second batch has no trace
+    # row and its stream, so its trials, stay as they are without a trace
+    n = simulator.TRIAL_BATCH
+    monkeypatch.setattr(simulator, "TRACE_TRIALS", n)
+    kwargs = dict(trials=2 * n, horizon=100, cap=200, env_seed=3, seed=4)
+    env = single_env(GW_SUPERCRITICAL)
+    plain = survival_probabilities(env, **kwargs)
+    shared = survival_probabilities(env, lam=2.0, **kwargs)
+    assert shared.outcomes[n:] == plain.outcomes[n:]
+    assert shared.outcomes[:n] != plain.outcomes[:n]  # rows stepping on past the cap draw
+    assert (shared.trace.trials, len(shared.trace.mean_h)) == (n, simulator.TRACE_HORIZON + 1)
 
 
 # -- weighted-population supermartingale --------------------------------------
@@ -303,8 +370,11 @@ def test_trace_null_offspring_drops_to_zero():
 
 
 def test_trace_rejects_infeasible_lambda():
+    env = single_env(GW_SUPERCRITICAL)
     with pytest.raises(ValueError, match="infeasible"):
-        supermartingale_trace(single_env(GW_SUPERCRITICAL), 0, 30.0, trials=100, horizon=10)
+        supermartingale_trace(env, 0, 30.0, trials=100, horizon=10)
+    with pytest.raises(ValueError, match="infeasible"):
+        survival_probabilities(env, trials=100, horizon=10, lam=30.0)
 
 
 # -- freezing construction ----------------------------------------------------
