@@ -258,7 +258,10 @@ def dumps_report(report: dict) -> str:
 
 
 # the stream of each matrix family: the lyapunov seed, or derive_seed of it with the salt;
-# the mirror law needs no stream, its exponent being gamma(A) - drift (see lyapunov)
+# a stream is drawn only where the exponent falls back to Monte Carlo (a multi-state
+# law whose feasible set is a point or empty, or whose word-sum bound is too wide:
+# see lyapunov.top_lyapunov); the mirror law needs no stream, its exponent being
+# gamma(A) - drift (see lyapunov)
 EXPONENT_SALTS = {"A": None, "A_lambda": 12}
 
 
@@ -309,11 +312,10 @@ class Stages:
         that writes the survival section fails where that trace overflows."""
         from . import simulator
         sim = self.config.simulate
-        iv = criteria.lambda_feasible_set(self.env)
         return simulator.survival_probabilities(
             self.env, trials=sim.trials, horizon=sim.horizon, cap=sim.cap, mode=sim.mode,
             env_seed=self.seeds["environment"], seed=self.seeds["simulate"],
-            lam=None if iv.is_empty else math.sqrt(iv.lo * iv.hi),
+            lam=criteria.lambda_feasible_set(self.env).midpoint,
         )
 
     @cached_property
@@ -447,13 +449,24 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 
 
 def _exponent_shift(st: Stages):
-    lam = st.trace.lam
-    gamma, gamma_lam = st.exponent("A"), st.exponent("A_lambda", lam)
+    iv = criteria.lambda_feasible_set(st.env)
+    lam = iv.midpoint
+    gamma = st.exponent("A")
+    if gamma.method == "word_sum":
+        # a word-sum gamma(A) is gamma(A_lambda) + ln lambda at the midpoint itself,
+        # so the shift is read at another interior lambda, between lo and the midpoint
+        lam = math.sqrt(iv.lo * lam)
+    gamma_lam = st.exponent("A_lambda", lam)
     shift = gamma_lam.value + math.log(lam)
-    # both sides are exact on one-state laws; with more states the 20/steps
-    # floor covers the Monte Carlo estimator's O(1/steps) bias, which the
-    # replica stderr does not
-    tol = max(3.0 * math.hypot(gamma.stderr, gamma_lam.stderr), 20.0 / st.config.lyapunov.steps)
+    if gamma.method == gamma_lam.method == "word_sum":
+        # two error bounds, and an ulp of each term for the shift's log and sum
+        tol = (gamma.stderr + gamma_lam.stderr
+               + 2.0 * sys.float_info.epsilon * (abs(gamma_lam.value) + abs(math.log(lam))))
+    else:
+        # both sides are exact on one-state laws; a Monte Carlo side has an
+        # O(1/steps) bias, which its replica stderr does not cover
+        tol = max(3.0 * math.hypot(gamma.stderr, gamma_lam.stderr),
+                  criteria.monte_carlo_bias(st.config.lyapunov.steps))
     return gamma.value, shift, tol, abs(gamma.value - shift) <= tol, f"lambda={lam:.6g}"
 
 

@@ -14,11 +14,15 @@ With drift = E ln(mu-/mu+) = gamma_1 + gamma_2 of A, the right branch
 tests gamma_2 = drift - gamma_1 and the left branch -gamma_1 (the mirror
 law's test, -drift - gamma(mirror), since gamma(mirror) = gamma_1 - drift:
 see `lyapunov`), so global survival holds iff 0 lies outside
-[gamma_2, gamma_1].  The caller supplies the draw (`classify_environment`
-and the CLI's stage table call `top_exponent`).  The same quadratic's
-roots are the eigenvalues of a state's matrix A, so a one-state law's
-exponent is exact here (`constant_exponent`); only an exponent of a law
-with more states imports `lyapunov` and numpy.  The rest is `math`.
+[gamma_2, gamma_1].  The caller supplies the estimate (`classify_environment`
+and the CLI's stage table call `top_exponent`), and the margin divides the
+gap by its stderr: a standard error or, for an exact exponent, an error
+bound.  The same quadratic's roots are the eigenvalues of a state's
+matrix A, so a one-state law's exponent is exact here
+(`constant_exponent`); only an exponent of a law with more states imports
+`lyapunov` and numpy, where it is an exact word sum when the feasible set
+has interior points and a Monte Carlo estimate otherwise.  The rest is
+`math`.
 """
 from __future__ import annotations
 
@@ -65,6 +69,13 @@ class LambdaInterval:
     @property
     def is_empty(self) -> bool:
         return self.lo is None
+
+    @property
+    def midpoint(self) -> float | None:
+        """The geometric midpoint sqrt(lo * hi), or None when empty: the lambda
+        of a word-sum gamma(A) (`lyapunov.top_lyapunov`) and of the stage
+        graph's supermartingale trace."""
+        return None if self.is_empty else math.sqrt(self.lo * self.hi)
 
 
 def state_feasible_interval(m: MomentTriple) -> LambdaInterval:
@@ -127,13 +138,28 @@ MIN_STEPS, MIN_REPLICAS = 1_000, 2
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Replica-averaged exponent in nats per step; exact, with stderr 0, on one state."""
+    """A top exponent in nats per step, and how it was computed.
+
+    method is "closed_form" (one state: exact, stderr 0), "word_sum" (exact
+    word averages: stderr is a rigorous bound on the error, see
+    `lyapunov.word_sum`) or "monte_carlo" (the replica mean: stderr is the
+    replica standard error, with an O(1/steps) bias besides).  steps and
+    replicas are the Monte Carlo budget the caller asked for, whichever
+    method ran.
+    """
 
     value: float
     stderr: float
     steps: int
     replicas: int
     matrix_kind: str
+    method: str
+
+
+def monte_carlo_bias(steps: int) -> float:
+    """20/steps, the allowance for the O(1/steps) bias of a replica estimate,
+    which its stderr does not cover."""
+    return 20.0 / steps
 
 
 def feasible_slack(m: MomentTriple, lam: float) -> float:
@@ -143,6 +169,14 @@ def feasible_slack(m: MomentTriple, lam: float) -> float:
         raise ValueError(f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
                          f"slack {slack:.3e} < 0")
     return slack
+
+
+def check_kind(matrix_kind: str, lam: float | None) -> None:
+    """ValueError for an unknown matrix kind, or A_lambda without a lambda."""
+    if matrix_kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
+    if matrix_kind == "A_lambda" and lam is None:
+        raise ValueError("matrix kind A_lambda needs a lambda value")
 
 
 def constant_exponent(m: MomentTriple, matrix_kind: str, lam: float | None = None) -> float:
@@ -157,10 +191,7 @@ def constant_exponent(m: MomentTriple, matrix_kind: str, lam: float | None = Non
     FloatingPointError for a nilpotent matrix (rho = 0), as a product that
     collapsed to zero does.
     """
-    if matrix_kind not in MATRIX_KINDS:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
-    if matrix_kind == "A_lambda" and lam is None:
-        raise ValueError("matrix kind A_lambda needs a lambda value")
+    check_kind(matrix_kind, lam)
     if m.mu_plus <= 0.0:
         raise ValueError(f"matrix kind {matrix_kind} needs mu_plus > 0")
     b = 1.0 - m.mu_zero
@@ -187,15 +218,22 @@ def check_budget(steps: int, replicas: int) -> None:
 
 def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
                  replicas: int = 32, seed: int = 0, lam: float | None = None) -> LyapunovEstimate:
-    """Top exponent of one matrix family: on a one-state law `constant_exponent`
-    with stderr 0, and nothing imported or drawn; otherwise `lyapunov.top_lyapunov`."""
+    """Top exponent of one matrix family, computed exactly wherever that is possible.
+
+    One state: `constant_exponent`, with stderr 0, and nothing imported or
+    drawn.  More states: `lyapunov.top_lyapunov`, an exact word sum with
+    its error bound as stderr where the feasible set has interior points
+    and the bound is within `lyapunov.WORD_SUM_MAX_BOUND`, and otherwise
+    the replicas on `seed`.
+    """
     if envlaw.n_states > 1:
         from . import lyapunov
         return lyapunov.top_lyapunov(envlaw, matrix_kind, steps=steps, replicas=replicas,
                                      seed=seed, lam=lam)
     check_budget(steps, replicas)
     return LyapunovEstimate(value=constant_exponent(envlaw.state_moments[0], matrix_kind, lam),
-                            stderr=0.0, steps=steps, replicas=replicas, matrix_kind=matrix_kind)
+                            stderr=0.0, steps=steps, replicas=replicas, matrix_kind=matrix_kind,
+                            method="closed_form")
 
 
 def _direction(interval: LambdaInterval, one_in: bool) -> str:

@@ -14,17 +14,21 @@ A one-state law's product is a power of its matrix, so its top exponent
 is the log of that matrix's spectral radius (Gelfand's formula), which
 `criteria.constant_exponent` reads off the roots of its characteristic
 polynomial without numpy; `criteria.top_exponent` returns it without
-importing this module.  With more states the exponent is estimated here,
-from long renormalized products over replicas.
+importing this module.  With more states and a feasible set of interior
+points, `top_lyapunov` takes the exponent from `word_sum`, exact up to a
+stated bound, from averages over every state word of the word table
+(below); nothing is drawn.  Elsewhere it estimates the exponent from long
+renormalized products over replicas.
 
-A product is reduced by a pairwise tree that rescales every product to
-a max-abs entry of 1 and sums the logs of the scales.  The matrices are
-kept entry-wise, as rows a, b, c, d of a (4, n) array holding
-[[a, b], [c, d]], so one level is a few whole-array operations per entry.
-A replica's product is split into aligned words of L states, and every
-state word of length L is computed once per estimate, as a word table.
-L is the largest integer with n_states**L <= WORD_BUDGET and
-L <= steps.  The words of a replica are i.i.d. with the product of their
+Every state word of length L is computed once, as a word table
+(`_word_tables`), with L = `word_length`, the largest integer with
+n_states**L <= WORD_BUDGET, and L <= steps for the replicas.  A product
+is reduced by a pairwise tree that rescales every product to a max-abs
+entry of 1 and sums the logs of the scales.  The matrices are kept
+entry-wise, as rows a, b, c, d of a (4, n) array holding [[a, b], [c, d]],
+so one level is a few whole-array operations per entry.  A replica's
+product is split into aligned words of L states.  The words of a
+replica are i.i.d. with the product of their
 states' weights as law, so they are sampled directly from that law with
 one uniform per word through Walker's alias table, and gathered from the
 table; the steps % L leftover states are drawn singly and join the list
@@ -39,11 +43,12 @@ entry rows round twice, so the two agree to roundoff, not bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .criteria import (MATRIX_KINDS, LyapunovEstimate, check_budget, feasible_slack,
-                       top_exponent)
+from .criteria import (LyapunovEstimate, check_budget, check_kind, feasible_slack,
+                       lambda_feasible_set, top_exponent)
 from .envmodel import EnvironmentLaw, MomentTriple
 
 
@@ -74,10 +79,7 @@ def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
 
 def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> np.ndarray:
     """(n_states, 2, 2) table of the chosen family, one matrix per state."""
-    if matrix_kind not in MATRIX_KINDS:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
-    if matrix_kind == "A_lambda" and lam is None:
-        raise ValueError("matrix kind A_lambda needs a lambda value")
+    check_kind(matrix_kind, lam)
     build = {"A": build_A, "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
     return np.stack([build(m) for m in envlaw.state_moments])
 
@@ -135,6 +137,43 @@ def _normalized_products(
 WORD_BUDGET = 4096
 
 
+def word_length(n_states: int) -> int:
+    """The largest L >= 1 with n_states**L <= WORD_BUDGET, or 1 past 64 states
+    and on one state (whose only word of any length is a power of its matrix)."""
+    length = 1
+    while n_states > 1 and n_states ** (length + 1) <= WORD_BUDGET:
+        length += 1
+    return length
+
+
+def _word_tables(entries: np.ndarray, state_p: np.ndarray,
+                 length: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The word tables of the lengths 1 to `length`, as (words, logs, word_p).
+
+    entries holds the (4, n_states) entry rows of the state matrices and
+    state_p the state law.  The table of length m holds every state word of
+    length m: words its (4, n_states**m) entry rows, each product scaled to
+    max-abs entry 1, logs the sum of the logs of its scales and word_p its
+    probability, the product of its states' weights.  The table grows one
+    state per round: column s*n**m + c of length m + 1 holds state s
+    applied after word c, so a word's first-applied state is its lowest
+    base-n_states digit.  A collapsed word has a log of -inf or NaN.
+    """
+    n_states = entries.shape[1]
+    tables = [(entries, np.zeros(n_states), state_p)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(length - 1):
+            words, logs, word_p = tables[-1]
+            size = n_states * words.shape[1]
+            state, word = np.divmod(np.arange(size), words.shape[1])
+            grown, grown_logs = np.empty((4, size)), np.empty(size)
+            _normalized_products(entries[:, state], words[:, word],
+                                 grown, grown_logs, np.empty(size))
+            grown_logs += logs[word]
+            tables.append((grown, grown_logs, np.outer(state_p, word_p).ravel()))
+    return tables
+
+
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker's alias table for the law p over 0..K-1, by Vose's construction.
 
@@ -163,13 +202,12 @@ class _ProductReduction:
     """ln of the max-abs entry of the product of a sampled word sequence and tail.
 
     The product applies steps // L words of the word table (see the module
-    docstring), first-applied first, then steps % L single states.  The
-    table grows one state per round: column s*n**m + c of round m + 1
-    holds state s applied after word c, so a word's first-applied state is
-    its lowest base-n_states digit.  `sample` draws the word codes from
-    the word law, the product of its states' weights, with one uniform
-    each through Walker's alias table, and the tail states from the state
-    CDF.  A replica gathers its words, sums their logs, appends the tail
+    docstring), first-applied first, then steps % L single states, with
+    L = min(`word_length`, steps) and the table of `_word_tables`.  `sample`
+    draws the word codes from the word law, the product of its states'
+    weights, with one uniform each through Walker's alias table, and the
+    tail states from the state CDF.  A replica gathers its words, sums
+    their logs, appends the tail
     matrices and runs the tree `_log_norm_of_product` walks on two (4, m)
     entry buffers in turn: each level multiplies the odd entries of its
     list (left) into the even ones, rescales every product to max-abs
@@ -181,24 +219,11 @@ class _ProductReduction:
     """
 
     def __init__(self, table: np.ndarray, weights: np.ndarray, steps: int):
-        n_states = table.shape[0]
-        self.entries = table.reshape(n_states, 4).T
-        length = 1
-        while length < steps and n_states ** (length + 1) <= WORD_BUDGET:
-            length += 1
+        self.entries = table.reshape(table.shape[0], 4).T
+        length = min(word_length(table.shape[0]), steps)
         state_p = weights / weights.sum()
-        words, logs, word_p = self.entries, np.zeros(n_states), state_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(length - 1):
-                size = n_states * words.shape[1]
-                state, word = np.divmod(np.arange(size), words.shape[1])
-                grown, grown_logs = np.empty((4, size)), np.empty(size)
-                _normalized_products(self.entries[:, state], words[:, word],
-                                     grown, grown_logs, np.empty(size))
-                grown_logs += logs[word]
-                words, logs = grown, grown_logs
-                word_p = np.outer(state_p, word_p).ravel()
-        self.words, self.word_logs, self.length = words, logs, length
+        self.words, self.word_logs, word_p = _word_tables(self.entries, state_p, length)[-1]
+        self.length = length
         self.prob, self.alias = _alias_table(word_p)
         self.cdf = state_p.cumsum()
         n_words, self._n_tail = divmod(steps, length)
@@ -261,6 +286,48 @@ class _ProductReduction:
                 cur = nxt
 
 
+# the largest word-sum error bound returned in place of the replicas: the bias
+# allowance criteria.monte_carlo_bias gives the replicas at the default 100,000 steps
+WORD_SUM_MAX_BOUND = 2e-4
+
+
+def word_sum(envlaw: EnvironmentLaw, lam: float) -> tuple[float, float]:
+    """gamma(A_lambda) by exact word averages at the budget's length n, and a bound
+    on its error; the bound is inf where it does not hold.
+
+    With a_m = E ln(1^T P_m 1) over the i.i.d. product P_m of m matrices,
+    an exact sum over the word table of length m, the value is
+    d_n = a_n - a_{n-1}, n = `word_length`.  At a lambda inside every
+    state's interval each A_lambda is positive, the row vectors
+    1^T M_n ... M_2 forget their start in Hilbert's projective metric, and
+    |gamma - d_n| <= E[Delta] E[tau]^(n-2) (Hennion, Ann. Probab. 1997),
+    with Delta = |ln(m11 m22 / (m12 m21))| a state's projective diameter
+    and tau = tanh(Delta / 4) its Birkhoff contraction coefficient.  A
+    zero slack (b = 0) makes Delta and the bound inf, and so does n < 2
+    (one state, or more than 64).  The bound adds a roundoff allowance of
+    16 n eps (1 + E|ln 1^T P_n 1| + E|ln 1^T P_{n-1} 1|): each word's
+    positive entries round by at most 3 eps relatively per product, its
+    log scales by one rounding each, and the pairwise weighted sum over
+    the words by about log2 of their count.
+    """
+    length = word_length(envlaw.n_states)
+    if length < 2:
+        return math.nan, math.inf
+    entries = state_matrices(envlaw, "A_lambda", lam).reshape(-1, 4).T
+    weights = envlaw.weights / envlaw.weights.sum()
+    m11, m12, m21, m22 = entries
+    with np.errstate(divide="ignore"):
+        delta = np.abs(np.log(m11) + np.log(m22) - np.log(m12) - np.log(m21))
+    truncation = float(weights @ delta) * float(weights @ np.tanh(delta / 4.0)) ** (length - 2)
+    means, sizes = [], []
+    for words, logs, word_p in _word_tables(entries, weights, length)[-2:]:
+        log_sums = logs + np.log(words.sum(axis=0))
+        means.append(float(np.sum(word_p * log_sums)))
+        sizes.append(float(np.sum(word_p * np.abs(log_sums))))
+    roundoff = 16.0 * length * sys.float_info.epsilon * (1.0 + sum(sizes))
+    return means[1] - means[0], truncation + roundoff
+
+
 def top_lyapunov(
     envlaw: EnvironmentLaw,
     matrix_kind: str,
@@ -270,22 +337,53 @@ def top_lyapunov(
     lam: float | None = None,
     n_workers: int = 1,
 ) -> LyapunovEstimate:
-    """Estimate the top exponent of the i.i.d. product for one family.
+    """The top exponent of the i.i.d. product for one family, exact where possible.
 
-    With one state it is exact: `criteria.top_exponent` returns the closed
-    form, with stderr 0 and nothing drawn; a nilpotent matrix raises
-    FloatingPointError.
-    Otherwise replica r samples its steps // L word codes and steps % L
-    tail states on default_rng([seed, r]) (see `_ProductReduction.sample`),
-    reduces the product of those matrices with the word table and the
-    entry-wise tree (see the module docstring) and contributes
-    ln ||product|| / steps.  The value is the replica mean
-    and stderr the replica dispersion / sqrt(R).
-    n_workers is accepted for compatibility and ignored: the replicas run
-    on one thread and the result never depends on it.
+    One state: `criteria.top_exponent`'s closed form, with stderr 0 and
+    nothing drawn; a nilpotent matrix raises FloatingPointError.  More
+    states with a feasible set of interior points: `word_sum`, with its
+    bound as stderr and method "word_sum", of A_lambda at lam, or of A at
+    the set's `midpoint` lam_m plus ln lam_m (A = lam B^-1 A_lambda B);
+    nothing is drawn.  Otherwise, and where that bound exceeds
+    `WORD_SUM_MAX_BOUND` (a state with little slack contracts too little
+    for a tight bound), `_monte_carlo_exponent` on `seed`.  Which of the
+    two runs depends on the law alone, never on steps or replicas.
+    n_workers is accepted for compatibility and ignored: nothing runs on
+    another thread and the result never depends on it.
     """
     if envlaw.n_states == 1:
         return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, lam=lam)
+    check_budget(steps, replicas)
+    check_kind(matrix_kind, lam)
+    # a state with mu- = 0 has no feasible interval, and its A is singular
+    iv = lambda_feasible_set(envlaw) if all(m.mu_minus > 0.0 and m.mu_plus > 0.0
+                                            for m in envlaw.state_moments) else None
+    if iv is not None and not iv.is_empty and iv.lo < iv.hi:
+        at = lam if matrix_kind == "A_lambda" else iv.midpoint
+        value, bound = word_sum(envlaw, at)
+        if matrix_kind == "A":
+            # the shift's log and sum round by an ulp of each term
+            log_at = math.log(at)
+            value += log_at
+            bound += 2.0 * sys.float_info.epsilon * (abs(value) + abs(log_at))
+        if bound <= WORD_SUM_MAX_BOUND:
+            return LyapunovEstimate(value=value, stderr=bound, steps=steps, replicas=replicas,
+                                    matrix_kind=matrix_kind, method="word_sum")
+    return _monte_carlo_exponent(envlaw, matrix_kind, steps, replicas, seed, lam)
+
+
+def _monte_carlo_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
+                          replicas: int = 32, seed: int = 0,
+                          lam: float | None = None) -> LyapunovEstimate:
+    """The replica estimate of the top exponent, method "monte_carlo".
+
+    Replica r samples its steps // L word codes and steps % L tail states
+    on default_rng([seed, r]) (see `_ProductReduction.sample`), reduces
+    the product of those matrices with the word table and the entry-wise
+    tree (see the module docstring) and contributes ln ||product|| / steps.
+    The value is the replica mean and stderr the replica dispersion /
+    sqrt(R); the replicas run one at a time on one thread.
+    """
     check_budget(steps, replicas)
     reduce = _ProductReduction(state_matrices(envlaw, matrix_kind, lam), envlaw.weights, steps)
     values = np.array([
@@ -294,4 +392,5 @@ def top_lyapunov(
     ])
     return LyapunovEstimate(value=float(values.mean()),
                             stderr=float(values.std(ddof=1) / math.sqrt(replicas)),
-                            steps=steps, replicas=replicas, matrix_kind=matrix_kind)
+                            steps=steps, replicas=replicas, matrix_kind=matrix_kind,
+                            method="monte_carlo")

@@ -16,7 +16,12 @@ exact for a T whose off-diagonals move by at most 3 eps relatively
 4 ulp, the returned root is within 6 eps * (max row sum), about 1.3e-15
 times it, of the exact one.  `root_error_bound` states that bound for
 every window of a law, and the spectral_criterion row uses it as its
-tolerance.
+tolerance.  A multisection round finds the last shift an eigenvalue
+reaches by binary search, each probe one scalar pass that stops at its
+first nonnegative pivot.  That relies on the count being nonincreasing in
+the shift, as the floating-point analysis of Demmel, Dhillon & Ren (ETNA
+1995) gives for this recurrence; the tests compare every round with a
+pass at every shift.
 """
 from __future__ import annotations
 
@@ -70,34 +75,54 @@ class SpectralEstimate:
     residual: float
 
 
+def _reaches(x: float, first: float, rows: list[tuple[float, float]]) -> bool:
+    """Whether some eigenvalue is >= x: one LDL^T pass of T - x, from the first
+    diagonal entry and then (diagonal entry, squared off-diagonal) rows, that
+    stops at its first nonnegative pivot.  A zero pivot stops it too, so no
+    pivot divides by zero; a quotient past the float range is +-inf, as in
+    IEEE."""
+    pivot = first - x
+    if pivot >= 0.0:
+        return True
+    for d, e2 in rows:
+        pivot = (d - x) - e2 / pivot
+        if pivot >= 0.0:
+            return True
+    return False
+
+
 def spectral_radius(tm: TruncatedMomentMatrix) -> SpectralEstimate:
     """Perron root of the window by multisection on Sturm counts.
 
     [max diag, max row sum] holds the Perron root of any nonnegative matrix.
-    Each round keeps the last shift some eigenvalue reaches and the shift
-    after it, until the bracket is 4 ulp of the max row sum wide or a round
-    no longer shrinks it.  A zero pivot counts as nonnegative and makes the
-    next one -inf, the IEEE limit of the recurrence at a shift just below.
+    Each round splits the bracket at SHIFTS shifts and keeps the last shift
+    some eigenvalue reaches and the shift after it, until the bracket is
+    4 ulp of the max row sum wide or a round no longer shrinks it.  The
+    count is nonincreasing in the shift, so a round finds that shift by
+    binary search, with one early-exit pass (`_reaches`) per probe, about
+    log2(SHIFTS + 1) of them, in plain floats.
     """
     # floored at the smallest normal, a split matrix's root moves by < 1e-153
     offdiag_sq = np.maximum(tm.sup[:-1] * tm.sub[1:], np.finfo(float).tiny).tolist()
+    diag = tm.diag.tolist()
+    rows = list(zip(diag[1:], offdiag_sq))
     lo = float(tm.diag.max())
     hi = float((tm.sub + tm.diag + tm.sup).max())
-    resolution = 4.0 * np.spacing(hi)
+    resolution = 4.0 * float(np.spacing(hi))
     rounds = 0
     while hi - lo > resolution:
-        edges = lo + (hi - lo) * np.arange(SHIFTS + 2) / (SHIFTS + 1)
-        edges[-1] = hi
-        pivots = tm.diag[:, None] - edges[1:-1]
-        rows = list(pivots)
-        with np.errstate(divide="ignore", over="ignore"):
-            for prev, cur, e2 in zip(rows, rows[1:], offdiag_sq):
-                cur -= e2 / prev
-        hit = np.flatnonzero((pivots >= 0.0).any(axis=0))
-        j = hit[-1] + 1 if hit.size else 0
-        if edges[j + 1] - edges[j] >= hi - lo:
+        edges = [lo + (hi - lo) * k / (SHIFTS + 1) for k in range(SHIFTS + 1)] + [hi]
+        # the end edges lo and hi stand for reached and not reached
+        below, above = 0, SHIFTS + 1
+        while above - below > 1:
+            mid = (below + above) // 2
+            if _reaches(edges[mid], diag[0], rows):
+                below = mid
+            else:
+                above = mid
+        if edges[below + 1] - edges[below] >= hi - lo:
             break
-        lo, hi = float(edges[j]), float(edges[j + 1])
+        lo, hi = edges[below], edges[below + 1]
         rounds += 1
     return SpectralEstimate(rho=0.5 * (lo + hi), iterations=rounds, residual=hi - lo)
 

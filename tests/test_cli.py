@@ -19,6 +19,7 @@ from brwre.cli import (
     main,
     run,
 )
+from brwre.envmodel import derive_seed
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -91,6 +92,22 @@ BRANCH_LAWS = pytest.mark.parametrize("environment, direction", [
     pytest.param(BOTH_ENV, "both", id="both"),
     pytest.param(STRONG_LOCAL_ENV, "none", id="none"),
 ])
+
+# two states whose intervals touch at one lambda, but whose computed ends cross
+# by 4.4e-16; the slacks there are 0 and -5.6e-17, so the tie is kept
+TIE_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.22876745398945247, "v": [2, 0, 0]},
+                                  {"p": 0.15567852502198387, "v": [0, 0, 1]},
+                                  {"p": 0.45807180434299477, "v": [0, 1, 0]},
+                                  {"p": 0.15748221664556894, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.365148052060621, "v": [2, 0, 0]},
+                                  {"p": 0.10784449955877619, "v": [0, 0, 1]},
+                                  {"p": 0.4221005981018707, "v": [0, 1, 0]},
+                                  {"p": 0.10490685027873214, "v": [0, 0, 0]}]},
+    ]
+}
+
 
 # 1 feasible within the membership tolerance although the lower root
 # exceeds 1 + tol (see tests/test_criteria.py::NEAR_CRITICAL_RIGHT)
@@ -496,27 +513,89 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
         assert set(calls) == {("A", None)}
 
 
-@BRANCH_LAWS
-def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, direction):
+@pytest.mark.parametrize("environment, method", [
+    pytest.param(TWO_STATE_RIGHT_ENV, "word_sum", id="right"),
+    pytest.param(TWO_STATE_LEFT_ENV, "word_sum", id="left"),
+    pytest.param(BOTH_ENV, "word_sum", id="both"),
+    pytest.param(STRONG_LOCAL_ENV, "closed_form", id="none"),
+    # two states and a point feasible set: both families are drawn
+    pytest.param(TIE_ENV, "monte_carlo", id="point"),
+])
+def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, method):
     path = write_config(tmp_path, environment=environment)
     assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     config = load_config(path)
-    seed = report["seeds"]["lyapunov"]
+    env, seed = config.environment, report["seeds"]["lyapunov"]
+    budget = dict(steps=config.lyapunov.steps, replicas=config.lyapunov.replicas)
 
-    def drawn(kind, stream):
-        return dataclasses.asdict(lyapunov.top_lyapunov(
-            config.environment, kind, steps=config.lyapunov.steps,
-            replicas=config.lyapunov.replicas, seed=stream))
+    def drawn(kind, stream, lam=None):
+        est = criteria.top_exponent(env, kind, seed=stream, lam=lam, **budget)
+        assert est.method == method
+        if method == "monte_carlo":
+            assert est == lyapunov._monte_carlo_exponent(env, kind, seed=stream, lam=lam, **budget)
+        return est
 
-    gamma = drawn("A", seed)
-    # the mirror exponent is gamma(A) - drift, read off the same draw
-    tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(config.environment),
+    gamma = dataclasses.asdict(drawn("A", seed))
+    # the mirror exponent is gamma(A) - drift, read off the same estimate
+    tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(env),
              "matrix_kind": "A_tilde"}
     assert report["lyapunov"] == {"gamma1": gamma, "gamma1_tilde": tilde}
-    # the classifier reads the section's draw of A on both statistical branches
+    # the classifier reads the section's estimate of A on both statistical branches
+    direction = criteria.vanishing_direction(env)
     expected = gamma if direction in ("right", "left") else None
     assert report["regime"]["gamma1"] == expected
+    # exponent_shift draws A_lambda on the salt-12 stream, at the feasible set's
+    # geometric midpoint, or nearer its lower end beside a word-sum gamma(A)
+    row = next(r for r in report["crosscheck"] if r["identity"] == "exponent_shift")
+    iv = criteria.lambda_feasible_set(env)
+    if iv.is_empty:
+        assert row["verdict"] == "skipped"
+        return
+    lam = iv.midpoint
+    if method == "word_sum":
+        lam = math.sqrt(iv.lo * lam)
+    shifted = drawn("A_lambda", derive_seed(seed, 12), lam)
+    assert (row["lhs"], row["rhs"]) == (gamma["value"], shifted.value + math.log(lam))
+    if method == "monte_carlo":
+        unsalted = lyapunov._monte_carlo_exponent(env, "A_lambda", seed=seed, lam=lam, **budget)
+        assert unsalted.value != shifted.value
+
+
+@pytest.mark.parametrize("environment", [BOTH_ENV, TWO_STATE_RIGHT_ENV], ids=["both", "right"])
+def test_all_draws_no_replicas_with_an_interior_feasible_set(tmp_path, monkeypatch, environment):
+    def no_replicas(*args, **kwargs):
+        raise AssertionError("the Lyapunov replicas ran")
+
+    monkeypatch.setattr(lyapunov, "_monte_carlo_exponent", no_replicas)
+    path = write_config(tmp_path, environment=environment)
+    assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["lyapunov"]["gamma1"]["method"] == "word_sum"
+
+
+@pytest.mark.parametrize("environment", [TWO_STATE_RIGHT_ENV, TWO_STATE_LEFT_ENV, BOTH_ENV],
+                         ids=["right", "left", "both"])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_exponent_shift_catches_a_wrong_A_lambda(tmp_path, monkeypatch, environment, mutated):
+    # b x 1.001 breaks gamma(A_lambda) + ln lambda = gamma(A), by 2e-5 to 9e-5
+    # between the row's two lambdas, against bounds of 2e-10 to 2e-7
+    original = lyapunov.build_A_lambda
+
+    def build(m, lam):
+        (a, b), (c, _) = original(m, lam)
+        b *= 1.001
+        return np.array([[a, b], [c, 1.0 + b]])
+
+    if mutated:
+        monkeypatch.setattr(lyapunov, "build_A_lambda", build)
+    path = write_config(tmp_path, environment=environment)
+    assert run(path, "crosscheck", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    row = next(r for r in report["crosscheck"] if r["identity"] == "exponent_shift")
+    assert row["verdict"] == ("fail" if mutated else "pass")
+    if not mutated:
+        assert abs(row["lhs"] - row["rhs"]) <= 1e-11
 
 
 @BRANCH_LAWS
@@ -644,22 +723,6 @@ def test_double_root_lost_to_rounding_is_feasible(tmp_path):
     assert regime["gamma1"]["value"] == pytest.approx(math.log(1 / 0.7), rel=1e-12)
     row = next(r for r in report["crosscheck"] if r["identity"] == "spectral_criterion")
     assert row["verdict"] == "pass" and row["lhs"] < 1.0
-
-
-# two states whose intervals touch at one lambda, but whose computed ends cross
-# by 4.4e-16; the slacks there are 0 and -5.6e-17, so the tie is kept
-TIE_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.22876745398945247, "v": [2, 0, 0]},
-                                  {"p": 0.15567852502198387, "v": [0, 0, 1]},
-                                  {"p": 0.45807180434299477, "v": [0, 1, 0]},
-                                  {"p": 0.15748221664556894, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.365148052060621, "v": [2, 0, 0]},
-                                  {"p": 0.10784449955877619, "v": [0, 0, 1]},
-                                  {"p": 0.4221005981018707, "v": [0, 1, 0]},
-                                  {"p": 0.10490685027873214, "v": [0, 0, 0]}]},
-    ]
-}
 
 
 def test_tie_lost_to_rounding_is_feasible(tmp_path):

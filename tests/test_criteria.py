@@ -143,7 +143,8 @@ def test_drift_two_state_mixture():
 
 
 def _exact_estimate(value, kind="A"):
-    return LyapunovEstimate(value=value, stderr=0.0, steps=10**6, replicas=2, matrix_kind=kind)
+    return LyapunovEstimate(value=value, stderr=0.0, steps=10**6, replicas=2, matrix_kind=kind,
+                            method="closed_form")
 
 
 def test_classify_strong_local_survival():
@@ -185,7 +186,8 @@ def test_classify_extinction_when_exponent_dominates():
 
 def test_classify_inconclusive_inside_margin():
     gamma = LyapunovEstimate(
-        value=math.log(24.0) - 0.001, stderr=0.01, steps=10**4, replicas=4, matrix_kind="A"
+        value=math.log(24.0) - 0.001, stderr=0.01, steps=10**4, replicas=4, matrix_kind="A",
+        method="monte_carlo",
     )
     rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
     assert rep.regime == criteria.INCONCLUSIVE

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brwre import lyapunov
+from brwre.cli import _parse_environment
 from brwre.criteria import (constant_exponent, expected_log_drift, lambda_feasible_set,
-                            state_feasible_interval, top_exponent)
+                            monte_carlo_bias, state_feasible_interval, top_exponent)
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import (
     WORD_BUDGET,
@@ -24,6 +26,7 @@ from conftest import (
     single_env,
     two_state_env,
 )
+from test_cli import BOTH_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
 
 
 def log_spectral_radius(mat: np.ndarray) -> float:
@@ -237,7 +240,7 @@ def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
         oracle = _log_norm_of_product(table[idx]) / steps
         values.append(reduce(codes, tail) / steps)
         assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
-    est = top_lyapunov(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
+    est = lyapunov._monte_carlo_exponent(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
     assert est.value == float(np.mean(values))
 
 
@@ -464,9 +467,10 @@ def test_collapsed_product_raises():
 def test_exponent_shift_identity_two_state():
     # gamma1 = gamma1(lambda) + ln(lambda) for any feasible lambda
     env = two_state_env()
-    gamma = top_lyapunov(env, "A", steps=40_000, replicas=16, seed=1)
+    replicas = lyapunov._monte_carlo_exponent
+    gamma = replicas(env, "A", steps=40_000, replicas=16, seed=1)
     for lam, sub_seed in ((2.0, 2), (5.0, 3)):
-        shifted = top_lyapunov(env, "A_lambda", steps=40_000, replicas=16, seed=sub_seed, lam=lam)
+        shifted = replicas(env, "A_lambda", steps=40_000, replicas=16, seed=sub_seed, lam=lam)
         tol = 3.0 * math.hypot(gamma.stderr, shifted.stderr)
         assert abs(gamma.value - (shifted.value + math.log(lam))) <= tol
 
@@ -503,6 +507,115 @@ def test_mirror_exponent_identity():
         else:
             tol = 3.0 * math.hypot(gamma.stderr, mirrored.stderr) + 20.0 / kw["steps"]
             assert abs(mirrored.value - expected) <= tol
+
+
+# -- exact word sums ---------------------------------------------------------
+
+
+_INTERIOR_LAWS = pytest.mark.parametrize("states", [TWO_STATE_RIGHT_ENV, TWO_STATE_LEFT_ENV,
+                                                    BOTH_ENV], ids=["right", "left", "both"])
+
+
+@given(one_state_laws(), st.sampled_from(["A", "A_lambda"]))
+@example(single_env(GW_SUPERCRITICAL), "A")
+@example(single_env(GW_SUPERCRITICAL), "A_lambda")
+@settings(max_examples=100, deadline=None)
+def test_split_state_word_sum_is_the_closed_form(env, kind):
+    # two identical states of half weight: every word is a power of one matrix
+    iv = lambda_feasible_set(env)
+    assume(not iv.is_empty and iv.lo < iv.hi)
+    lam = math.sqrt(iv.lo * iv.hi) if kind == "A_lambda" else None
+    (_, law), = env.states
+    split = EnvironmentLaw([(0.5, law), (0.5, law)])
+    exact = constant_exponent(env.state_moments[0], kind, lam)
+    est = top_exponent(split, kind, steps=1_000, replicas=2, lam=lam)
+    if est.method == "monte_carlo":  # the bound exceeds WORD_SUM_MAX_BOUND
+        assert est == lyapunov._monte_carlo_exponent(split, kind, steps=1_000, replicas=2, lam=lam)
+    else:
+        assert est.method == "word_sum"
+        assert abs(est.value - exact) <= est.stderr
+
+
+@_INTERIOR_LAWS
+def test_word_sum_agrees_with_the_replicas(states):
+    env = _parse_environment(states)
+    kw = dict(steps=100_000, replicas=32)
+    exact = top_exponent(env, "A", seed=1, **kw)
+    assert exact.method == "word_sum"
+    assert exact.stderr < 1e-6
+    # the Monte Carlo budget does not choose the method
+    for steps in (1_000, 10_000_000):
+        assert top_exponent(env, "A", steps=steps, replicas=2) == dataclasses.replace(
+            exact, steps=steps, replicas=2)
+    drawn = lyapunov._monte_carlo_exponent(env, "A", seed=1, **kw)
+    assert drawn.method == "monte_carlo"
+    assert abs(exact.value - drawn.value) <= (3.0 * drawn.stderr + exact.stderr
+                                              + monte_carlo_bias(kw["steps"]))
+
+
+@_INTERIOR_LAWS
+def test_word_sums_at_two_lambdas_agree_within_their_bounds(states):
+    # gamma(A_lambda) + ln lambda is gamma(A) at every feasible lambda
+    env = _parse_environment(states)
+    iv = lambda_feasible_set(env)
+    shifted = []
+    for lam in (math.sqrt(iv.lo * iv.hi), iv.lo ** 0.75 * iv.hi ** 0.25):
+        est = top_exponent(env, "A_lambda", steps=100_000, replicas=2, lam=lam)
+        assert est.method == "word_sum"
+        shifted.append((est.value + math.log(lam), est.stderr))
+    (a, bound_a), (b, bound_b) = shifted
+    # 1e-14 for the rounding of the two logs and sums
+    assert abs(a - b) <= bound_a + bound_b + 1e-14
+
+
+def _fell_back(env, kind, lam=None):
+    kw = dict(steps=1_000, replicas=2, seed=5, lam=lam)
+    est = top_exponent(env, kind, **kw)
+    assert est.method == "monte_carlo"
+    assert est == lyapunov._monte_carlo_exponent(env, kind, **kw)
+
+
+def test_word_sum_falls_back_to_the_replicas():
+    # a point feasible set
+    tie = _parse_environment(TIE_ENV)
+    iv = lambda_feasible_set(tie)
+    assert iv.lo == iv.hi
+    _fell_back(tie, "A")
+    _fell_back(tie, "A_lambda", iv.lo)
+    # an empty feasible set
+    empty = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
+                            (0.5, law_from_atoms([(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]))])
+    assert lambda_feasible_set(empty).is_empty
+    _fell_back(empty, "A")
+    # 65 states: no word length of 2 fits the budget
+    many = EnvironmentLaw([(1.0 / 65, law_from_atoms(GW_SUPERCRITICAL))] * 65)
+    assert lyapunov.word_length(65) == lyapunov.word_length(1) == 1
+    _fell_back(many, "A")
+    # an interior set too thin for the bound: at the midpoint of [1.065, 1.374]
+    # the word sum's bound is 0.07
+    thin = EnvironmentLaw([
+        (0.5, law_from_atoms([(0.25, (2, 0, 0)), (0.45, (0, 0, 1)), (0.3, (0, 0, 0))])),
+        (0.5, law_from_atoms([(0.3, (2, 0, 0)), (0.41, (0, 0, 1)), (0.29, (0, 0, 0))]))])
+    iv = lambda_feasible_set(thin)
+    assert iv.lo < iv.hi
+    assert lyapunov.word_sum(thin, iv.midpoint)[1] > lyapunov.WORD_SUM_MAX_BOUND
+    _fell_back(thin, "A")
+    # an end of an interior set: the tight state's A_lambda has a zero or
+    # roundoff-sized entry, and contracts too little for the bound to hold
+    two = two_state_env()
+    iv = lambda_feasible_set(two)
+    assert iv.lo < iv.hi
+    _fell_back(two, "A_lambda", iv.lo)
+    assert lyapunov.word_sum(two, iv.lo)[1] > lyapunov.WORD_SUM_MAX_BOUND
+    # (0.5, 0.375, 0.125) has the interval [1, 4] and slack exactly 0 at 1, where
+    # its A_lambda's b is 0 and the bound inf
+    law = law_from_atoms([(0.25, (2, 0, 0)), (0.375, (0, 1, 0)), (0.125, (0, 0, 1)),
+                          (0.25, (0, 0, 0))])
+    doubled = EnvironmentLaw([(0.5, law), (0.5, law)])
+    assert doubled.state_moments[0].slack(1.0) == 0.0
+    assert (lambda_feasible_set(doubled).lo, lambda_feasible_set(doubled).hi) == (1.0, 4.0)
+    assert lyapunov.word_sum(doubled, 1.0)[1] == math.inf
+    _fell_back(doubled, "A_lambda", 1.0)
 
 
 def test_state_matrices_tables():

@@ -1,13 +1,14 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brwre import spectral
 from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_at
-from brwre.spectral import rho_sweep, spectral_radius, truncated_matrix
+from brwre.spectral import TruncatedMomentMatrix, rho_sweep, spectral_radius, truncated_matrix
 from conftest import (
     CRITICAL_PAIR,
     GW_SUPERCRITICAL,
@@ -45,6 +46,34 @@ def to_dense(tm) -> np.ndarray:
 
 def max_row_sum(tm) -> float:
     return float((tm.sub + tm.diag + tm.sup).max())
+
+
+def multisection_oracle(tm) -> spectral.SpectralEstimate:
+    """`spectral_radius` without the binary search: every round runs the LDL^T
+    recurrence at all SHIFTS shifts at once, row by row over the whole window,
+    and keeps the last shift whose pivots include a nonnegative one.  A zero
+    pivot makes the next one -inf, the IEEE limit of the recurrence at a shift
+    just below."""
+    offdiag_sq = np.maximum(tm.sup[:-1] * tm.sub[1:], np.finfo(float).tiny).tolist()
+    lo = float(tm.diag.max())
+    hi = float((tm.sub + tm.diag + tm.sup).max())
+    resolution = 4.0 * np.spacing(hi)
+    rounds = 0
+    while hi - lo > resolution:
+        edges = lo + (hi - lo) * np.arange(spectral.SHIFTS + 2) / (spectral.SHIFTS + 1)
+        edges[-1] = hi
+        pivots = tm.diag[:, None] - edges[1:-1]
+        rows = list(pivots)
+        with np.errstate(divide="ignore", over="ignore"):
+            for prev, cur, e2 in zip(rows, rows[1:], offdiag_sq):
+                cur -= e2 / prev
+        hit = np.flatnonzero((pivots >= 0.0).any(axis=0))
+        j = hit[-1] + 1 if hit.size else 0
+        if edges[j + 1] - edges[j] >= hi - lo:
+            break
+        lo, hi = float(edges[j]), float(edges[j + 1])
+        rounds += 1
+    return spectral.SpectralEstimate(rho=0.5 * (lo + hi), iterations=rounds, residual=hi - lo)
 
 
 # -- matrix assembly ---------------------------------------------------------
@@ -195,6 +224,48 @@ def test_spectral_radius_matches_eigvalsh(tm):
     est = spectral_radius(tm)
     assert abs(est.rho - eig_oracle(tm)) <= 1e-12 * max_row_sum(tm)
     assert est.iterations <= 12
+
+
+def _window(sub, diag, sup) -> TruncatedMomentMatrix:
+    return TruncatedMomentMatrix(sub=np.array(sub, dtype=float), diag=np.array(diag, dtype=float),
+                                 sup=np.array(sup, dtype=float))
+
+
+@st.composite
+def edge_case_windows(draw):
+    """Windows the atom sets do not give: off-diagonal products from 0.3 down to
+    subnormal and 0, dyadic entries whose Sturm passes meet exact zero pivots
+    at the dyadic shifts of SHIFTS = 1 and 3, and one-sided windows (mu- or
+    mu+ zero at every site)."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["tiny", "dyadic", "one-sided"]))
+
+    def row(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    if kind == "dyadic":
+        dyadic = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+        return _window(row(dyadic), row(dyadic), row(dyadic))
+    entries = st.floats(0.0, 1.0)
+    if kind == "tiny":
+        off = st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.3])
+        return _window(row(off), row(entries), row(off))
+    sides = [row(entries), [0.0] * n]
+    if draw(st.booleans()):
+        sides.reverse()
+    return _window(sides[0], row(entries), sides[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(window_matrices(), edge_case_windows()), st.sampled_from([1, 2, 3, 64]))
+# SHIFTS = 1 on CRITICAL_PAIR's [-1, 1] window: the first shift, 0.5, is an
+# eigenvalue of the leading 2x2 block, so the second pivot is exactly zero
+@example(truncated_matrix(single_env(CRITICAL_PAIR), 0, -1, 1), 1)
+def test_binary_search_matches_the_full_multisection(tm, shifts):
+    # the search assumes the floating-point count is nonincreasing in the shift;
+    # equality with the pass over every shift checks that it is, on these windows
+    with mock.patch.object(spectral, "SHIFTS", shifts):
+        assert spectral_radius(tm) == multisection_oracle(tm)
 
 
 # -- window sweep ------------------------------------------------------------
