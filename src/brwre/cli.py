@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -331,12 +332,6 @@ class Stages:
             censor_threshold=fr.censor_threshold,
         )
 
-    @property
-    def trace(self):
-        """The survival run's supermartingale trace, or None when the feasible set
-        is empty."""
-        return self.survival.trace
-
 
 def _conditions_section(report) -> dict:
     return {
@@ -411,11 +406,9 @@ def _crosscheck_section(st: Stages, say) -> list[dict]:
 
 
 def _supermartingale_section(st: Stages, say) -> dict | None:
-    trace = st.trace
-    if trace is None:
-        return None
-    return {"lambda": trace.lam, "trials": trace.trials, "horizon": trace.horizon,
-            "mean_h": trace.mean_h}
+    trace = st.survival.trace
+    return None if trace is None else {"lambda": trace.lam, "trials": trace.trials,
+                                       "horizon": trace.horizon, "mean_h": trace.mean_h}
 
 
 # Private builders only: they reach run_crosscheck and the stage functions through
@@ -444,40 +437,45 @@ SUBCOMMANDS = tuple(SUBCOMMAND_SECTIONS)
 # Cross-check table
 
 
-# Each check reads the stages and returns a skip note or (lhs, rhs, tolerance,
-# passed, note).
+# A check returns a skip note or a Comparison: d = lhs - rhs passes "within" if |d| <= tolerance,
+# "at_most" if d <= tolerance, "above" if d > tolerance; sigmas: tolerance is 3 combined stderrs.
+Comparison = namedtuple("Comparison", "lhs rhs tolerance rule note sigmas", defaults=(False,))
 
 
 def _exponent_shift(st: Stages):
     iv = criteria.lambda_feasible_set(st.env)
-    lam = iv.midpoint
-    gamma = st.exponent("A")
+    if iv.is_empty:
+        return "no feasible lambda"
+    lam, gamma = iv.midpoint, st.exponent("A")
     if gamma.method == "word_sum":
         # a word-sum gamma(A) is gamma(A_lambda) + ln lambda at the midpoint itself,
         # so the shift is read at another interior lambda, between lo and the midpoint
         lam = math.sqrt(iv.lo * lam)
     gamma_lam = st.exponent("A_lambda", lam)
-    shift = gamma_lam.value + math.log(lam)
+    shift, note = gamma_lam.value + math.log(lam), f"lambda={lam:.6g}"
     if gamma.method == gamma_lam.method == "word_sum":
         # two error bounds, and an ulp of each term for the shift's log and sum
         tol = (gamma.stderr + gamma_lam.stderr
                + 2.0 * sys.float_info.epsilon * (abs(gamma_lam.value) + abs(math.log(lam))))
-    else:
-        # both sides are exact on one-state laws; a Monte Carlo side has an
-        # O(1/steps) bias, which its replica stderr does not cover
-        tol = max(3.0 * math.hypot(gamma.stderr, gamma_lam.stderr),
-                  criteria.monte_carlo_bias(st.config.lyapunov.steps))
-    return gamma.value, shift, tol, abs(gamma.value - shift) <= tol, f"lambda={lam:.6g}"
+        return Comparison(gamma.value, shift, tol, "within", note)
+    # both sides are exact on one-state laws; a Monte Carlo side has an
+    # O(1/steps) bias, which its replica stderr does not cover
+    z_tol = 3.0 * math.hypot(gamma.stderr, gamma_lam.stderr)
+    bias = criteria.monte_carlo_bias(st.config.lyapunov.steps)
+    return Comparison(gamma.value, shift, max(z_tol, bias), "within", note, z_tol >= bias)
 
 
 def _supermartingale_monotone(st: Stages):
     import numpy as np
-    trace = st.trace
+    trace = st.survival.trace
+    if trace is None:
+        return "no feasible lambda"
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(trace.diff_stderr > 0.0, trace.diff_mean / trace.diff_stderr,
                      np.where(trace.diff_mean > 0.0, np.inf, 0.0))
     worst = float(np.max(z)) if len(z) else 0.0
-    return worst, 0.0, 3.0, worst <= 3.0, f"lambda={trace.lam:.6g}, max paired-increment z-score"
+    note = f"lambda={trace.lam:.6g}, max paired-increment z-score"
+    return Comparison(worst, 0.0, 3.0, "at_most", note, sigmas=True)
 
 
 def _survival_concordance(st: Stages):
@@ -485,8 +483,8 @@ def _survival_concordance(st: Stages):
     if regime == criteria.INCONCLUSIVE:
         return "verdict inconclusive"
     if regime == criteria.GLOBAL_EXTINCTION:
-        return freq, 0.0, 0.01, freq <= 0.01, "extinction verdict"
-    return freq, 1.0, 0.95, freq > 0.05, "survival verdict: freq must exceed 0.05"
+        return Comparison(freq, 0.0, 0.01, "at_most", "extinction verdict")
+    return Comparison(freq, 0.0, 0.05, "above", "survival verdict: freq must exceed 0.05")
 
 
 def _local_global_coincidence(st: Stages):
@@ -495,74 +493,74 @@ def _local_global_coincidence(st: Stages):
         return "verdict inconclusive"
     if regime == criteria.STRONG_LOCAL_SURVIVAL:
         tol = 3.0 * math.hypot(sv.global_stderr, sv.local_proxy_stderr)
-        return (sv.global_freq, sv.local_proxy_freq, tol,
-                abs(sv.global_freq - sv.local_proxy_freq) <= tol,
-                "strong local survival: the two events coincide")
+        note = "strong local survival: the two events coincide"
+        return Comparison(sv.global_freq, sv.local_proxy_freq, tol, "within", note, sigmas=True)
     note = ("local dies with global" if regime == criteria.GLOBAL_EXTINCTION
             else "local extinction despite survival")
-    return sv.local_proxy_freq, 0.0, 0.01, sv.local_proxy_freq <= 0.01, note
+    return Comparison(sv.local_proxy_freq, 0.0, 0.01, "at_most", note)
 
 
 def _frozen_log_mean(st: Stages):
-    profile, gamma = st.profile, st.exponent("A")
+    profile = st.profile
+    if profile is None:
+        return "not in the right-vanishing branch"
     if profile.log_average_stderr == 0.0:  # at most one unflagged level, or equal means
         return "no spread across unflagged levels to bound the log-average"
-    target = st.regime.drift - gamma.value
+    gamma = st.exponent("A")
     tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
-    return (profile.log_average, target, tol, abs(profile.log_average - target) <= tol,
-            "mean log frozen count vs drift minus top exponent")
+    return Comparison(profile.log_average, st.regime.drift - gamma.value, tol, "within",
+                      "mean log frozen count vs drift minus top exponent", sigmas=True)
 
 
 def _per_level_bound(st: Stages):
     import numpy as np
     profile = st.profile
+    if profile is None:
+        return "not in the right-vanishing branch"
     rel = np.where(profile.level_means > 0,
                    profile.level_stderrs / np.maximum(profile.level_means, 1e-300), 0.0)
     bound = st.regime.lambda_set.hi * (1.0 + 3.0 * rel)
     excess = float(np.max(profile.level_means - bound))
-    return excess, 0.0, 0.0, excess <= 0.0, "level means bounded by the top feasible lambda"
+    return Comparison(excess, 0.0, 0.0, "at_most", "level means bounded by the top feasible lambda")
 
 
 def _spectral_criterion(st: Stages):
     from . import spectral
     max_rho = max(r for _, r in st.sweep)
-    tol = spectral.root_error_bound(st.env)
     if st.regime.lambda_set.is_empty:
-        return (max_rho, 1.0, tol, max_rho > 1.0 + tol,
-                "local survival: some truncation must exceed 1")
-    return (max_rho, 1.0, tol, max_rho <= 1.0 + tol,
-            "local extinction: every truncation stays below 1")
+        rule, note = "above", "local survival: some truncation must exceed 1"
+    else:
+        rule, note = "at_most", "local extinction: every truncation stays below 1"
+    return Comparison(max_rho, 1.0, spectral.root_error_bound(st.env), rule, note)
 
 
-# the note of a row skipped because the stage it needs is None
-_SKIP_NOTES = {"trace": "no feasible lambda", "profile": "not in the right-vanishing branch"}
-
-# The rows in report order: (identity, the stage the row needs or None, check,
-# whether the tolerance is a roundoff or exact bound rather than a multiple of
-# standard errors, so that the row has no distance in sigmas).
+# The rows in report order, as (identity, check).
 CROSSCHECKS = (
-    ("exponent_shift", "trace", _exponent_shift, False),
-    ("supermartingale_monotone", "trace", _supermartingale_monotone, False),
-    ("survival_concordance", None, _survival_concordance, False),
-    ("local_global_coincidence", None, _local_global_coincidence, False),
-    ("frozen_log_mean", "profile", _frozen_log_mean, False),
-    ("per_level_bound", "profile", _per_level_bound, True),
-    ("spectral_criterion", None, _spectral_criterion, True),
+    ("exponent_shift", _exponent_shift),
+    ("supermartingale_monotone", _supermartingale_monotone),
+    ("survival_concordance", _survival_concordance),
+    ("local_global_coincidence", _local_global_coincidence),
+    ("frozen_log_mean", _frozen_log_mean),
+    ("per_level_bound", _per_level_bound),
+    ("spectral_criterion", _spectral_criterion),
 )
 
 
 def run_crosscheck(st: Stages) -> list[dict]:
-    """Every CROSSCHECKS row on the estimates of one config, as report rows."""
+    """Every CROSSCHECKS row on the estimates of one config, as report rows; only a
+    3-stderr row with a positive tolerance has a distance in sigmas, 3|d|/tolerance."""
     rows = []
-    for name, needs, check, bound in CROSSCHECKS:
-        result = _SKIP_NOTES[needs] if needs and getattr(st, needs) is None else check(st)
-        if isinstance(result, str):
-            result = (None, None, None, None, result)
-        lhs, rhs, tol, passed, note = result
-        sigma = None if passed is None or bound or tol == 0.0 else 3.0 * abs(lhs - rhs) / tol
-        verdict = "skipped" if passed is None else ("pass" if passed else "fail")
-        rows.append({"identity": name, "lhs": lhs, "rhs": rhs, "tolerance": tol,
-                     "sigma_distance": sigma, "verdict": verdict, "note": note})
+    for name, check in CROSSCHECKS:
+        c = check(st)
+        row = {"identity": name, "lhs": None, "rhs": None, "tolerance": None,
+               "sigma_distance": None, "verdict": "skipped", "note": c}
+        if isinstance(c, Comparison):
+            d, tol = c.lhs - c.rhs, c.tolerance
+            passed = {"within": abs(d) <= tol, "at_most": d <= tol, "above": d > tol}[c.rule]
+            row.update(lhs=c.lhs, rhs=c.rhs, tolerance=tol, note=c.note,
+                       sigma_distance=3.0 * abs(d) / tol if c.sigmas and tol > 0.0 else None,
+                       verdict="pass" if passed else "fail")
+        rows.append(row)
     return rows
 
 

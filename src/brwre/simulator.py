@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envmodel import FEASIBILITY_TOL, EnvironmentLaw, derive_seed, state_indices
+from .criteria import feasible_slack
+from .envmodel import EnvironmentLaw, derive_seed, state_indices
 
 EXTINCT = "Extinct"
 CAP_REACHED = "CapReached"
@@ -271,8 +272,11 @@ def survival_probabilities(
         raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
     env_seeds = env_seed if mode == "quenched" else np.array(
         [derive_seed(env_seed, 1 + i) for i in range(trials)], np.uint64)
+    if lam is not None:
+        for m in envlaw.state_moments:
+            feasible_slack(m, lam)  # ValueError where lam is infeasible
     run = run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon, (env_seed, seed),
-                    cap=cap, log_lam=None if lam is None else _feasible_log(envlaw, lam),
+                    cap=cap, log_lam=None if lam is None else math.log(lam),
                     trace_rows=TRACE_TRIALS, trace_horizon=TRACE_HORIZON)
     alive = run.status != EXTINCT
     g = np.count_nonzero(alive) / trials
@@ -306,16 +310,6 @@ class SupermartingaleTrace:
     horizon: int
 
 
-def _feasible_log(envlaw: EnvironmentLaw, lam: float) -> float:
-    """ln lam, once lam is checked feasible for every state."""
-    for m in envlaw.state_moments:
-        if m.slack(lam) < -FEASIBILITY_TOL:
-            raise ValueError(
-                f"lambda={lam} infeasible for state with moments {m.as_tuple()}"
-            )
-    return math.log(lam)
-
-
 def _trace(lam: float, log_h: np.ndarray) -> SupermartingaleTrace:
     """The trace statistics of one run's (trials, horizon+1) log weighted populations."""
     h = np.exp(log_h)
@@ -347,8 +341,10 @@ def supermartingale_trace(
     Requires lam feasible for every state; then the conditional mean of h
     never increases, which the paired per-step increments make testable.
     """
+    for m in envlaw.state_moments:
+        feasible_slack(m, lam)  # ValueError where lam is infeasible
     run = run_batch(envlaw, env_seed, np.zeros(trials, np.int64), 1, horizon,
-                    (env_seed, seed), log_lam=_feasible_log(envlaw, lam))
+                    (env_seed, seed), log_lam=math.log(lam))
     return _trace(lam, run.log_h)
 
 

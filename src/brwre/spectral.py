@@ -16,12 +16,11 @@ exact for a T whose off-diagonals move by at most 3 eps relatively
 4 ulp, the returned root is within 6 eps * (max row sum), about 1.3e-15
 times it, of the exact one.  `root_error_bound` states that bound for
 every window of a law, and the spectral_criterion row uses it as its
-tolerance.  A multisection round finds the last shift an eigenvalue
-reaches by binary search, each probe one scalar pass that stops at its
-first nonnegative pivot.  That relies on the count being nonincreasing in
-the shift, as the floating-point analysis of Demmel, Dhillon & Ren (ETNA
-1995) gives for this recurrence; the tests compare every round with a
-pass at every shift.
+tolerance.  The root is found by bisection, each probe one scalar pass
+that stops at its first nonnegative pivot.  Bisection relies on the count
+being nonincreasing in the shift, as the floating-point analysis of
+Demmel, Dhillon & Ren (ETNA 1995) gives for this recurrence; the tests
+compare every search with one that runs each pass over every row.
 """
 from __future__ import annotations
 
@@ -62,13 +61,9 @@ def truncated_matrix(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> Tru
     return TruncatedMomentMatrix(sub=sub, diag=diag, sup=sup)
 
 
-# shifts per multisection round; each round narrows the bracket 65-fold
-SHIFTS = 64
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Perron root, multisection rounds taken and final bracket width."""
+    """Perron root, Sturm passes taken and final bracket width."""
 
     rho: float
     iterations: int
@@ -92,15 +87,14 @@ def _reaches(x: float, first: float, rows: list[tuple[float, float]]) -> bool:
 
 
 def spectral_radius(tm: TruncatedMomentMatrix) -> SpectralEstimate:
-    """Perron root of the window by multisection on Sturm counts.
+    """Perron root of the window by bisection on Sturm counts.
 
     [max diag, max row sum] holds the Perron root of any nonnegative matrix.
-    Each round splits the bracket at SHIFTS shifts and keeps the last shift
-    some eigenvalue reaches and the shift after it, until the bracket is
-    4 ulp of the max row sum wide or a round no longer shrinks it.  The
-    count is nonincreasing in the shift, so a round finds that shift by
-    binary search, with one early-exit pass (`_reaches`) per probe, about
-    log2(SHIFTS + 1) of them, in plain floats.
+    Each step makes one early-exit pass (`_reaches`) at the bracket's
+    midpoint and keeps the half holding the top eigenvalue, until the
+    bracket is 4 ulp of the max row sum wide: about 51 passes, in plain
+    floats.  A bracket wider than that has its rounded midpoint strictly
+    inside, so every pass narrows it.
     """
     # floored at the smallest normal, a split matrix's root moves by < 1e-153
     offdiag_sq = np.maximum(tm.sup[:-1] * tm.sub[1:], np.finfo(float).tiny).tolist()
@@ -109,22 +103,15 @@ def spectral_radius(tm: TruncatedMomentMatrix) -> SpectralEstimate:
     lo = float(tm.diag.max())
     hi = float((tm.sub + tm.diag + tm.sup).max())
     resolution = 4.0 * float(np.spacing(hi))
-    rounds = 0
+    passes = 0
     while hi - lo > resolution:
-        edges = [lo + (hi - lo) * k / (SHIFTS + 1) for k in range(SHIFTS + 1)] + [hi]
-        # the end edges lo and hi stand for reached and not reached
-        below, above = 0, SHIFTS + 1
-        while above - below > 1:
-            mid = (below + above) // 2
-            if _reaches(edges[mid], diag[0], rows):
-                below = mid
-            else:
-                above = mid
-        if edges[below + 1] - edges[below] >= hi - lo:
-            break
-        lo, hi = edges[below], edges[below + 1]
-        rounds += 1
-    return SpectralEstimate(rho=0.5 * (lo + hi), iterations=rounds, residual=hi - lo)
+        mid = 0.5 * (lo + hi)
+        if _reaches(mid, diag[0], rows):
+            lo = mid
+        else:
+            hi = mid
+        passes += 1
+    return SpectralEstimate(rho=0.5 * (lo + hi), iterations=passes, residual=hi - lo)
 
 
 def root_error_bound(envlaw: EnvironmentLaw) -> float:

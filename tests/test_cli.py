@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -458,10 +459,68 @@ def test_roundoff_rows_have_no_sigma_distance(tmp_path):
     for name in ("per_level_bound", "spectral_criterion"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
+    # exponent_shift's two exponents are closed-form, so its tolerance is the Monte
+    # Carlo bias allowance, and survival_concordance's is a fixed frequency: no sigmas
+    assert rows["exponent_shift"]["tolerance"] == criteria.monte_carlo_bias(5000)
+    for name in ("exponent_shift", "survival_concordance"):
+        assert rows[name]["verdict"] == "pass"
+        assert rows[name]["sigma_distance"] is None
     # a row tested against 3 stderr keeps its distance in sigmas
-    row = rows["exponent_shift"]
+    row = rows["frozen_log_mean"]
     assert row["sigma_distance"] == pytest.approx(
         3.0 * abs(row["lhs"] - row["rhs"]) / row["tolerance"], rel=1e-12)
+
+
+def _one_row(monkeypatch, result):
+    """The report row run_crosscheck makes of one check that returns `result`."""
+    monkeypatch.setattr(cli, "CROSSCHECKS", (("edge", lambda st: result),))
+    [row] = cli.run_crosscheck(None)
+    return row
+
+
+@pytest.mark.parametrize("lhs, rule, verdict", [
+    # d = lhs - 1 against a tolerance of 0.25: every d and tolerance here is exact
+    (1.25, "within", "pass"), (0.75, "within", "pass"), (1.5, "within", "fail"),
+    (0.5, "within", "fail"),
+    (1.25, "at_most", "pass"), (0.0, "at_most", "pass"), (1.5, "at_most", "fail"),
+    (1.25, "above", "fail"), (1.5, "above", "pass"), (0.0, "above", "fail"),
+])
+def test_each_rule_at_and_past_its_tolerance(monkeypatch, lhs, rule, verdict):
+    row = _one_row(monkeypatch, cli.Comparison(lhs, 1.0, 0.25, rule, "edge", sigmas=True))
+    assert row == {"identity": "edge", "lhs": lhs, "rhs": 1.0, "tolerance": 0.25,
+                   "sigma_distance": 12.0 * abs(lhs - 1.0), "verdict": verdict, "note": "edge"}
+
+
+@pytest.mark.parametrize("result, sigma_distance", [
+    (cli.Comparison(0.5, 0.5, 0.0, "within", "zero tolerance", sigmas=True), None),
+    (cli.Comparison(0.5, 0.0, 0.25, "within", "a bound, not 3 stderr"), None),
+    (cli.Comparison(0.5, 0.0, 0.25, "within", "3 stderr", sigmas=True), 6.0),
+])
+def test_sigma_distance_only_on_positive_3_stderr_tolerances(monkeypatch, result, sigma_distance):
+    assert _one_row(monkeypatch, result)["sigma_distance"] == sigma_distance
+
+
+def test_skipped_row_has_only_its_note(monkeypatch):
+    assert _one_row(monkeypatch, "stage missing") == {
+        "identity": "edge", "lhs": None, "rhs": None, "tolerance": None,
+        "sigma_distance": None, "verdict": "skipped", "note": "stage missing"}
+
+
+@pytest.mark.parametrize("regime, survived, verdict", [
+    # at 200 trials, a survival verdict needs more than 10 survivors (freq > 0.05)
+    # and an extinction verdict at most 2 (freq <= 0.01)
+    (criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION, 10, "fail"),
+    (criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION, 11, "pass"),
+    (criteria.STRONG_LOCAL_SURVIVAL, 10, "fail"),
+    (criteria.GLOBAL_EXTINCTION, 2, "pass"),
+    (criteria.GLOBAL_EXTINCTION, 3, "fail"),
+])
+def test_survival_concordance_at_its_threshold(monkeypatch, regime, survived, verdict):
+    st = types.SimpleNamespace(regime=types.SimpleNamespace(regime=regime),
+                               survival=types.SimpleNamespace(global_freq=survived / 200))
+    monkeypatch.setattr(cli, "CROSSCHECKS", (("survival_concordance", cli._survival_concordance),))
+    [row] = cli.run_crosscheck(st)
+    assert (row["lhs"], row["verdict"]) == (survived / 200, verdict)
 
 
 def test_zero_stderr_tolerance_has_no_sigma_distance(tmp_path):
