@@ -21,7 +21,7 @@ _EXPORTS = {
     "lyapunov": "build_A build_A_lambda top_lyapunov",
     "spectral": "SpectralEstimate TruncatedMomentMatrix rho_sweep spectral_radius truncated_matrix",
     "simulator": "BatchRun FrozenProfile SurvivalEstimates TrialOutcome frozen_mean_profile "
-                 "run_batch supermartingale_trace survival_probabilities",
+                 "run_batch survival_probabilities",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,12 +1,12 @@
-"""Quenched Monte Carlo for the branching walk: trials, traces, freezing.
+"""Quenched Monte Carlo for the branching walk: survival trials and freezing.
 
 Particles are never tracked individually: one step draws, per occupied
 site, a multinomial split of the site's count over its offspring atoms,
 equal in law to per-particle draws at O(occupied sites) cost.  run_batch
 steps many independent runs (rows) at once on flat (row, site, count)
-arrays; it is the one Monte Carlo entry point, and survival trials, the
-supermartingale trace and the freezing construction are rows of it (one
-run gives the survival trials and the trace of their first generations).
+arrays; it is the one Monte Carlo entry point, and survival trials and the
+freezing construction are rows of it.  The survival run also records the
+supermartingale trace of its first trials' first generations.
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
@@ -35,8 +35,8 @@ TRIAL_BATCH = 1024
 # super-trials per level of the frozen profile; its stderrs are their spread
 SUPER_TRIALS = 50
 
-# the supermartingale trace that survival_probabilities records: its first
-# trials, through this many generations
+# the supermartingale trace that run_batch records given a lambda: its first
+# rows, through this many generations
 TRACE_TRIALS = 10_000
 TRACE_HORIZON = 60
 
@@ -47,7 +47,7 @@ class CensoringError(RuntimeError):
 
 
 class PopulationOverflowError(RuntimeError):
-    """A capless run outgrew the exact-integer guard."""
+    """A trace row outgrew the exact-integer guard before the trace horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +97,19 @@ class BatchRun(NamedTuple):
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
-              *, cap: int | None = None, freeze: bool = False, log_lam: float | None = None,
-              trace_rows: int | None = None, trace_horizon: int | None = None) -> BatchRun:
+              *, cap: int, freeze: bool = False, log_lam: float | None = None) -> BatchRun:
     """Evolve independent rows, row i from start_count particles at starts[i].
 
     env_seed is one quenched seed or one seed per row.  Rows step together
     in batches of TRIAL_BATCH; batch b draws from default_rng([*stream, b]).
     A row ends Extinct with no particle left, CapReached once its total
-    reaches cap or a site count reaches _HARD_COUNT (without a cap that
-    raises PopulationOverflowError), else AliveAtHorizon.  freeze moves
-    particles below starts[i] into the row's frozen count after each step.
+    reaches cap or a site count reaches _HARD_COUNT, else AliveAtHorizon.
+    freeze moves particles below starts[i] into the row's frozen count after
+    each step.
 
     log_lam records the log of the lam-weighted population of the first
-    trace_rows rows (default all) at every time up to trace_horizon (default
-    horizon).  A trace row that reaches the cap before the trace horizon is
+    TRACE_TRIALS rows at every time up to TRACE_HORIZON (each at most the
+    run's).  A trace row that reaches the cap before the trace horizon is
     CapReached, its status, end time, last origin visit and peak frozen at
     that time, but keeps stepping, unseen by those columns, until the trace
     horizon, so the cap never censors the trace; a trace row whose site
@@ -128,8 +127,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     n_trace = t_trace = 0
     log_h = None
     if log_lam is not None:
-        n_trace = n if trace_rows is None else min(trace_rows, n)
-        t_trace = horizon if trace_horizon is None else min(trace_horizon, horizon)
+        n_trace, t_trace = min(TRACE_TRIALS, n), min(TRACE_HORIZON, horizon)
         log_h = np.full((n_trace, t_trace + 1), -math.inf)
         log_h[:, 0] = np.log(peak[:n_trace]) + starts[:n_trace] * log_lam
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
@@ -154,7 +152,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 spread = np.exp(x - top[np.searchsorted(live[:k], rows[:e])])
                 log_h[live[:k], t] = top + np.log(np.add.reduceat(spread, first[:k]))
             over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
-            if over.any() and (cap is None or (t <= t_trace and live[over][0] < n_trace)):
+            if over.any() and t <= t_trace and live[over][0] < n_trace:
                 raise PopulationOverflowError(
                     f"population guard hit at step {t}; shorten the horizon")
             # rows already CapReached step on for the trace alone
@@ -165,8 +163,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             at_origin = rows[sites == 0]
             last_origin[at_origin[~capped[at_origin]]] = t
             peak[live] = np.maximum(peak[live], total)
-            if cap is not None:
-                over |= total >= cap
+            over |= total >= cap
             if over.any():
                 status[live[over]] = CAP_REACHED
                 end_time[live[over]] = t
@@ -276,8 +273,7 @@ def survival_probabilities(
         for m in envlaw.state_moments:
             feasible_slack(m, lam)  # ValueError where lam is infeasible
     run = run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon, (env_seed, seed),
-                    cap=cap, log_lam=None if lam is None else math.log(lam),
-                    trace_rows=TRACE_TRIALS, trace_horizon=TRACE_HORIZON)
+                    cap=cap, log_lam=None if lam is None else math.log(lam))
     alive = run.status != EXTINCT
     g = np.count_nonzero(alive) / trials
     l = np.count_nonzero(alive & (2 * run.last_origin_visit >= run.end_time)) / trials
@@ -299,7 +295,9 @@ def survival_probabilities(
 
 @dataclass(frozen=True)
 class SupermartingaleTrace:
-    """Per-time empirical means of the lam-weighted population."""
+    """Per-time empirical means of the lam-weighted population h(n) = sum_x
+    count(x) lam^x.  For lam feasible for every state the conditional mean of
+    h never increases, which the paired per-step increments make testable."""
 
     lam: float
     mean_h: np.ndarray  # length horizon+1, mean over trials
@@ -334,18 +332,14 @@ def supermartingale_trace(
     horizon: int,
     seed: int = 0,
 ) -> SupermartingaleTrace:
-    """Trace h(n) = sum_x count(x) lam^x over quenched trials, in a run of its
-    own with no cap (survival_probabilities records the same trace on its
-    survival trials).
-
-    Requires lam feasible for every state; then the conditional mean of h
-    never increases, which the paired per-step increments make testable.
+    """The trace of survival_probabilities' run at these arguments, with its
+    checks (at least 100 trials, lam feasible for every state) and its sizes
+    (min(trials, TRACE_TRIALS) trials through generation min(horizon,
+    TRACE_HORIZON)).  The stage graph never calls it; it keeps the span that
+    perfbench's simulator.supermartingale_trace.* metrics name.
     """
-    for m in envlaw.state_moments:
-        feasible_slack(m, lam)  # ValueError where lam is infeasible
-    run = run_batch(envlaw, env_seed, np.zeros(trials, np.int64), 1, horizon,
-                    (env_seed, seed), log_lam=math.log(lam))
-    return _trace(lam, run.log_h)
+    return survival_probabilities(envlaw, trials=trials, horizon=horizon, env_seed=env_seed,
+                                  seed=seed, lam=lam).trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms
 from brwre.lyapunov import build_A, build_A_lambda
@@ -31,6 +31,22 @@ def two_state_env() -> EnvironmentLaw:
     return EnvironmentLaw(
         [(0.5, law_from_atoms(TWO_STATE_A)), (0.5, law_from_atoms(TWO_STATE_B))]
     )
+
+
+@st.composite
+def valid_laws(draw):
+    """1 to 3 states, each with atoms (l, 0, 0), (0, 0, r) and (0, k, 0).  The
+    left share of the mass on the first two atoms is drawn once per law, so
+    the states lean the same way and every branch of the classifier comes up."""
+    split, states = draw(st.floats(0.02, 0.98)), []
+    for _ in range(draw(st.integers(1, 3))):
+        left, right = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        stay, moving = draw(st.integers(0, 1)), draw(st.floats(0.05, 0.95))
+        atoms = [(moving * split, (left, 0, 0)), (moving * (1.0 - split), (0, 0, right)),
+                 (1.0 - moving, (0, stay, 0))]
+        states.append((draw(st.floats(0.1, 1.0)), law_from_atoms(atoms)))
+    total = sum(w for w, _ in states)
+    return EnvironmentLaw([(w / total, law) for w, law in states])
 
 
 def gw_extinction_probability(atoms, iterations: int = 500) -> float:

@@ -16,7 +16,7 @@ from brwre import criteria
 from brwre.criteria import classify_environment, expected_log_drift, lambda_feasible_set
 from brwre.envmodel import MomentTriple
 from brwre.lyapunov import build_A, top_lyapunov
-from brwre.simulator import frozen_mean_profile, supermartingale_trace, survival_probabilities
+from brwre.simulator import frozen_mean_profile, survival_probabilities
 from brwre.spectral import rho_sweep
 from conftest import (
     CRITICAL_PAIR,
@@ -293,7 +293,8 @@ def test_acceptance_7_frozen_mean_identity(const_profile, two_state_profile, gam
 def test_acceptance_8_supermartingale_property():
     env = single_env(GW_SUPERCRITICAL)
     for lam, seed in ((2.0, 61), (10.0, 62)):
-        trace = supermartingale_trace(env, 101, lam, trials=10_000, horizon=50, seed=seed)
+        trace = survival_probabilities(env, trials=10_000, horizon=50, env_seed=101, seed=seed,
+                                       lam=lam).trace
         z = np.where(
             trace.diff_stderr > 0,
             trace.diff_mean / trace.diff_stderr,

@@ -539,7 +539,7 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch):
     calls = collections.Counter()
     for module, name in ((criteria, "classify"), (spectral, "rho_sweep"),
                          (simulator, "survival_probabilities"),
-                         (simulator, "frozen_mean_profile")):
+                         (simulator, "frozen_mean_profile"), (simulator, "supermartingale_trace")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -677,7 +677,7 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
     calls = collections.Counter()
     for module, name in ((criteria, "classify"), (spectral, "rho_sweep"),
                          (simulator, "survival_probabilities"),
-                         (simulator, "frozen_mean_profile"), (simulator, "supermartingale_trace")):
+                         (simulator, "frozen_mean_profile")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -692,7 +692,7 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
         if subcommand in ("crosscheck", "all"):
             # every stage runs once, and the branch-specific ones only on their branch;
             # the survival run records the supermartingale trace, so the stage graph
-            # never calls the standalone trace
+            # never calls supermartingale_trace
             assert calls == collections.Counter({
                 "classify": 1, "rho_sweep": 1, "survival_probabilities": 1,
                 "frozen_mean_profile": int(direction == "right"), "supermartingale_trace": 0,

@@ -17,7 +17,7 @@ from brwre.criteria import (
 )
 from brwre.envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import LyapunovEstimate, build_A_lambda
-from brwre.simulator import supermartingale_trace
+from brwre.simulator import survival_probabilities
 from conftest import (
     CRITICAL_PAIR,
     GW_SUPERCRITICAL,
@@ -25,6 +25,7 @@ from conftest import (
     TREBLE_OR_DIE,
     single_env,
     two_state_env,
+    valid_laws,
 )
 
 
@@ -326,22 +327,6 @@ def test_interval_intersection_algebra():
 # -- the mirror and the one feasibility decision -----------------------------
 
 
-@st.composite
-def _valid_laws(draw):
-    """1 to 3 states, each with atoms (l, 0, 0), (0, 0, r) and (0, k, 0).  The
-    left share of the mass on the first two atoms is drawn once per law, so
-    the states lean the same way and every branch of the classifier comes up."""
-    split, states = draw(st.floats(0.02, 0.98)), []
-    for _ in range(draw(st.integers(1, 3))):
-        left, right = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-        stay, moving = draw(st.integers(0, 1)), draw(st.floats(0.05, 0.95))
-        atoms = [(moving * split, (left, 0, 0)), (moving * (1.0 - split), (0, 0, right)),
-                 (1.0 - moving, (0, stay, 0))]
-        states.append((draw(st.floats(0.1, 1.0)), law_from_atoms(atoms)))
-    total = sum(w for w, _ in states)
-    return EnvironmentLaw([(w / total, law) for w, law in states])
-
-
 def _distance_to_decision_boundary(env: EnvironmentLaw, margin: float) -> float:
     """Least distance of a closed-form decision quantity, or of |margin|, from
     the threshold it is compared with."""
@@ -369,7 +354,7 @@ def _gap(rep) -> float:
 # 8 to 16 replicas: with 2 to 4 the replica stderr is too rough for the gap
 # comparison on multi-state laws (2 failures in 1,213 statistical draws)
 @settings(max_examples=40, deadline=None)
-@given(_valid_laws(), st.integers(8, 16), st.integers(0, 2**32))
+@given(valid_laws(), st.integers(8, 16), st.integers(0, 2**32))
 # two states with one A matrix: the replica stderr reads 0 here and 1.6e-16 on the mirror
 @example(EnvironmentLaw([
     (2 / 3, law_from_atoms([(0.003125, (2, 0, 0)), (0.046875, (0, 0, 2)), (0.95, (0, 1, 0))])),
@@ -410,10 +395,10 @@ def test_one_feasibility_decision_at_the_tolerance():
 
     assert one_in_feasible_set(inside)
     assert build_A_lambda(inside.state_moments[0], 1.0).min() >= 0.0
-    assert supermartingale_trace(inside, 0, 1.0, trials=100, horizon=5, seed=1).lam == 1.0
+    assert survival_probabilities(inside, trials=100, horizon=5, seed=1, lam=1.0).trace.lam == 1.0
 
     assert not one_in_feasible_set(outside)
     with pytest.raises(ValueError, match="infeasible"):
         build_A_lambda(outside.state_moments[0], 1.0)
     with pytest.raises(ValueError, match="infeasible"):
-        supermartingale_trace(outside, 0, 1.0, trials=100, horizon=5, seed=1)
+        survival_probabilities(outside, trials=100, horizon=5, seed=1, lam=1.0)

@@ -108,7 +108,7 @@ def test_a_process_holding_numpy_loads_no_module_during_a_run(tmp_path):
 
 
 def test_every_export_is_its_defining_module_attribute():
-    assert len(brwre.__all__) == len(set(brwre.__all__)) == 35
+    assert len(brwre.__all__) == len(set(brwre.__all__)) == 34
     for name in brwre.__all__:
         obj = getattr(brwre, name)
         assert obj.__module__.startswith("brwre."), name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brwre import simulator
-from brwre.envmodel import derive_seed, law_from_atoms
+from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_indices
 from brwre.simulator import (
     ALIVE_AT_HORIZON,
     CAP_REACHED,
@@ -13,7 +13,6 @@ from brwre.simulator import (
     PopulationOverflowError,
     frozen_mean_profile,
     run_batch,
-    supermartingale_trace,
     survival_probabilities,
 )
 from conftest import (
@@ -264,17 +263,33 @@ def test_batches_draw_independent_streams():
 def test_hard_count_guard_in_batched_runs(monkeypatch):
     monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
     env = single_env(GW_SUPERCRITICAL)
+    # a trace row that reaches the guard before the trace horizon raises
     with pytest.raises(PopulationOverflowError):
-        supermartingale_trace(env, 5, 2.0, trials=200, horizon=60, seed=1)
+        survival_probabilities(env, trials=200, horizon=60, env_seed=5, seed=1, lam=2.0)
     kwargs = dict(trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
     est = survival_probabilities(env, **kwargs)
     capped = [o for o in est.outcomes if o.status == CAP_REACHED]
     assert capped and all(o.peak_population < 10**9 for o in capped)
     assert not any(o.status == ALIVE_AT_HORIZON for o in est.outcomes)
-    # a trace row that reaches the guard before the trace horizon raises, as the
-    # capless trace does
     with pytest.raises(PopulationOverflowError):
         survival_probabilities(env, lam=2.0, **kwargs)
+    # only a trace row raises: quenched sites where each particle dies or doubles
+    # in place, so a row started at a doubling site passes the guard at t = 6,
+    # before the trace horizon, and rows past the trace rows are capped there
+    n = simulator.TRIAL_BATCH
+    monkeypatch.setattr(simulator, "TRACE_TRIALS", n)
+    fates = EnvironmentLaw([(0.5, law_from_atoms([(1.0, (0, 0, 0))])),
+                            (0.5, law_from_atoms([(1.0, (0, 2, 0))]))])
+    sites = np.arange(-20, 21)
+    states = state_indices(fates, 5, sites)
+    die, double = int(sites[states == 0][0]), int(sites[states == 1][0])
+    trace_kwargs = dict(cap=10**9, log_lam=math.log(2.0))
+    run = run_batch(fates, 5, [die] * n + [double] * 8, 1, 60, (5, 1), **trace_kwargs)
+    assert set(run.status[:n]) == {EXTINCT} and set(run.end_time[:n]) == {1}
+    assert set(run.status[n:]) == {CAP_REACHED} and set(run.end_time[n:]) == {6}
+    assert set(run.peak_population[n:]) == {64}
+    with pytest.raises(PopulationOverflowError):
+        run_batch(fates, 5, [double] * (n + 8), 1, 60, (5, 1), **trace_kwargs)
     # past the trace horizon the guard caps trace rows as before: no row can
     # reach 40 particles in 5 generations, so no row steps on past its cap
     monkeypatch.setattr(simulator, "TRACE_HORIZON", 5)
@@ -296,14 +311,16 @@ def test_shared_trace_is_not_censored_by_the_cap():
     assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
     assert np.all(np.abs(trace.mean_h[1:] - exact[1:]) <= 4.0 * trace.stderr_h[1:])
     # every row steps to the trace horizon, so with the survival horizon there the
-    # run draws what the capless run on the same stream draws
-    capless = supermartingale_trace(env, 3, lam, trials, horizon, seed=4)
+    # run draws what a run on the same stream with a cap no row reaches draws
+    uncapped = run_batch(env, 3, np.zeros(trials, np.int64), 1, horizon, (3, 4), cap=1 << 62,
+                         log_lam=math.log(lam))
+    oracle = simulator._trace(lam, uncapped.log_h)
     for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
-        assert np.array_equal(getattr(trace, field), getattr(capless, field))
+        assert np.array_equal(getattr(trace, field), getattr(oracle, field))
 
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])
-def test_trace_leaves_survival_columns_unchanged(mode):
+def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
     # two children one step left, surely: 2^t particles at -t, so every row
     # reaches the cap 32 at t = 5 and h_n = (2/lam)^n
     env, lam, horizon = single_env([(1.0, (2, 0, 0))]), 4.0, 20
@@ -318,8 +335,10 @@ def test_trace_leaves_survival_columns_unchanged(mode):
             for o in shared.outcomes} == {(CAP_REACHED, 5, 0, 32)}
     exact = (2.0 / lam) ** np.arange(horizon + 1)
     np.testing.assert_allclose(shared.trace.mean_h, exact, rtol=1e-12)
+    monkeypatch.setattr(simulator, "TRACE_TRIALS", 60)
+    monkeypatch.setattr(simulator, "TRACE_HORIZON", 15)
     run = run_batch(env, 1, np.zeros(100, np.int64), 1, horizon, (1, 2), cap=32,
-                    log_lam=math.log(lam), trace_rows=60, trace_horizon=15)
+                    log_lam=math.log(lam))
     assert run.log_h.shape == (60, 16)
     np.testing.assert_allclose(run.log_h, np.tile(np.log(exact[:16]), (60, 1)), atol=1e-12)
     assert set(run.status) == {CAP_REACHED} and set(run.end_time) == {5}
@@ -345,7 +364,8 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
 def test_trace_critical_law_has_unit_mean():
     # at lambda=1 the weighted population is the plain count of a critical
     # branching process: mean exactly 1 at every time
-    trace = supermartingale_trace(single_env(CRITICAL_PAIR), 5, 1.0, trials=3000, horizon=30, seed=2)
+    trace = survival_probabilities(single_env(CRITICAL_PAIR), trials=3000, horizon=30,
+                                   env_seed=5, seed=2, lam=1.0).trace
     se = np.maximum(trace.diff_stderr, 1e-12)
     assert np.all(np.abs(trace.diff_mean) <= 4.0 * se)
     assert trace.mean_h[0] == 1.0
@@ -354,7 +374,8 @@ def test_trace_critical_law_has_unit_mean():
 
 
 def test_trace_nonincreasing_for_drifting_law():
-    trace = supermartingale_trace(single_env(GW_SUPERCRITICAL), 5, 2.0, trials=2000, horizon=40, seed=3)
+    trace = survival_probabilities(single_env(GW_SUPERCRITICAL), trials=2000, horizon=40,
+                                   env_seed=5, seed=3, lam=2.0).trace
     z = np.where(
         trace.diff_stderr > 0,
         trace.diff_mean / trace.diff_stderr,
@@ -364,17 +385,26 @@ def test_trace_nonincreasing_for_drifting_law():
 
 
 def test_trace_null_offspring_drops_to_zero():
-    trace = supermartingale_trace(single_env([(1.0, (0, 0, 0))]), 0, 1.0, trials=200, horizon=3)
+    trace = survival_probabilities(single_env([(1.0, (0, 0, 0))]), trials=200, horizon=3,
+                                   lam=1.0).trace
     assert trace.mean_h[0] == 1.0
     assert np.all(trace.mean_h[1:] == 0.0)
 
 
 def test_trace_rejects_infeasible_lambda():
+    with pytest.raises(ValueError, match="infeasible"):
+        survival_probabilities(single_env(GW_SUPERCRITICAL), trials=100, horizon=10, lam=30.0)
+
+
+def test_supermartingale_trace_is_the_survival_runs_trace():
     env = single_env(GW_SUPERCRITICAL)
-    with pytest.raises(ValueError, match="infeasible"):
-        supermartingale_trace(env, 0, 30.0, trials=100, horizon=10)
-    with pytest.raises(ValueError, match="infeasible"):
-        survival_probabilities(env, trials=100, horizon=10, lam=30.0)
+    trace = simulator.supermartingale_trace(env, 3, 2.0, trials=300, horizon=20, seed=4)
+    shared = survival_probabilities(env, trials=300, horizon=20, env_seed=3, seed=4, lam=2.0).trace
+    for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
+        assert np.array_equal(getattr(trace, field), getattr(shared, field))
+    # too few trials for a stderr is refused, not a NaN
+    with pytest.raises(ValueError, match="100 trials"):
+        simulator.supermartingale_trace(env, 0, 1.0, trials=1, horizon=3)
 
 
 # -- freezing construction ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from brwre import spectral
+from brwre.criteria import lambda_feasible_set
 from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_at
 from brwre.spectral import TruncatedMomentMatrix, rho_sweep, spectral_radius, truncated_matrix
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     TWO_STATE_B,
     single_env,
     two_state_env,
+    valid_laws,
 )
 
 
@@ -326,3 +328,37 @@ def test_constant_environment_limit():
     series = rho_sweep(env, 0, [8, 16, 32, 64])
     assert series[-1][1] < limit
     assert series[-1][1] == pytest.approx(limit, abs=5e-3)
+
+
+# -- local survival: the feasible set against the windows' limit -------------
+
+
+def rho_inf(env) -> float:
+    """min over lam of max_s (mu-_s/lam + mu0_s + mu+_s*lam), by ternary search
+    on ln lam (a maximum of functions convex in ln lam is convex): the limit of
+    the window roots, found without the closed-form feasible set."""
+
+    def worst_row_sum(u):
+        lam = math.exp(u)
+        return max(m.mu_minus / lam + m.mu_zero + m.mu_plus * lam for m in env.state_moments)
+
+    lo, hi = -30.0, 30.0
+    for _ in range(100):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if worst_row_sum(a) < worst_row_sum(b):
+            hi = b
+        else:
+            lo = a
+    return worst_row_sum(0.5 * (lo + hi))
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_laws(), st.integers(0, 2**32))
+def test_feasible_set_is_empty_exactly_when_the_window_limit_exceeds_one(env, seed):
+    # the paper's local-survival characterization: no feasible lambda iff rho > 1
+    limit = rho_inf(env)
+    if abs(limit - 1.0) > 1e-6:
+        assert lambda_feasible_set(env).is_empty == (limit > 1.0)
+    # lam^x conjugates a window into one whose row sums are at most the limit's
+    bound = limit + spectral.root_error_bound(env)
+    assert all(rho <= bound for _, rho in rho_sweep(env, seed, [1, 2, 4, 8, 16]))

@@ -19,10 +19,12 @@ matches byte for byte or by value.  By value, floats compare by
 fields that moved, and exits 1 on any difference but a byte difference
 between value-identical files.  Cross-check rows are matched by their
 identity, so a row that only one side has is one line; a moved field with
-a sibling stderr (`value` and `stderr`, `x_freq` or `x` and `x_stderr`)
-also gives its move in combined stderrs of the two sides, unless a string
-sibling such as `matrix_kind` moved with it.  `--base HEAD` on a clean
-tree checks that every output is byte-reproducible across processes.
+a sibling stderr (`value` and `stderr`, `x_freq` or `x` and `x_stderr`),
+and a moved element of a list with a sibling list of stderrs (`x_means`
+and `x_stderrs`), also gives its move in combined stderrs of the two
+sides, unless a string sibling such as `matrix_kind` moved with it.
+`--base HEAD` on a clean tree checks that every output is
+byte-reproducible across processes.
 """
 from __future__ import annotations
 
@@ -145,28 +147,49 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _in_stderrs(a: dict, b: dict, key: str) -> str:
-    """' (z combined stderrs)' for a moved number with a numeric sibling stderr, else ''.
+def _stderr_key(key: str) -> str:
+    """The sibling holding key's stderr: `value` -> `stderr`, `x_means` ->
+    `x_stderrs`, `x_freq` or `x` -> `x_stderr`."""
+    if key == "value":
+        return "stderr"
+    if key.endswith("_means"):
+        return key.removesuffix("_means") + "_stderrs"
+    return key.removesuffix("_freq") + "_stderr"
 
-    A string sibling that moved (a matrix kind, a mode) names another
-    estimand, so the move gets no scale."""
-    se = "stderr" if key == "value" else key.removesuffix("_freq") + "_stderr"
-    numbers = all(_is_number(x) for x in (a[key], b[key], a.get(se), b.get(se)))
-    if not numbers or any(isinstance(v, str) and b.get(k) != v for k, v in a.items()):
+
+def _in_stderrs(x, y, se_x, se_y) -> str:
+    """' (z combined stderrs)' for a moved number x -> y with numeric stderrs, else ''."""
+    if not all(_is_number(v) for v in (x, y, se_x, se_y)):
         return ""
-    combined = math.hypot(a[se], b[se])
-    return f" ({(b[key] - a[key]) / combined:+.2f} combined stderrs)" if combined else " (stderr 0)"
+    combined = math.hypot(se_x, se_y)
+    return f" ({(y - x) / combined:+.2f} combined stderrs)" if combined else " (stderr 0)"
+
+
+def _entries(a: dict, b: dict, key: str, path: str) -> list[tuple]:
+    """(path, base, here, base stderr, here stderr) of the field key; a list with a
+    sibling list of stderrs, all four of one length, gives one entry per element."""
+    se = _stderr_key(key)
+    x, y, se_x, se_y = a[key], b[key], a.get(se), b.get(se)
+    lists = (x, y, se_x, se_y)
+    if all(isinstance(v, list) for v in lists) and len({len(v) for v in lists}) == 1:
+        return [(f"{path}[{i}]", *e) for i, e in enumerate(zip(*lists))]
+    return [(path, *lists)]
 
 
 def moved(a, b, path: str) -> list[str]:
     """The fields at which two parsed documents differ, as 'path: base -> here'."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = [] if list(a) == list(b) else [f"{path}: keys {list(a)} -> {list(b)}"]
+        # a string sibling that moved (a matrix kind, a mode) names another
+        # estimand, so no move in the dict gets a scale
+        scaled = not any(isinstance(v, str) and b.get(k) != v for k, v in a.items())
         for k in a:
-            fields = moved(a[k], b[k], f"{path}.{k}") if k in b else []
-            if fields:
-                fields[0] += _in_stderrs(a, b, k)
-            out += fields
+            entries = _entries(a, b, k, f"{path}.{k}") if k in b else []
+            for where, x, y, se_x, se_y in entries:
+                fields = moved(x, y, where)
+                if fields and scaled:
+                    fields[0] += _in_stderrs(x, y, se_x, se_y)
+                out += fields
         return out
     if isinstance(a, list) and isinstance(b, list):
         rows_a, rows_b = _rows(a), _rows(b)
