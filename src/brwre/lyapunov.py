@@ -22,23 +22,18 @@ renormalized products over replicas.
 
 Every state word of length L is computed once, as a word table
 (`_word_tables`), with L = `word_length`, the largest integer with
-n_states**L <= WORD_BUDGET, and L <= steps for the replicas.  A product
-is reduced by a pairwise tree that rescales every product to a max-abs
-entry of 1 and sums the logs of the scales.  The matrices are kept
-entry-wise, as rows a, b, c, d of a (4, n) array holding [[a, b], [c, d]],
-so one level is a few whole-array operations per entry.  A replica's
-product is split into aligned words of L states.  The words of a
-replica are i.i.d. with the product of their
-states' weights as law, so they are sampled directly from that law with
-one uniform per word through Walker's alias table, and gathered from the
-table; the steps % L leftover states are drawn singly and join the list
-after them.  The tree thus starts L times shorter, and no state sequence
-is ever drawn.
-`_log_norm_of_product` walks the plain pairwise tree over the whole state
-sequence on a stack of matrices with matmul and is kept as the oracle the
-tests compare against.  It groups the products differently (a word is
-built one state at a time) and matmul may fuse a multiply-add where the
-entry rows round twice, so the two agree to roundoff, not bit for bit.
+n_states**L <= WORD_BUDGET.  A product is reduced by a pairwise tree that
+rescales every product to a max-abs entry of 1 and sums the logs of the
+scales.  The matrices are kept entry-wise, as rows a, b, c, d of a (4, n)
+array holding [[a, b], [c, d]], so one level is a few whole-array
+operations per entry.  A replica's product is ceil(steps / L) whole words
+of L states.  They are i.i.d. with the product of their states' weights
+as law, so they are sampled directly from that law with one uniform per
+word through Walker's alias table, and gathered from the table.  The tree
+thus starts L times shorter, and no state sequence is ever drawn.  The
+tests check the tree against a plain matmul reduction of the whole state
+sequence; the two group the products differently, so they agree to
+roundoff, not bit for bit.
 """
 from __future__ import annotations
 
@@ -82,30 +77,6 @@ def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None =
     check_kind(matrix_kind, lam)
     build = {"A": build_A, "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
     return np.stack([build(m) for m in envlaw.state_moments])
-
-
-def _log_norm_of_product(mats: np.ndarray) -> float:
-    """ln of the max-abs norm of mats[-1] @ ... @ mats[0].
-
-    Pairwise reduction with per-level rescaling: exact for the norm of the
-    full product while keeping every intermediate entry in safe float range.
-    """
-    acc = 0.0
-    cur = mats
-    while cur.shape[0] > 1:
-        n = cur.shape[0]
-        h = n // 2
-        prod = cur[1 : 2 * h : 2] @ cur[0 : 2 * h : 2]
-        scale = np.abs(prod).max(axis=(1, 2))
-        if not np.all(scale > 0.0):
-            raise FloatingPointError("matrix product collapsed to zero")
-        prod /= scale[:, None, None]
-        acc += float(np.log(scale).sum())
-        if n % 2:
-            cur = np.concatenate([prod, cur[2 * h :]], axis=0)
-        else:
-            cur = prod
-    return acc + float(np.log(np.abs(cur[0]).max()))
 
 
 def _normalized_products(
@@ -198,92 +169,45 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-class _ProductReduction:
-    """ln of the max-abs entry of the product of a sampled word sequence and tail.
+def _alias_codes(u: np.ndarray, prob: np.ndarray, alias: np.ndarray,
+                 codes: np.ndarray) -> np.ndarray:
+    """Into codes, the codes Walker's alias table (prob, alias) assigns to
+    uniforms u in [0, 1): bin i = floor(u K) yields i if u K - i < prob[i]
+    and alias[i] otherwise.  u is overwritten."""
+    u *= prob.shape[0]
+    np.copyto(codes, u, casting="unsafe")
+    u -= codes
+    np.copyto(codes, np.take(alias, codes), where=u >= np.take(prob, codes))
+    return codes
 
-    The product applies steps // L words of the word table (see the module
-    docstring), first-applied first, then steps % L single states, with
-    L = min(`word_length`, steps) and the table of `_word_tables`.  `sample`
-    draws the word codes from the word law, the product of its states'
-    weights, with one uniform each through Walker's alias table, and the
-    tail states from the state CDF.  A replica gathers its words, sums
-    their logs, appends the tail
-    matrices and runs the tree `_log_norm_of_product` walks on two (4, m)
-    entry buffers in turn: each level multiplies the odd entries of its
-    list (left) into the even ones, rescales every product to max-abs
+
+def _log_norm(cur: np.ndarray, logs: np.ndarray, spare: np.ndarray, work: np.ndarray) -> float:
+    """sum(logs) plus the ln of the max-abs entry of the product of the (4, m)
+    entry rows cur, first-applied first, by a pairwise tree on cur and spare
+    ((4, >= (m + 1) // 2)) in turn.  Each level multiplies the odd entries of
+    its list (left) into the even ones, rescales every product to max-abs
     entry 1 and adds the logs of the scales; an odd tail is carried to the
-    end of the next list.  Every buffer is allocated once and reused by
-    each replica of an estimate, so no replica pays for fresh pages.  A
-    collapsed word has a log of -inf or NaN and raises only in a replica
-    that samples it.
+    end of the next list.  cur, logs and spare are overwritten and work is
+    (>= m // 2,) scratch.  A collapsed product raises FloatingPointError.
     """
-
-    def __init__(self, table: np.ndarray, weights: np.ndarray, steps: int):
-        self.entries = table.reshape(table.shape[0], 4).T
-        length = min(word_length(table.shape[0]), steps)
-        state_p = weights / weights.sum()
-        self.words, self.word_logs, word_p = _word_tables(self.entries, state_p, length)[-1]
-        self.length = length
-        self.prob, self.alias = _alias_table(word_p)
-        self.cdf = state_p.cumsum()
-        n_words, self._n_tail = divmod(steps, length)
-        m = n_words + self._n_tail
-        self._u = np.empty(n_words)
-        self._bins = np.empty(n_words, dtype=np.intp)
-        self._codes = np.empty(n_words, dtype=np.intp)
-        self._keep = np.empty(n_words, dtype=bool)
-        self._lists = (np.empty((4, m)), np.empty((4, (m + 1) // 2)))
-        self._logs = np.empty(max(n_words, m // 2))
-        self._work = np.empty(max(n_words, m // 2))
-
-    def codes(self, u: np.ndarray) -> np.ndarray:
-        """The word codes the alias table assigns to uniforms u in [0, 1).
-
-        u is overwritten; the result is a buffer the next call overwrites.
-        """
-        n = u.shape[0]
-        bins, codes, keep = self._bins[:n], self._codes[:n], self._keep[:n]
-        u *= self.prob.shape[0]
-        np.copyto(bins, u, casting="unsafe")
-        u -= bins
-        np.less(u, np.take(self.prob, bins, out=self._work[:n]), out=keep)
-        np.take(self.alias, bins, out=codes)
-        np.copyto(codes, bins, where=keep)
-        return codes
-
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One replica's word codes and tail states, from steps // L and then steps % L uniforms."""
-        codes = self.codes(rng.random(out=self._u))
-        tail = np.searchsorted(self.cdf[:-1], rng.random(self._n_tail), side="right")
-        return codes, tail
-
-    def __call__(self, codes: np.ndarray, tail: np.ndarray) -> float:
-        n_words = codes.shape[0]
-        cur = self._lists[0]
-        for row, word_row in zip(cur, self.words):
-            np.take(word_row, codes, out=row[:n_words], mode="clip")
-        cur[:, n_words:] = self.entries[:, tail]
-        logs = np.take(self.word_logs, codes, out=self._logs[:n_words], mode="clip")
-        acc = 0.0
-        depth = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                level = logs.sum()
-                if not level > -np.inf:
-                    raise FloatingPointError("matrix product collapsed to zero")
-                acc += float(level)
-                n = cur.shape[1]
-                if n == 1:
-                    return acc + float(np.log(np.abs(cur[:, 0]).max()))
-                h = n // 2
-                depth += 1
-                nxt = self._lists[depth % 2][:, : h + n % 2]
-                logs = self._logs[:h]
-                _normalized_products(cur[:, 1 : 2 * h : 2], cur[:, 0 : 2 * h : 2],
-                                     nxt[:, :h], logs, self._work[:h])
-                if n % 2:
-                    nxt[:, h] = cur[:, -1]
-                cur = nxt
+    acc = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            level = logs.sum()
+            if not level > -np.inf:
+                raise FloatingPointError("matrix product collapsed to zero")
+            acc += float(level)
+            n = cur.shape[1]
+            if n == 1:
+                return acc + float(np.log(np.abs(cur[:, 0]).max()))
+            h = n // 2
+            nxt = spare[:, : h + n % 2]
+            logs = logs[:h]
+            _normalized_products(cur[:, 1 : 2 * h : 2], cur[:, 0 : 2 * h : 2],
+                                 nxt[:, :h], logs, work[:h])
+            if n % 2:
+                nxt[:, h] = cur[:, -1]
+            cur, spare = nxt, cur
 
 
 # the largest word-sum error bound returned in place of the replicas: the bias
@@ -377,19 +301,29 @@ def _monte_carlo_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int =
                           lam: float | None = None) -> LyapunovEstimate:
     """The replica estimate of the top exponent, method "monte_carlo".
 
-    Replica r samples its steps // L word codes and steps % L tail states
-    on default_rng([seed, r]) (see `_ProductReduction.sample`), reduces
-    the product of those matrices with the word table and the entry-wise
-    tree (see the module docstring) and contributes ln ||product|| / steps.
-    The value is the replica mean and stderr the replica dispersion /
-    sqrt(R); the replicas run one at a time on one thread.
+    Replica r draws n_words = ceil(steps / L) word codes on
+    default_rng([seed, r]) through the alias table of the word law (see
+    the module docstring), gathers the words from the word table and
+    reduces their product with `_log_norm`; it contributes ln ||product||
+    over the n_words * L matrices multiplied.  The value is the replica
+    mean and stderr the replica dispersion / sqrt(R); the replicas run one
+    at a time on one thread and reuse one set of buffers.
     """
     check_budget(steps, replicas)
-    reduce = _ProductReduction(state_matrices(envlaw, matrix_kind, lam), envlaw.weights, steps)
-    values = np.array([
-        reduce(*reduce.sample(np.random.default_rng([seed, r]))) / steps
-        for r in range(replicas)
-    ])
+    entries = state_matrices(envlaw, matrix_kind, lam).reshape(-1, 4).T
+    length = word_length(envlaw.n_states)
+    state_p = envlaw.weights / envlaw.weights.sum()
+    words, word_logs, word_p = _word_tables(entries, state_p, length)[-1]
+    prob, alias = _alias_table(word_p)
+    n_words = -(-steps // length)
+    u, logs, codes = np.empty(n_words), np.empty(n_words), np.empty(n_words, dtype=np.intp)
+    cur, spare, work = np.empty((4, n_words)), np.empty((4, (n_words + 1) // 2)), np.empty(n_words)
+    values = np.empty(replicas)
+    for r in range(replicas):
+        _alias_codes(np.random.default_rng([seed, r]).random(out=u), prob, alias, codes)
+        np.take(words, codes, axis=1, out=cur, mode="clip")
+        np.take(word_logs, codes, out=logs, mode="clip")
+        values[r] = _log_norm(cur, logs, spare, work) / (n_words * length)
     return LyapunovEstimate(value=float(values.mean()),
                             stderr=float(values.std(ddof=1) / math.sqrt(replicas)),
                             steps=steps, replicas=replicas, matrix_kind=matrix_kind,

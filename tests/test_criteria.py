@@ -27,6 +27,7 @@ from conftest import (
     two_state_env,
     valid_laws,
 )
+from test_spectral import rho_inf
 
 
 # -- independent oracles -----------------------------------------------------
@@ -382,6 +383,32 @@ def test_mirror_law_gives_the_mirrored_classification(env, replicas, seed):
         # not of gamma(A), so the two gaps agree in distribution only
         tol = 3.0 * math.hypot(rep.gamma1.stderr, mrep.gamma1.stderr) + 20.0 / kw["steps"]
         assert abs(_gap(mrep) - _gap(rep)) <= tol
+
+
+# domination: one more child on one atom raises that state's means, so every
+# slack falls pointwise and the feasible set can only shrink
+@settings(max_examples=300, deadline=None)
+@given(valid_laws(), st.data())
+def test_an_extra_child_never_enlarges_the_feasible_set(env, data):
+    s = data.draw(st.integers(0, env.n_states - 1), label="state")
+    weight, law = env.states[s]
+    a = data.draw(st.integers(0, len(law.atoms) - 1), label="atom")
+    grown = list(law.atoms[a][1].as_tuple())
+    grown[data.draw(st.integers(0, 2), label="component")] += 1
+    assume(all(v.as_tuple() != tuple(grown) for _, v in law.atoms))
+    atoms = [(p, tuple(grown) if i == a else v.as_tuple()) for i, (p, v) in enumerate(law.atoms)]
+    more = EnvironmentLaw([(weight, law_from_atoms(atoms)) if i == s else state
+                           for i, state in enumerate(env.states)])
+    # within 1e-6 of the window limit 1 the tolerance decides, as in
+    # test_spectral's test of the feasible set against that limit
+    assume(abs(rho_inf(env) - 1.0) > 1e-6 and abs(rho_inf(more) - 1.0) > 1e-6)
+    before, after = lambda_feasible_set(env), lambda_feasible_set(more)
+    if before.is_empty:
+        assert after.is_empty
+    elif not after.is_empty:
+        assert before.lo <= after.lo <= after.hi <= before.hi
+    if criteria.vanishing_direction(env) == "none":
+        assert criteria.vanishing_direction(more) == "none"
 
 
 def test_one_feasibility_decision_at_the_tolerance():

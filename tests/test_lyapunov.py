@@ -10,15 +10,7 @@ from brwre.cli import _parse_environment
 from brwre.criteria import (constant_exponent, expected_log_drift, lambda_feasible_set,
                             monte_carlo_bias, state_feasible_interval, top_exponent)
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
-from brwre.lyapunov import (
-    WORD_BUDGET,
-    _log_norm_of_product,
-    _ProductReduction,
-    build_A,
-    build_A_lambda,
-    state_matrices,
-    top_lyapunov,
-)
+from brwre.lyapunov import WORD_BUDGET, build_A, build_A_lambda, state_matrices, top_lyapunov
 from conftest import (
     GW_SUPERCRITICAL,
     SUBCRITICAL_BRANCHY,
@@ -32,6 +24,30 @@ from test_cli import BOTH_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
 def log_spectral_radius(mat: np.ndarray) -> float:
     """Eigenvalue oracle for constant environments."""
     return math.log(np.abs(np.linalg.eigvals(mat)).max())
+
+
+def _log_norm_of_product(mats: np.ndarray) -> float:
+    """ln of the max-abs norm of mats[-1] @ ... @ mats[0].
+
+    Pairwise reduction with per-level rescaling: exact for the norm of the
+    full product while keeping every intermediate entry in safe float range.
+    """
+    acc = 0.0
+    cur = mats
+    while cur.shape[0] > 1:
+        n = cur.shape[0]
+        h = n // 2
+        prod = cur[1 : 2 * h : 2] @ cur[0 : 2 * h : 2]
+        scale = np.abs(prod).max(axis=(1, 2))
+        if not np.all(scale > 0.0):
+            raise FloatingPointError("matrix product collapsed to zero")
+        prod /= scale[:, None, None]
+        acc += float(np.log(scale).sum())
+        if n % 2:
+            cur = np.concatenate([prod, cur[2 * h :]], axis=0)
+        else:
+            cur = prod
+    return acc + float(np.log(np.abs(cur[0]).max()))
 
 
 # -- matrix builders ---------------------------------------------------------
@@ -186,8 +202,7 @@ def _unequal_three_states() -> EnvironmentLaw:
     return _walk_law((0.1, 0.2, 0.7), (0.1, 0.2, 0.3))
 
 
-# word lengths: 12 for two states, 7 for three, 6 for four; each law is
-# run with no leftover tail and with a tail of L - 1 single matrices
+# word lengths: 12 for two states, 7 for three, 6 for four
 _TWO_STATES = _walk_law((0.3, 0.7), (0.1, 0.3))
 _FOUR_STATES = _walk_law((0.4, 0.3, 0.2, 0.1), (0.05, 0.15, 0.25, 0.35))
 _LAWS = pytest.mark.parametrize("env", [_TWO_STATES, _unequal_three_states(), _FOUR_STATES],
@@ -199,17 +214,35 @@ def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
     return codes[:, None] // n_states ** np.arange(length) % n_states
 
 
+def _replica_tables(env, kind="A", lam=None):
+    """The word table (words, logs), its alias table (prob, alias) and the word
+    length L, built as `_monte_carlo_exponent` builds them."""
+    entries = state_matrices(env, kind, lam).reshape(-1, 4).T
+    length = lyapunov.word_length(env.n_states)
+    words, logs, word_p = lyapunov._word_tables(entries, env.weights / env.weights.sum(),
+                                                length)[-1]
+    return words, logs, *lyapunov._alias_table(word_p), length
+
+
+def _sampled_codes(prob, alias, n_words, seed, r):
+    """Replica r's n_words word codes on default_rng([seed, r])."""
+    return lyapunov._alias_codes(np.random.default_rng([seed, r]).random(n_words), prob, alias,
+                                 np.empty(n_words, dtype=np.intp))
+
+
+def _reduce(words, logs, codes):
+    """ln ||product|| of the words with these codes, first-applied first."""
+    n = codes.shape[0]
+    return lyapunov._log_norm(words[:, codes], logs[codes], np.empty((4, (n + 1) // 2)),
+                              np.empty(n))
+
+
 @_LAWS
 def test_word_length_is_the_longest_within_budget(env):
-    table = state_matrices(env, "A")
     length = {2: 12, 3: 7, 4: 6}[env.n_states]
     assert env.n_states**length <= WORD_BUDGET < env.n_states ** (length + 1)
-    assert _ProductReduction(table, env.weights, 1_000).length == length
-    # fewer steps than the budget allows: one word of every step
-    for steps in (length - 1, 1):
-        reduce = _ProductReduction(table, env.weights, steps)
-        assert reduce.length == steps
-        assert reduce.words.shape == (4, env.n_states**steps)
+    assert lyapunov.word_length(env.n_states) == length
+    assert _replica_tables(env)[0].shape == (4, env.n_states**length)
 
 
 # walk_laws holds the mirror of each of its laws, and a mirror law's A matrices
@@ -230,15 +263,16 @@ def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
         assume(not interval.is_empty)
         lam = math.sqrt(interval.lo * interval.hi)
     table = state_matrices(env, kind, lam)
-    reduce = _ProductReduction(table, env.weights, steps)
-    length = reduce.length
+    words, logs, prob, alias, length = _replica_tables(env, kind, lam)
+    # whole words: ceil(steps / L) of them, L * ceil(steps / L) matrices
+    n_words = -(-steps // length)
     values = []
     for r in range(2):
-        codes, tail = reduce.sample(np.random.default_rng([seed, r]))
-        assert codes.shape == (steps // length,) and tail.shape == (steps % length,)
-        idx = np.concatenate([_digits(codes, env.n_states, length).ravel(), tail])
-        oracle = _log_norm_of_product(table[idx]) / steps
-        values.append(reduce(codes, tail) / steps)
+        codes = _sampled_codes(prob, alias, n_words, seed, r)
+        states = _digits(codes, env.n_states, length).ravel()
+        assert states.shape == (n_words * length,)
+        oracle = _log_norm_of_product(table[states]) / states.shape[0]
+        values.append(_reduce(words, logs, codes) / states.shape[0])
         assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
     est = lyapunov._monte_carlo_exponent(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
     assert est.value == float(np.mean(values))
@@ -247,10 +281,10 @@ def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
 @_LAWS
 def test_word_table_column_is_its_state_word(env):
     table = state_matrices(env, "A")
-    reduce = _ProductReduction(table, env.weights, 1_000)
-    n_states, length = env.n_states, reduce.length
+    table_words, table_logs, _, _, length = _replica_tables(env)
+    n_states = env.n_states
     size = n_states**length
-    assert reduce.words.shape == (4, size)
+    assert table_words.shape == (4, size)
     # every word at once, one matmul per position: the first-applied matrix is
     # the lowest base-n_states digit, and the product is rescaled after each
     # step, so a word's log is the sum of its scales' logs
@@ -262,21 +296,21 @@ def test_word_table_column_is_its_state_word(env):
         scale = np.abs(product).max(axis=(1, 2))
         product /= scale[:, None, None]
         logs += np.log(scale)
-    np.testing.assert_allclose(reduce.word_logs, logs, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(reduce.words.T.reshape(size, 2, 2), product, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(table_logs, logs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(table_words.T.reshape(size, 2, 2), product, rtol=0.0, atol=1e-12)
 
 
 @_LAWS
 def test_alias_table_rebuilds_the_word_law(env):
-    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
-    n_states, length = env.n_states, reduce.length
+    _, _, prob, alias, length = _replica_tables(env)
+    n_states = env.n_states
     size = n_states**length
-    assert reduce.prob.shape == reduce.alias.shape == (size,)
-    assert np.all((reduce.prob > 0.0) & (reduce.prob <= 1.0))
-    assert np.all((reduce.alias >= 0) & (reduce.alias < size))
+    assert prob.shape == alias.shape == (size,)
+    assert np.all((prob > 0.0) & (prob <= 1.0))
+    assert np.all((alias >= 0) & (alias < size))
     # bin i yields i w.p. prob[i] and alias[i] otherwise
-    rebuilt = reduce.prob.copy()
-    np.add.at(rebuilt, reduce.alias, 1.0 - reduce.prob)
+    rebuilt = prob.copy()
+    np.add.at(rebuilt, alias, 1.0 - prob)
     weights = np.asarray(env.weights) / sum(env.weights)
     word_law = weights[_digits(np.arange(size), n_states, length)].prod(axis=1)
     np.testing.assert_allclose(rebuilt / size, word_law, rtol=1e-12, atol=0.0)
@@ -284,13 +318,11 @@ def test_alias_table_rebuilds_the_word_law(env):
 
 def test_sampled_codes_follow_the_word_law():
     env = _unequal_three_states()
-    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 7 * 100_000)
-    assert reduce.length == 7
+    _, _, prob, alias, length = _replica_tables(env)
+    assert length == 7
     counts = np.zeros(3**7)
     for r in range(5):
-        codes, tail = reduce.sample(np.random.default_rng([11, r]))
-        assert tail.shape == (0,)
-        counts += np.bincount(codes, minlength=3**7)
+        counts += np.bincount(_sampled_codes(prob, alias, 100_000, 11, r), minlength=3**7)
     word_law = np.array([0.1, 0.2, 0.7])[_digits(np.arange(3**7), 3, 7)].prod(axis=1)
     expected = counts.sum() * word_law
     # words expected fewer than 5 times are pooled into one bin
@@ -304,29 +336,18 @@ def test_sampled_codes_follow_the_word_law():
     assert chi2 <= bound
 
 
-def test_tail_states_follow_the_state_law():
-    env = _unequal_three_states()
-    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
-    assert 1_000 % reduce.length == 6
-    tails = [reduce.sample(np.random.default_rng([12, r]))[1] for r in range(3_000)]
-    observed = np.bincount(np.concatenate(tails), minlength=3)
-    expected = observed.sum() * np.array([0.1, 0.2, 0.7])
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    # chi2 with 2 degrees of freedom exceeds 2 ln(1e6) with probability 1e-6
-    assert chi2 <= 2.0 * math.log(1e6)
-
-
 @pytest.mark.parametrize("env", [_unequal_three_states(), _walk_law((0.3, 0.3, 0.2, 0.1, 0.1),
                                                                      (0.1, 0.2, 0.3, 0.3, 0.3))],
                          ids=["3", "5"])
 def test_alias_bin_stays_below_the_word_count(env):
-    reduce = _ProductReduction(state_matrices(env, "A"), env.weights, 1_000)
-    size = reduce.prob.shape[0]
+    _, _, prob, alias, _ = _replica_tables(env)
+    size = prob.shape[0]
     assert size in (3**7, 5**5)  # neither a power of two
     top = np.nextafter(1.0, 0.0)
-    codes = reduce.codes(np.array([top, 0.0, 0.5]))
+    codes = lyapunov._alias_codes(np.array([top, 0.0, 0.5]), prob, alias,
+                                  np.empty(3, dtype=np.intp))
     assert np.all((codes >= 0) & (codes < size))
-    assert codes[0] in (size - 1, reduce.alias[size - 1])
+    assert codes[0] in (size - 1, alias[size - 1])
 
 
 # mu- = 1, mu0 = 0.5, mu+ = 0.2: A's characteristic roots are complex
@@ -352,7 +373,7 @@ def test_constant_env_exponent_is_log_spectral_radius(atoms, mirror, kind, expon
     lam = None if iv.is_empty else math.sqrt(iv.lo * iv.hi)
     # the power of one matrix needs no random generator and no word table
     monkeypatch.setattr(np.random, "default_rng", None)
-    monkeypatch.setattr(lyapunov, "_ProductReduction", None)
+    monkeypatch.setattr(lyapunov, "_word_tables", None)
     est = top_lyapunov(reflected(env) if mirror else env, kind, steps=20_000, replicas=7, seed=3,
                        lam=lam)
     assert est.stderr == 0.0
@@ -447,21 +468,22 @@ def test_collapsed_product_raises():
     alternating = np.tile(np.array([1, 0], dtype=np.intp), 504)
     sound_word = int(alternating[:12] @ 2 ** np.arange(12))
     # the collapsed words are never sampled: no raise
-    reduce = _ProductReduction(table, env.weights, 1_008)
-    assert reduce.length == 12
-    assert np.isfinite(reduce.word_logs[sound_word])
-    assert not np.isfinite(reduce.word_logs).all()
+    words, logs, _, _, length = _replica_tables(env)
+    assert length == 12
+    assert np.isfinite(logs[sound_word])
+    assert not np.isfinite(logs).all()
     codes = np.full(84, sound_word, dtype=np.intp)
-    no_tail = np.zeros(0, dtype=np.intp)
-    assert reduce(codes, no_tail) == pytest.approx(
+    assert _reduce(words, logs, codes) == pytest.approx(
         _log_norm_of_product(table[alternating]), rel=1e-12, abs=0.0)
-    # 84 sound words, then a leftover tail 1, 0, 0 that collapses
-    reduce = _ProductReduction(table, env.weights, 1_011)
-    tail = np.array([1, 0, 0], dtype=np.intp)
+    # 1, 0, ..., 1, 0 then the sound word 0, 1, ..., 0, 1: the junction of two
+    # sound words holds 0, 0, and the product collapses
+    shifted_word = int(alternating[1:13] @ 2 ** np.arange(12))
+    assert np.isfinite(logs[shifted_word])
+    codes[41] = shifted_word
     with pytest.raises(FloatingPointError):
-        reduce(codes, tail)
+        _reduce(words, logs, codes)
     with pytest.raises(FloatingPointError):
-        _log_norm_of_product(table[np.concatenate([alternating, tail])])
+        _log_norm_of_product(table[_digits(codes, 2, 12).ravel()])
 
 
 def test_exponent_shift_identity_two_state():

@@ -10,7 +10,9 @@ one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
 that every branch of the classifier is run, the README law mirrored (a
 one-state left branch), a law with 1 feasible only within the membership
 tolerance, and two laws whose feasible set is a point that rounding would
-lose: a one-state double root and a tie between two states' intervals.
+lose: a one-state double root and a tie between two states' intervals,
+and a one-state law whose window roots first exceed 1 past 32 sites, run
+with `spectral.n_values` up to 32 (`LAW_SIZES`).
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -57,8 +59,9 @@ def _mirrored(atoms):
 
 # the left-vanishing and strong-local-survival branches, the one-state left
 # branch, and the near-critical law and point feasible sets of
-# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), as
-# (weight, atoms) states, run at the sizes of tests/test_cli.py's write_config
+# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), and a
+# one-state law with rho_inf = 1.001, as (weight, atoms) states, run at the
+# sizes of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
@@ -72,12 +75,19 @@ BRANCH_LAWS = {
                    (0.45807180434299477, (0, 1, 0)), (0.15748221664556894, (0, 0, 0))]),
             (0.5, [(0.365148052060621, (2, 0, 0)), (0.10784449955877619, (0, 0, 1)),
                    (0.4221005981018707, (0, 1, 0)), (0.10490685027873214, (0, 0, 0))])),
+    "spectral-near-one": ((1.0, [(0.25025, (2, 0, 0)), (0.25025, (0, 0, 2)),
+                                 (0.4995, (0, 0, 0))]),),
 }
 BRANCH_SIZES = {
     "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
     "simulate": {"trials": 200, "horizon": 60, "cap": 100_000},
     "frozen": {"levels": 4, "trials_per_level": 500},
 }
+# sections that replace BRANCH_SIZES' for one law.  spectral-near-one has
+# rho_inf = 1.001 and classifies StrongLocalSurvival, but its window roots
+# 1.001 cos(pi / (2N + 2)) reach 1 only at N = 35, so its spectral_criterion
+# row fails at N = 32 (ROADMAP item 2)
+LAW_SIZES = {"spectral-near-one": {"spectral": {"n_values": [1, 2, 4, 8, 16, 32]}}}
 
 
 def write_configs(directory: Path) -> dict[str, Path]:
@@ -95,7 +105,7 @@ def write_configs(directory: Path) -> dict[str, Path]:
     for name, states in BRANCH_LAWS.items():
         configs[name] = directory / f"{name}.json"
         configs[name].write_text(json.dumps({"environment": workloads._states(*states),
-                                             **BRANCH_SIZES}))
+                                             **BRANCH_SIZES, **LAW_SIZES.get(name, {})}))
     return configs
 
 
