@@ -582,10 +582,11 @@ def _write_series(outdir: str, report: dict, st: Stages) -> list[str]:
     if "rho_sweep" in report:
         written.append(_write_csv(outdir, "rho_sweep.csv", ["N", "rho"], report["rho_sweep"]))
     if "survival" in report:
+        from . import simulator
         written.append(_write_csv(
             outdir, "survival.csv", ["trial", "status", "extinction_time", "last_origin_visit"],
-            ([i, o.status, o.extinction_time, o.last_origin_visit]
-             for i, o in enumerate(st.survival.outcomes)),
+            ([i, o.status, o.end_time if o.status == simulator.EXTINCT else None,
+              o.last_origin_visit] for i, o in enumerate(st.survival.outcomes)),
         ))
     if "levels" in report.get("frozen_profile", {}):
         fp = report["frozen_profile"]

@@ -89,7 +89,7 @@ class BatchRun(NamedTuple):
     """Per-row results of run_batch: status is EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON."""
 
     status: np.ndarray
-    end_time: np.ndarray
+    end_time: np.ndarray  # the extinction, cap or horizon time
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     peak_population: np.ndarray
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
@@ -103,14 +103,15 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     env_seed is one quenched seed or one seed per row.  Rows step together
     in batches of TRIAL_BATCH; batch b draws from default_rng([*stream, b]).
     A row ends Extinct with no particle left, CapReached once its total
-    reaches cap or a site count reaches _HARD_COUNT, else AliveAtHorizon.
-    freeze moves particles below starts[i] into the row's frozen count after
-    each step.
+    reaches cap or a site count reaches _HARD_COUNT, else AliveAtHorizon;
+    the loop keeps only which rows are capped and when each was last seen,
+    and settles status and end time from them after it.  freeze moves
+    particles below starts[i] into the row's frozen count after each step.
 
     log_lam records the log of the lam-weighted population of the first
     TRACE_TRIALS rows at every time up to TRACE_HORIZON (each at most the
     run's).  A trace row that reaches the cap before the trace horizon is
-    CapReached, its status, end time, last origin visit and peak frozen at
+    CapReached, its last seen time, last origin visit and peak frozen at
     that time, but keeps stepping, unseen by those columns, until the trace
     horizon, so the cap never censors the trace; a trace row whose site
     count reaches _HARD_COUNT by then raises PopulationOverflowError.  The
@@ -119,7 +120,6 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
-    status, end_time = np.full(n, ALIVE_AT_HORIZON, dtype=object), np.full(n, horizon)
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     peak = np.full(n, start_count, dtype=np.int64)
@@ -164,44 +164,29 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             last_origin[at_origin[~capped[at_origin]]] = t
             peak[live] = np.maximum(peak[live], total)
             over |= total >= cap
-            if over.any():
-                status[live[over]] = CAP_REACHED
-                end_time[live[over]] = t
-                capped[live[over]] = True
+            capped[live[over]] = True
             if over.any() or t == t_trace:
                 keep = ~capped[rows] | ((rows < n_trace) & (t < t_trace))
                 rows, sites, counts = rows[keep], sites[keep], counts[keep]
-    gone = (status == ALIVE_AT_HORIZON) & (last_seen < horizon)
-    status[gone] = EXTINCT
-    end_time[gone] = last_seen[gone] + 1
+    gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
+    status = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)[gone + 2 * capped]
+    end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
     return BatchRun(status, end_time, last_origin, peak, frozen, log_h)
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One trial's row of its survival run."""
+
     status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
-    extinction_time: int | None
-    last_origin_visit: int | None
-    peak_population: int
     end_time: int
-
-    @property
-    def survived(self) -> bool:
-        return self.status != EXTINCT
-
-    @property
-    def locally_alive_proxy(self) -> bool:
-        """Origin occupied in the second half of the trial's actual span."""
-        return (
-            self.status != EXTINCT
-            and self.last_origin_visit is not None
-            and 2 * self.last_origin_visit >= self.end_time
-        )
+    last_origin_visit: int | None  # None where the origin was never occupied
+    peak_population: int
 
 
 def _outcomes(run: BatchRun) -> list[TrialOutcome]:
     columns = (run.status, run.end_time, run.last_origin_visit, run.peak_population)
-    return [TrialOutcome(s, e if s == EXTINCT else None, o if o >= 0 else None, p, e)
+    return [TrialOutcome(s, e, o if o >= 0 else None, p)
             for s, e, o, p in zip(*(c.tolist() for c in columns))]
 
 
@@ -212,10 +197,10 @@ class SurvivalEstimates:
     global_freq counts every non-extinct trial (cap hits included: in
     survival regimes the conditional extinction probability past the cap
     is negligible, and the bias direction is upward on survival).
-    local_proxy_freq counts trials whose origin was still occupied in the
-    second half of their span; a finite-horizon stand-in for infinitely
-    many visits, reported as a proxy only.  trace is the same run's
-    supermartingale trace when a lambda was given, else None.
+    local_proxy_freq counts those with 2 last_origin_visit >= end_time, the
+    origin still occupied in the second half of their span: a stand-in for
+    infinitely many visits, reported as a proxy only.  survival_probabilities
+    alone counts both.  trace is the run's supermartingale trace given lam.
     """
 
     global_freq: float

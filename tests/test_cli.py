@@ -348,10 +348,13 @@ TWO_STATE_ENV = {
 }
 
 
+# a random environment has a finite margin, so an absurd sigma threshold
+# forces the statistical branch to stay undecided
+INCONCLUSIVE = dict(environment=TWO_STATE_ENV, thresholds={"sigma_margin": 1e18})
+
+
 def test_classify_strict_inconclusive_exits_three(tmp_path):
-    # a random environment has a finite margin, so an absurd sigma threshold
-    # forces the statistical branch to stay undecided
-    path = write_config(tmp_path, environment=TWO_STATE_ENV, thresholds={"sigma_margin": 1e18})
+    path = write_config(tmp_path, **INCONCLUSIVE)
     code = run(path, "classify", outdir=str(tmp_path / "out"), strict=True, quiet=True)
     assert code == EXIT_INCONCLUSIVE
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -359,8 +362,36 @@ def test_classify_strict_inconclusive_exits_three(tmp_path):
 
 
 def test_classify_without_strict_keeps_exit_zero(tmp_path):
-    path = write_config(tmp_path, environment=TWO_STATE_ENV, thresholds={"sigma_margin": 1e18})
+    path = write_config(tmp_path, **INCONCLUSIVE)
     assert run(path, "classify", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
+
+
+def _sections(out):
+    report = json.loads((out / "report.json").read_text())
+    return [k for k in report if k == "conditions" or k in cli.SECTIONS], report
+
+
+def test_all_strict_stops_at_an_inconclusive_verdict(tmp_path):
+    path = write_config(tmp_path, **INCONCLUSIVE)
+    strict, plain = tmp_path / "strict", tmp_path / "plain"
+    assert run(path, "all", outdir=str(strict), strict=True, quiet=True) == EXIT_INCONCLUSIVE
+    sections, report = _sections(strict)
+    assert sections == ["conditions", "regime"]
+    assert report["regime"]["regime"] == "Inconclusive"
+    assert run(path, "all", outdir=str(plain), quiet=True) == EXIT_OK
+    assert _sections(plain)[0] == ["conditions", *cli.SECTIONS]
+
+
+def test_crosscheck_strict_still_writes_its_rows(tmp_path):
+    path = write_config(tmp_path, **INCONCLUSIVE)
+    out = tmp_path / "out"
+    assert run(path, "crosscheck", outdir=str(out), strict=True, quiet=True) == EXIT_INCONCLUSIVE
+    sections, report = _sections(out)
+    assert sections == ["conditions", *cli.SUBCOMMAND_SECTIONS["crosscheck"]]
+    rows = {r["identity"]: r for r in report["crosscheck"]}
+    assert list(rows) == [name for name, _ in cli.CROSSCHECKS]
+    for name in ("survival_concordance", "local_global_coincidence"):
+        assert (rows[name]["verdict"], rows[name]["note"]) == ("skipped", "verdict inconclusive")
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):
@@ -381,6 +412,20 @@ def test_simulate_writes_csv(tmp_path):
     assert len(lines) == 201
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["survival"]["global_freq"] <= 1.0
+    # the rows are the survival run's: rerun it as the survival stage does
+    env, seeds = load_config(path).environment, report["seeds"]
+    batch = simulator.run_batch(
+        env, seeds["environment"], np.zeros(200, np.int64), 1, 60,
+        (seeds["environment"], seeds["simulate"]), cap=100000,
+        log_lam=math.log(criteria.lambda_feasible_set(env).midpoint))
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[1] for r in rows] == batch.status.tolist()
+    assert {r[1] for r in rows} == {simulator.EXTINCT, simulator.CAP_REACHED,
+                                    simulator.ALIVE_AT_HORIZON}
+    for (trial, status, extinction_time, last_origin_visit), end, last in zip(
+            rows, batch.end_time.tolist(), batch.last_origin_visit.tolist()):
+        assert extinction_time == (str(end) if status == simulator.EXTINCT else "")
+        assert last_origin_visit == ("" if last == -1 else str(last))
 
 
 def test_spectral_writes_series(tmp_path):

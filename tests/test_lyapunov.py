@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from brwre import lyapunov
 from brwre.cli import _parse_environment
 from brwre.criteria import (constant_exponent, expected_log_drift, lambda_feasible_set,
-                            monte_carlo_bias, state_feasible_interval, top_exponent)
+                            monte_carlo_bias, state_feasible_interval, top_exponent,
+                            vanishing_direction)
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
 from brwre.lyapunov import WORD_BUDGET, build_A, build_A_lambda, state_matrices, top_lyapunov
 from conftest import (
@@ -17,6 +18,7 @@ from conftest import (
     conjugacy_residual,
     single_env,
     two_state_env,
+    valid_laws,
 )
 from test_cli import BOTH_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
 
@@ -556,6 +558,26 @@ def test_split_state_word_sum_is_the_closed_form(env, kind):
     else:
         assert est.method == "word_sum"
         assert abs(est.value - exact) <= est.stderr
+
+
+@given(valid_laws(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_splitting_a_state_keeps_the_feasible_set_and_the_word_sum(env, data):
+    # two copies of one state at half its weight: the same per-state moments and
+    # the same i.i.d. matrix law, so the same closed form and the same exponent
+    s = data.draw(st.integers(0, env.n_states - 1), label="state")
+    weight, law = env.states[s]
+    split = EnvironmentLaw([*env.states[:s], (weight / 2, law), (weight / 2, law),
+                            *env.states[s + 1:]])
+    iv = lambda_feasible_set(env)
+    assert lambda_feasible_set(split) == iv
+    assert vanishing_direction(split) == vanishing_direction(env)
+    if iv.is_empty or not iv.lo < iv.hi:
+        return
+    (value, bound), (split_value, split_bound) = (lyapunov.word_sum(e, iv.midpoint)
+                                                  for e in (env, split))
+    assume(max(bound, split_bound) <= lyapunov.WORD_SUM_MAX_BOUND)
+    assert abs(split_value - value) <= bound + split_bound
 
 
 @_INTERIOR_LAWS

@@ -114,7 +114,7 @@ def test_step_aggregation_matches_per_particle_sampling(rng):
 def test_trial_null_offspring_extinct_at_one():
     out = one_trial(single_env([(1.0, (0, 0, 0))]), 0, 0, horizon=10, cap=100)
     assert out.status == EXTINCT
-    assert out.extinction_time == 1 and out.end_time == 1
+    assert out.end_time == 1
     assert out.peak_population == 1
 
 
@@ -214,16 +214,41 @@ def test_survival_workers_do_not_change_result():
     assert a.outcomes == b.outcomes
 
 
+def _events(o):
+    """A trial's global survival and local-proxy events, from its outcome: alive,
+    and alive with the origin occupied in the second half of its span."""
+    alive = o.status != EXTINCT
+    local = alive and o.last_origin_visit is not None and 2 * o.last_origin_visit >= o.end_time
+    return alive, local
+
+
 def _summary(outcomes):
     """(value, stderr) of survival, local-proxy frequency and mean extinction time."""
     n = len(outcomes)
     out = []
-    for p in (np.mean([o.survived for o in outcomes]),
-              np.mean([o.locally_alive_proxy for o in outcomes])):
+    for p in np.mean([_events(o) for o in outcomes], axis=0):
         out.append((p, math.sqrt(p * (1.0 - p) / n)))
-    times = np.array([o.extinction_time for o in outcomes if o.status == EXTINCT], dtype=float)
+    times = np.array([o.end_time for o in outcomes if o.status == EXTINCT], dtype=float)
     out.append((times.mean(), times.std(ddof=1) / math.sqrt(len(times))))
     return out
+
+
+@pytest.mark.parametrize("mode", ["quenched", "annealed"])
+def test_frequencies_are_counted_from_the_outcomes(mode):
+    # two left-leaning states that kill most trials: all three statuses come
+    # up, and some trials survive away from the origin
+    env = EnvironmentLaw([
+        (0.5, law_from_atoms([(0.35, (1, 0, 1)), (0.25, (1, 0, 0)), (0.1, (0, 0, 1)),
+                              (0.3, (0, 0, 0))])),
+        (0.5, law_from_atoms([(0.4, (1, 0, 1)), (0.2, (1, 0, 0)), (0.1, (0, 0, 1)),
+                              (0.3, (0, 0, 0))]))])
+    trials = 300
+    est = survival_probabilities(env, trials=trials, horizon=60, cap=200, mode=mode,
+                                 env_seed=3, seed=4)
+    assert {o.status for o in est.outcomes} == {EXTINCT, CAP_REACHED, ALIVE_AT_HORIZON}
+    alive, local = (sum(e) for e in zip(*map(_events, est.outcomes)))
+    assert 0 < local < alive
+    assert (est.global_freq, est.local_proxy_freq) == (alive / trials, local / trials)
 
 
 @pytest.mark.parametrize(
@@ -246,8 +271,6 @@ def test_batched_survival_matches_single_trial_oracle(env, mode):
     capped = [o for o in batched.outcomes if o.status == CAP_REACHED]
     assert capped
     assert all(o.peak_population >= cap and o.end_time < horizon for o in capped)
-    for o in batched.outcomes:
-        assert (o.extinction_time == o.end_time) == (o.status == EXTINCT)
 
 
 def test_batches_draw_independent_streams():
@@ -304,7 +327,7 @@ def test_shared_trace_is_not_censored_by_the_cap():
     est = survival_probabilities(env, trials=trials, horizon=horizon, cap=1000, env_seed=3,
                                  seed=4, lam=lam)
     early = sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes)
-    assert early > 0.9 * sum(o.survived for o in est.outcomes)
+    assert early > 0.9 * sum(o.status != EXTINCT for o in est.outcomes)
     trace = est.trace
     assert (trace.lam, trace.trials, trace.horizon) == (lam, trials, horizon)
     exact = (1.2 / lam + 0.05 * lam) ** np.arange(horizon + 1)
