@@ -453,13 +453,13 @@ def _exponent_shift(st: Stages):
         lam = math.sqrt(iv.lo * lam)
     gamma_lam = st.exponent("A_lambda", lam)
     shift, note = gamma_lam.value + math.log(lam), f"lambda={lam:.6g}"
-    if gamma.method == gamma_lam.method == "word_sum":
-        # two error bounds, and an ulp of each term for the shift's log and sum
-        tol = (gamma.stderr + gamma_lam.stderr
-               + 2.0 * sys.float_info.epsilon * (abs(gamma_lam.value) + abs(math.log(lam))))
+    if "monte_carlo" not in (gamma.method, gamma_lam.method):
+        # two exact sides: their error bounds (0 in closed form), and a few ulps
+        # of each term for the rounding of the closed forms, the shift's log and sum
+        tol = (gamma.stderr + gamma_lam.stderr + 8.0 * sys.float_info.epsilon
+               * (1.0 + abs(gamma.value) + abs(gamma_lam.value) + abs(math.log(lam))))
         return Comparison(gamma.value, shift, tol, "within", note)
-    # both sides are exact on one-state laws; a Monte Carlo side has an
-    # O(1/steps) bias, which its replica stderr does not cover
+    # a Monte Carlo side has an O(1/steps) bias, which its replica stderr does not cover
     z_tol = 3.0 * math.hypot(gamma.stderr, gamma_lam.stderr)
     bias = criteria.monte_carlo_bias(st.config.lyapunov.steps)
     return Comparison(gamma.value, shift, max(z_tol, bias), "within", note, z_tol >= bias)

@@ -20,9 +20,9 @@ gap by its stderr: a standard error or, for an exact exponent, an error
 bound.  The same quadratic's roots are the eigenvalues of a state's
 matrix A, so a one-state law's exponent is exact here
 (`constant_exponent`); only an exponent of a law with more states imports
-`lyapunov` and numpy, where it is an exact word sum when the feasible set
-has interior points and a Monte Carlo estimate otherwise.  The rest is
-`math`.
+`lyapunov` and numpy, where it is the midpoint of a certified bracket of
+exact word averages when the feasible set has interior points and a Monte
+Carlo estimate otherwise.  The rest is `math`.
 """
 from __future__ import annotations
 
@@ -73,8 +73,8 @@ class LambdaInterval:
     @property
     def midpoint(self) -> float | None:
         """The geometric midpoint sqrt(lo * hi), or None when empty: the lambda
-        of a word-sum gamma(A) (`lyapunov.top_lyapunov`) and of the stage
-        graph's supermartingale trace."""
+        of a word-sum bracket on gamma(A) (`lyapunov.top_lyapunov`) and of the
+        stage graph's supermartingale trace."""
         return None if self.is_empty else math.sqrt(self.lo * self.hi)
 
 
@@ -140,12 +140,12 @@ MIN_STEPS, MIN_REPLICAS = 1_000, 2
 class LyapunovEstimate:
     """A top exponent in nats per step, and how it was computed.
 
-    method is "closed_form" (one state: exact, stderr 0), "word_sum" (exact
-    word averages: stderr is a rigorous bound on the error, see
-    `lyapunov.word_sum`) or "monte_carlo" (the replica mean: stderr is the
-    replica standard error, with an O(1/steps) bias besides).  steps and
-    replicas are the Monte Carlo budget the caller asked for, whichever
-    method ran.
+    method is "closed_form" (one state: exact, stderr 0), "word_sum" (the
+    midpoint of a bracket of exact word averages: stderr is its half-width,
+    a rigorous error bound, see `lyapunov.word_sum`) or "monte_carlo" (the
+    replica mean: stderr is the replica standard error, with an O(1/steps)
+    bias besides).  steps and replicas are the Monte Carlo budget the
+    caller asked for, whichever method ran.
     """
 
     value: float
@@ -221,10 +221,10 @@ def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
     """Top exponent of one matrix family, computed exactly wherever that is possible.
 
     One state: `constant_exponent`, with stderr 0, and nothing imported or
-    drawn.  More states: `lyapunov.top_lyapunov`, an exact word sum with
-    its error bound as stderr where the feasible set has interior points
-    and the bound is within `lyapunov.WORD_SUM_MAX_BOUND`, and otherwise
-    the replicas on `seed`.
+    drawn.  More states: `lyapunov.top_lyapunov`, the midpoint of a word-sum
+    bracket with its half-width as stderr where the feasible set has
+    interior points and the half-width is within
+    `lyapunov.WORD_SUM_MAX_BOUND`, and otherwise the replicas on `seed`.
     """
     if envlaw.n_states > 1:
         from . import lyapunov

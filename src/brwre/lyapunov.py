@@ -15,13 +15,13 @@ is the log of that matrix's spectral radius (Gelfand's formula), which
 `criteria.constant_exponent` reads off the roots of its characteristic
 polynomial without numpy; `criteria.top_exponent` returns it without
 importing this module.  With more states and a feasible set of interior
-points, `top_lyapunov` takes the exponent from `word_sum`, exact up to a
-stated bound, from averages over every state word of the word table
-(below); nothing is drawn.  Elsewhere it estimates the exponent from long
+points, `top_lyapunov` takes the exponent from `word_sum`, the midpoint
+of a certified bracket of exact averages over the word table (below);
+nothing is drawn.  Elsewhere it estimates the exponent from long
 renormalized products over replicas.
 
 Every state word of length L is computed once, as a word table
-(`_word_tables`), with L = `word_length`, the largest integer with
+(`_word_table`), with L = `word_length`, the largest integer with
 n_states**L <= WORD_BUDGET.  A product is reduced by a pairwise tree that
 rescales every product to a max-abs entry of 1 and sums the logs of the
 scales.  The matrices are kept entry-wise, as rows a, b, c, d of a (4, n)
@@ -117,32 +117,32 @@ def word_length(n_states: int) -> int:
     return length
 
 
-def _word_tables(entries: np.ndarray, state_p: np.ndarray,
-                 length: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The word tables of the lengths 1 to `length`, as (words, logs, word_p).
+def _word_table(entries: np.ndarray, state_p: np.ndarray,
+                length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The word table of length `length`, as (words, logs, word_p).
 
     entries holds the (4, n_states) entry rows of the state matrices and
-    state_p the state law.  The table of length m holds every state word of
-    length m: words its (4, n_states**m) entry rows, each product scaled to
-    max-abs entry 1, logs the sum of the logs of its scales and word_p its
-    probability, the product of its states' weights.  The table grows one
-    state per round: column s*n**m + c of length m + 1 holds state s
-    applied after word c, so a word's first-applied state is its lowest
-    base-n_states digit.  A collapsed word has a log of -inf or NaN.
+    state_p the state law.  The table holds every state word of that
+    length: words its (4, n_states**length) entry rows, each product
+    scaled to max-abs entry 1, logs the sum of the logs of its scales and
+    word_p its probability, the product of its states' weights.  The
+    table grows one state per round: column s*n**m + c of length m + 1
+    holds state s applied after word c, so a word's first-applied state is
+    its lowest base-n_states digit.  A collapsed word has a log of -inf or
+    NaN.
     """
     n_states = entries.shape[1]
-    tables = [(entries, np.zeros(n_states), state_p)]
+    words, logs, word_p = entries, np.zeros(n_states), state_p
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(length - 1):
-            words, logs, word_p = tables[-1]
             size = n_states * words.shape[1]
             state, word = np.divmod(np.arange(size), words.shape[1])
             grown, grown_logs = np.empty((4, size)), np.empty(size)
             _normalized_products(entries[:, state], words[:, word],
                                  grown, grown_logs, np.empty(size))
             grown_logs += logs[word]
-            tables.append((grown, grown_logs, np.outer(state_p, word_p).ravel()))
-    return tables
+            words, logs, word_p = grown, grown_logs, np.outer(state_p, word_p).ravel()
+    return words, logs, word_p
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,46 +210,44 @@ def _log_norm(cur: np.ndarray, logs: np.ndarray, spare: np.ndarray, work: np.nda
             cur, spare = nxt, cur
 
 
-# the largest word-sum error bound returned in place of the replicas: the bias
+# the largest word-sum half-width returned in place of the replicas: the bias
 # allowance criteria.monte_carlo_bias gives the replicas at the default 100,000 steps
 WORD_SUM_MAX_BOUND = 2e-4
 
 
 def word_sum(envlaw: EnvironmentLaw, lam: float) -> tuple[float, float]:
-    """gamma(A_lambda) by exact word averages at the budget's length n, and a bound
-    on its error; the bound is inf where it does not hold.
+    """gamma(A_lambda) as the midpoint and half-width of a certified bracket of
+    exact averages over the word table; the half-width is inf where a word collapsed.
 
-    With a_m = E ln(1^T P_m 1) over the i.i.d. product P_m of m matrices,
-    an exact sum over the word table of length m, the value is
-    d_n = a_n - a_{n-1}, n = `word_length`.  At a lambda inside every
-    state's interval each A_lambda is positive, the row vectors
-    1^T M_n ... M_2 forget their start in Hilbert's projective metric, and
-    |gamma - d_n| <= E[Delta] E[tau]^(n-2) (Hennion, Ann. Probab. 1997),
-    with Delta = |ln(m11 m22 / (m12 m21))| a state's projective diameter
-    and tau = tanh(Delta / 4) its Birkhoff contraction coefficient.  A
-    zero slack (b = 0) makes Delta and the bound inf, and so does n < 2
-    (one state, or more than 64).  The bound adds a roundoff allowance of
-    16 n eps (1 + E|ln 1^T P_n 1| + E|ln 1^T P_{n-1} 1|): each word's
-    positive entries round by at most 3 eps relatively per product, its
-    log scales by one rounding each, and the pairwise weighted sum over
-    the words by about log2 of their count.
+    By Furstenberg's formula (Trans. AMS 1963; Furstenberg & Kifer, Israel
+    J. Math. 1983) gamma = E ln(x M 1 / x 1), with M a state matrix and x an
+    independent row direction whose law attains gamma and is stationary under
+    the product, so it is also the law of x P_w for a word w of the table.
+    Every A_lambda is nonnegative, so x lies in the cone of P_w's rows (a, b)
+    and (c, d).  Along it ln(x M 1 / x 1) is monotone, with the ends
+    ln((a r1 + b r2) / (a + b)) and the same with (c, d) for M's row sums r1
+    and r2, and its state average is concave.  So E_w min(E_M end1, E_M end2)
+    <= gamma <= E_w E_M max(end1, end2).  The half-width adds 16 (n + n_states)
+    eps (1 + E_w E_M max|end|) for roundoff: a word's entries round by 3 eps
+    relatively per product, each end by a few eps more, and the sums over the
+    states and, pairwise, over the words by n_states and log2 of the word
+    count (at most 12) eps relatively.
     """
-    length = word_length(envlaw.n_states)
-    if length < 2:
-        return math.nan, math.inf
     entries = state_matrices(envlaw, "A_lambda", lam).reshape(-1, 4).T
-    weights = envlaw.weights / envlaw.weights.sum()
-    m11, m12, m21, m22 = entries
-    with np.errstate(divide="ignore"):
-        delta = np.abs(np.log(m11) + np.log(m22) - np.log(m12) - np.log(m21))
-    truncation = float(weights @ delta) * float(weights @ np.tanh(delta / 4.0)) ** (length - 2)
-    means, sizes = [], []
-    for words, logs, word_p in _word_tables(entries, weights, length)[-2:]:
-        log_sums = logs + np.log(words.sum(axis=0))
-        means.append(float(np.sum(word_p * log_sums)))
-        sizes.append(float(np.sum(word_p * np.abs(log_sums))))
-    roundoff = 16.0 * length * sys.float_info.epsilon * (1.0 + sum(sizes))
-    return means[1] - means[0], truncation + roundoff
+    state_p = envlaw.weights / envlaw.weights.sum()
+    length = word_length(envlaw.n_states)
+    words, _, word_p = _word_table(entries, state_p, length)
+    r1, r2 = entries[0] + entries[1], entries[2] + entries[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (n_states, n_words): state M's end at each word's row
+        end1, end2 = (np.log((np.outer(r1, x) + np.outer(r2, y)) / (x + y))
+                      for x, y in (words[:2], words[2:]))
+        lo = float(np.sum(word_p * np.minimum(state_p @ end1, state_p @ end2)))
+        hi = float(np.sum(word_p * (state_p @ np.maximum(end1, end2))))
+        size = float(np.sum(word_p * (state_p @ np.maximum(np.abs(end1), np.abs(end2)))))
+    roundoff = 16.0 * (length + envlaw.n_states) * sys.float_info.epsilon * (1.0 + size)
+    half = 0.5 * (hi - lo) + roundoff
+    return 0.5 * (lo + hi), math.inf if math.isnan(half) else half
 
 
 def top_lyapunov(
@@ -266,14 +264,14 @@ def top_lyapunov(
     One state: `criteria.top_exponent`'s closed form, with stderr 0 and
     nothing drawn; a nilpotent matrix raises FloatingPointError.  More
     states with a feasible set of interior points: `word_sum`, with its
-    bound as stderr and method "word_sum", of A_lambda at lam, or of A at
-    the set's `midpoint` lam_m plus ln lam_m (A = lam B^-1 A_lambda B);
-    nothing is drawn.  Otherwise, and where that bound exceeds
-    `WORD_SUM_MAX_BOUND` (a state with little slack contracts too little
-    for a tight bound), `_monte_carlo_exponent` on `seed`.  Which of the
-    two runs depends on the law alone, never on steps or replicas.
-    n_workers is accepted for compatibility and ignored: nothing runs on
-    another thread and the result never depends on it.
+    half-width as stderr and method "word_sum", of A_lambda at lam, or of A
+    at the set's `midpoint` lam_m plus ln lam_m (A = lam B^-1 A_lambda B);
+    nothing is drawn.  Otherwise, and where that half-width exceeds
+    `WORD_SUM_MAX_BOUND` (a set too thin for the words to contract),
+    `_monte_carlo_exponent` on `seed`.  Which of the two runs depends on
+    the law alone, never on steps or replicas.  n_workers is accepted for
+    compatibility and ignored: nothing runs on another thread and the
+    result never depends on it.
     """
     if envlaw.n_states == 1:
         return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, lam=lam)
@@ -313,7 +311,7 @@ def _monte_carlo_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int =
     entries = state_matrices(envlaw, matrix_kind, lam).reshape(-1, 4).T
     length = word_length(envlaw.n_states)
     state_p = envlaw.weights / envlaw.weights.sum()
-    words, word_logs, word_p = _word_tables(entries, state_p, length)[-1]
+    words, word_logs, word_p = _word_table(entries, state_p, length)
     prob, alias = _alias_table(word_p)
     n_words = -(-steps // length)
     u, logs, codes = np.empty(n_words), np.empty(n_words), np.empty(n_words, dtype=np.intp)

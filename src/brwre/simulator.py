@@ -180,14 +180,13 @@ class TrialOutcome:
 
     status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
     end_time: int
-    last_origin_visit: int | None  # None where the origin was never occupied
+    last_origin_visit: int  # every trial starts at the origin, so at least 0
     peak_population: int
 
 
 def _outcomes(run: BatchRun) -> list[TrialOutcome]:
     columns = (run.status, run.end_time, run.last_origin_visit, run.peak_population)
-    return [TrialOutcome(s, e, o if o >= 0 else None, p)
-            for s, e, o, p in zip(*(c.tolist() for c in columns))]
+    return [TrialOutcome(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import types
 
 import numpy as np
@@ -106,6 +107,17 @@ TIE_ENV = {
                                   {"p": 0.10784449955877619, "v": [0, 0, 1]},
                                   {"p": 0.4221005981018707, "v": [0, 1, 0]},
                                   {"p": 0.10490685027873214, "v": [0, 0, 0]}]},
+    ]
+}
+
+# two states whose interior feasible set [1.065, 1.374] is too thin for the
+# word-sum bracket to pass its gate (a half-width of 1.5e-3): replicas
+THIN_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.25, "v": [2, 0, 0]}, {"p": 0.45, "v": [0, 0, 1]},
+                                  {"p": 0.3, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.3, "v": [2, 0, 0]}, {"p": 0.41, "v": [0, 0, 1]},
+                                  {"p": 0.29, "v": [0, 0, 0]}]},
     ]
 }
 
@@ -425,7 +437,7 @@ def test_simulate_writes_csv(tmp_path):
     for (trial, status, extinction_time, last_origin_visit), end, last in zip(
             rows, batch.end_time.tolist(), batch.last_origin_visit.tolist()):
         assert extinction_time == (str(end) if status == simulator.EXTINCT else "")
-        assert last_origin_visit == ("" if last == -1 else str(last))
+        assert last_origin_visit == str(last)
 
 
 def test_spectral_writes_series(tmp_path):
@@ -504,9 +516,13 @@ def test_roundoff_rows_have_no_sigma_distance(tmp_path):
     for name in ("per_level_bound", "spectral_criterion"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
-    # exponent_shift's two exponents are closed-form, so its tolerance is the Monte
-    # Carlo bias allowance, and survival_concordance's is a fixed frequency: no sigmas
-    assert rows["exponent_shift"]["tolerance"] == criteria.monte_carlo_bias(5000)
+    # exponent_shift's two exponents are closed-form, so its tolerance is a few ulps
+    # of its terms, and survival_concordance's is a fixed frequency: no sigmas
+    row, env = rows["exponent_shift"], load_config(path).environment
+    lam = criteria.lambda_feasible_set(env).midpoint
+    gamma_lam = criteria.constant_exponent(env.state_moments[0], "A_lambda", lam)
+    assert row["tolerance"] == 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(row["lhs"]) + abs(gamma_lam) + abs(math.log(lam)))
     for name in ("exponent_shift", "survival_concordance"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
@@ -624,6 +640,9 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
     pytest.param(STRONG_LOCAL_ENV, "closed_form", id="none"),
     # two states and a point feasible set: both families are drawn
     pytest.param(TIE_ENV, "monte_carlo", id="point"),
+    # an interior set too thin for the exact path, where the bias allowance
+    # exceeds three combined stderrs
+    pytest.param(THIN_ENV, "monte_carlo", id="thin"),
 ])
 def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, method):
     path = write_config(tmp_path, environment=environment)
@@ -661,6 +680,14 @@ def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, meth
         lam = math.sqrt(iv.lo * lam)
     shifted = drawn("A_lambda", derive_seed(seed, 12), lam)
     assert (row["lhs"], row["rhs"]) == (gamma["value"], shifted.value + math.log(lam))
+    if method == "monte_carlo":
+        # three combined stderrs, or the bias allowance 20 / steps at 5,000 steps
+        assert row["tolerance"] == max(3.0 * math.hypot(gamma["stderr"], shifted.stderr), 0.004)
+    else:
+        # two exact sides: their error bounds and a few ulps of each term
+        ulps = 8.0 * sys.float_info.epsilon * (
+            1.0 + abs(gamma["value"]) + abs(shifted.value) + abs(math.log(lam)))
+        assert row["tolerance"] == gamma["stderr"] + shifted.stderr + ulps
     if method == "monte_carlo":
         unsalted = lyapunov._monte_carlo_exponent(env, "A_lambda", seed=seed, lam=lam, **budget)
         assert unsalted.value != shifted.value

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from conftest import (
     two_state_env,
     valid_laws,
 )
-from test_cli import BOTH_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
+from test_cli import BOTH_ENV, THIN_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
 
 
 def log_spectral_radius(mat: np.ndarray) -> float:
@@ -221,8 +222,7 @@ def _replica_tables(env, kind="A", lam=None):
     length L, built as `_monte_carlo_exponent` builds them."""
     entries = state_matrices(env, kind, lam).reshape(-1, 4).T
     length = lyapunov.word_length(env.n_states)
-    words, logs, word_p = lyapunov._word_tables(entries, env.weights / env.weights.sum(),
-                                                length)[-1]
+    words, logs, word_p = lyapunov._word_table(entries, env.weights / env.weights.sum(), length)
     return words, logs, *lyapunov._alias_table(word_p), length
 
 
@@ -375,7 +375,7 @@ def test_constant_env_exponent_is_log_spectral_radius(atoms, mirror, kind, expon
     lam = None if iv.is_empty else math.sqrt(iv.lo * iv.hi)
     # the power of one matrix needs no random generator and no word table
     monkeypatch.setattr(np.random, "default_rng", None)
-    monkeypatch.setattr(lyapunov, "_word_tables", None)
+    monkeypatch.setattr(lyapunov, "_word_table", None)
     est = top_lyapunov(reflected(env) if mirror else env, kind, steps=20_000, replicas=7, seed=3,
                        lam=lam)
     assert est.stderr == 0.0
@@ -631,35 +631,73 @@ def test_word_sum_falls_back_to_the_replicas():
                             (0.5, law_from_atoms([(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]))])
     assert lambda_feasible_set(empty).is_empty
     _fell_back(empty, "A")
-    # 65 states: no word length of 2 fits the budget
+    # 65 states: words of length 1, the state matrices alone, whose rows bound
+    # the direction too loosely: a half-width of 0.01
     many = EnvironmentLaw([(1.0 / 65, law_from_atoms(GW_SUPERCRITICAL))] * 65)
     assert lyapunov.word_length(65) == lyapunov.word_length(1) == 1
+    assert lyapunov.word_sum(many, lambda_feasible_set(many).midpoint)[1] > 0.01
     _fell_back(many, "A")
-    # an interior set too thin for the bound: at the midpoint of [1.065, 1.374]
-    # the word sum's bound is 0.07
-    thin = EnvironmentLaw([
-        (0.5, law_from_atoms([(0.25, (2, 0, 0)), (0.45, (0, 0, 1)), (0.3, (0, 0, 0))])),
-        (0.5, law_from_atoms([(0.3, (2, 0, 0)), (0.41, (0, 0, 1)), (0.29, (0, 0, 0))]))])
+    # an interior set too thin for the gate: at the midpoint of [1.065, 1.374]
+    # the bracket's half-width is 1.5e-3
+    thin = _parse_environment(THIN_ENV)
     iv = lambda_feasible_set(thin)
     assert iv.lo < iv.hi
     assert lyapunov.word_sum(thin, iv.midpoint)[1] > lyapunov.WORD_SUM_MAX_BOUND
     _fell_back(thin, "A")
-    # an end of an interior set: the tight state's A_lambda has a zero or
-    # roundoff-sized entry, and contracts too little for the bound to hold
+
+
+def test_word_sum_at_an_end_of_an_interior_set():
+    # the tight state's A_lambda has a roundoff-sized entry b and contracts
+    # little, yet the bracket still closes: the exact path, and the midpoint's
+    # value up to the two half-widths
     two = two_state_env()
     iv = lambda_feasible_set(two)
-    assert iv.lo < iv.hi
-    _fell_back(two, "A_lambda", iv.lo)
-    assert lyapunov.word_sum(two, iv.lo)[1] > lyapunov.WORD_SUM_MAX_BOUND
+    est = top_exponent(two, "A_lambda", steps=1_000, replicas=2, lam=iv.lo)
+    assert est.method == "word_sum"
+    assert est.stderr < 1e-12
+    mid = top_exponent(two, "A_lambda", steps=1_000, replicas=2, lam=iv.midpoint)
+    assert abs((est.value + math.log(iv.lo)) - (mid.value + math.log(iv.midpoint))) <= (
+        est.stderr + mid.stderr + 1e-14)
     # (0.5, 0.375, 0.125) has the interval [1, 4] and slack exactly 0 at 1, where
-    # its A_lambda's b is 0 and the bound inf
+    # its A_lambda is [[4, 0], [4, 1]]; the exponent is ln 4
     law = law_from_atoms([(0.25, (2, 0, 0)), (0.375, (0, 1, 0)), (0.125, (0, 0, 1)),
                           (0.25, (0, 0, 0))])
     doubled = EnvironmentLaw([(0.5, law), (0.5, law)])
     assert doubled.state_moments[0].slack(1.0) == 0.0
     assert (lambda_feasible_set(doubled).lo, lambda_feasible_set(doubled).hi) == (1.0, 4.0)
-    assert lyapunov.word_sum(doubled, 1.0)[1] == math.inf
-    _fell_back(doubled, "A_lambda", 1.0)
+    est = top_exponent(doubled, "A_lambda", steps=1_000, replicas=2, lam=1.0)
+    assert est.method == "word_sum"
+    assert abs(est.value - math.log(4.0)) <= est.stderr < 1e-8
+
+
+def test_bracket_contains_ln_2_at_a_point_feasible_set():
+    # the intervals [1.2, 2] at weight 0.8 and [2, 5] at weight 0.2 meet at 2,
+    # and the exponent of A is exactly ln 2.  The replicas read 0.6931605 +- 1.1e-6
+    # at 200,000 steps x 32, 12.7 stderrs high: their O(1/steps) bias
+    law = EnvironmentLaw([
+        (0.8, law_from_atoms([(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))])),
+        (0.2, law_from_atoms([(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))]))])
+    iv = lambda_feasible_set(law)
+    assert iv.lo == pytest.approx(2.0, rel=1e-15) and iv.hi == pytest.approx(2.0, rel=1e-15)
+    value, half = lyapunov.word_sum(law, 2.0)
+    lo, hi = value - half + math.log(2.0), value + half + math.log(2.0)
+    assert lo <= math.log(2.0) <= hi
+    assert (lo, hi) == (pytest.approx(0.4677, abs=1e-4), pytest.approx(0.7181, abs=1e-4))
+
+
+@given(valid_laws())
+@settings(max_examples=200, deadline=None)
+def test_brackets_at_two_lambdas_overlap(env):
+    # gamma(A_lambda) + ln lambda is gamma(A) at every feasible lambda, so the two
+    # brackets on gamma(A) share it, up to the rounding of the shifts
+    iv = lambda_feasible_set(env)
+    assume(not iv.is_empty and iv.lo < iv.hi)
+    brackets = []
+    for lam in (iv.midpoint, math.sqrt(iv.lo * iv.midpoint)):
+        value, half = lyapunov.word_sum(env, lam)
+        brackets.append((value + math.log(lam), half, abs(value) + abs(math.log(lam))))
+    (a, half_a, size_a), (b, half_b, size_b) = brackets
+    assert abs(a - b) <= half_a + half_b + 8.0 * sys.float_info.epsilon * (1.0 + size_a + size_b)
 
 
 def test_state_matrices_tables():

@@ -218,7 +218,7 @@ def _events(o):
     """A trial's global survival and local-proxy events, from its outcome: alive,
     and alive with the origin occupied in the second half of its span."""
     alive = o.status != EXTINCT
-    local = alive and o.last_origin_visit is not None and 2 * o.last_origin_visit >= o.end_time
+    local = alive and 2 * o.last_origin_visit >= o.end_time
     return alive, local
 
 

@@ -9,10 +9,11 @@ workloads at seeds 1 and 2 (scale 50), the README's example config, and
 one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
 that every branch of the classifier is run, the README law mirrored (a
 one-state left branch), a law with 1 feasible only within the membership
-tolerance, and two laws whose feasible set is a point that rounding would
-lose: a one-state double root and a tie between two states' intervals,
-and a one-state law whose window roots first exceed 1 past 32 sites, run
-with `spectral.n_values` up to 32 (`LAW_SIZES`).
+tolerance, two laws whose feasible set is a point that rounding would
+lose: a one-state double root and a tie between two states' intervals, a
+one-state law whose window roots first exceed 1 past 32 sites, run with
+`spectral.n_values` up to 32 (`LAW_SIZES`), and a two-state law whose
+interior feasible set is too thin for an exact exponent.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -59,9 +60,10 @@ def _mirrored(atoms):
 
 # the left-vanishing and strong-local-survival branches, the one-state left
 # branch, and the near-critical law and point feasible sets of
-# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), and a
-# one-state law with rho_inf = 1.001, as (weight, atoms) states, run at the
-# sizes of tests/test_cli.py's write_config
+# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), a
+# one-state law with rho_inf = 1.001, and tests/test_lyapunov.py's THIN, an
+# interior feasible set whose word-sum bracket is too wide for the exact path,
+# as (weight, atoms) states, run at the sizes of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
@@ -77,6 +79,8 @@ BRANCH_LAWS = {
                    (0.4221005981018707, (0, 1, 0)), (0.10490685027873214, (0, 0, 0))])),
     "spectral-near-one": ((1.0, [(0.25025, (2, 0, 0)), (0.25025, (0, 0, 2)),
                                  (0.4995, (0, 0, 0))]),),
+    "thin": ((0.5, [(0.25, (2, 0, 0)), (0.45, (0, 0, 1)), (0.3, (0, 0, 0))]),
+             (0.5, [(0.3, (2, 0, 0)), (0.41, (0, 0, 1)), (0.29, (0, 0, 0))])),
 }
 BRANCH_SIZES = {
     "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
