@@ -16,13 +16,13 @@ law's test, -drift - gamma(mirror), since gamma(mirror) = gamma_1 - drift:
 see `lyapunov`), so global survival holds iff 0 lies outside
 [gamma_2, gamma_1].  The caller supplies the estimate (`classify_environment`
 and the CLI's stage table call `top_exponent`), and the margin divides the
-gap by its stderr: a standard error or, for an exact exponent, an error
-bound.  The same quadratic's roots are the eigenvalues of a state's
-matrix A, so a one-state law's exponent is exact here
-(`constant_exponent`); only an exponent of a law with more states imports
-`lyapunov` and numpy, where it is the midpoint of a certified bracket of
-exact word averages when the feasible set has interior points and a Monte
-Carlo estimate otherwise.  The rest is `math`.
+gap by its stderr, an error bound.  The same quadratic's roots are the
+eigenvalues of a state's matrix A, so a one-state law's exponent is exact
+here (`constant_exponent`), and so is a law's at a tight point, where
+every A_lambda is lower triangular (`top_exponent`).  Only another
+exponent of a law with more states imports `lyapunov` and numpy, where it
+is the midpoint of a certified bracket of exact word averages.  The rest
+is `math`.
 """
 from __future__ import annotations
 
@@ -133,19 +133,16 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
 
 
 MATRIX_KINDS = ("A", "A_lambda")
-MIN_STEPS, MIN_REPLICAS = 1_000, 2
 
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """A top exponent in nats per step, and how it was computed.
 
-    method is "closed_form" (one state: exact, stderr 0), "word_sum" (the
-    midpoint of a bracket of exact word averages: stderr is its half-width,
-    a rigorous error bound, see `lyapunov.word_sum`) or "monte_carlo" (the
-    replica mean: stderr is the replica standard error, with an O(1/steps)
-    bias besides).  steps and replicas are the Monte Carlo budget the
-    caller asked for, whichever method ran.
+    method is "closed_form" (one state or a tight point: exact, stderr 0)
+    or "word_sum" (the midpoint of a bracket of exact word averages: stderr
+    is its half-width, a rigorous error bound, see `lyapunov.word_sum`).
+    steps and replicas echo the caller's arguments; no method reads them.
     """
 
     value: float
@@ -154,12 +151,6 @@ class LyapunovEstimate:
     replicas: int
     matrix_kind: str
     method: str
-
-
-def monte_carlo_bias(steps: int) -> float:
-    """20/steps, the allowance for the O(1/steps) bias of a replica estimate,
-    which its stderr does not cover."""
-    return 20.0 / steps
 
 
 def feasible_slack(m: MomentTriple, lam: float) -> float:
@@ -208,32 +199,52 @@ def constant_exponent(m: MomentTriple, matrix_kind: str, lam: float | None = Non
     return math.log(rho)
 
 
-def check_budget(steps: int, replicas: int) -> None:
-    """ValueError unless an exponent's budget reaches MIN_STEPS and MIN_REPLICAS."""
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    if replicas < MIN_REPLICAS:
-        raise ValueError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
+def tight_point(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> float | None:
+    """The lambda of a tight point, or None.
+
+    A tight point is the one point of a feasible set that is a point, with
+    every state's slack there at most FEASIBILITY_TOL; it is lam (A_lambda)
+    or the set's midpoint (A).  There every A_lambda is [[a, 0], [a, 1]]
+    with a = mu-/(lambda^2 mu+), up to that tolerance.  Inside an interval
+    a slack within the tolerance is no such point: on a set 9e-5 wide whose
+    midpoint slack is 1e-9, [[a, 0], [a, 1]] would miss the exponent by 4e-5.
+    Raises ValueError where `lambda_feasible_set` or `feasible_slack` does.
+    """
+    check_kind(matrix_kind, lam)
+    iv = lambda_feasible_set(envlaw)
+    if iv.is_empty or iv.lo < iv.hi:
+        return None
+    at = lam if matrix_kind == "A_lambda" else iv.midpoint
+    if any(feasible_slack(m, at) > FEASIBILITY_TOL for m in envlaw.state_moments):
+        return None
+    return at
 
 
 def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
                  replicas: int = 32, seed: int = 0, lam: float | None = None) -> LyapunovEstimate:
-    """Top exponent of one matrix family, computed exactly wherever that is possible.
+    """Top exponent of one matrix family, exact, with nothing drawn.
 
-    One state: `constant_exponent`, with stderr 0, and nothing imported or
-    drawn.  More states: `lyapunov.top_lyapunov`, the midpoint of a word-sum
-    bracket with its half-width as stderr where the feasible set has
-    interior points and the half-width is within
-    `lyapunov.WORD_SUM_MAX_BOUND`, and otherwise the replicas on `seed`.
+    One state: `constant_exponent`.  A tight point lam* of more states
+    (`tight_point`): a product of lower-triangular matrices has the
+    exponents of its diagonal, so gamma(A_lambda) = max(E ln a, 0), and
+    gamma(A) adds ln lam*.  Both have stderr 0 and import nothing.  Any
+    other law: `lyapunov.top_lyapunov`, the midpoint of a word-sum bracket
+    with its half-width as stderr.  steps, replicas and seed have no effect.
     """
-    if envlaw.n_states > 1:
-        from . import lyapunov
-        return lyapunov.top_lyapunov(envlaw, matrix_kind, steps=steps, replicas=replicas,
-                                     seed=seed, lam=lam)
-    check_budget(steps, replicas)
-    return LyapunovEstimate(value=constant_exponent(envlaw.state_moments[0], matrix_kind, lam),
-                            stderr=0.0, steps=steps, replicas=replicas, matrix_kind=matrix_kind,
-                            method="closed_form")
+    if envlaw.n_states == 1:
+        value = constant_exponent(envlaw.state_moments[0], matrix_kind, lam)
+    else:
+        at = tight_point(envlaw, matrix_kind, lam)
+        if at is None:
+            from . import lyapunov
+            return lyapunov.top_lyapunov(envlaw, matrix_kind, steps=steps, replicas=replicas,
+                                         seed=seed, lam=lam)
+        value = max(sum(w * math.log(m.mu_minus / (at * at * m.mu_plus))
+                        for (w, _), m in zip(envlaw.states, envlaw.state_moments)), 0.0)
+        if matrix_kind == "A":
+            value += math.log(at)
+    return LyapunovEstimate(value=value, stderr=0.0, steps=steps, replicas=replicas,
+                            matrix_kind=matrix_kind, method="closed_form")
 
 
 def _direction(interval: LambdaInterval, one_in: bool) -> str:
@@ -314,6 +325,6 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
 
 def classify_environment(envlaw: EnvironmentLaw, *, seed: int = 0, steps: int = 100_000,
                          replicas: int = 32, sigma_margin: float = 3.0) -> RegimeReport:
-    """classify(), drawing the one exponent estimate its branch needs with top_exponent."""
+    """classify(), with the one exponent its branch needs from top_exponent."""
     return classify(envlaw, lambda kind: top_exponent(envlaw, kind, steps, replicas, seed),
                     sigma_margin=sigma_margin)

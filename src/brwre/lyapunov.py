@@ -10,30 +10,23 @@ the reversed sequence.  For a 2x2 matrix the max-abs norm of M^-1 is
 ||M|| / |det M|, and det A = mu-/mu+; the reversed i.i.d. sequence has
 the same law, so the mirror's top exponent is gamma(A) minus the log
 drift E ln(mu-/mu+) (the Furstenberg-Kesten sum rule: it is -gamma_2(A)).
-A one-state law's product is a power of its matrix, so its top exponent
-is the log of that matrix's spectral radius (Gelfand's formula), which
-`criteria.constant_exponent` reads off the roots of its characteristic
-polynomial without numpy; `criteria.top_exponent` returns it without
-importing this module.  With more states and a feasible set of interior
-points, `top_lyapunov` takes the exponent from `word_sum`, the midpoint
-of a certified bracket of exact averages over the word table (below);
-nothing is drawn.  Elsewhere it estimates the exponent from long
-renormalized products over replicas.
 
-Every state word of length L is computed once, as a word table
-(`_word_table`), with L = `word_length`, the largest integer with
-n_states**L <= WORD_BUDGET.  A product is reduced by a pairwise tree that
-rescales every product to a max-abs entry of 1 and sums the logs of the
-scales.  The matrices are kept entry-wise, as rows a, b, c, d of a (4, n)
-array holding [[a, b], [c, d]], so one level is a few whole-array
-operations per entry.  A replica's product is ceil(steps / L) whole words
-of L states.  They are i.i.d. with the product of their states' weights
-as law, so they are sampled directly from that law with one uniform per
-word through Walker's alias table, and gathered from the table.  The tree
-thus starts L times shorter, and no state sequence is ever drawn.  The
-tests check the tree against a plain matmul reduction of the whole state
-sequence; the two group the products differently, so they agree to
-roundoff, not bit for bit.
+Every exponent is exact, and nothing is drawn.  `criteria.top_exponent`
+holds the closed forms, without numpy: a one-state law's exponent is the
+log of its matrix's spectral radius (Gelfand's formula), and at a tight
+point, a feasible set's one point with every state's slack there within
+the tolerance of 0, every A_lambda is lower triangular.  Any other law
+of several states with a feasible lambda gets `word_sum`, the midpoint of
+a certified bracket of exact averages over a word table; a law of
+several states without one has no nonnegative family, and `top_lyapunov`
+raises ValueError there.
+
+A word table (`_word_table`) holds every state word of one length L:
+L = `word_length`, the largest integer with n_states**L <= WORD_BUDGET,
+or, where that table's bracket is wider than WORD_SUM_MAX_BOUND, with
+n_states**L <= WORD_CAP.  The matrices are kept entry-wise, as rows a, b,
+c, d of a (4, n) array holding [[a, b], [c, d]], so growing every word by
+one state is a few whole-array operations per entry.
 """
 from __future__ import annotations
 
@@ -42,8 +35,8 @@ import sys
 
 import numpy as np
 
-from .criteria import (LyapunovEstimate, check_budget, check_kind, feasible_slack,
-                       lambda_feasible_set, top_exponent)
+from .criteria import (LyapunovEstimate, check_kind, feasible_slack, lambda_feasible_set,
+                       tight_point, top_exponent)
 from .envmodel import EnvironmentLaw, MomentTriple
 
 
@@ -79,175 +72,101 @@ def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None =
     return np.stack([build(m) for m in envlaw.state_moments])
 
 
-def _normalized_products(
-    left: np.ndarray, right: np.ndarray, out: np.ndarray, logs: np.ndarray, work: np.ndarray
-) -> None:
-    """Column-wise left @ right into out, each column scaled to max-abs entry 1.
-
-    Matrices [[a, b], [c, d]] are (4, m) entry rows.  logs receives the
-    log of each column's scale; a product that collapsed to zero gets -inf
-    there (and NaN entries), which the caller turns into a
-    FloatingPointError.  work is (m,) scratch.
-    """
-    la, lb, lc, ld = left
-    ra, rb, rc, rd = right
-    for row, (x, y, z, w) in zip(out, ((la, ra, lb, rc), (la, rb, lb, rd),
-                                      (lc, ra, ld, rc), (lc, rb, ld, rd))):
-        np.multiply(x, y, out=row)
-        row += np.multiply(z, w, out=work)
-    np.abs(out[0], out=logs)
-    for row in out[1:]:
-        np.maximum(logs, np.abs(row, out=work), out=logs)
-    out /= logs
-    np.log(logs, out=logs)
-
-
-# most state words a word table holds: n_states**L words of length L, so
-# that its five float rows (160 kB at the budget) and its alias table stay
-# in cache for gathers
+# most state words of the table `word_sum` builds first: n_states**L words
+# of length L, so that its four float rows (128 kB at the budget) stay in cache
 WORD_BUDGET = 4096
+# most state words of the one longer table `word_sum` builds where the first
+# bracket is too wide: 17 states deep at two states, 35 to 80 ms and about 25 MB
+WORD_CAP = 2**17
+# the widest half-width `word_sum` returns from the WORD_BUDGET table
+WORD_SUM_MAX_BOUND = 2e-4
 
 
-def word_length(n_states: int) -> int:
-    """The largest L >= 1 with n_states**L <= WORD_BUDGET, or 1 past 64 states
-    and on one state (whose only word of any length is a power of its matrix)."""
+def word_length(n_states: int, words: int = WORD_BUDGET) -> int:
+    """The largest L >= 1 with n_states**L <= words, or 1 where n_states**2 exceeds
+    it and on one state (whose only word of any length is a power of its matrix)."""
     length = 1
-    while n_states > 1 and n_states ** (length + 1) <= WORD_BUDGET:
+    while n_states > 1 and n_states ** (length + 1) <= words:
         length += 1
     return length
 
 
 def _word_table(entries: np.ndarray, state_p: np.ndarray,
-                length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The word table of length `length`, as (words, logs, word_p).
+                length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word table of length `length`, as (words, word_p).
 
     entries holds the (4, n_states) entry rows of the state matrices and
     state_p the state law.  The table holds every state word of that
     length: words its (4, n_states**length) entry rows, each product
-    scaled to max-abs entry 1, logs the sum of the logs of its scales and
-    word_p its probability, the product of its states' weights.  The
-    table grows one state per round: column s*n**m + c of length m + 1
-    holds state s applied after word c, so a word's first-applied state is
-    its lowest base-n_states digit.  A collapsed word has a log of -inf or
-    NaN.
+    scaled to max-abs entry 1, and word_p its probability, the product of
+    its states' weights.  The table grows one state per round: column
+    s*n**m + c of length m + 1 holds state s applied after word c, so a
+    word's first-applied state is its lowest base-n_states digit.  A word
+    that collapsed to zero has NaN entries.
     """
     n_states = entries.shape[1]
-    words, logs, word_p = entries, np.zeros(n_states), state_p
+    words, word_p = entries, state_p
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(length - 1):
-            size = n_states * words.shape[1]
-            state, word = np.divmod(np.arange(size), words.shape[1])
-            grown, grown_logs = np.empty((4, size)), np.empty(size)
-            _normalized_products(entries[:, state], words[:, word],
-                                 grown, grown_logs, np.empty(size))
-            grown_logs += logs[word]
-            words, logs, word_p = grown, grown_logs, np.outer(state_p, word_p).ravel()
-    return words, logs, word_p
+            state, word = np.divmod(np.arange(n_states * words.shape[1]), words.shape[1])
+            (la, lb, lc, ld), (ra, rb, rc, rd) = entries[:, state], words[:, word]
+            words = np.stack((la * ra + lb * rc, la * rb + lb * rd,
+                              lc * ra + ld * rc, lc * rb + ld * rd))
+            words /= np.abs(words).max(axis=0)
+            word_p = np.outer(state_p, word_p).ravel()
+    return words, word_p
 
 
-def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker's alias table for the law p over 0..K-1, by Vose's construction.
-
-    A bin i uniform on 0..K-1 yields code i with probability prob[i] and
-    code alias[i] otherwise, so p[c] * K == prob[c] + the sum of
-    1 - prob[i] over every i != c with alias[i] == c.  Bins left over when
-    the small or the large list runs out (by roundoff) keep prob 1.
-    """
-    size = p.shape[0]
-    scaled = (p * (size / p.sum())).tolist()
-    prob = np.ones(size)
-    alias = np.arange(size)
-    small = [i for i, q in enumerate(scaled) if q < 1.0]
-    large = [i for i, q in enumerate(scaled) if q >= 1.0]
-    while small and large:
-        less, more = small.pop(), large[-1]
-        prob[less] = scaled[less]
-        alias[less] = more
-        scaled[more] = (scaled[more] + scaled[less]) - 1.0
-        if scaled[more] < 1.0:
-            small.append(large.pop())
-    return prob, alias
-
-
-def _alias_codes(u: np.ndarray, prob: np.ndarray, alias: np.ndarray,
-                 codes: np.ndarray) -> np.ndarray:
-    """Into codes, the codes Walker's alias table (prob, alias) assigns to
-    uniforms u in [0, 1): bin i = floor(u K) yields i if u K - i < prob[i]
-    and alias[i] otherwise.  u is overwritten."""
-    u *= prob.shape[0]
-    np.copyto(codes, u, casting="unsafe")
-    u -= codes
-    np.copyto(codes, np.take(alias, codes), where=u >= np.take(prob, codes))
-    return codes
-
-
-def _log_norm(cur: np.ndarray, logs: np.ndarray, spare: np.ndarray, work: np.ndarray) -> float:
-    """sum(logs) plus the ln of the max-abs entry of the product of the (4, m)
-    entry rows cur, first-applied first, by a pairwise tree on cur and spare
-    ((4, >= (m + 1) // 2)) in turn.  Each level multiplies the odd entries of
-    its list (left) into the even ones, rescales every product to max-abs
-    entry 1 and adds the logs of the scales; an odd tail is carried to the
-    end of the next list.  cur, logs and spare are overwritten and work is
-    (>= m // 2,) scratch.  A collapsed product raises FloatingPointError.
-    """
-    acc = 0.0
+def _bracket(entries: np.ndarray, state_p: np.ndarray, length: int) -> tuple[float, float]:
+    """`word_sum`'s midpoint and half-width over the word table of length `length`."""
+    words, word_p = _word_table(entries, state_p, length)
+    r1, r2 = entries[0] + entries[1], entries[2] + entries[3]
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            level = logs.sum()
-            if not level > -np.inf:
-                raise FloatingPointError("matrix product collapsed to zero")
-            acc += float(level)
-            n = cur.shape[1]
-            if n == 1:
-                return acc + float(np.log(np.abs(cur[:, 0]).max()))
-            h = n // 2
-            nxt = spare[:, : h + n % 2]
-            logs = logs[:h]
-            _normalized_products(cur[:, 1 : 2 * h : 2], cur[:, 0 : 2 * h : 2],
-                                 nxt[:, :h], logs, work[:h])
-            if n % 2:
-                nxt[:, h] = cur[:, -1]
-            cur, spare = nxt, cur
-
-
-# the largest word-sum half-width returned in place of the replicas: the bias
-# allowance criteria.monte_carlo_bias gives the replicas at the default 100,000 steps
-WORD_SUM_MAX_BOUND = 2e-4
+        # (n_states, n_words): state M's end at each word's row
+        end1, end2 = (np.log((np.outer(r1, x) + np.outer(r2, y)) / (x + y))
+                      for x, y in (words[:2], words[2:]))
+        g1, g2 = state_p @ end1, state_p @ end2
+        lo = float(np.sum(word_p * np.minimum(g1, g2)))
+        hi = float(np.sum(word_p * np.maximum(g1, g2)))
+        size = float(np.sum(word_p * (state_p @ np.maximum(np.abs(end1), np.abs(end2)))))
+    roundoff = 16.0 * (length + state_p.shape[0]) * sys.float_info.epsilon * (1.0 + size)
+    half = 0.5 * (hi - lo) + roundoff
+    return 0.5 * (lo + hi), math.inf if math.isnan(half) else half
 
 
 def word_sum(envlaw: EnvironmentLaw, lam: float) -> tuple[float, float]:
     """gamma(A_lambda) as the midpoint and half-width of a certified bracket of
-    exact averages over the word table; the half-width is inf where a word collapsed.
+    exact averages over a word table; the half-width is inf where a word collapsed.
 
     By Furstenberg's formula (Trans. AMS 1963; Furstenberg & Kifer, Israel
     J. Math. 1983) gamma = E ln(x M 1 / x 1), with M a state matrix and x an
     independent row direction whose law attains gamma and is stationary under
     the product, so it is also the law of x P_w for a word w of the table.
     Every A_lambda is nonnegative, so x lies in the cone of P_w's rows (a, b)
-    and (c, d).  Along it ln(x M 1 / x 1) is monotone, with the ends
-    ln((a r1 + b r2) / (a + b)) and the same with (c, d) for M's row sums r1
-    and r2, and its state average is concave.  So E_w min(E_M end1, E_M end2)
-    <= gamma <= E_w E_M max(end1, end2).  The half-width adds 16 (n + n_states)
-    eps (1 + E_w E_M max|end|) for roundoff: a word's entries round by 3 eps
-    relatively per product, each end by a few eps more, and the sums over the
-    states and, pairwise, over the words by n_states and log2 of the word
-    count (at most 12) eps relatively.
+    and (c, d), at a coordinate t = x_2 / (x_1 + x_2) between t1 = b / (a + b)
+    and t2 = d / (c + d).  Every A_lambda's row sums r1 and r2 have r2 = r1 + 1,
+    so ln(x M 1 / x 1) = ln(r1 + t) rises with t for every state, and so does
+    its state average G(t).  Hence E_w min(G(t1), G(t2)) <= gamma <= E_w
+    max(G(t1), G(t2)).  (Since every state orders a word's two ends alike,
+    the average of the per-state max of the two ends is the same upper end.)
+    The ends are computed as ln((a r1 + b r2) / (a + b)) and the same with
+    (c, d).  The half-width adds 16 (L + n_states) eps (1 + E_w E_M max|end|)
+    for roundoff: a word's entries round by 3 eps relatively per product,
+    each end by a few eps more, and the sums over the states and, pairwise,
+    over the words by n_states and log2 of the word count (at most 17) eps
+    relatively.
+
+    The table has the longest length within WORD_BUDGET words; where its
+    half-width exceeds WORD_SUM_MAX_BOUND (a feasible set too thin, or a
+    point, for short words to contract), the bracket is taken over one
+    table within WORD_CAP words instead.
     """
     entries = state_matrices(envlaw, "A_lambda", lam).reshape(-1, 4).T
     state_p = envlaw.weights / envlaw.weights.sum()
-    length = word_length(envlaw.n_states)
-    words, _, word_p = _word_table(entries, state_p, length)
-    r1, r2 = entries[0] + entries[1], entries[2] + entries[3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # (n_states, n_words): state M's end at each word's row
-        end1, end2 = (np.log((np.outer(r1, x) + np.outer(r2, y)) / (x + y))
-                      for x, y in (words[:2], words[2:]))
-        lo = float(np.sum(word_p * np.minimum(state_p @ end1, state_p @ end2)))
-        hi = float(np.sum(word_p * (state_p @ np.maximum(end1, end2))))
-        size = float(np.sum(word_p * (state_p @ np.maximum(np.abs(end1), np.abs(end2)))))
-    roundoff = 16.0 * (length + envlaw.n_states) * sys.float_info.epsilon * (1.0 + size)
-    half = 0.5 * (hi - lo) + roundoff
-    return 0.5 * (lo + hi), math.inf if math.isnan(half) else half
+    value, half = _bracket(entries, state_p, word_length(envlaw.n_states))
+    if half > WORD_SUM_MAX_BOUND:
+        value, half = _bracket(entries, state_p, word_length(envlaw.n_states, WORD_CAP))
+    return value, half
 
 
 def top_lyapunov(
@@ -259,70 +178,31 @@ def top_lyapunov(
     lam: float | None = None,
     n_workers: int = 1,
 ) -> LyapunovEstimate:
-    """The top exponent of the i.i.d. product for one family, exact where possible.
+    """The top exponent of the i.i.d. product for one family, exact; nothing is drawn.
 
-    One state: `criteria.top_exponent`'s closed form, with stderr 0 and
-    nothing drawn; a nilpotent matrix raises FloatingPointError.  More
-    states with a feasible set of interior points: `word_sum`, with its
-    half-width as stderr and method "word_sum", of A_lambda at lam, or of A
-    at the set's `midpoint` lam_m plus ln lam_m (A = lam B^-1 A_lambda B);
-    nothing is drawn.  Otherwise, and where that half-width exceeds
-    `WORD_SUM_MAX_BOUND` (a set too thin for the words to contract),
-    `_monte_carlo_exponent` on `seed`.  Which of the two runs depends on
-    the law alone, never on steps or replicas.  n_workers is accepted for
-    compatibility and ignored: nothing runs on another thread and the
-    result never depends on it.
+    One state, or a tight point (`criteria.tight_point`): the closed form
+    of `criteria.top_exponent`, with stderr 0 and method "closed_form"; a
+    nilpotent matrix raises FloatingPointError.  Otherwise `word_sum`, with
+    its half-width as stderr and method "word_sum", of A_lambda at lam, or
+    of A at the feasible set's `midpoint` lam_m plus ln lam_m (A = lam
+    B^-1 A_lambda B).  A law of several states with no feasible lambda has
+    no nonnegative family: ValueError.  steps, replicas, seed and n_workers
+    have no effect; steps and replicas are echoed in the estimate.
     """
-    if envlaw.n_states == 1:
-        return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, lam=lam)
-    check_budget(steps, replicas)
-    check_kind(matrix_kind, lam)
-    # a state with mu- = 0 has no feasible interval, and its A is singular
-    iv = lambda_feasible_set(envlaw) if all(m.mu_minus > 0.0 and m.mu_plus > 0.0
-                                            for m in envlaw.state_moments) else None
-    if iv is not None and not iv.is_empty and iv.lo < iv.hi:
-        at = lam if matrix_kind == "A_lambda" else iv.midpoint
-        value, bound = word_sum(envlaw, at)
-        if matrix_kind == "A":
-            # the shift's log and sum round by an ulp of each term
-            log_at = math.log(at)
-            value += log_at
-            bound += 2.0 * sys.float_info.epsilon * (abs(value) + abs(log_at))
-        if bound <= WORD_SUM_MAX_BOUND:
-            return LyapunovEstimate(value=value, stderr=bound, steps=steps, replicas=replicas,
-                                    matrix_kind=matrix_kind, method="word_sum")
-    return _monte_carlo_exponent(envlaw, matrix_kind, steps, replicas, seed, lam)
-
-
-def _monte_carlo_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
-                          replicas: int = 32, seed: int = 0,
-                          lam: float | None = None) -> LyapunovEstimate:
-    """The replica estimate of the top exponent, method "monte_carlo".
-
-    Replica r draws n_words = ceil(steps / L) word codes on
-    default_rng([seed, r]) through the alias table of the word law (see
-    the module docstring), gathers the words from the word table and
-    reduces their product with `_log_norm`; it contributes ln ||product||
-    over the n_words * L matrices multiplied.  The value is the replica
-    mean and stderr the replica dispersion / sqrt(R); the replicas run one
-    at a time on one thread and reuse one set of buffers.
-    """
-    check_budget(steps, replicas)
-    entries = state_matrices(envlaw, matrix_kind, lam).reshape(-1, 4).T
-    length = word_length(envlaw.n_states)
-    state_p = envlaw.weights / envlaw.weights.sum()
-    words, word_logs, word_p = _word_table(entries, state_p, length)
-    prob, alias = _alias_table(word_p)
-    n_words = -(-steps // length)
-    u, logs, codes = np.empty(n_words), np.empty(n_words), np.empty(n_words, dtype=np.intp)
-    cur, spare, work = np.empty((4, n_words)), np.empty((4, (n_words + 1) // 2)), np.empty(n_words)
-    values = np.empty(replicas)
-    for r in range(replicas):
-        _alias_codes(np.random.default_rng([seed, r]).random(out=u), prob, alias, codes)
-        np.take(words, codes, axis=1, out=cur, mode="clip")
-        np.take(word_logs, codes, out=logs, mode="clip")
-        values[r] = _log_norm(cur, logs, spare, work) / (n_words * length)
-    return LyapunovEstimate(value=float(values.mean()),
-                            stderr=float(values.std(ddof=1) / math.sqrt(replicas)),
-                            steps=steps, replicas=replicas, matrix_kind=matrix_kind,
-                            method="monte_carlo")
+    if envlaw.n_states == 1 or tight_point(envlaw, matrix_kind, lam) is not None:
+        return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, seed=seed,
+                            lam=lam)
+    at = lam
+    if matrix_kind == "A":
+        at = lambda_feasible_set(envlaw).midpoint
+        if at is None:
+            raise ValueError("no feasible lambda: a law of several states has no certified "
+                             "exponent of A")
+    value, bound = word_sum(envlaw, at)
+    if matrix_kind == "A":
+        # the shift's log and sum round by an ulp of each term
+        log_at = math.log(at)
+        value += log_at
+        bound += 2.0 * sys.float_info.epsilon * (abs(value) + abs(log_at))
+    return LyapunovEstimate(value=value, stderr=bound, steps=steps, replicas=replicas,
+                            matrix_kind=matrix_kind, method="word_sum")

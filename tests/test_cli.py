@@ -21,7 +21,6 @@ from brwre.cli import (
     main,
     run,
 )
-from brwre.envmodel import derive_seed
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -638,28 +637,25 @@ def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environ
     pytest.param(TWO_STATE_LEFT_ENV, "word_sum", id="left"),
     pytest.param(BOTH_ENV, "word_sum", id="both"),
     pytest.param(STRONG_LOCAL_ENV, "closed_form", id="none"),
-    # two states and a point feasible set: both families are drawn
-    pytest.param(TIE_ENV, "monte_carlo", id="point"),
-    # an interior set too thin for the exact path, where the bias allowance
-    # exceeds three combined stderrs
-    pytest.param(THIN_ENV, "monte_carlo", id="thin"),
+    # two states, tight at their one feasible lambda: a triangular closed form
+    pytest.param(TIE_ENV, "closed_form", id="point"),
+    # an interior set too thin for the budget's table: the cap's bracket
+    pytest.param(THIN_ENV, "word_sum", id="thin"),
 ])
-def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, method):
+def test_each_family_reads_its_declared_method(tmp_path, environment, method):
     path = write_config(tmp_path, environment=environment)
     assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     config = load_config(path)
-    env, seed = config.environment, report["seeds"]["lyapunov"]
+    env = config.environment
     budget = dict(steps=config.lyapunov.steps, replicas=config.lyapunov.replicas)
 
-    def drawn(kind, stream, lam=None):
-        est = criteria.top_exponent(env, kind, seed=stream, lam=lam, **budget)
+    def computed(kind, lam=None):
+        est = criteria.top_exponent(env, kind, lam=lam, **budget)
         assert est.method == method
-        if method == "monte_carlo":
-            assert est == lyapunov._monte_carlo_exponent(env, kind, seed=stream, lam=lam, **budget)
         return est
 
-    gamma = dataclasses.asdict(drawn("A", seed))
+    gamma = dataclasses.asdict(computed("A"))
     # the mirror exponent is gamma(A) - drift, read off the same estimate
     tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(env),
              "matrix_kind": "A_tilde"}
@@ -668,8 +664,8 @@ def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, meth
     direction = criteria.vanishing_direction(env)
     expected = gamma if direction in ("right", "left") else None
     assert report["regime"]["gamma1"] == expected
-    # exponent_shift draws A_lambda on the salt-12 stream, at the feasible set's
-    # geometric midpoint, or nearer its lower end beside a word-sum gamma(A)
+    # exponent_shift reads A_lambda at the feasible set's geometric midpoint, or
+    # nearer its lower end beside a word-sum gamma(A)
     row = next(r for r in report["crosscheck"] if r["identity"] == "exponent_shift")
     iv = criteria.lambda_feasible_set(env)
     if iv.is_empty:
@@ -678,31 +674,50 @@ def test_each_family_is_drawn_on_its_declared_stream(tmp_path, environment, meth
     lam = iv.midpoint
     if method == "word_sum":
         lam = math.sqrt(iv.lo * lam)
-    shifted = drawn("A_lambda", derive_seed(seed, 12), lam)
+    shifted = computed("A_lambda", lam)
     assert (row["lhs"], row["rhs"]) == (gamma["value"], shifted.value + math.log(lam))
-    if method == "monte_carlo":
-        # three combined stderrs, or the bias allowance 20 / steps at 5,000 steps
-        assert row["tolerance"] == max(3.0 * math.hypot(gamma["stderr"], shifted.stderr), 0.004)
-    else:
-        # two exact sides: their error bounds and a few ulps of each term
-        ulps = 8.0 * sys.float_info.epsilon * (
-            1.0 + abs(gamma["value"]) + abs(shifted.value) + abs(math.log(lam)))
-        assert row["tolerance"] == gamma["stderr"] + shifted.stderr + ulps
-    if method == "monte_carlo":
-        unsalted = lyapunov._monte_carlo_exponent(env, "A_lambda", seed=seed, lam=lam, **budget)
-        assert unsalted.value != shifted.value
+    # the two error bounds and a few ulps of each term
+    ulps = 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(gamma["value"]) + abs(shifted.value) + abs(math.log(lam)))
+    assert row["tolerance"] == gamma["stderr"] + shifted.stderr + ulps
+    assert row["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("environment", [BOTH_ENV, TWO_STATE_RIGHT_ENV], ids=["both", "right"])
-def test_all_draws_no_replicas_with_an_interior_feasible_set(tmp_path, monkeypatch, environment):
-    def no_replicas(*args, **kwargs):
-        raise AssertionError("the Lyapunov replicas ran")
+def test_all_draws_no_replicas_with_an_interior_feasible_set(tmp_path, environment):
+    # no exponent is drawn: the seed and the lyapunov budget leave it as it is,
+    # and only the budget's echo moves
+    reports = []
+    for name, seed, steps, replicas in (("a", 7, 5_000, 4), ("b", 8, 1_000, 2)):
+        path = write_config(tmp_path, f"{name}.json", environment=environment, seed=seed,
+                            lyapunov={"steps": steps, "replicas": replicas})
+        assert run(path, "all", outdir=str(tmp_path / name), quiet=True) == EXIT_OK
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    a, b = (r["lyapunov"]["gamma1"] for r in reports)
+    assert a["method"] == "word_sum"
+    assert a == {**b, "steps": 5_000, "replicas": 4}
+    assert reports[0]["regime"]["margin"] == reports[1]["regime"]["margin"]
 
-    monkeypatch.setattr(lyapunov, "_monte_carlo_exponent", no_replicas)
-    path = write_config(tmp_path, environment=environment)
-    assert run(path, "all", outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["lyapunov"]["gamma1"]["method"] == "word_sum"
+
+# two states without a common feasible lambda: strong local survival
+EMPTY_TWO_STATE_ENV = {
+    "states": [
+        {"weight": 0.5, "atoms": [{"p": 0.6, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
+                                  {"p": 0.35, "v": [0, 0, 0]}]},
+        {"weight": 0.5, "atoms": [{"p": 0.5, "v": [1, 1, 1]}, {"p": 0.5, "v": [0, 0, 0]}]},
+    ]
+}
+
+
+def test_lyapunov_section_is_skipped_without_a_feasible_lambda(tmp_path):
+    path = write_config(tmp_path, environment=EMPTY_TWO_STATE_ENV)
+    for subcommand in ("lyapunov", "all"):
+        assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_OK
+        report = json.loads((tmp_path / subcommand / "report.json").read_text())
+        assert list(report["lyapunov"]) == ["skipped"]
+    assert report["regime"]["regime"] == "StrongLocalSurvival"
+    row = next(r for r in report["crosscheck"] if r["identity"] == "exponent_shift")
+    assert row["verdict"] == "skipped"
 
 
 @pytest.mark.parametrize("environment", [TWO_STATE_RIGHT_ENV, TWO_STATE_LEFT_ENV, BOTH_ENV],

@@ -189,7 +189,7 @@ def test_classify_extinction_when_exponent_dominates():
 def test_classify_inconclusive_inside_margin():
     gamma = LyapunovEstimate(
         value=math.log(24.0) - 0.001, stderr=0.01, steps=10**4, replicas=4, matrix_kind="A",
-        method="monte_carlo",
+        method="word_sum",
     )
     rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
     assert rep.regime == criteria.INCONCLUSIVE

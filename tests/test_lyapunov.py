@@ -8,11 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from brwre import lyapunov
 from brwre.cli import _parse_environment
-from brwre.criteria import (constant_exponent, expected_log_drift, lambda_feasible_set,
-                            monte_carlo_bias, state_feasible_interval, top_exponent,
-                            vanishing_direction)
-from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms, reflected
-from brwre.lyapunov import WORD_BUDGET, build_A, build_A_lambda, state_matrices, top_lyapunov
+from brwre.criteria import (GLOBAL_EXTINCTION, classify_environment, constant_exponent,
+                            expected_log_drift, lambda_feasible_set, state_feasible_interval,
+                            tight_point, top_exponent, vanishing_direction)
+from brwre.envmodel import (FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms,
+                            reflected)
+from brwre.lyapunov import (WORD_BUDGET, WORD_CAP, WORD_SUM_MAX_BOUND, build_A, build_A_lambda,
+                            state_matrices, top_lyapunov)
 from conftest import (
     GW_SUPERCRITICAL,
     SUBCRITICAL_BRANCHY,
@@ -157,15 +159,13 @@ def test_top_lyapunov_unipotent_grows_polynomially():
 
 
 def test_top_lyapunov_enforces_preconditions():
-    env = single_env(GW_SUPERCRITICAL)
-    with pytest.raises(ValueError):
-        top_lyapunov(env, "A", steps=100, replicas=4)
-    with pytest.raises(ValueError):
-        top_lyapunov(env, "A", steps=10_000, replicas=1)
-    with pytest.raises(ValueError):
-        top_lyapunov(env, "A_lambda", steps=10_000, replicas=4, lam=100.0)
-    with pytest.raises(ValueError):
-        top_lyapunov(env, "bogus", steps=10_000, replicas=4)
+    for env in (single_env(GW_SUPERCRITICAL), two_state_env()):
+        with pytest.raises(ValueError, match="infeasible"):
+            top_lyapunov(env, "A_lambda", steps=10_000, replicas=4, lam=100.0)
+        with pytest.raises(ValueError, match="unknown matrix kind"):
+            top_lyapunov(env, "bogus", steps=10_000, replicas=4)
+        with pytest.raises(ValueError, match="needs a lambda"):
+            top_lyapunov(env, "A_lambda", steps=10_000, replicas=4)
 
 
 def test_top_lyapunov_deterministic():
@@ -173,6 +173,9 @@ def test_top_lyapunov_deterministic():
     a = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9)
     b = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9)
     assert a == b
+    # nothing is drawn: the budget and the seed are only echoed
+    c = top_lyapunov(env, "A", steps=1, replicas=1, seed=10)
+    assert c == dataclasses.replace(a, steps=1, replicas=1)
 
 
 def test_top_lyapunov_workers_do_not_change_result():
@@ -180,19 +183,6 @@ def test_top_lyapunov_workers_do_not_change_result():
     a = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9)
     b = top_lyapunov(env, "A", steps=5_000, replicas=4, seed=9, n_workers=4)
     assert a == b
-
-
-@st.composite
-def walk_laws(draw):
-    """2 to 4 states, each stepping left w.p. pl and right w.p. pr, else dying."""
-    n_states = draw(st.integers(2, 4))
-    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states))
-    states = []
-    for w in raw:
-        pl, pr = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
-        law = law_from_atoms([(pl, (1, 0, 0)), (pr, (0, 0, 1)), (1.0 - pl - pr, (0, 0, 0))])
-        states.append((w / sum(raw), law))
-    return EnvironmentLaw(states)
 
 
 def _walk_law(weights, pls) -> EnvironmentLaw:
@@ -217,26 +207,11 @@ def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
     return codes[:, None] // n_states ** np.arange(length) % n_states
 
 
-def _replica_tables(env, kind="A", lam=None):
-    """The word table (words, logs), its alias table (prob, alias) and the word
-    length L, built as `_monte_carlo_exponent` builds them."""
+def _table(env, kind="A", lam=None):
+    """The word table (words, word_p) of the budget's length L, and L."""
     entries = state_matrices(env, kind, lam).reshape(-1, 4).T
     length = lyapunov.word_length(env.n_states)
-    words, logs, word_p = lyapunov._word_table(entries, env.weights / env.weights.sum(), length)
-    return words, logs, *lyapunov._alias_table(word_p), length
-
-
-def _sampled_codes(prob, alias, n_words, seed, r):
-    """Replica r's n_words word codes on default_rng([seed, r])."""
-    return lyapunov._alias_codes(np.random.default_rng([seed, r]).random(n_words), prob, alias,
-                                 np.empty(n_words, dtype=np.intp))
-
-
-def _reduce(words, logs, codes):
-    """ln ||product|| of the words with these codes, first-applied first."""
-    n = codes.shape[0]
-    return lyapunov._log_norm(words[:, codes], logs[codes], np.empty((4, (n + 1) // 2)),
-                              np.empty(n))
+    return *lyapunov._word_table(entries, env.weights / env.weights.sum(), length), length
 
 
 @_LAWS
@@ -244,112 +219,30 @@ def test_word_length_is_the_longest_within_budget(env):
     length = {2: 12, 3: 7, 4: 6}[env.n_states]
     assert env.n_states**length <= WORD_BUDGET < env.n_states ** (length + 1)
     assert lyapunov.word_length(env.n_states) == length
-    assert _replica_tables(env)[0].shape == (4, env.n_states**length)
-
-
-# walk_laws holds the mirror of each of its laws, and a mirror law's A matrices
-# are those of the law it reflects with left and right swapped
-@given(env=walk_laws(), kind=st.sampled_from(["A", "A_lambda"]),
-       steps=st.integers(1_000, 5_000), seed=st.integers(0, 2**32 - 1))
-@example(env=_unequal_three_states(), kind="A", steps=1_001, seed=7)
-@example(env=_TWO_STATES, kind="A", steps=4_092, seed=2)
-@example(env=_TWO_STATES, kind="A_lambda", steps=4_103, seed=2)
-@example(env=reflected(_unequal_three_states()), kind="A", steps=1_000, seed=3)
-@example(env=_unequal_three_states(), kind="A", steps=1_003, seed=3)
-@example(env=_FOUR_STATES, kind="A", steps=1_002, seed=4)
-@example(env=reflected(_FOUR_STATES), kind="A", steps=1_001, seed=4)
-def test_word_table_reduction_matches_matmul_oracle(env, kind, steps, seed):
-    lam = None
-    if kind == "A_lambda":
-        interval = lambda_feasible_set(env)
-        assume(not interval.is_empty)
-        lam = math.sqrt(interval.lo * interval.hi)
-    table = state_matrices(env, kind, lam)
-    words, logs, prob, alias, length = _replica_tables(env, kind, lam)
-    # whole words: ceil(steps / L) of them, L * ceil(steps / L) matrices
-    n_words = -(-steps // length)
-    values = []
-    for r in range(2):
-        codes = _sampled_codes(prob, alias, n_words, seed, r)
-        states = _digits(codes, env.n_states, length).ravel()
-        assert states.shape == (n_words * length,)
-        oracle = _log_norm_of_product(table[states]) / states.shape[0]
-        values.append(_reduce(words, logs, codes) / states.shape[0])
-        assert values[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)
-    est = lyapunov._monte_carlo_exponent(env, kind, steps=steps, replicas=2, seed=seed, lam=lam)
-    assert est.value == float(np.mean(values))
+    words, word_p, _ = _table(env)
+    assert words.shape == (4, env.n_states**length)
+    assert word_p.sum() == pytest.approx(1.0, rel=1e-12)
+    # the capped table: 17, 10 and 8 states deep
+    cap = {2: 17, 3: 10, 4: 8}[env.n_states]
+    assert env.n_states**cap <= WORD_CAP < env.n_states ** (cap + 1)
+    assert lyapunov.word_length(env.n_states, WORD_CAP) == cap
 
 
 @_LAWS
 def test_word_table_column_is_its_state_word(env):
     table = state_matrices(env, "A")
-    table_words, table_logs, _, _, length = _replica_tables(env)
+    table_words, _, length = _table(env)
     n_states = env.n_states
     size = n_states**length
     assert table_words.shape == (4, size)
     # every word at once, one matmul per position: the first-applied matrix is
-    # the lowest base-n_states digit, and the product is rescaled after each
-    # step, so a word's log is the sum of its scales' logs
+    # the lowest base-n_states digit, and the product is rescaled after each step
     words = _digits(np.arange(size), n_states, length)
     product = np.broadcast_to(np.eye(2), (size, 2, 2))
-    logs = np.zeros(size)
     for t in range(length):
         product = table[words[:, t]] @ product
-        scale = np.abs(product).max(axis=(1, 2))
-        product /= scale[:, None, None]
-        logs += np.log(scale)
-    np.testing.assert_allclose(table_logs, logs, rtol=1e-12, atol=0.0)
+        product /= np.abs(product).max(axis=(1, 2))[:, None, None]
     np.testing.assert_allclose(table_words.T.reshape(size, 2, 2), product, rtol=0.0, atol=1e-12)
-
-
-@_LAWS
-def test_alias_table_rebuilds_the_word_law(env):
-    _, _, prob, alias, length = _replica_tables(env)
-    n_states = env.n_states
-    size = n_states**length
-    assert prob.shape == alias.shape == (size,)
-    assert np.all((prob > 0.0) & (prob <= 1.0))
-    assert np.all((alias >= 0) & (alias < size))
-    # bin i yields i w.p. prob[i] and alias[i] otherwise
-    rebuilt = prob.copy()
-    np.add.at(rebuilt, alias, 1.0 - prob)
-    weights = np.asarray(env.weights) / sum(env.weights)
-    word_law = weights[_digits(np.arange(size), n_states, length)].prod(axis=1)
-    np.testing.assert_allclose(rebuilt / size, word_law, rtol=1e-12, atol=0.0)
-
-
-def test_sampled_codes_follow_the_word_law():
-    env = _unequal_three_states()
-    _, _, prob, alias, length = _replica_tables(env)
-    assert length == 7
-    counts = np.zeros(3**7)
-    for r in range(5):
-        counts += np.bincount(_sampled_codes(prob, alias, 100_000, 11, r), minlength=3**7)
-    word_law = np.array([0.1, 0.2, 0.7])[_digits(np.arange(3**7), 3, 7)].prod(axis=1)
-    expected = counts.sum() * word_law
-    # words expected fewer than 5 times are pooled into one bin
-    rare = expected < 5.0
-    observed = np.append(counts[~rare], counts[rare].sum())
-    expected = np.append(expected[~rare], expected[rare].sum())
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    dof = observed.shape[0] - 1
-    # Wilson-Hilferty upper quantile of chi2(dof) at z = 4.75 (one-sided 1e-6)
-    bound = dof * (1.0 - 2.0 / (9 * dof) + 4.75 * math.sqrt(2.0 / (9 * dof))) ** 3
-    assert chi2 <= bound
-
-
-@pytest.mark.parametrize("env", [_unequal_three_states(), _walk_law((0.3, 0.3, 0.2, 0.1, 0.1),
-                                                                     (0.1, 0.2, 0.3, 0.3, 0.3))],
-                         ids=["3", "5"])
-def test_alias_bin_stays_below_the_word_count(env):
-    _, _, prob, alias, _ = _replica_tables(env)
-    size = prob.shape[0]
-    assert size in (3**7, 5**5)  # neither a power of two
-    top = np.nextafter(1.0, 0.0)
-    codes = lyapunov._alias_codes(np.array([top, 0.0, 0.5]), prob, alias,
-                                  np.empty(3, dtype=np.intp))
-    assert np.all((codes >= 0) & (codes < size))
-    assert codes[0] in (size - 1, alias[size - 1])
 
 
 # mu- = 1, mu0 = 0.5, mu+ = 0.2: A's characteristic roots are complex
@@ -440,9 +333,6 @@ def test_closed_form_keeps_the_matrix_checks():
 
 def test_one_state_entry_point_skips_the_estimator(monkeypatch):
     env = single_env(GW_SUPERCRITICAL)
-    # a budget below the minimum is rejected on one state too
-    with pytest.raises(ValueError, match="steps must be"):
-        top_exponent(env, "A", steps=999)
     monkeypatch.setattr(lyapunov, "top_lyapunov", None)
     assert top_exponent(env, "A").value == pytest.approx(
         math.log(state_feasible_interval(env.state_moments[0]).hi), rel=1e-15, abs=0.0)
@@ -461,42 +351,24 @@ def test_collapsed_product_raises():
     with pytest.raises(FloatingPointError):
         top_exponent(env, "A", steps=1_000, replicas=2)
 
-    # with a second, invertible state a product collapses exactly where two
-    # 0s are adjacent, so 1, 0, 1, 0, ... never collapses; two-state words
-    # have length 12 and every word holding 0, 0 is collapsed in the table
+    # with a second, invertible state the law has no feasible lambda (mu- = 0),
+    # so no nonnegative family and no certified exponent
     env = EnvironmentLaw([(0.5, law_from_atoms(NILPOTENT)),
                           (0.5, law_from_atoms(GW_SUPERCRITICAL))])
-    table = state_matrices(env, "A")
-    alternating = np.tile(np.array([1, 0], dtype=np.intp), 504)
-    sound_word = int(alternating[:12] @ 2 ** np.arange(12))
-    # the collapsed words are never sampled: no raise
-    words, logs, _, _, length = _replica_tables(env)
-    assert length == 12
-    assert np.isfinite(logs[sound_word])
-    assert not np.isfinite(logs).all()
-    codes = np.full(84, sound_word, dtype=np.intp)
-    assert _reduce(words, logs, codes) == pytest.approx(
-        _log_norm_of_product(table[alternating]), rel=1e-12, abs=0.0)
-    # 1, 0, ..., 1, 0 then the sound word 0, 1, ..., 0, 1: the junction of two
-    # sound words holds 0, 0, and the product collapses
-    shifted_word = int(alternating[1:13] @ 2 ** np.arange(12))
-    assert np.isfinite(logs[shifted_word])
-    codes[41] = shifted_word
-    with pytest.raises(FloatingPointError):
-        _reduce(words, logs, codes)
-    with pytest.raises(FloatingPointError):
-        _log_norm_of_product(table[_digits(codes, 2, 12).ravel()])
+    with pytest.raises(ValueError, match="mu_minus > 0"):
+        top_lyapunov(env, "A", steps=1_000, replicas=2)
 
 
 def test_exponent_shift_identity_two_state():
     # gamma1 = gamma1(lambda) + ln(lambda) for any feasible lambda
     env = two_state_env()
-    replicas = lyapunov._monte_carlo_exponent
-    gamma = replicas(env, "A", steps=40_000, replicas=16, seed=1)
-    for lam, sub_seed in ((2.0, 2), (5.0, 3)):
-        shifted = replicas(env, "A_lambda", steps=40_000, replicas=16, seed=sub_seed, lam=lam)
-        tol = 3.0 * math.hypot(gamma.stderr, shifted.stderr)
-        assert abs(gamma.value - (shifted.value + math.log(lam))) <= tol
+    gamma = top_lyapunov(env, "A")
+    for lam in (2.0, 5.0):
+        shifted = top_lyapunov(env, "A_lambda", lam=lam)
+        assert shifted.method == gamma.method == "word_sum"
+        # the two error bounds, and 1e-14 for the rounding of the shift
+        assert abs(gamma.value - (shifted.value + math.log(lam))) <= (
+            gamma.stderr + shifted.stderr + 1e-14)
 
 
 @pytest.mark.parametrize("env", [two_state_env(), _unequal_three_states()], ids=["2", "3"])
@@ -529,8 +401,8 @@ def test_mirror_exponent_identity():
             assert mirrored.stderr == gamma.stderr == 0.0
             assert mirrored.value == pytest.approx(expected, rel=1e-12, abs=0.0)
         else:
-            tol = 3.0 * math.hypot(gamma.stderr, mirrored.stderr) + 20.0 / kw["steps"]
-            assert abs(mirrored.value - expected) <= tol
+            # the two error bounds, and 1e-14 for the rounding of the drift
+            assert abs(mirrored.value - expected) <= gamma.stderr + mirrored.stderr + 1e-14
 
 
 # -- exact word sums ---------------------------------------------------------
@@ -553,11 +425,8 @@ def test_split_state_word_sum_is_the_closed_form(env, kind):
     split = EnvironmentLaw([(0.5, law), (0.5, law)])
     exact = constant_exponent(env.state_moments[0], kind, lam)
     est = top_exponent(split, kind, steps=1_000, replicas=2, lam=lam)
-    if est.method == "monte_carlo":  # the bound exceeds WORD_SUM_MAX_BOUND
-        assert est == lyapunov._monte_carlo_exponent(split, kind, steps=1_000, replicas=2, lam=lam)
-    else:
-        assert est.method == "word_sum"
-        assert abs(est.value - exact) <= est.stderr
+    assert est.method == "word_sum"
+    assert abs(est.value - exact) <= est.stderr
 
 
 @given(valid_laws(), st.data())
@@ -576,25 +445,25 @@ def test_splitting_a_state_keeps_the_feasible_set_and_the_word_sum(env, data):
         return
     (value, bound), (split_value, split_bound) = (lyapunov.word_sum(e, iv.midpoint)
                                                   for e in (env, split))
-    assume(max(bound, split_bound) <= lyapunov.WORD_SUM_MAX_BOUND)
+    assume(max(bound, split_bound) <= WORD_SUM_MAX_BOUND)
     assert abs(split_value - value) <= bound + split_bound
 
 
 @_INTERIOR_LAWS
 def test_word_sum_agrees_with_the_replicas(states):
+    # the replicas are plain matmul products over i.i.d. state sequences: an
+    # oracle independent of the word table, with an O(1/n) bias besides its stderr
     env = _parse_environment(states)
-    kw = dict(steps=100_000, replicas=32)
-    exact = top_exponent(env, "A", seed=1, **kw)
+    exact = top_exponent(env, "A")
     assert exact.method == "word_sum"
     assert exact.stderr < 1e-6
-    # the Monte Carlo budget does not choose the method
-    for steps in (1_000, 10_000_000):
-        assert top_exponent(env, "A", steps=steps, replicas=2) == dataclasses.replace(
-            exact, steps=steps, replicas=2)
-    drawn = lyapunov._monte_carlo_exponent(env, "A", seed=1, **kw)
-    assert drawn.method == "monte_carlo"
-    assert abs(exact.value - drawn.value) <= (3.0 * drawn.stderr + exact.stderr
-                                              + monte_carlo_bias(kw["steps"]))
+    table = state_matrices(env, "A")
+    rng = np.random.default_rng(1)
+    n, p = 100_000, np.asarray(env.weights) / sum(env.weights)
+    drawn = [_log_norm_of_product(table[rng.choice(env.n_states, size=n, p=p)]) / n
+             for _ in range(16)]
+    stderr = float(np.std(drawn, ddof=1)) / 4.0
+    assert abs(exact.value - float(np.mean(drawn))) <= 3.0 * stderr + exact.stderr + 20.0 / n
 
 
 @_INTERIOR_LAWS
@@ -612,38 +481,50 @@ def test_word_sums_at_two_lambdas_agree_within_their_bounds(states):
     assert abs(a - b) <= bound_a + bound_b + 1e-14
 
 
-def _fell_back(env, kind, lam=None):
-    kw = dict(steps=1_000, replicas=2, seed=5, lam=lam)
-    est = top_exponent(env, kind, **kw)
-    assert est.method == "monte_carlo"
-    assert est == lyapunov._monte_carlo_exponent(env, kind, **kw)
-
-
-def test_word_sum_falls_back_to_the_replicas():
-    # a point feasible set
-    tie = _parse_environment(TIE_ENV)
-    iv = lambda_feasible_set(tie)
-    assert iv.lo == iv.hi
-    _fell_back(tie, "A")
-    _fell_back(tie, "A_lambda", iv.lo)
-    # an empty feasible set
+def test_exponents_off_the_budget_table():
+    # an empty feasible set on several states: no nonnegative family, no exponent
     empty = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
                             (0.5, law_from_atoms([(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]))])
     assert lambda_feasible_set(empty).is_empty
-    _fell_back(empty, "A")
-    # 65 states: words of length 1, the state matrices alone, whose rows bound
-    # the direction too loosely: a half-width of 0.01
+    for entry in (top_lyapunov, top_exponent):
+        with pytest.raises(ValueError, match="no feasible lambda"):
+            entry(empty, "A")
+    # 65 states: words of length 1 within the budget, whose bracket is 0.01 wide,
+    # and of length 2 within the cap, 7.2e-4 wide, around the one-state closed form
     many = EnvironmentLaw([(1.0 / 65, law_from_atoms(GW_SUPERCRITICAL))] * 65)
-    assert lyapunov.word_length(65) == lyapunov.word_length(1) == 1
-    assert lyapunov.word_sum(many, lambda_feasible_set(many).midpoint)[1] > 0.01
-    _fell_back(many, "A")
-    # an interior set too thin for the gate: at the midpoint of [1.065, 1.374]
-    # the bracket's half-width is 1.5e-3
+    assert lyapunov.word_length(65) == 1 and lyapunov.word_length(65, WORD_CAP) == 2
+    mid = lambda_feasible_set(many).midpoint
+    est = top_exponent(many, "A_lambda", lam=mid)
+    assert est.method == "word_sum"
+    assert 5e-4 < est.stderr < 1e-3
+    exact = constant_exponent(many.state_moments[0], "A_lambda", mid)
+    assert abs(est.value - exact) <= est.stderr
+    # an interior set too thin for the budget: at the midpoint of [1.065, 1.374]
+    # the budget's bracket is 1.5e-3 wide and the cap's 1.6e-4
     thin = _parse_environment(THIN_ENV)
     iv = lambda_feasible_set(thin)
     assert iv.lo < iv.hi
-    assert lyapunov.word_sum(thin, iv.midpoint)[1] > lyapunov.WORD_SUM_MAX_BOUND
-    _fell_back(thin, "A")
+    est = top_exponent(thin, "A")
+    assert est.method == "word_sum"
+    assert 1e-4 < est.stderr <= WORD_SUM_MAX_BOUND
+
+
+def _cap_bracket(env, lam):
+    """word_sum's (midpoint, half-width) over the budget's and the cap's tables."""
+    entries = state_matrices(env, "A_lambda", lam).reshape(-1, 4).T
+    state_p = env.weights / env.weights.sum()
+    return [lyapunov._bracket(entries, state_p, lyapunov.word_length(env.n_states, words))
+            for words in (WORD_BUDGET, WORD_CAP)]
+
+
+@given(valid_laws())
+@settings(max_examples=40, deadline=None)
+def test_budget_and_cap_brackets_intersect(env):
+    # both certify gamma(A_lambda) at the feasible set's midpoint, so they share it
+    iv = lambda_feasible_set(env)
+    assume(env.n_states > 1 and not iv.is_empty)
+    (a, half_a), (b, half_b) = _cap_bracket(env, iv.midpoint)
+    assert abs(a - b) <= half_a + half_b
 
 
 def test_word_sum_at_an_end_of_an_interior_set():
@@ -670,19 +551,74 @@ def test_word_sum_at_an_end_of_an_interior_set():
     assert abs(est.value - math.log(4.0)) <= est.stderr < 1e-8
 
 
-def test_bracket_contains_ln_2_at_a_point_feasible_set():
-    # the intervals [1.2, 2] at weight 0.8 and [2, 5] at weight 0.2 meet at 2,
-    # and the exponent of A is exactly ln 2.  The replicas read 0.6931605 +- 1.1e-6
-    # at 200,000 steps x 32, 12.7 stderrs high: their O(1/steps) bias
-    law = EnvironmentLaw([
-        (0.8, law_from_atoms([(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))])),
-        (0.2, law_from_atoms([(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))]))])
-    iv = lambda_feasible_set(law)
+LN_2_LAW = EnvironmentLaw([
+    (0.8, law_from_atoms([(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))])),
+    (0.2, law_from_atoms([(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))]))])
+
+
+def test_tight_point_closed_form_is_ln_2():
+    # the intervals [1.2, 2] at weight 0.8 and [2, 5] at weight 0.2 meet at 2, where
+    # a = 0.6 and 2.5: E ln a < 0, so gamma(A_lambda) = 0 and gamma(A) = ln 2
+    iv = lambda_feasible_set(LN_2_LAW)
     assert iv.lo == pytest.approx(2.0, rel=1e-15) and iv.hi == pytest.approx(2.0, rel=1e-15)
-    value, half = lyapunov.word_sum(law, 2.0)
+    est = top_exponent(LN_2_LAW, "A")
+    assert est.method == "closed_form" and est.stderr == 0.0
+    assert abs(est.value - math.log(2.0)) <= 4.0 * math.ulp(math.log(2.0))
+    assert top_lyapunov(LN_2_LAW, "A") == est
+
+
+def test_a_thin_interval_is_no_tight_point():
+    # (0.5, 0, 0.5 - 1e-9) has the interval [0.99996, 1.00004], and at its midpoint
+    # a slack of 1e-9, within the tolerance: the triangular closed form there, 1e-9,
+    # would miss the exponent ln hi = 4.5e-5 with a stderr of 0
+    law = law_from_atoms([(0.5, (1, 0, 0)), (0.5 - 1e-9, (0, 0, 1)), (1e-9, (0, 0, 0))])
+    split = EnvironmentLaw([(0.5, law), (0.5, law)])
+    iv = lambda_feasible_set(split)
+    assert iv.lo < iv.hi and split.state_moments[0].slack(iv.midpoint) <= FEASIBILITY_TOL
+    assert tight_point(split, "A") is None
+    est = top_exponent(split, "A")
+    assert est.method == "word_sum"
+    assert abs(est.value - constant_exponent(split.state_moments[0], "A")) <= est.stderr
+
+
+def test_bracket_contains_ln_2_at_a_point_feasible_set():
+    # the budget's bracket on gamma(A) is [0.4677, 0.7181]: wider than
+    # WORD_SUM_MAX_BOUND, so word_sum returns the cap's, [0.4677, 0.7055]
+    (_, half), _ = _cap_bracket(LN_2_LAW, 2.0)
+    assert half > WORD_SUM_MAX_BOUND
+    value, half = lyapunov.word_sum(LN_2_LAW, 2.0)
     lo, hi = value - half + math.log(2.0), value + half + math.log(2.0)
     assert lo <= math.log(2.0) <= hi
-    assert (lo, hi) == (pytest.approx(0.4677, abs=1e-4), pytest.approx(0.7181, abs=1e-4))
+    assert (lo, hi) == (pytest.approx(0.4677, abs=1e-4), pytest.approx(0.7055, abs=1e-4))
+
+
+def test_tie_closed_form_lies_in_its_cap_bracket():
+    tie = _parse_environment(TIE_ENV)
+    lam = lambda_feasible_set(tie).midpoint
+    est = top_exponent(tie, "A_lambda", lam=lam)
+    assert est.method == "closed_form"
+    value, half = lyapunov.word_sum(tie, lam)
+    assert half > WORD_SUM_MAX_BOUND  # the cap's bracket, 0.019 wide
+    assert value - half <= est.value <= value + half
+    assert top_exponent(tie, "A").value == pytest.approx(0.7817948, abs=1e-7)
+
+
+def test_counterexample_is_decided_by_the_cap_table():
+    # a left-branch law whose budget bracket on gamma(A) straddles 0 at word
+    # length 12, [-0.00065, 0.01087]; the cap's, 17 deep, excludes it by 3.49
+    # half-widths: GlobalExtinction
+    env = EnvironmentLaw([
+        (w, law_from_atoms([(mm / 2, (2, 0, 0)), (mp, (0, 0, 1)), (1.0 - mm / 2 - mp, (0, 0, 0))]))
+        for w, mm, mp in ((0.3125, 0.43571702493221925, 0.5257654722257137),
+                          (0.6875, 0.4189126966337339, 0.5965838110025534))])
+    iv = lambda_feasible_set(env)
+    assert vanishing_direction(env) == "left" and iv.lo < iv.hi
+    (budget, half), _ = _cap_bracket(env, iv.midpoint)
+    assert abs(budget + math.log(iv.midpoint)) < half
+    report = classify_environment(env)
+    assert report.gamma1.method == "word_sum"
+    assert report.regime == GLOBAL_EXTINCTION
+    assert report.margin == pytest.approx(-3.49, abs=0.01)
 
 
 @given(valid_laws())

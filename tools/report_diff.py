@@ -12,8 +12,12 @@ one-state left branch), a law with 1 feasible only within the membership
 tolerance, two laws whose feasible set is a point that rounding would
 lose: a one-state double root and a tie between two states' intervals, a
 one-state law whose window roots first exceed 1 past 32 sites, run with
-`spectral.n_values` up to 32 (`LAW_SIZES`), and a two-state law whose
-interior feasible set is too thin for an exact exponent.
+`spectral.n_values` up to 32 (`LAW_SIZES`), and the exponent's other
+paths: a two-state law whose interior feasible set is too thin for the
+word-sum budget (`thin`), a two-state point law whose exponent is exactly
+ln 2 (`ln-2`), a two-state left-branch law that only the capped word table
+decides (`counterexample`), and a two-state law with no feasible lambda,
+whose `lyapunov` section is skipped (`empty-two-state`).
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -61,9 +65,11 @@ def _mirrored(atoms):
 # the left-vanishing and strong-local-survival branches, the one-state left
 # branch, and the near-critical law and point feasible sets of
 # tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), a
-# one-state law with rho_inf = 1.001, and tests/test_lyapunov.py's THIN, an
-# interior feasible set whose word-sum bracket is too wide for the exact path,
-# as (weight, atoms) states, run at the sizes of tests/test_cli.py's write_config
+# one-state law with rho_inf = 1.001, tests/test_cli.py's THIN_ENV (an interior
+# feasible set whose budget bracket is too wide) and EMPTY_TWO_STATE_ENV, and
+# tests/test_lyapunov.py's LN_2_LAW and the counterexample of
+# test_counterexample_is_decided_by_the_cap_table, as (weight, atoms) states,
+# run at the sizes of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
@@ -81,6 +87,15 @@ BRANCH_LAWS = {
                                  (0.4995, (0, 0, 0))]),),
     "thin": ((0.5, [(0.25, (2, 0, 0)), (0.45, (0, 0, 1)), (0.3, (0, 0, 0))]),
              (0.5, [(0.3, (2, 0, 0)), (0.41, (0, 0, 1)), (0.29, (0, 0, 0))])),
+    "ln-2": ((0.8, [(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))]),
+             (0.2, [(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))])),
+    "counterexample": (
+        (0.3125, [(0.43571702493221925 / 2, (2, 0, 0)), (0.5257654722257137, (0, 0, 1)),
+                  (1.0 - 0.43571702493221925 / 2 - 0.5257654722257137, (0, 0, 0))]),
+        (0.6875, [(0.4189126966337339 / 2, (2, 0, 0)), (0.5965838110025534, (0, 0, 1)),
+                  (1.0 - 0.4189126966337339 / 2 - 0.5965838110025534, (0, 0, 0))])),
+    "empty-two-state": ((0.5, [(0.6, (2, 0, 0)), (0.05, (0, 0, 1)), (0.35, (0, 0, 0))]),
+                        (0.5, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))])),
 }
 BRANCH_SIZES = {
     "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
