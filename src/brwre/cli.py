@@ -261,9 +261,9 @@ def dumps_report(report: dict) -> str:
 
 class Stages:
     """The estimates of one config, each computed on first use and then reused:
-    a section reads the same whichever subcommand writes it, and each (matrix
-    kind, lambda) exponent is computed at most once per run.  The lyapunov
-    seed is reported, but no exponent reads it."""
+    a section reads the same whichever subcommand writes it, and the exponent
+    is computed at most once per run.  The lyapunov seed is reported, but no
+    exponent reads it."""
 
     def __init__(self, config: ExperimentConfig):
         s = config.seed
@@ -276,22 +276,18 @@ class Stages:
             "simulate": derive_seed(s, 3),
             "frozen": derive_seed(s, 4),
         }
-        self._exponents = {}
 
     @cached_property
     def regime(self):
         """The classifier's verdict; its statistical branch reads one exponent."""
-        return criteria.classify(self.env, self.exponent,
+        return criteria.classify(self.env, lambda: self.gamma,
                                  sigma_margin=self.config.thresholds.sigma_margin)
 
-    def exponent(self, kind: str, lam: float | None = None):
-        """Top exponent of one matrix family, computed on first use per (kind, lam);
-        the mirror law's is gamma(A) - drift (see lyapunov)."""
-        if (kind, lam) not in self._exponents:
-            self._exponents[kind, lam] = criteria.top_exponent(
-                self.env, kind, steps=self.config.lyapunov.steps,
-                replicas=self.config.lyapunov.replicas, lam=lam)
-        return self._exponents[kind, lam]
+    @cached_property
+    def gamma(self):
+        """gamma(A), the top exponent; the mirror law's is gamma(A) - drift (see lyapunov)."""
+        return criteria.top_exponent(self.env, steps=self.config.lyapunov.steps,
+                                     replicas=self.config.lyapunov.replicas)
 
     @cached_property
     def sweep(self):
@@ -360,7 +356,7 @@ def _lyapunov_section(st: Stages, say) -> dict:
     if st.env.n_states > 1 and criteria.lambda_feasible_set(st.env).is_empty:
         return {"skipped": "no feasible lambda: a law of several states has no certified "
                            "exponent, and the verdict reads none"}
-    gamma = st.exponent("A")
+    gamma = st.gamma
     say(f"gamma1 = {gamma.value:.6f} +- {gamma.stderr:.2e}")
     tilde = replace(gamma, value=gamma.value - criteria.expected_log_drift(st.env),
                     matrix_kind="A_tilde")
@@ -441,18 +437,17 @@ def _exponent_shift(st: Stages):
     iv = criteria.lambda_feasible_set(st.env)
     if iv.is_empty:
         return "no feasible lambda"
-    lam, gamma = iv.midpoint, st.exponent("A")
-    if gamma.method == "word_sum":
-        # a word-sum gamma(A) is gamma(A_lambda) + ln lambda at the midpoint itself,
-        # so the shift is read at another interior lambda, between lo and the midpoint
-        lam = math.sqrt(iv.lo * lam)
-    gamma_lam = st.exponent("A_lambda", lam)
-    # their error bounds (0 in closed form), and a few ulps of each term for
+    from . import lyapunov
+    # gamma(A) = gamma(A_lambda) + ln lambda at every feasible lambda: the word
+    # sum of A_lambda at a lambda between lo and the midpoint, where a word-sum
+    # gamma(A) is not read (on a point set, the point itself)
+    lam, gamma = math.sqrt(iv.lo * iv.midpoint), st.gamma
+    value, half = lyapunov.word_sum(st.env, lam)
+    # the two error bounds (0 in closed form), and a few ulps of each term for
     # the rounding of the closed forms, the shift's log and sum
-    tol = (gamma.stderr + gamma_lam.stderr + 8.0 * sys.float_info.epsilon
-           * (1.0 + abs(gamma.value) + abs(gamma_lam.value) + abs(math.log(lam))))
-    return Comparison(gamma.value, gamma_lam.value + math.log(lam), tol, "within",
-                      f"lambda={lam:.6g}")
+    tol = (gamma.stderr + half + 8.0 * sys.float_info.epsilon
+           * (1.0 + abs(gamma.value) + abs(value) + abs(math.log(lam))))
+    return Comparison(gamma.value, value + math.log(lam), tol, "within", f"lambda={lam:.6g}")
 
 
 def _supermartingale_monotone(st: Stages):
@@ -496,7 +491,7 @@ def _frozen_log_mean(st: Stages):
         return "not in the right-vanishing branch"
     if profile.log_average_stderr == 0.0:  # at most one unflagged level, or equal means
         return "no spread across unflagged levels to bound the log-average"
-    gamma = st.exponent("A")
+    gamma = st.gamma
     tol = 3.0 * math.hypot(profile.log_average_stderr, gamma.stderr)
     return Comparison(profile.log_average, st.regime.drift - gamma.value, tol, "within",
                       "mean log frozen count vs drift minus top exponent", sigmas=True)

@@ -9,7 +9,7 @@ set is a closed interval (possibly empty or a point), computed exactly
 from the quadratic mu+ lam^2 - (1 - mu0) lam + mu- <= 0.  Local
 extinction is equivalent to the per-state intervals having a common
 point; where that intersection lies relative to 1 decides the branch.
-`classify` calls its `exponent("A")` once, on a statistical branch only.
+`classify` calls its `exponent()` once, on a statistical branch only.
 With drift = E ln(mu-/mu+) = gamma_1 + gamma_2 of A, the right branch
 tests gamma_2 = drift - gamma_1 and the left branch -gamma_1 (the mirror
 law's test, -drift - gamma(mirror), since gamma(mirror) = gamma_1 - drift:
@@ -19,8 +19,8 @@ and the CLI's stage table call `top_exponent`), and the margin divides the
 gap by its stderr, an error bound.  The same quadratic's roots are the
 eigenvalues of a state's matrix A, so a one-state law's exponent is exact
 here (`constant_exponent`), and so is a law's at a tight point, where
-every A_lambda is lower triangular (`top_exponent`).  Only another
-exponent of a law with more states imports `lyapunov` and numpy, where it
+every A_lambda is lower triangular (`top_exponent`).  Only the exponent
+of another law of several states imports `lyapunov` and numpy, where it
 is the midpoint of a certified bracket of exact word averages.  The rest
 is `math`.
 """
@@ -132,9 +132,6 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
     return out
 
 
-MATRIX_KINDS = ("A", "A_lambda")
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """A top exponent in nats per step, and how it was computed.
@@ -142,6 +139,7 @@ class LyapunovEstimate:
     method is "closed_form" (one state or a tight point: exact, stderr 0)
     or "word_sum" (the midpoint of a bracket of exact word averages: stderr
     is its half-width, a rigorous error bound, see `lyapunov.word_sum`).
+    matrix_kind is "A" (the report's mirror exponent says "A_tilde"), and
     steps and replicas echo the caller's arguments; no method reads them.
     """
 
@@ -162,67 +160,53 @@ def feasible_slack(m: MomentTriple, lam: float) -> float:
     return slack
 
 
-def check_kind(matrix_kind: str, lam: float | None) -> None:
-    """ValueError for an unknown matrix kind, or A_lambda without a lambda."""
-    if matrix_kind not in MATRIX_KINDS:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}; choose from {MATRIX_KINDS}")
-    if matrix_kind == "A_lambda" and lam is None:
-        raise ValueError("matrix kind A_lambda needs a lambda value")
-
-
-def constant_exponent(m: MomentTriple, matrix_kind: str, lam: float | None = None) -> float:
-    """Top exponent of the constant environment m: ln of its matrix's spectral radius.
+def constant_exponent(m: MomentTriple) -> float:
+    """gamma(A) of the constant environment m: ln of its matrix's spectral radius.
 
     A power of one matrix grows like rho^n (Gelfand's formula).  A's
     characteristic polynomial is mu+ z^2 - b z + mu- with b = 1 - mu0, the
     quadratic of `state_feasible_interval`, so real roots give
-    rho = (|b| + sqrt(disc)) / (2 mu+) and complex ones |z| = sqrt(mu-/mu+);
-    A_lambda is similar to A / lam.
-    Raises ValueError where `lyapunov.state_matrices` does, and
-    FloatingPointError for a nilpotent matrix (rho = 0), as a product that
-    collapsed to zero does.
+    rho = (|b| + sqrt(disc)) / (2 mu+) and complex ones |z| = sqrt(mu-/mu+).
+    Raises ValueError where `lyapunov.build_A` does, and FloatingPointError
+    for a nilpotent matrix (rho = 0), as a product that collapsed to zero does.
     """
-    check_kind(matrix_kind, lam)
     if m.mu_plus <= 0.0:
-        raise ValueError(f"matrix kind {matrix_kind} needs mu_plus > 0")
+        raise ValueError("matrix kind A needs mu_plus > 0")
     b = 1.0 - m.mu_zero
     disc = b * b - 4.0 * m.mu_minus * m.mu_plus
     if disc >= 0.0:
         rho = (abs(b) + math.sqrt(disc)) / (2.0 * m.mu_plus)
     else:
         rho = math.sqrt(m.mu_minus / m.mu_plus)
-    if matrix_kind == "A_lambda":
-        feasible_slack(m, lam)
-        rho /= lam
     if rho == 0.0:
         raise FloatingPointError("matrix product collapsed to zero")
     return math.log(rho)
 
 
-def tight_point(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> float | None:
+def tight_point(envlaw: EnvironmentLaw) -> float | None:
     """The lambda of a tight point, or None.
 
     A tight point is the one point of a feasible set that is a point, with
-    every state's slack there at most FEASIBILITY_TOL; it is lam (A_lambda)
-    or the set's midpoint (A).  There every A_lambda is [[a, 0], [a, 1]]
-    with a = mu-/(lambda^2 mu+), up to that tolerance.  Inside an interval
-    a slack within the tolerance is no such point: on a set 9e-5 wide whose
-    midpoint slack is 1e-9, [[a, 0], [a, 1]] would miss the exponent by 4e-5.
-    Raises ValueError where `lambda_feasible_set` or `feasible_slack` does.
+    every state's slack there at most 0.  There every A_lambda, whose slack
+    `lyapunov.build_A_lambda` clips at 0, is exactly [[a, 0], [a, 1]] with
+    a = mu-/(lambda^2 mu+).  A positive slack, however small, is no such
+    point: the exponent moves by far more than the slack.  At the point 2
+    of three states with one slack 2.5e-10, [[a, 0], [a, 1]] lies 1.3e-9
+    below the certified word-sum bracket, and on a set 9e-5 wide whose
+    midpoint slack is 1e-9 it would miss the exponent by 4e-5.  Raises
+    ValueError where `lambda_feasible_set` does.
     """
-    check_kind(matrix_kind, lam)
     iv = lambda_feasible_set(envlaw)
     if iv.is_empty or iv.lo < iv.hi:
         return None
-    at = lam if matrix_kind == "A_lambda" else iv.midpoint
-    if any(feasible_slack(m, at) > FEASIBILITY_TOL for m in envlaw.state_moments):
+    if any(m.slack(iv.lo) > 0.0 for m in envlaw.state_moments):
         return None
-    return at
+    return iv.lo
 
 
-def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
-                 replicas: int = 32, seed: int = 0, lam: float | None = None) -> LyapunovEstimate:
-    """Top exponent of one matrix family, exact, with nothing drawn.
+def top_exponent(envlaw: EnvironmentLaw, steps: int = 100_000, replicas: int = 32,
+                 seed: int = 0) -> LyapunovEstimate:
+    """gamma(A), exact, with nothing drawn: the one entry point for exponents.
 
     One state: `constant_exponent`.  A tight point lam* of more states
     (`tight_point`): a product of lower-triangular matrices has the
@@ -232,19 +216,17 @@ def top_exponent(envlaw: EnvironmentLaw, matrix_kind: str, steps: int = 100_000,
     with its half-width as stderr.  steps, replicas and seed have no effect.
     """
     if envlaw.n_states == 1:
-        value = constant_exponent(envlaw.state_moments[0], matrix_kind, lam)
+        value = constant_exponent(envlaw.state_moments[0])
     else:
-        at = tight_point(envlaw, matrix_kind, lam)
+        at = tight_point(envlaw)
         if at is None:
             from . import lyapunov
-            return lyapunov.top_lyapunov(envlaw, matrix_kind, steps=steps, replicas=replicas,
-                                         seed=seed, lam=lam)
+            return lyapunov.top_lyapunov(envlaw, "A", steps=steps, replicas=replicas, seed=seed)
         value = max(sum(w * math.log(m.mu_minus / (at * at * m.mu_plus))
-                        for (w, _), m in zip(envlaw.states, envlaw.state_moments)), 0.0)
-        if matrix_kind == "A":
-            value += math.log(at)
+                        for (w, _), m in zip(envlaw.states, envlaw.state_moments)),
+                    0.0) + math.log(at)
     return LyapunovEstimate(value=value, stderr=0.0, steps=steps, replicas=replicas,
-                            matrix_kind=matrix_kind, method="closed_form")
+                            matrix_kind="A", method="closed_form")
 
 
 def _direction(interval: LambdaInterval, one_in: bool) -> str:
@@ -285,13 +267,13 @@ def _signed_margin(gap: float, stderr: float) -> float:
     return math.inf if gap > 0.0 else -math.inf if gap < 0.0 else 0.0
 
 
-def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate] | None = None,
+def classify(envlaw: EnvironmentLaw, exponent: Callable[[], LyapunovEstimate] | None = None,
              *, sigma_margin: float = 3.0) -> RegimeReport:
     """Decide the survival regime from the feasible set and one exponent.
 
     Empty feasible set -> strong local survival; 1 in the set -> global
     extinction; set inside (1, inf) or (0, 1) -> the gap drift - gamma_1 or
-    -gamma_1 of gamma_1 = exponent("A").value.  Those two branches declare
+    -gamma_1 of gamma_1 = exponent().value.  Those two branches declare
     a side only beyond sigma_margin stderrs.
     """
     report = validate_conditions(envlaw)
@@ -312,7 +294,7 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
     else:
         if exponent is None:
             raise ValueError(f"{direction}-vanishing branch needs an exponent estimate")
-        est = exponent("A")
+        est = exponent()
         gap = (drift if direction == "right" else 0.0) - est.value
         margin = _signed_margin(gap, est.stderr)
         regime = (GLOBAL_SURVIVAL_LOCAL_EXTINCTION if margin > sigma_margin
@@ -326,5 +308,5 @@ def classify(envlaw: EnvironmentLaw, exponent: Callable[[str], LyapunovEstimate]
 def classify_environment(envlaw: EnvironmentLaw, *, seed: int = 0, steps: int = 100_000,
                          replicas: int = 32, sigma_margin: float = 3.0) -> RegimeReport:
     """classify(), with the one exponent its branch needs from top_exponent."""
-    return classify(envlaw, lambda kind: top_exponent(envlaw, kind, steps, replicas, seed),
+    return classify(envlaw, lambda: top_exponent(envlaw, steps, replicas, seed),
                     sigma_margin=sigma_margin)

@@ -1,32 +1,34 @@
-"""Lyapunov exponents of i.i.d. products of the model's 2x2 matrices.
+"""The top Lyapunov exponent of the i.i.d. product of the model's 2x2 matrices A.
 
-Two matrix families are built from a state's moment triple: the raw
-recursion matrix (kind "A") and a nonnegative conjugate family
-("A_lambda") at a lambda whose `MomentTriple.slack` is at least
--`envmodel.FEASIBILITY_TOL`.  The mirror law (`envmodel.reflected`) needs
-no family of its own.  Its matrix is J A^-1 J with J = [[0, 1], [1, 0]],
-so its product over a state sequence is J P^-1 J, with P the A product of
-the reversed sequence.  For a 2x2 matrix the max-abs norm of M^-1 is
-||M|| / |det M|, and det A = mu-/mu+; the reversed i.i.d. sequence has
-the same law, so the mirror's top exponent is gamma(A) minus the log
-drift E ln(mu-/mu+) (the Furstenberg-Kesten sum rule: it is -gamma_2(A)).
+A state's moment triple gives its matrix A and, at a lambda whose
+`MomentTriple.slack` is at least -`envmodel.FEASIBILITY_TOL`, a
+nonnegative conjugate A_lambda = B A B^-1 / lambda (see `build_A_lambda`).
+A_lambda only certifies the exponent: gamma(A) = gamma(A_lambda) + ln
+lambda at every feasible lambda.  The mirror law (`envmodel.reflected`)
+needs no matrix of its own.  Its matrix is J A^-1 J with J = [[0, 1],
+[1, 0]], so its product over a state sequence is J P^-1 J, with P the A
+product of the reversed sequence.  For a 2x2 matrix the max-abs norm of
+M^-1 is ||M|| / |det M|, and det A = mu-/mu+; the reversed i.i.d.
+sequence has the same law, so the mirror's top exponent is gamma(A) minus
+the log drift E ln(mu-/mu+) (the Furstenberg-Kesten sum rule: it is
+-gamma_2(A)).
 
 Every exponent is exact, and nothing is drawn.  `criteria.top_exponent`
-holds the closed forms, without numpy: a one-state law's exponent is the
-log of its matrix's spectral radius (Gelfand's formula), and at a tight
-point, a feasible set's one point with every state's slack there within
-the tolerance of 0, every A_lambda is lower triangular.  Any other law
-of several states with a feasible lambda gets `word_sum`, the midpoint of
-a certified bracket of exact averages over a word table; a law of
-several states without one has no nonnegative family, and `top_lyapunov`
+is the one entry point and holds the closed forms, without numpy: one
+state (Gelfand's formula) and a tight point, where every A_lambda is
+lower triangular.  Every other law comes here, to `top_lyapunov`: the
+midpoint of `word_sum`'s certified bracket of exact averages over a word
+table, at the feasible set's geometric midpoint, plus its log.  A law
+without a feasible lambda has no nonnegative family, and `top_lyapunov`
 raises ValueError there.
 
 A word table (`_word_table`) holds every state word of one length L:
-L = `word_length`, the largest integer with n_states**L <= WORD_BUDGET,
-or, where that table's bracket is wider than WORD_SUM_MAX_BOUND, with
-n_states**L <= WORD_CAP.  The matrices are kept entry-wise, as rows a, b,
-c, d of a (4, n) array holding [[a, b], [c, d]], so growing every word by
-one state is a few whole-array operations per entry.
+L = `word_length`, the largest integer with max(n_states, 2)**L <=
+WORD_BUDGET, or, where that table's bracket is wider than
+WORD_SUM_MAX_BOUND, with max(n_states, 2)**L <= WORD_CAP.  The matrices
+are kept entry-wise, as rows a, b, c, d of a (4, n) array holding [[a, b],
+[c, d]], so growing every word by one state is a few whole-array
+operations per entry.
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ import sys
 
 import numpy as np
 
-from .criteria import (LyapunovEstimate, check_kind, feasible_slack, lambda_feasible_set,
-                       tight_point, top_exponent)
+from .criteria import LyapunovEstimate, feasible_slack, lambda_feasible_set
 from .envmodel import EnvironmentLaw, MomentTriple
 
 
@@ -65,11 +66,10 @@ def build_A_lambda(m: MomentTriple, lam: float) -> np.ndarray:
     return np.array([[a, b], [a, 1.0 + b]])
 
 
-def state_matrices(envlaw: EnvironmentLaw, matrix_kind: str, lam: float | None = None) -> np.ndarray:
-    """(n_states, 2, 2) table of the chosen family, one matrix per state."""
-    check_kind(matrix_kind, lam)
-    build = {"A": build_A, "A_lambda": lambda m: build_A_lambda(m, lam)}[matrix_kind]
-    return np.stack([build(m) for m in envlaw.state_moments])
+def state_matrices(envlaw: EnvironmentLaw, lam: float | None = None) -> np.ndarray:
+    """(n_states, 2, 2) table of A, or of A_lambda at lam, one matrix per state."""
+    return np.stack([build_A(m) if lam is None else build_A_lambda(m, lam)
+                     for m in envlaw.state_moments])
 
 
 # most state words of the table `word_sum` builds first: n_states**L words
@@ -83,10 +83,10 @@ WORD_SUM_MAX_BOUND = 2e-4
 
 
 def word_length(n_states: int, words: int = WORD_BUDGET) -> int:
-    """The largest L >= 1 with n_states**L <= words, or 1 where n_states**2 exceeds
-    it and on one state (whose only word of any length is a power of its matrix)."""
-    length = 1
-    while n_states > 1 and n_states ** (length + 1) <= words:
+    """The largest L >= 1 with max(n_states, 2)**L <= words: one state's only word
+    of length L is a power of its matrix, so it gets the length of two states."""
+    base, length = max(n_states, 2), 1
+    while base ** (length + 1) <= words:
         length += 1
     return length
 
@@ -156,12 +156,12 @@ def word_sum(envlaw: EnvironmentLaw, lam: float) -> tuple[float, float]:
     over the words by n_states and log2 of the word count (at most 17) eps
     relatively.
 
-    The table has the longest length within WORD_BUDGET words; where its
+    The table's length is `word_length` within WORD_BUDGET words; where its
     half-width exceeds WORD_SUM_MAX_BOUND (a feasible set too thin, or a
     point, for short words to contract), the bracket is taken over one
-    table within WORD_CAP words instead.
+    table of `word_length` within WORD_CAP words instead.
     """
-    entries = state_matrices(envlaw, "A_lambda", lam).reshape(-1, 4).T
+    entries = state_matrices(envlaw, lam).reshape(-1, 4).T
     state_p = envlaw.weights / envlaw.weights.sum()
     value, half = _bracket(entries, state_p, word_length(envlaw.n_states))
     if half > WORD_SUM_MAX_BOUND:
@@ -175,34 +175,26 @@ def top_lyapunov(
     steps: int = 100_000,
     replicas: int = 32,
     seed: int = 0,
-    lam: float | None = None,
     n_workers: int = 1,
 ) -> LyapunovEstimate:
-    """The top exponent of the i.i.d. product for one family, exact; nothing is drawn.
+    """gamma(A) as the word sum: `word_sum` at the feasible set's `midpoint` lam_m,
+    plus ln lam_m (A = lam B^-1 A_lambda B), with its half-width as stderr and
+    method "word_sum"; nothing is drawn.
 
-    One state, or a tight point (`criteria.tight_point`): the closed form
-    of `criteria.top_exponent`, with stderr 0 and method "closed_form"; a
-    nilpotent matrix raises FloatingPointError.  Otherwise `word_sum`, with
-    its half-width as stderr and method "word_sum", of A_lambda at lam, or
-    of A at the feasible set's `midpoint` lam_m plus ln lam_m (A = lam
-    B^-1 A_lambda B).  A law of several states with no feasible lambda has
-    no nonnegative family: ValueError.  steps, replicas, seed and n_workers
-    have no effect; steps and replicas are echoed in the estimate.
+    `criteria.top_exponent` takes the closed forms first and calls this for
+    every other law.  matrix_kind must be "A".  A law with no feasible lambda
+    has no nonnegative family: ValueError.  steps, replicas, seed and
+    n_workers have no effect; steps and replicas are echoed in the estimate.
     """
-    if envlaw.n_states == 1 or tight_point(envlaw, matrix_kind, lam) is not None:
-        return top_exponent(envlaw, matrix_kind, steps=steps, replicas=replicas, seed=seed,
-                            lam=lam)
-    at = lam
-    if matrix_kind == "A":
-        at = lambda_feasible_set(envlaw).midpoint
-        if at is None:
-            raise ValueError("no feasible lambda: a law of several states has no certified "
-                             "exponent of A")
+    if matrix_kind != "A":
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}: only A has an exponent")
+    at = lambda_feasible_set(envlaw).midpoint
+    if at is None:
+        raise ValueError("no feasible lambda: the law has no certified exponent of A")
     value, bound = word_sum(envlaw, at)
-    if matrix_kind == "A":
-        # the shift's log and sum round by an ulp of each term
-        log_at = math.log(at)
-        value += log_at
-        bound += 2.0 * sys.float_info.epsilon * (abs(value) + abs(log_at))
+    # the shift's log and sum round by an ulp of each term
+    log_at = math.log(at)
+    value += log_at
+    bound += 2.0 * sys.float_info.epsilon * (abs(value) + abs(log_at))
     return LyapunovEstimate(value=value, stderr=bound, steps=steps, replicas=replicas,
                             matrix_kind=matrix_kind, method="word_sum")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -47,6 +49,37 @@ def valid_laws(draw):
         states.append((draw(st.floats(0.1, 1.0)), law_from_atoms(atoms)))
     total = sum(w for w, _ in states)
     return EnvironmentLaw([(w / total, law) for w, law in states])
+
+
+def law_with_interval(lo: float, hi: float, f: float):
+    """An offspring law whose feasible interval is [lo, hi] up to rounding.
+
+    Its quadratic is mu+ (lam - lo)(lam - hi), so mu+ = f / (lo + hi),
+    mu- = mu+ lo hi and mu0 = 1 - f.  Each mean mu sits on an atom of k >= 2
+    children at mass mu / k, with k = ceil(4 mu) so that each mass is at most
+    1/4, and the rest of the mass on (0, 0, 0)."""
+    mu_plus = f / (lo + hi)
+    atoms = []
+    for mu, unit in ((mu_plus * lo * hi, (1, 0, 0)), (1.0 - f, (0, 1, 0)), (mu_plus, (0, 0, 1))):
+        if mu > 0.0:
+            k = max(2, math.ceil(4.0 * mu))
+            atoms.append((mu / k, tuple(k * u for u in unit)))
+    return law_from_atoms(atoms + [(1.0 - sum(p for p, _ in atoms), (0, 0, 0))])
+
+
+@st.composite
+def touching_laws(draw):
+    """(law, point): 2 or 3 states whose intervals touch at one chosen point t,
+    built from their ends: each is [u t, t] or [t, t / u], at least one of each."""
+    t = draw(st.floats(0.2, 5.0))
+    upper = [True, False] + draw(st.lists(st.booleans(), max_size=1))
+    states = []
+    for ends_at_t in upper:
+        u = draw(st.floats(0.05, 0.95))
+        lo, hi = (u * t, t) if ends_at_t else (t, t / u)
+        states.append((draw(st.floats(0.1, 1.0)), law_with_interval(lo, hi, draw(st.floats(0.05, 1.0)))))
+    total = sum(w for w, _ in states)
+    return EnvironmentLaw([(w / total, law) for w, law in states]), t
 
 
 def gw_extinction_probability(atoms, iterations: int = 500) -> float:

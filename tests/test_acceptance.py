@@ -15,7 +15,7 @@ import pytest
 from brwre import criteria
 from brwre.criteria import classify_environment, expected_log_drift, lambda_feasible_set
 from brwre.envmodel import MomentTriple
-from brwre.lyapunov import build_A, top_lyapunov
+from brwre.lyapunov import build_A, top_lyapunov, word_sum
 from brwre.simulator import frozen_mean_profile, survival_probabilities
 from brwre.spectral import rho_sweep
 from conftest import (
@@ -186,19 +186,18 @@ def test_acceptance_3_conjugacy_and_sum_rule(gamma_two_state):
     env = two_state_env()
     gamma = gamma_two_state.value
     shifted = {}
-    for lam, seed in ((2.0, 22), (5.0, 23)):
-        est = top_lyapunov(env, "A_lambda", steps=100_000, replicas=32, seed=seed, lam=lam)
-        shifted[lam] = est
-        tol = 3.0 * math.hypot(gamma.stderr, est.stderr)
-        assert abs(gamma.value - (est.value + math.log(lam))) <= tol
+    for lam in (2.0, 5.0):
+        # the word sum of A_lambda, the certificate of gamma(A), with its half-width
+        value, half = word_sum(env, lam)
+        shifted[lam] = (value + math.log(lam), half)
+        # the two error bounds, and 1e-14 for the rounding of the shift
+        assert abs(gamma.value - shifted[lam][0]) <= gamma.stderr + half + 1e-14
 
     # the shift identity at two lambdas: gamma(A_lambda) + ln lambda does not depend on lambda
-    fa = shifted[2.0].value + math.log(2.0)
-    fb = shifted[5.0].value + math.log(5.0)
-    tol = 3.0 * math.hypot(shifted[2.0].stderr, shifted[5.0].stderr)
-    assert abs(fa - fb) <= tol
+    (fa, half_a), (fb, half_b) = shifted[2.0], shifted[5.0]
+    assert abs(fa - fb) <= half_a + half_b + 1e-14
     say(3, "conjugacy residuals <= 1e-9 on 100 pairs; exponent shift and "
-           "lambda-independence hold at 3 sigma")
+           "lambda-independence hold within the error bounds")
 
 
 # -- 4: spectral sweep against the Toeplitz formula ------------------------------
@@ -280,7 +279,7 @@ def test_acceptance_7_frozen_mean_identity(const_profile, two_state_profile, gam
     tol2 = 3.0 * math.hypot(profile2.log_average_stderr, gamma2.stderr)
     assert abs(profile2.log_average - target2) <= tol2
 
-    verdict = criteria.classify(env2, lambda kind: gamma2)
+    verdict = criteria.classify(env2, lambda: gamma2)
     assert verdict.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION
     assert profile2.log_average > 0.0  # positive iff global survival
     say(7, f"log frozen means {profile.log_average:.5f} (const) and "

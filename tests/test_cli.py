@@ -515,13 +515,19 @@ def test_roundoff_rows_have_no_sigma_distance(tmp_path):
     for name in ("per_level_bound", "spectral_criterion"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
-    # exponent_shift's two exponents are closed-form, so its tolerance is a few ulps
-    # of its terms, and survival_concordance's is a fixed frequency: no sigmas
+    # exponent_shift's gamma(A) is closed-form, so its tolerance is the word sum's
+    # half-width and a few ulps of its terms, and survival_concordance's is a
+    # fixed frequency: no sigmas
     row, env = rows["exponent_shift"], load_config(path).environment
-    lam = criteria.lambda_feasible_set(env).midpoint
-    gamma_lam = criteria.constant_exponent(env.state_moments[0], "A_lambda", lam)
-    assert row["tolerance"] == 8.0 * sys.float_info.epsilon * (
-        1.0 + abs(row["lhs"]) + abs(gamma_lam) + abs(math.log(lam)))
+    iv = criteria.lambda_feasible_set(env)
+    lam = math.sqrt(iv.lo * iv.midpoint)
+    value, half = lyapunov.word_sum(env, lam)
+    assert (row["rhs"], row["note"]) == (value + math.log(lam), f"lambda={lam:.6g}")
+    assert row["tolerance"] == half + 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(row["lhs"]) + abs(value) + abs(math.log(lam)))
+    # a power of one matrix contracts: the README law's row is tight to 1.5e-13,
+    # so a closed form off by 1e-9 fails it
+    assert row["tolerance"] < 1e-9
     for name in ("exponent_shift", "survival_concordance"):
         assert rows[name]["verdict"] == "pass"
         assert rows[name]["sigma_distance"] is None
@@ -612,24 +618,20 @@ def test_all_computes_each_stage_once(tmp_path, monkeypatch):
 @BRANCH_LAWS
 @pytest.mark.parametrize("subcommand", ["lyapunov", "crosscheck", "all"])
 def test_all_draws_each_exponent_once(tmp_path, monkeypatch, subcommand, environment, direction):
-    calls = collections.Counter()
+    calls = []
     original = criteria.top_exponent
 
-    def counted(envlaw, matrix_kind, *args, **kwargs):
-        calls[matrix_kind, kwargs.get("lam")] += 1
-        return original(envlaw, matrix_kind, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    # every exponent, closed-form or drawn, goes through the one entry point
+    # gamma(A), closed-form or a word sum, goes through the one entry point
     monkeypatch.setattr(criteria, "top_exponent", counted)
     path = write_config(tmp_path, environment=environment)
     assert criteria.vanishing_direction(load_config(path).environment) == direction
     assert run(path, subcommand, outdir=str(tmp_path / "out"), quiet=True) == EXIT_OK
-    assert all(n == 1 for n in calls.values()), calls
-    if subcommand in ("crosscheck", "all"):
-        # only exponent_shift draws an A_lambda estimate, and only with a feasible lambda
-        assert sum(kind == "A_lambda" for kind, _ in calls) == int(direction != "none"), calls
-    if subcommand == "lyapunov":
-        assert set(calls) == {("A", None)}
+    # once, but for crosscheck on an empty feasible set: no row and no verdict reads it
+    assert len(calls) == int(subcommand != "crosscheck" or direction != "none"), calls
 
 
 @pytest.mark.parametrize("environment, method", [
@@ -648,14 +650,10 @@ def test_each_family_reads_its_declared_method(tmp_path, environment, method):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     config = load_config(path)
     env = config.environment
-    budget = dict(steps=config.lyapunov.steps, replicas=config.lyapunov.replicas)
-
-    def computed(kind, lam=None):
-        est = criteria.top_exponent(env, kind, lam=lam, **budget)
-        assert est.method == method
-        return est
-
-    gamma = dataclasses.asdict(computed("A"))
+    est = criteria.top_exponent(env, steps=config.lyapunov.steps,
+                                replicas=config.lyapunov.replicas)
+    assert est.method == method
+    gamma = dataclasses.asdict(est)
     # the mirror exponent is gamma(A) - drift, read off the same estimate
     tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(env),
              "matrix_kind": "A_tilde"}
@@ -664,22 +662,21 @@ def test_each_family_reads_its_declared_method(tmp_path, environment, method):
     direction = criteria.vanishing_direction(env)
     expected = gamma if direction in ("right", "left") else None
     assert report["regime"]["gamma1"] == expected
-    # exponent_shift reads A_lambda at the feasible set's geometric midpoint, or
-    # nearer its lower end beside a word-sum gamma(A)
+    # exponent_shift reads the word sum of A_lambda between the feasible set's lower
+    # end and its geometric midpoint, where a word-sum gamma(A) is not read (on
+    # the tie's point set, the point itself)
     row = next(r for r in report["crosscheck"] if r["identity"] == "exponent_shift")
     iv = criteria.lambda_feasible_set(env)
     if iv.is_empty:
         assert row["verdict"] == "skipped"
         return
-    lam = iv.midpoint
-    if method == "word_sum":
-        lam = math.sqrt(iv.lo * lam)
-    shifted = computed("A_lambda", lam)
-    assert (row["lhs"], row["rhs"]) == (gamma["value"], shifted.value + math.log(lam))
+    lam = math.sqrt(iv.lo * iv.midpoint)
+    value, half = lyapunov.word_sum(env, lam)
+    assert (row["lhs"], row["rhs"]) == (gamma["value"], value + math.log(lam))
     # the two error bounds and a few ulps of each term
     ulps = 8.0 * sys.float_info.epsilon * (
-        1.0 + abs(gamma["value"]) + abs(shifted.value) + abs(math.log(lam)))
-    assert row["tolerance"] == gamma["stderr"] + shifted.stderr + ulps
+        1.0 + abs(gamma["value"]) + abs(value) + abs(math.log(lam)))
+    assert row["tolerance"] == gamma["stderr"] + half + ulps
     assert row["verdict"] == "pass"
 
 
@@ -890,10 +887,10 @@ def test_crosscheck_draws_no_exponent_without_feasible_lambda(tmp_path, monkeypa
     original = criteria.top_exponent
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args, **kwargs)
 
-    # STRONG_LOCAL_ENV has one state: its exponents never reach lyapunov.top_lyapunov
+    # STRONG_LOCAL_ENV has one state: its exponent never reaches lyapunov.top_lyapunov
     monkeypatch.setattr(criteria, "top_exponent", counted)
     path = write_config(tmp_path, environment=STRONG_LOCAL_ENV)
     assert run(path, "crosscheck", outdir=str(tmp_path / "cc"), quiet=True) == EXIT_OK

@@ -144,8 +144,8 @@ def test_drift_two_state_mixture():
 # -- classifier --------------------------------------------------------------
 
 
-def _exact_estimate(value, kind="A"):
-    return LyapunovEstimate(value=value, stderr=0.0, steps=10**6, replicas=2, matrix_kind=kind,
+def _exact_estimate(value):
+    return LyapunovEstimate(value=value, stderr=0.0, steps=10**6, replicas=2, matrix_kind="A",
                             method="closed_form")
 
 
@@ -173,7 +173,7 @@ def test_classify_global_extinction_interval_straddles_one():
 def test_classify_survival_with_local_extinction():
     # constant environment: top exponent is ln of the top eigenvalue
     gamma = _exact_estimate(math.log(18.717797887081346))
-    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda: gamma)
     assert rep.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION
     assert rep.vanishing_direction == "right"
     assert rep.margin == math.inf
@@ -181,7 +181,7 @@ def test_classify_survival_with_local_extinction():
 
 def test_classify_extinction_when_exponent_dominates():
     gamma = _exact_estimate(math.log(24.0) + 0.5)
-    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda: gamma)
     assert rep.regime == criteria.GLOBAL_EXTINCTION
     assert rep.vanishing_direction == "right"
 
@@ -191,7 +191,7 @@ def test_classify_inconclusive_inside_margin():
         value=math.log(24.0) - 0.001, stderr=0.01, steps=10**4, replicas=4, matrix_kind="A",
         method="word_sum",
     )
-    rep = classify(single_env(GW_SUPERCRITICAL), lambda kind: gamma)
+    rep = classify(single_env(GW_SUPERCRITICAL), lambda: gamma)
     assert rep.regime == criteria.INCONCLUSIVE
     assert abs(rep.margin) < 3.0
 
@@ -216,7 +216,7 @@ def test_remark_precedence_when_one_is_an_endpoint():
     assert iv.lo == pytest.approx(1.0, abs=1e-12)
     assert iv.hi == pytest.approx(4.0, rel=1e-12)
     assert one_in_feasible_set(env)
-    rep = classify(env, lambda kind: _exact_estimate(0.0))
+    rep = classify(env, lambda: _exact_estimate(0.0))
     assert rep.regime == criteria.GLOBAL_EXTINCTION
     assert rep.vanishing_direction == "both"
 
@@ -235,7 +235,7 @@ NEAR_CRITICAL_RIGHT = [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 2.
 ], ids=["none", "both", "right", "left", "near-critical"])
 def test_vanishing_direction_is_the_classifier_branch(env, direction):
     assert criteria.vanishing_direction(env) == direction
-    rep = classify(env, lambda kind: _exact_estimate(0.0, kind))
+    rep = classify(env, lambda: _exact_estimate(0.0))
     assert rep.vanishing_direction == direction
 
 
@@ -302,8 +302,8 @@ def test_mirror_negates_drift_and_swaps_direction():
     # mirror's [1/hi, 1/lo]; both gaps are ln lo
     iv = state_feasible_interval(env.state_moments[0])
     gamma, gamma_m = _exact_estimate(math.log(iv.hi)), _exact_estimate(-math.log(iv.lo))
-    right = classify(env, lambda kind: gamma)
-    left = classify(menv, lambda kind: gamma_m)
+    right = classify(env, lambda: gamma)
+    left = classify(menv, lambda: gamma_m)
     assert right.regime == left.regime == criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION
     assert (right.vanishing_direction, left.vanishing_direction) == ("right", "left")
 

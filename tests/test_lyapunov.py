@@ -20,6 +20,7 @@ from conftest import (
     SUBCRITICAL_BRANCHY,
     conjugacy_residual,
     single_env,
+    touching_laws,
     two_state_env,
     valid_laws,
 )
@@ -137,11 +138,15 @@ def test_conjugacy_residual_worked_examples():
 
 def test_top_lyapunov_constant_env_matches_eigenvalue():
     env = single_env(GW_SUPERCRITICAL)
-    est = top_lyapunov(env, "A", steps=20_000, replicas=4, seed=3)
     oracle = log_spectral_radius(build_A(MomentTriple(1.2, 0.0, 0.05)))
     assert oracle == pytest.approx(math.log(18.717797887081346), rel=1e-12)
-    assert est.value == pytest.approx(oracle, abs=1e-3)
-    assert est.stderr == 0.0  # exact in a constant environment
+    # the entry point's closed form is exact in a constant environment
+    exact = top_exponent(env, steps=20_000, replicas=4, seed=3)
+    assert (exact.value, exact.stderr) == (pytest.approx(oracle, rel=1e-12), 0.0)
+    # the word sum brackets it: one state's word is a power of its matrix
+    est = top_lyapunov(env, "A", steps=20_000, replicas=4, seed=3)
+    assert est.method == "word_sum"
+    assert abs(est.value - oracle) <= est.stderr < 1e-12
 
 
 def test_top_lyapunov_subcritical_constant_env():
@@ -151,21 +156,23 @@ def test_top_lyapunov_subcritical_constant_env():
 
 
 def test_top_lyapunov_unipotent_grows_polynomially():
-    # the critical-point matrix is unipotent: its powers grow only linearly,
-    # and its spectral radius is 1, so the exponent is 0
+    # the critical-point matrix A_lambda at 1 is unipotent: its powers grow only
+    # linearly, and its spectral radius is 1, so the exponent is 0
     env = single_env([(0.5, (1, 0, 1)), (0.5, (0, 0, 0))])
-    est = top_lyapunov(env, "A_lambda", steps=10_000, replicas=4, seed=3, lam=1.0)
-    assert abs(est.value) <= 1e-15
+    assert abs(top_exponent(env).value) <= 1e-15
+    # its word is [[1, 0], [L, 1]], which contracts no cone: a bracket 1/(L + 1) wide
+    value, half = lyapunov.word_sum(env, 1.0)
+    assert abs(value) <= half < 0.03
 
 
 def test_top_lyapunov_enforces_preconditions():
     for env in (single_env(GW_SUPERCRITICAL), two_state_env()):
         with pytest.raises(ValueError, match="infeasible"):
-            top_lyapunov(env, "A_lambda", steps=10_000, replicas=4, lam=100.0)
-        with pytest.raises(ValueError, match="unknown matrix kind"):
-            top_lyapunov(env, "bogus", steps=10_000, replicas=4)
-        with pytest.raises(ValueError, match="needs a lambda"):
-            top_lyapunov(env, "A_lambda", steps=10_000, replicas=4)
+            lyapunov.word_sum(env, 100.0)
+        # only A has an exponent; A_lambda only certifies it
+        for kind in ("bogus", "A_lambda"):
+            with pytest.raises(ValueError, match="unknown matrix kind"):
+                top_lyapunov(env, kind, steps=10_000, replicas=4)
 
 
 def test_top_lyapunov_deterministic():
@@ -207,9 +214,9 @@ def _digits(codes: np.ndarray, n_states: int, length: int) -> np.ndarray:
     return codes[:, None] // n_states ** np.arange(length) % n_states
 
 
-def _table(env, kind="A", lam=None):
+def _table(env, lam=None):
     """The word table (words, word_p) of the budget's length L, and L."""
-    entries = state_matrices(env, kind, lam).reshape(-1, 4).T
+    entries = state_matrices(env, lam).reshape(-1, 4).T
     length = lyapunov.word_length(env.n_states)
     return *lyapunov._word_table(entries, env.weights / env.weights.sum(), length), length
 
@@ -228,9 +235,27 @@ def test_word_length_is_the_longest_within_budget(env):
     assert lyapunov.word_length(env.n_states, WORD_CAP) == cap
 
 
+def test_one_state_words_are_matrix_powers():
+    # one state has one word of each length, a power of its matrix, so it gets
+    # the lengths of two states: 12 within the budget and 17 within the cap
+    assert [lyapunov.word_length(1, words) for words in (WORD_BUDGET, WORD_CAP)] == [12, 17]
+    env = single_env(GW_SUPERCRITICAL)
+    iv = lambda_feasible_set(env)
+    lam = math.sqrt(iv.lo * iv.midpoint)
+    words, word_p, length = _table(env, lam)
+    assert (words.shape, word_p.tolist(), length) == ((4, 1), [1.0], 12)
+    power = np.linalg.matrix_power(build_A_lambda(env.state_moments[0], lam), 12)
+    np.testing.assert_allclose(words[:, 0], (power / np.abs(power).max()).ravel(), rtol=1e-12)
+    # the power contracts the cone: the README law's bracket at the exponent_shift
+    # row's lambda is 1.4e-13 wide at length 12, against 4.6e-3 at length 1
+    entries = state_matrices(env, lam).reshape(-1, 4).T
+    assert lyapunov._bracket(entries, word_p, 12)[1] < 1e-12
+    assert 4e-3 < lyapunov._bracket(entries, word_p, 1)[1] < 5e-3
+
+
 @_LAWS
 def test_word_table_column_is_its_state_word(env):
-    table = state_matrices(env, "A")
+    table = state_matrices(env)
     table_words, _, length = _table(env)
     n_states = env.n_states
     size = n_states**length
@@ -266,11 +291,16 @@ def test_constant_env_exponent_is_log_spectral_radius(atoms, mirror, kind, expon
     m = env.state_moments[0]
     iv = state_feasible_interval(m)
     lam = None if iv.is_empty else math.sqrt(iv.lo * iv.hi)
-    # the power of one matrix needs no random generator and no word table
+    # the power of one matrix needs no random generator
     monkeypatch.setattr(np.random, "default_rng", None)
+    if kind == "A_lambda":
+        # A_lambda only certifies gamma(A): its word sum, over one power, brackets it
+        value, half = lyapunov.word_sum(env, lam)
+        assert abs(value - exponent(iv, lam, m)) <= half < 1e-12
+        return
+    # and the closed form of gamma(A) needs no word table
     monkeypatch.setattr(lyapunov, "_word_table", None)
-    est = top_lyapunov(reflected(env) if mirror else env, kind, steps=20_000, replicas=7, seed=3,
-                       lam=lam)
+    est = top_exponent(reflected(env) if mirror else env, steps=20_000, replicas=7, seed=3)
     assert est.stderr == 0.0
     assert est.value == pytest.approx(exponent(iv, lam, m), rel=1e-12, abs=0.0)
 
@@ -289,52 +319,59 @@ def one_state_laws(draw):
 @example(single_env(GW_SUPERCRITICAL))
 @example(single_env(COMPLEX_ROOTS))
 @example(single_env([(0.3, (1, 0, 0)), (0.3, (0, 4, 0)), (0.3, (0, 0, 1)), (0.1, (0, 0, 0))]))
+# mu0 = 1.2: real roots -9.9 and -0.1, so the spectral radius is |b| + sqrt(disc) over 2 mu+
+@example(single_env([(0.02, (1, 0, 0)), (0.3, (0, 4, 0)), (0.02, (0, 0, 1)), (0.66, (0, 0, 0))]))
 @settings(max_examples=200, deadline=None)
 def test_closed_form_matches_the_eigenvalue_oracle(env):
     m = env.state_moments[0]
     b = 1.0 - m.mu_zero
     # near a double root the eigenvalues move by sqrt(eps) under roundoff, in either solver
     assume(abs(b * b - 4.0 * m.mu_minus * m.mu_plus) > 1e-6 * (b * b + 4.0 * m.mu_minus * m.mu_plus))
+    value = constant_exponent(m)
+    assert math.exp(value) == pytest.approx(math.exp(log_spectral_radius(build_A(m))), rel=1e-12)
+    # the numpy-free entry point returns it, exactly
+    est = top_exponent(env, steps=1_000, replicas=2)
+    assert (est.value, est.stderr, est.method) == (value, 0.0, "closed_form")
     iv = state_feasible_interval(m)
-    kinds = [("A", None, build_A(m))]
     if not iv.is_empty:
+        # A_lambda is similar to A / lambda, and the word sum brackets gamma(A)
         lam = math.sqrt(iv.lo * iv.hi)
-        kinds.append(("A_lambda", lam, build_A_lambda(m, lam)))
-    for kind, lam, mat in kinds:
-        value = constant_exponent(m, kind, lam)
-        assert math.exp(value) == pytest.approx(math.exp(log_spectral_radius(mat)), rel=1e-12)
-        # top_lyapunov and the numpy-free entry point both return it, exactly
-        est = top_exponent(env, kind, steps=1_000, replicas=2, lam=lam)
-        assert est == top_lyapunov(env, kind, steps=1_000, replicas=2, lam=lam)
-        assert (est.value, est.stderr) == (value, 0.0)
+        assert math.exp(value) / lam == pytest.approx(
+            math.exp(log_spectral_radius(build_A_lambda(m, lam))), rel=1e-12)
+        words = top_lyapunov(env, "A", steps=1_000, replicas=2)
+        assert abs(words.value - value) <= words.stderr
 
 
 def test_closed_form_double_root():
     # mu- = 5/7, mu0 = 0, mu+ = 0.35: b^2 = 4 mu- mu+, so both roots are 1/0.7
     env = single_env([(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
                       (0.2928571428571428, (0, 0, 0))])
-    assert constant_exponent(env.state_moments[0], "A") == pytest.approx(
+    assert constant_exponent(env.state_moments[0]) == pytest.approx(
         math.log(1.0 / 0.7), rel=0.0, abs=1e-15)
 
 
 def test_closed_form_keeps_the_matrix_checks():
-    m = single_env(GW_SUPERCRITICAL).state_moments[0]
-    with pytest.raises(ValueError, match="unknown matrix kind"):
-        constant_exponent(m, "A_tilde")
-    with pytest.raises(ValueError, match="needs a lambda"):
-        constant_exponent(m, "A_lambda")
-    # the interval is [1.282, 18.72]: lambda = 1 is infeasible
-    with pytest.raises(ValueError, match="infeasible") as closed:
-        constant_exponent(m, "A_lambda", 1.0)
-    with pytest.raises(ValueError, match="infeasible") as matrix:
-        build_A_lambda(m, 1.0)
+    # mu+ = 0: no matrix A, and no closed form
+    m = MomentTriple(1.2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="needs mu_plus > 0") as closed:
+        constant_exponent(m)
+    with pytest.raises(ValueError, match="needs mu_plus > 0") as matrix:
+        build_A(m)
     assert str(closed.value) == str(matrix.value)
+    # GW_SUPERCRITICAL's interval is [1.282, 18.72]: lambda = 1 is infeasible,
+    # so it has no A_lambda there, and no word sum
+    env = single_env(GW_SUPERCRITICAL)
+    with pytest.raises(ValueError, match="infeasible") as words:
+        lyapunov.word_sum(env, 1.0)
+    with pytest.raises(ValueError, match="infeasible") as matrix:
+        build_A_lambda(env.state_moments[0], 1.0)
+    assert str(words.value) == str(matrix.value)
 
 
 def test_one_state_entry_point_skips_the_estimator(monkeypatch):
     env = single_env(GW_SUPERCRITICAL)
     monkeypatch.setattr(lyapunov, "top_lyapunov", None)
-    assert top_exponent(env, "A").value == pytest.approx(
+    assert top_exponent(env).value == pytest.approx(
         math.log(state_feasible_interval(env.state_moments[0]).hi), rel=1e-15, abs=0.0)
 
 
@@ -345,30 +382,27 @@ NILPOTENT = [(0.5, (0, 1, 1)), (0.5, (0, 1, 0))]
 def test_collapsed_product_raises():
     env = single_env(NILPOTENT)
     with pytest.raises(FloatingPointError):
-        _log_norm_of_product(state_matrices(env, "A")[np.zeros(1_000, dtype=np.intp)])
+        _log_norm_of_product(state_matrices(env)[np.zeros(1_000, dtype=np.intp)])
     with pytest.raises(FloatingPointError):
-        top_lyapunov(env, "A", steps=1_000, replicas=2)
-    with pytest.raises(FloatingPointError):
-        top_exponent(env, "A", steps=1_000, replicas=2)
+        top_exponent(env, steps=1_000, replicas=2)
 
-    # with a second, invertible state the law has no feasible lambda (mu- = 0),
-    # so no nonnegative family and no certified exponent
-    env = EnvironmentLaw([(0.5, law_from_atoms(NILPOTENT)),
-                          (0.5, law_from_atoms(GW_SUPERCRITICAL))])
-    with pytest.raises(ValueError, match="mu_minus > 0"):
-        top_lyapunov(env, "A", steps=1_000, replicas=2)
+    # mu- = 0 leaves no feasible lambda, so no nonnegative family and no word
+    # sum, on one state as with a second, invertible one
+    for env in (env, EnvironmentLaw([(0.5, law_from_atoms(NILPOTENT)),
+                                     (0.5, law_from_atoms(GW_SUPERCRITICAL))])):
+        with pytest.raises(ValueError, match="mu_minus > 0"):
+            top_lyapunov(env, "A", steps=1_000, replicas=2)
 
 
 def test_exponent_shift_identity_two_state():
     # gamma1 = gamma1(lambda) + ln(lambda) for any feasible lambda
     env = two_state_env()
     gamma = top_lyapunov(env, "A")
+    assert gamma.method == "word_sum"
     for lam in (2.0, 5.0):
-        shifted = top_lyapunov(env, "A_lambda", lam=lam)
-        assert shifted.method == gamma.method == "word_sum"
+        value, half = lyapunov.word_sum(env, lam)
         # the two error bounds, and 1e-14 for the rounding of the shift
-        assert abs(gamma.value - (shifted.value + math.log(lam))) <= (
-            gamma.stderr + shifted.stderr + 1e-14)
+        assert abs(gamma.value - (value + math.log(lam))) <= gamma.stderr + half + 1e-14
 
 
 @pytest.mark.parametrize("env", [two_state_env(), _unequal_three_states()], ids=["2", "3"])
@@ -376,10 +410,10 @@ def test_exponent_shift_identity_two_state():
 def test_mirror_product_is_the_reversed_product_over_its_determinant(env, length):
     # J A^-1 J is the mirror's matrix, so its product over a sequence is J P^-1 J
     # with P the A product of the reversed sequence, and ||P^-1|| = ||P|| / |det P|
-    table = state_matrices(env, "A")
+    table = state_matrices(env)
     mirror = np.stack([build_A(MomentTriple(m.mu_plus, m.mu_zero, m.mu_minus))
                        for m in env.state_moments])
-    np.testing.assert_array_equal(mirror, state_matrices(reflected(env), "A"))
+    np.testing.assert_array_equal(mirror, state_matrices(reflected(env)))
     rng = np.random.default_rng(length)
     seq = rng.choice(env.n_states, size=length, p=np.asarray(env.weights) / sum(env.weights))
     log_det = sum(math.log(env.state_moments[s].mu_minus / env.state_moments[s].mu_plus)
@@ -394,8 +428,8 @@ def test_mirror_exponent_identity():
     for env in (two_state_env(), _unequal_three_states(), single_env(GW_SUPERCRITICAL),
                 single_env(SUBCRITICAL_BRANCHY), single_env(COMPLEX_ROOTS)):
         kw = dict(steps=30_000, replicas=8)
-        gamma = top_lyapunov(env, "A", seed=4, **kw)
-        mirrored = top_lyapunov(reflected(env), "A", seed=5, **kw)
+        gamma = top_exponent(env, seed=4, **kw)
+        mirrored = top_exponent(reflected(env), seed=5, **kw)
         expected = gamma.value - expected_log_drift(env)
         if env.n_states == 1:
             assert mirrored.stderr == gamma.stderr == 0.0
@@ -420,13 +454,20 @@ def test_split_state_word_sum_is_the_closed_form(env, kind):
     # two identical states of half weight: every word is a power of one matrix
     iv = lambda_feasible_set(env)
     assume(not iv.is_empty and iv.lo < iv.hi)
-    lam = math.sqrt(iv.lo * iv.hi) if kind == "A_lambda" else None
     (_, law), = env.states
     split = EnvironmentLaw([(0.5, law), (0.5, law)])
-    exact = constant_exponent(env.state_moments[0], kind, lam)
-    est = top_exponent(split, kind, steps=1_000, replicas=2, lam=lam)
-    assert est.method == "word_sum"
-    assert abs(est.value - exact) <= est.stderr
+    exact = constant_exponent(env.state_moments[0])
+    if kind == "A":
+        est = top_exponent(split, steps=1_000, replicas=2)
+        assert est.method == "word_sum"
+        assert abs(est.value - exact) <= est.stderr
+    else:
+        # gamma(A_lambda) = gamma(A) - ln lambda, up to the rounding of the shift
+        lam = math.sqrt(iv.lo * iv.hi)
+        value, half = lyapunov.word_sum(split, lam)
+        shifted = exact - math.log(lam)
+        assert abs(value - shifted) <= half + 4.0 * sys.float_info.epsilon * (
+            abs(exact) + abs(math.log(lam)))
 
 
 @given(valid_laws(), st.data())
@@ -454,10 +495,10 @@ def test_word_sum_agrees_with_the_replicas(states):
     # the replicas are plain matmul products over i.i.d. state sequences: an
     # oracle independent of the word table, with an O(1/n) bias besides its stderr
     env = _parse_environment(states)
-    exact = top_exponent(env, "A")
+    exact = top_exponent(env)
     assert exact.method == "word_sum"
     assert exact.stderr < 1e-6
-    table = state_matrices(env, "A")
+    table = state_matrices(env)
     rng = np.random.default_rng(1)
     n, p = 100_000, np.asarray(env.weights) / sum(env.weights)
     drawn = [_log_norm_of_product(table[rng.choice(env.n_states, size=n, p=p)]) / n
@@ -473,9 +514,8 @@ def test_word_sums_at_two_lambdas_agree_within_their_bounds(states):
     iv = lambda_feasible_set(env)
     shifted = []
     for lam in (math.sqrt(iv.lo * iv.hi), iv.lo ** 0.75 * iv.hi ** 0.25):
-        est = top_exponent(env, "A_lambda", steps=100_000, replicas=2, lam=lam)
-        assert est.method == "word_sum"
-        shifted.append((est.value + math.log(lam), est.stderr))
+        value, half = lyapunov.word_sum(env, lam)
+        shifted.append((value + math.log(lam), half))
     (a, bound_a), (b, bound_b) = shifted
     # 1e-14 for the rounding of the two logs and sums
     assert abs(a - b) <= bound_a + bound_b + 1e-14
@@ -486,32 +526,30 @@ def test_exponents_off_the_budget_table():
     empty = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
                             (0.5, law_from_atoms([(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]))])
     assert lambda_feasible_set(empty).is_empty
-    for entry in (top_lyapunov, top_exponent):
+    for entry in (lambda: top_lyapunov(empty, "A"), lambda: top_exponent(empty)):
         with pytest.raises(ValueError, match="no feasible lambda"):
-            entry(empty, "A")
+            entry()
     # 65 states: words of length 1 within the budget, whose bracket is 0.01 wide,
     # and of length 2 within the cap, 7.2e-4 wide, around the one-state closed form
     many = EnvironmentLaw([(1.0 / 65, law_from_atoms(GW_SUPERCRITICAL))] * 65)
     assert lyapunov.word_length(65) == 1 and lyapunov.word_length(65, WORD_CAP) == 2
-    mid = lambda_feasible_set(many).midpoint
-    est = top_exponent(many, "A_lambda", lam=mid)
+    est = top_exponent(many)
     assert est.method == "word_sum"
     assert 5e-4 < est.stderr < 1e-3
-    exact = constant_exponent(many.state_moments[0], "A_lambda", mid)
-    assert abs(est.value - exact) <= est.stderr
+    assert abs(est.value - constant_exponent(many.state_moments[0])) <= est.stderr
     # an interior set too thin for the budget: at the midpoint of [1.065, 1.374]
     # the budget's bracket is 1.5e-3 wide and the cap's 1.6e-4
     thin = _parse_environment(THIN_ENV)
     iv = lambda_feasible_set(thin)
     assert iv.lo < iv.hi
-    est = top_exponent(thin, "A")
+    est = top_exponent(thin)
     assert est.method == "word_sum"
     assert 1e-4 < est.stderr <= WORD_SUM_MAX_BOUND
 
 
 def _cap_bracket(env, lam):
     """word_sum's (midpoint, half-width) over the budget's and the cap's tables."""
-    entries = state_matrices(env, "A_lambda", lam).reshape(-1, 4).T
+    entries = state_matrices(env, lam).reshape(-1, 4).T
     state_p = env.weights / env.weights.sum()
     return [lyapunov._bracket(entries, state_p, lyapunov.word_length(env.n_states, words))
             for words in (WORD_BUDGET, WORD_CAP)]
@@ -533,12 +571,10 @@ def test_word_sum_at_an_end_of_an_interior_set():
     # value up to the two half-widths
     two = two_state_env()
     iv = lambda_feasible_set(two)
-    est = top_exponent(two, "A_lambda", steps=1_000, replicas=2, lam=iv.lo)
-    assert est.method == "word_sum"
-    assert est.stderr < 1e-12
-    mid = top_exponent(two, "A_lambda", steps=1_000, replicas=2, lam=iv.midpoint)
-    assert abs((est.value + math.log(iv.lo)) - (mid.value + math.log(iv.midpoint))) <= (
-        est.stderr + mid.stderr + 1e-14)
+    value, half = lyapunov.word_sum(two, iv.lo)
+    assert half < 1e-12
+    mid = top_lyapunov(two, "A")
+    assert abs((value + math.log(iv.lo)) - mid.value) <= half + mid.stderr + 1e-14
     # (0.5, 0.375, 0.125) has the interval [1, 4] and slack exactly 0 at 1, where
     # its A_lambda is [[4, 0], [4, 1]]; the exponent is ln 4
     law = law_from_atoms([(0.25, (2, 0, 0)), (0.375, (0, 1, 0)), (0.125, (0, 0, 1)),
@@ -546,9 +582,8 @@ def test_word_sum_at_an_end_of_an_interior_set():
     doubled = EnvironmentLaw([(0.5, law), (0.5, law)])
     assert doubled.state_moments[0].slack(1.0) == 0.0
     assert (lambda_feasible_set(doubled).lo, lambda_feasible_set(doubled).hi) == (1.0, 4.0)
-    est = top_exponent(doubled, "A_lambda", steps=1_000, replicas=2, lam=1.0)
-    assert est.method == "word_sum"
-    assert abs(est.value - math.log(4.0)) <= est.stderr < 1e-8
+    value, half = lyapunov.word_sum(doubled, 1.0)
+    assert abs(value - math.log(4.0)) <= half < 1e-8
 
 
 LN_2_LAW = EnvironmentLaw([
@@ -561,10 +596,13 @@ def test_tight_point_closed_form_is_ln_2():
     # a = 0.6 and 2.5: E ln a < 0, so gamma(A_lambda) = 0 and gamma(A) = ln 2
     iv = lambda_feasible_set(LN_2_LAW)
     assert iv.lo == pytest.approx(2.0, rel=1e-15) and iv.hi == pytest.approx(2.0, rel=1e-15)
-    est = top_exponent(LN_2_LAW, "A")
+    est = top_exponent(LN_2_LAW)
     assert est.method == "closed_form" and est.stderr == 0.0
     assert abs(est.value - math.log(2.0)) <= 4.0 * math.ulp(math.log(2.0))
-    assert top_lyapunov(LN_2_LAW, "A") == est
+    # the word-sum path brackets it, from the cap's table
+    words = top_lyapunov(LN_2_LAW, "A")
+    assert words.method == "word_sum"
+    assert abs(words.value - est.value) <= words.stderr
 
 
 def test_a_thin_interval_is_no_tight_point():
@@ -575,10 +613,52 @@ def test_a_thin_interval_is_no_tight_point():
     split = EnvironmentLaw([(0.5, law), (0.5, law)])
     iv = lambda_feasible_set(split)
     assert iv.lo < iv.hi and split.state_moments[0].slack(iv.midpoint) <= FEASIBILITY_TOL
-    assert tight_point(split, "A") is None
-    est = top_exponent(split, "A")
+    assert tight_point(split) is None
+    est = top_exponent(split)
     assert est.method == "word_sum"
-    assert abs(est.value - constant_exponent(split.state_moments[0], "A")) <= est.stderr
+    assert abs(est.value - constant_exponent(split.state_moments[0])) <= est.stderr
+
+
+@given(touching_laws())
+@example((LN_2_LAW, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_touching_intervals_keep_their_point_and_its_bracket(drawn):
+    env, point = drawn
+    # rounding may cross the ends that meet at the point: the tie is kept. Or
+    # it may overlap them by a few ulps: an interval, and no tight point
+    iv = lambda_feasible_set(env)
+    assert not iv.is_empty
+    assert iv.lo == pytest.approx(point, rel=1e-12) and iv.hi == pytest.approx(point, rel=1e-12)
+    # gamma(A), the closed form at a tight point, lies in the word sum's bracket
+    # there, its lower end, up to the roundoff allowance and the shift's ulps
+    est = top_exponent(env)
+    assert est.method == ("closed_form" if tight_point(env) == iv.lo else "word_sum")
+    value, half = lyapunov.word_sum(env, iv.lo)
+    shifted = value + math.log(iv.lo)
+    assert abs(est.value - shifted) <= est.stderr + half + 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(est.value) + abs(value) + abs(math.log(iv.lo)))
+
+
+def test_a_positive_slack_at_a_point_is_no_tight_point():
+    # LN_2_LAW's intervals meet at 2, and a third state's [2 - 4.5e-5, 2 + 4.5e-5]
+    # holds 2 with slack 2.5e-10, within FEASIBILITY_TOL.  Its A_lambda there has
+    # b = 5e-10, and the product's exponent moves by more than that: the
+    # triangular closed form lies 1.3e-9 below the certified bracket
+    third = law_from_atoms([(0.5 - 2.5e-10, (2, 0, 0)), (0.25, (0, 0, 1)),
+                            (0.25 + 2.5e-10, (0, 0, 0))])
+    (_, first), (_, second) = LN_2_LAW.states
+    env = EnvironmentLaw([(0.4, first), (0.4, second), (0.2, third)])
+    iv = lambda_feasible_set(env)
+    assert iv.lo == iv.hi == pytest.approx(2.0, rel=1e-15)
+    slacks = [m.slack(iv.lo) for m in env.state_moments]
+    assert max(slacks[:2]) <= 0.0 < slacks[2] <= FEASIBILITY_TOL
+    assert tight_point(env) is None
+    est = top_exponent(env)
+    assert est.method == "word_sum"
+    closed = math.log(iv.lo) + max(0.0, sum(
+        w * math.log(m.mu_minus / (iv.lo**2 * m.mu_plus))
+        for (w, _), m in zip(env.states, env.state_moments)))
+    assert est.value - est.stderr > closed + 1e-9
 
 
 def test_bracket_contains_ln_2_at_a_point_feasible_set():
@@ -595,12 +675,15 @@ def test_bracket_contains_ln_2_at_a_point_feasible_set():
 def test_tie_closed_form_lies_in_its_cap_bracket():
     tie = _parse_environment(TIE_ENV)
     lam = lambda_feasible_set(tie).midpoint
-    est = top_exponent(tie, "A_lambda", lam=lam)
+    est = top_exponent(tie)
     assert est.method == "closed_form"
+    assert est.value == pytest.approx(0.7817948, abs=1e-7)
     value, half = lyapunov.word_sum(tie, lam)
     assert half > WORD_SUM_MAX_BOUND  # the cap's bracket, 0.019 wide
-    assert value - half <= est.value <= value + half
-    assert top_exponent(tie, "A").value == pytest.approx(0.7817948, abs=1e-7)
+    # the closed form is the bracket's lower end: it lies inside by the roundoff
+    # allowance alone, 1e-13, past the few ulps of the shift
+    assert abs(est.value - (value + math.log(lam))) <= half + 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(est.value) + abs(value) + abs(math.log(lam)))
 
 
 def test_counterexample_is_decided_by_the_cap_table():
@@ -638,7 +721,10 @@ def test_brackets_at_two_lambdas_overlap(env):
 
 def test_state_matrices_tables():
     env = two_state_env()
-    table = state_matrices(env, "A")
+    table = state_matrices(env)
     assert table.shape == (2, 2, 2)
     np.testing.assert_allclose(table[0], build_A(env.state_moments[0]))
     np.testing.assert_allclose(table[1], build_A(env.state_moments[1]))
+    conjugate = state_matrices(env, 2.0)
+    for m, mat in zip(env.state_moments, conjugate):
+        np.testing.assert_array_equal(mat, build_A_lambda(m, 2.0))

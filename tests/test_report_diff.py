@@ -44,3 +44,13 @@ def test_scalar_moves_keep_their_scale():
                                             "g.stderr: 0.3 -> 0.4"]
     # a string sibling that moved names another estimand: no scale
     assert report_diff.moved(a, {**b, "kind": "A_tilde"}, "g")[0] == "g.value: 1.0 -> 1.4"
+
+
+def test_the_strict_pass_has_an_inconclusive_law(tmp_path):
+    from brwre.cli import EXIT_INCONCLUSIVE, run
+    # --strict acts on the subcommands that write the verdict, and one law stays
+    # Inconclusive, so the strict pass compares exit code 3 and a cut `all`
+    assert report_diff.STRICT_SUBCOMMANDS == ("classify", "crosscheck", "all")
+    config = report_diff.write_configs(tmp_path)["inconclusive"]
+    out = tmp_path / "out"
+    assert run(str(config), "classify", outdir=str(out), strict=True, quiet=True) == EXIT_INCONCLUSIVE

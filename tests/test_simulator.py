@@ -251,6 +251,20 @@ def test_frequencies_are_counted_from_the_outcomes(mode):
     assert (est.global_freq, est.local_proxy_freq) == (alive / trials, local / trials)
 
 
+def test_local_proxy_counts_a_visit_at_half_the_span():
+    # every particle has a child, so no trial dies; one that stays at the origin
+    # at generation 1 and then leaves it has 2 last_origin_visit == end_time == 2,
+    # a visit in the second half of its span, which the local proxy counts
+    env = single_env([(0.5, (0, 1, 0)), (0.3, (2, 0, 0)), (0.2, (0, 0, 1))])
+    trials = 200
+    est = survival_probabilities(env, trials=trials, horizon=2, env_seed=5, seed=6)
+    assert all(o.status == ALIVE_AT_HORIZON and o.end_time == 2 for o in est.outcomes)
+    assert any(o.last_origin_visit == 1 for o in est.outcomes)
+    local = sum(_events(o)[1] for o in est.outcomes)
+    assert local > sum(o.last_origin_visit == 2 for o in est.outcomes)
+    assert est.local_proxy_freq == local / trials
+
+
 @pytest.mark.parametrize(
     "env, mode",
     [(single_env(TREBLE_OR_DIE), "quenched"), (two_state_env(), "quenched"),

@@ -17,7 +17,11 @@ paths: a two-state law whose interior feasible set is too thin for the
 word-sum budget (`thin`), a two-state point law whose exponent is exactly
 ln 2 (`ln-2`), a two-state left-branch law that only the capped word table
 decides (`counterexample`), and a two-state law with no feasible lambda,
-whose `lyapunov` section is skipped (`empty-two-state`).
+whose `lyapunov` section is skipped (`empty-two-state`).  The subcommands
+that write the verdict run a second time with `--strict`
+(`STRICT_SUBCOMMANDS`), which changes their exit code, and the sections
+that `all` writes, on an Inconclusive verdict; `inconclusive`, the
+two-state law at `thresholds.sigma_margin` = 1e18, is one.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -51,11 +55,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
-from brwre.cli import SUBCOMMANDS  # noqa: E402
+from brwre.cli import SUBCOMMAND_SECTIONS, SUBCOMMANDS  # noqa: E402
 
 SEEDS = (1, 2)
 SCALE = 50
 SHOWN = 10  # moved fields listed per file
+# the subcommands that write the verdict, the only ones --strict acts on
+STRICT_SUBCOMMANDS = tuple(s for s, sections in SUBCOMMAND_SECTIONS.items() if "regime" in sections)
 
 
 def _mirrored(atoms):
@@ -68,8 +74,9 @@ def _mirrored(atoms):
 # one-state law with rho_inf = 1.001, tests/test_cli.py's THIN_ENV (an interior
 # feasible set whose budget bracket is too wide) and EMPTY_TWO_STATE_ENV, and
 # tests/test_lyapunov.py's LN_2_LAW and the counterexample of
-# test_counterexample_is_decided_by_the_cap_table, as (weight, atoms) states,
-# run at the sizes of tests/test_cli.py's write_config
+# test_counterexample_is_decided_by_the_cap_table, and the two-state law of
+# tests/test_cli.py's INCONCLUSIVE, as (weight, atoms) states, run at the sizes
+# of tests/test_cli.py's write_config
 BRANCH_LAWS = {
     "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
                        (0.5, _mirrored(workloads.TWO_STATE_B))),
@@ -96,6 +103,7 @@ BRANCH_LAWS = {
                   (1.0 - 0.4189126966337339 / 2 - 0.5965838110025534, (0, 0, 0))])),
     "empty-two-state": ((0.5, [(0.6, (2, 0, 0)), (0.05, (0, 0, 1)), (0.35, (0, 0, 0))]),
                         (0.5, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))])),
+    "inconclusive": ((0.5, workloads.TWO_STATE_A), (0.5, workloads.TWO_STATE_B)),
 }
 BRANCH_SIZES = {
     "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
@@ -105,8 +113,10 @@ BRANCH_SIZES = {
 # sections that replace BRANCH_SIZES' for one law.  spectral-near-one has
 # rho_inf = 1.001 and classifies StrongLocalSurvival, but its window roots
 # 1.001 cos(pi / (2N + 2)) reach 1 only at N = 35, so its spectral_criterion
-# row fails at N = 32 (ROADMAP item 2)
-LAW_SIZES = {"spectral-near-one": {"spectral": {"n_values": [1, 2, 4, 8, 16, 32]}}}
+# row fails at N = 32 (ROADMAP item 2).  inconclusive's sigma margin leaves its
+# verdict Inconclusive, so that the --strict runs exit 3
+LAW_SIZES = {"spectral-near-one": {"spectral": {"n_values": [1, 2, 4, 8, 16, 32]}},
+             "inconclusive": {"thresholds": {"sigma_margin": 1e18}}}
 
 
 def write_configs(directory: Path) -> dict[str, Path]:
@@ -128,11 +138,11 @@ def write_configs(directory: Path) -> dict[str, Path]:
     return configs
 
 
-def run(tree: Path, subcommand: str, config: Path, out: Path) -> dict:
+def run(tree: Path, subcommand: str, config: Path, out: Path, *flags: str) -> dict:
     """One CLI process of `tree`: its exit code, normalized output and files."""
     proc = subprocess.run(
         [sys.executable, "-m", "brwre.cli", subcommand, "--config", str(config),
-         "--out", str(out), "--format", "both"],
+         "--out", str(out), "--format", "both", *flags],
         capture_output=True, text=True, cwd=out.parent,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
@@ -267,14 +277,17 @@ def main(argv=None) -> int:
         (tmp / "configs").mkdir()
         configs = write_configs(tmp / "configs")
         counts = {"bytes": 0, "values": 0, "differ": 0}
+        passes = [(sub, ()) for sub in SUBCOMMANDS]
+        passes += [(sub, ("--strict",)) for sub in STRICT_SUBCOMMANDS]
         for cname, config in configs.items():
-            for sub in SUBCOMMANDS:
+            for sub, flags in passes:
+                label = " ".join((sub, *flags))
                 verdicts, diffs = compare(*(
-                    run(tree, sub, config, tmp / f"{cname}-{sub}-{side}")
+                    run(tree, sub, config, tmp / f"{cname}-{sub}{''.join(flags)}-{side}", *flags)
                     for side, tree in (("base", base_tree), ("here", ROOT))))
                 counts["differ" if diffs else "values" if any(
                     v.endswith(" values") for v in verdicts) else "bytes"] += 1
-                print(f"{cname} {sub}: {', '.join(verdicts)}")
+                print(f"{cname} {label}: {', '.join(verdicts)}")
                 for d in diffs:
                     print(f"    {d}")
         print(f"{sum(counts.values())} runs against {args.base}: {counts['bytes']} byte-identical, "
