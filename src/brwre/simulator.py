@@ -6,12 +6,15 @@ equal in law to per-particle draws at O(occupied sites) cost.  run_batch
 steps many independent runs (rows) at once on flat (row, site, count)
 arrays; it is the one Monte Carlo entry point, and survival trials and the
 freezing construction are rows of it.  The survival run also records the
-supermartingale trace of its first trials' first generations.
+supermartingale trace of its first trials' first generations, as per-time
+moments that each batch keeps and the run pools, so the trace's memory does
+not grow with the trials.
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -85,6 +88,31 @@ def _branch(envlaw, env_seed, rows, sites, counts, rng):
     return keys // width, keys % width + lo, np.add.reduceat(vals, first)
 
 
+class TraceSums(NamedTuple):
+    """Per-time moments of n trace rows' h_t = sum_x count(x) lam^x: row 0 of
+    mean and m2 is h_t, row 1 the paired increment h_t - h_{t-1} (0 at t = 0);
+    m2 is the centred sum of squares."""
+
+    n: int
+    mean: np.ndarray  # (2, trace horizon+1)
+    m2: np.ndarray
+
+
+def _record(sums: TraceSums, t: int, h: np.ndarray, h_prev: np.ndarray) -> None:
+    """Store one batch's moments at time t of its trace rows' h and h - h_prev."""
+    for i, x in enumerate((h, h - h_prev)):
+        mean = x.mean()
+        sums.mean[i, t] = mean
+        sums.m2[i, t] = np.square(x - mean).sum()
+
+
+def _pool(a: TraceSums, b: TraceSums) -> TraceSums:
+    """The moments of a's and b's rows together (Chan, Golub & LeVeque 1983)."""
+    n = a.n + b.n
+    delta = b.mean - a.mean
+    return TraceSums(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta**2 * (a.n * b.n / n))
+
+
 class BatchRun(NamedTuple):
     """Per-row results of run_batch: status is EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON."""
 
@@ -93,7 +121,7 @@ class BatchRun(NamedTuple):
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     peak_population: np.ndarray
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
-    log_h: np.ndarray | None  # (trace rows, trace horizon+1) ln sum_x count(x) lam^x
+    trace: TraceSums | None  # the trace rows' moments, given log_lam
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
@@ -108,15 +136,19 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     and settles status and end time from them after it.  freeze moves
     particles below starts[i] into the row's frozen count after each step.
 
-    log_lam records the log of the lam-weighted population of the first
-    TRACE_TRIALS rows at every time up to TRACE_HORIZON (each at most the
-    run's).  A trace row that reaches the cap before the trace horizon is
-    CapReached, its last seen time, last origin visit and peak frozen at
-    that time, but keeps stepping, unseen by those columns, until the trace
-    horizon, so the cap never censors the trace; a trace row whose site
-    count reaches _HARD_COUNT by then raises PopulationOverflowError.  The
-    rows that keep stepping draw from their batch's stream, so the other
-    rows of a batch where one reached the cap early see other draws.
+    log_lam traces the first TRACE_TRIALS rows at every time t up to
+    TRACE_HORIZON (each at most the run's): each batch carries its trace
+    rows' h_t = sum_x count(x) lam^x, summed in the log domain and 0 on a
+    row with no particle, and records the mean and centred sum of squares of
+    h_t and of h_t - h_{t-1} (zero at the times after the batch died out);
+    the batches are pooled after the loop.  A trace row that reaches the cap
+    before the trace horizon is CapReached, its last seen time, last origin
+    visit and peak frozen at that time, but keeps stepping, unseen by those
+    columns, until the trace horizon, so the cap never censors the trace; a
+    trace row whose site count reaches _HARD_COUNT by then raises
+    PopulationOverflowError.  The rows that keep stepping draw from their
+    batch's stream, so the other rows of a batch where one reached the cap
+    early see other draws.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
@@ -125,18 +157,22 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     peak = np.full(n, start_count, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
     n_trace = t_trace = 0
-    log_h = None
     if log_lam is not None:
         n_trace, t_trace = min(TRACE_TRIALS, n), min(TRACE_HORIZON, horizon)
-        log_h = np.full((n_trace, t_trace + 1), -math.inf)
-        log_h[:, 0] = np.log(peak[:n_trace]) + starts[:n_trace] * log_lam
+    batches = []
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
         sites, counts = starts[rows], peak[rows]
+        m = min(lo + TRIAL_BATCH, n_trace) - lo  # the batch's trace rows, a prefix
+        if m > 0:
+            sums = TraceSums(m, np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
+            h_prev = np.exp(np.log(counts[:m]) + sites[:m] * log_lam)
+            _record(sums, 0, h_prev, h_prev)
+            batches.append(sums)
         for t in range(1, horizon + 1):
             if not len(rows):
-                break
+                break  # the times left to trace keep their zero moments
             rows, sites, counts = _branch(envlaw, env_seed, rows, sites, counts, rng)
             if freeze:
                 hit = sites < starts[rows]
@@ -144,13 +180,16 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
             first = _starts(rows)
             live = rows[first]
-            if t <= t_trace and len(live) and live[0] < n_trace:
+            if t <= t_trace and m > 0:
+                h = np.zeros(m)
                 k = np.searchsorted(live, n_trace)  # the live trace rows, a prefix
                 e = first[k] if k < len(first) else len(rows)
                 x = np.log(counts[:e]) + sites[:e] * log_lam
                 top = np.maximum.reduceat(x, first[:k])
                 spread = np.exp(x - top[np.searchsorted(live[:k], rows[:e])])
-                log_h[live[:k], t] = top + np.log(np.add.reduceat(spread, first[:k]))
+                h[live[:k] - lo] = np.exp(top + np.log(np.add.reduceat(spread, first[:k])))
+                _record(sums, t, h, h_prev)
+                h_prev = h
             over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
             if over.any() and t <= t_trace and live[over][0] < n_trace:
                 raise PopulationOverflowError(
@@ -171,7 +210,8 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
     status = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)[gone + 2 * capped]
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
-    return BatchRun(status, end_time, last_origin, peak, frozen, log_h)
+    trace = functools.reduce(_pool, batches) if batches else None
+    return BatchRun(status, end_time, last_origin, peak, frozen, trace)
 
 
 @dataclass(frozen=True)
@@ -269,7 +309,7 @@ def survival_probabilities(
         trials=trials,
         mode=mode,
         outcomes=tuple(_outcomes(run)),
-        trace=None if lam is None else _trace(lam, run.log_h),
+        trace=None if lam is None else _trace(lam, run.trace),
     )
 
 
@@ -281,7 +321,10 @@ def survival_probabilities(
 class SupermartingaleTrace:
     """Per-time empirical means of the lam-weighted population h(n) = sum_x
     count(x) lam^x.  For lam feasible for every state the conditional mean of
-    h never increases, which the paired per-step increments make testable."""
+    h never increases, which the paired per-step increments make testable.
+    The means and stderrs are those of the trials' (trials, horizon+1) matrix
+    of h, up to roundoff, pooled from run_batch's per-batch moments without
+    building the matrix."""
 
     lam: float
     mean_h: np.ndarray  # length horizon+1, mean over trials
@@ -292,19 +335,17 @@ class SupermartingaleTrace:
     horizon: int
 
 
-def _trace(lam: float, log_h: np.ndarray) -> SupermartingaleTrace:
-    """The trace statistics of one run's (trials, horizon+1) log weighted populations."""
-    h = np.exp(log_h)
-    trials, horizon = h.shape[0], h.shape[1] - 1
-    diffs = np.diff(h, axis=1)
+def _trace(lam: float, sums: TraceSums) -> SupermartingaleTrace:
+    """The trace statistics of one run's pooled trace moments."""
+    stderr = np.sqrt(sums.m2 / (sums.n - 1)) / math.sqrt(sums.n)
     return SupermartingaleTrace(
         lam=lam,
-        mean_h=h.mean(axis=0),
-        stderr_h=h.std(axis=0, ddof=1) / math.sqrt(trials),
-        diff_mean=diffs.mean(axis=0),
-        diff_stderr=diffs.std(axis=0, ddof=1) / math.sqrt(trials),
-        trials=trials,
-        horizon=horizon,
+        mean_h=sums.mean[0],
+        stderr_h=stderr[0],
+        diff_mean=sums.mean[1, 1:],
+        diff_stderr=stderr[1, 1:],
+        trials=sums.n,
+        horizon=sums.mean.shape[1] - 1,
     )
 
 

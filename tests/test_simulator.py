@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from brwre import simulator
 from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_indices
@@ -18,6 +20,7 @@ from brwre.simulator import (
 from conftest import (
     CRITICAL_PAIR,
     GW_SUPERCRITICAL,
+    SUBCRITICAL_BRANCHY,
     SUBCRITICAL_WALK,
     TREBLE_OR_DIE,
     gw_extinction_probability,
@@ -163,6 +166,31 @@ def test_survival_golden_ratio_law():
         single_env(TREBLE_OR_DIE), trials=2000, horizon=300, cap=10**5,
         env_seed=11, seed=5,
     )
+    assert abs(est.global_freq - (1.0 - q)) <= 4.0 * max(est.global_stderr, 1e-3)
+
+
+_GW_VECTORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 0, 2), (1, 0, 1),
+               (0, 2, 0), (1, 1, 1), (3, 0, 0)]
+
+
+@st.composite
+def one_state_gw_laws(draw):
+    """One-state atom lists over _GW_VECTORS, offspring totals 0 to 3."""
+    vectors = draw(st.lists(st.sampled_from(_GW_VECTORS), min_size=2, max_size=4, unique=True))
+    weights = [draw(st.floats(0.05, 1.0)) for _ in vectors]
+    return [(w / sum(weights), v) for w, v in zip(weights, vectors)]
+
+
+@given(one_state_gw_laws())
+@settings(max_examples=20, deadline=None)
+def test_survival_matches_the_galton_watson_fixed_point(atoms):
+    # on one state the total population is a Galton-Watson process; away from
+    # criticality horizon 200 and cap 10^4 leave no undecided trial to speak of
+    mean = sum(p * sum(v) for p, v in atoms)
+    assume(not 0.8 <= mean <= 1.25)
+    q = gw_extinction_probability(atoms)
+    est = survival_probabilities(single_env(atoms), trials=1000, horizon=200, cap=10**4,
+                                 env_seed=11, seed=5)
     assert abs(est.global_freq - (1.0 - q)) <= 4.0 * max(est.global_stderr, 1e-3)
 
 
@@ -351,7 +379,7 @@ def test_shared_trace_is_not_censored_by_the_cap():
     # run draws what a run on the same stream with a cap no row reaches draws
     uncapped = run_batch(env, 3, np.zeros(trials, np.int64), 1, horizon, (3, 4), cap=1 << 62,
                          log_lam=math.log(lam))
-    oracle = simulator._trace(lam, uncapped.log_h)
+    oracle = simulator._trace(lam, uncapped.trace)
     for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
         assert np.array_equal(getattr(trace, field), getattr(oracle, field))
 
@@ -376,8 +404,12 @@ def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
     monkeypatch.setattr(simulator, "TRACE_HORIZON", 15)
     run = run_batch(env, 1, np.zeros(100, np.int64), 1, horizon, (1, 2), cap=32,
                     log_lam=math.log(lam))
-    assert run.log_h.shape == (60, 16)
-    np.testing.assert_allclose(run.log_h, np.tile(np.log(exact[:16]), (60, 1)), atol=1e-12)
+    trace = simulator._trace(lam, run.trace)
+    assert (trace.trials, trace.horizon) == (60, 15)
+    np.testing.assert_allclose(trace.mean_h, exact[:16], rtol=1e-12)
+    np.testing.assert_allclose(trace.diff_mean, np.diff(exact[:16]), rtol=1e-12)
+    # every row has the same h_n, so its spread is roundoff
+    assert trace.stderr_h.max() <= 1e-15 and trace.diff_stderr.max() <= 1e-15
     assert set(run.status) == {CAP_REACHED} and set(run.end_time) == {5}
 
 
@@ -396,6 +428,58 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
 
 
 # -- weighted-population supermartingale --------------------------------------
+
+
+def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
+    # batches of 64 with 150 trace rows: the third batch traces its first 22
+    # rows only and the batches after it none; the law is subcritical, so
+    # batches die out before the trace horizon and skip their last times
+    monkeypatch.setattr(simulator, "TRIAL_BATCH", 64)
+    monkeypatch.setattr(simulator, "TRACE_TRIALS", 150)
+    lam, horizon = 1.5, 40
+    seen, record = [], simulator._record
+
+    def capture(sums, t, h, h_prev):
+        seen.append((t, h.copy()))
+        record(sums, t, h, h_prev)
+
+    monkeypatch.setattr(simulator, "_record", capture)
+    trace = survival_probabilities(single_env(SUBCRITICAL_BRANCHY), trials=300, horizon=horizon,
+                                   env_seed=3, seed=4, lam=lam).trace
+    batches = []
+    for t, h in seen:
+        if t == 0:
+            batches.append(np.zeros((len(h), horizon + 1)))  # times never recorded are 0
+        batches[-1][:, t] = h
+    assert [len(b) for b in batches] == [64, 64, 22]
+    assert sum(t == horizon for t, _ in seen) < len(batches)  # some batch died out early
+    h = np.concatenate(batches)
+    assert len(np.unique(h[:, 5])) > 5  # the moments see a spread, not one value
+    n = len(h)
+    diffs = np.diff(h, axis=1)
+    assert (trace.trials, trace.horizon) == (n, horizon)
+    for got, want in ((trace.mean_h, h.mean(0)), (trace.stderr_h, h.std(0, ddof=1) / math.sqrt(n)),
+                      (trace.diff_mean, diffs.mean(0)),
+                      (trace.diff_stderr, diffs.std(0, ddof=1) / math.sqrt(n))):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_trace_memory_does_not_grow_with_trials():
+    # the trace keeps per-time moments per batch, so from 2,000 to 10,000 trials
+    # only the per-trial outcomes grow (about 1 MB); a trials x horizon matrix
+    # of h would add 16 MB
+    env = single_env(GW_SUPERCRITICAL)
+    survival_probabilities(env, trials=100, horizon=5, cap=1000, lam=2.0)  # one-time allocations
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            survival_probabilities(env, trials=trials, horizon=60, cap=1000, lam=2.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10_000) - peak(2_000) < 3e6
 
 
 def test_trace_critical_law_has_unit_mean():
