@@ -6,9 +6,9 @@ equal in law to per-particle draws at O(occupied sites) cost.  run_batch
 steps many independent runs (rows) at once on flat (row, site, count)
 arrays; it is the one Monte Carlo entry point, and survival trials and the
 freezing construction are rows of it.  The survival run also records the
-supermartingale trace of its first trials' first generations, as per-time
-moments that each batch keeps and the run pools, so the trace's memory does
-not grow with the trials.
+supermartingale trace of its first TRACE_BATCHES batches through their first
+generations, as per-time moments that each traced batch keeps and the run
+pools, so the trace's memory does not grow with the trials.
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
@@ -38,9 +38,9 @@ TRIAL_BATCH = 1024
 # super-trials per level of the frozen profile; its stderrs are their spread
 SUPER_TRIALS = 50
 
-# the supermartingale trace that run_batch records given a lambda: its first
-# rows, through this many generations
-TRACE_TRIALS = 10_000
+# the supermartingale trace that run_batch records given a lambda: every row
+# of its first batches, through this many generations
+TRACE_BATCHES = 10
 TRACE_HORIZON = 60
 
 
@@ -119,9 +119,8 @@ class BatchRun(NamedTuple):
     status: np.ndarray
     end_time: np.ndarray  # the extinction, cap or horizon time
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
-    peak_population: np.ndarray
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
-    trace: TraceSums | None  # the trace rows' moments, given log_lam
+    trace: TraceSums | None  # the traced batches' moments, given log_lam
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
@@ -136,38 +135,35 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     and settles status and end time from them after it.  freeze moves
     particles below starts[i] into the row's frozen count after each step.
 
-    log_lam traces the first TRACE_TRIALS rows at every time t up to
-    TRACE_HORIZON (each at most the run's): each batch carries its trace
-    rows' h_t = sum_x count(x) lam^x, summed in the log domain and 0 on a
-    row with no particle, and records the mean and centred sum of squares of
-    h_t and of h_t - h_{t-1} (zero at the times after the batch died out);
-    the batches are pooled after the loop.  A trace row that reaches the cap
-    before the trace horizon is CapReached, its last seen time, last origin
-    visit and peak frozen at that time, but keeps stepping, unseen by those
-    columns, until the trace horizon, so the cap never censors the trace; a
-    trace row whose site count reaches _HARD_COUNT by then raises
+    log_lam traces every row of the first TRACE_BATCHES batches at every
+    time t up to t_trace = min(TRACE_HORIZON, horizon): such a batch carries
+    its rows' h_t = sum_x count(x) lam^x, summed in the log domain and 0 on
+    a row with no particle, and records the mean and centred sum of squares
+    of h_t and of h_t - h_{t-1} (zero at the times after the batch died
+    out); the batches are pooled after the loop.  A traced row that reaches
+    the cap before t_trace is CapReached, its last seen time and last
+    origin visit frozen at that time, but keeps stepping, unseen by those
+    columns, until t_trace, so the cap never censors the trace; a traced row
+    whose site count reaches _HARD_COUNT by then raises
     PopulationOverflowError.  The rows that keep stepping draw from their
-    batch's stream, so the other rows of a batch where one reached the cap
-    early see other draws.
+    batch's stream, so the other rows of a traced batch where one reached
+    the cap early see other draws.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
-    peak = np.full(n, start_count, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
-    n_trace = t_trace = 0
-    if log_lam is not None:
-        n_trace, t_trace = min(TRACE_TRIALS, n), min(TRACE_HORIZON, horizon)
     batches = []
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
-        sites, counts = starts[rows], peak[rows]
-        m = min(lo + TRIAL_BATCH, n_trace) - lo  # the batch's trace rows, a prefix
-        if m > 0:
-            sums = TraceSums(m, np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
-            h_prev = np.exp(np.log(counts[:m]) + sites[:m] * log_lam)
+        sites, counts = starts[rows], np.full(len(rows), start_count)
+        traced = log_lam is not None and b < TRACE_BATCHES
+        t_trace = min(TRACE_HORIZON, horizon) if traced else 0
+        if traced:
+            sums = TraceSums(len(rows), np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
+            h_prev = np.exp(np.log(counts) + sites * log_lam)
             _record(sums, 0, h_prev, h_prev)
             batches.append(sums)
         for t in range(1, horizon + 1):
@@ -180,18 +176,16 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
             first = _starts(rows)
             live = rows[first]
-            if t <= t_trace and m > 0:
-                h = np.zeros(m)
-                k = np.searchsorted(live, n_trace)  # the live trace rows, a prefix
-                e = first[k] if k < len(first) else len(rows)
-                x = np.log(counts[:e]) + sites[:e] * log_lam
-                top = np.maximum.reduceat(x, first[:k])
-                spread = np.exp(x - top[np.searchsorted(live[:k], rows[:e])])
-                h[live[:k] - lo] = np.exp(top + np.log(np.add.reduceat(spread, first[:k])))
+            if t <= t_trace:
+                x = np.log(counts) + sites * log_lam
+                top = np.maximum.reduceat(x, first)
+                spread = np.exp(x - np.repeat(top, np.diff(first, append=len(rows))))
+                h = np.zeros(sums.n)
+                h[live - lo] = np.exp(top + np.log(np.add.reduceat(spread, first)))
                 _record(sums, t, h, h_prev)
                 h_prev = h
             over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
-            if over.any() and t <= t_trace and live[over][0] < n_trace:
+            if over.any() and t <= t_trace:
                 raise PopulationOverflowError(
                     f"population guard hit at step {t}; shorten the horizon")
             # rows already CapReached step on for the trace alone
@@ -201,31 +195,29 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             last_seen[live] = t
             at_origin = rows[sites == 0]
             last_origin[at_origin[~capped[at_origin]]] = t
-            peak[live] = np.maximum(peak[live], total)
             over |= total >= cap
             capped[live[over]] = True
-            if over.any() or t == t_trace:
-                keep = ~capped[rows] | ((rows < n_trace) & (t < t_trace))
+            if t == t_trace or (t > t_trace and over.any()):
+                keep = ~capped[rows]
                 rows, sites, counts = rows[keep], sites[keep], counts[keep]
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
     status = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)[gone + 2 * capped]
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
     trace = functools.reduce(_pool, batches) if batches else None
-    return BatchRun(status, end_time, last_origin, peak, frozen, trace)
+    return BatchRun(status, end_time, last_origin, frozen, trace)
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's row of its survival run."""
+    """One trial's row of its survival run: status, end time and last origin visit."""
 
     status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
     end_time: int
     last_origin_visit: int  # every trial starts at the origin, so at least 0
-    peak_population: int
 
 
 def _outcomes(run: BatchRun) -> list[TrialOutcome]:
-    columns = (run.status, run.end_time, run.last_origin_visit, run.peak_population)
+    columns = (run.status, run.end_time, run.last_origin_visit)
     return [TrialOutcome(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -277,15 +269,15 @@ def survival_probabilities(
     compatibility and ignored: the result never depends on it.
 
     With lam, which must be feasible for every state, the same run also
-    records the supermartingale trace of its first min(trials, TRACE_TRIALS)
-    trials through generation min(horizon, TRACE_HORIZON), uncensored by
-    the cap (see run_batch).  In annealed mode the trace reads annealed
-    trials: lam is feasible in every environment, so h is a supermartingale
-    in each.  A trial's outcome keeps its meaning, but in a batch where a
-    trial reached the cap before the trace horizon the other trials see
-    other draws, and a trace trial that outgrows _HARD_COUNT by then raises
-    PopulationOverflowError.  Without lam the result is that of a run with
-    no trace.
+    records the supermartingale trace of its first TRACE_BATCHES batches,
+    min(trials, TRACE_BATCHES * TRIAL_BATCH) trials, through generation
+    min(horizon, TRACE_HORIZON), uncensored by the cap (see run_batch).  In
+    annealed mode the trace reads annealed trials: lam is feasible in every
+    environment, so h is a supermartingale in each.  A trial's outcome keeps
+    its meaning, but in a traced batch where a trial reached the cap before
+    the trace horizon the other trials see other draws, and a traced trial
+    that outgrows _HARD_COUNT by then raises PopulationOverflowError.  Later
+    batches, and a run without lam, draw as with no trace.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -359,9 +351,9 @@ def supermartingale_trace(
 ) -> SupermartingaleTrace:
     """The trace of survival_probabilities' run at these arguments, with its
     checks (at least 100 trials, lam feasible for every state) and its sizes
-    (min(trials, TRACE_TRIALS) trials through generation min(horizon,
-    TRACE_HORIZON)).  The stage graph never calls it; it keeps the span that
-    perfbench's simulator.supermartingale_trace.* metrics name.
+    (min(trials, TRACE_BATCHES * TRIAL_BATCH) trials through generation
+    min(horizon, TRACE_HORIZON)).  The stage graph never calls it; it keeps
+    the span that perfbench's simulator.supermartingale_trace.* metrics name.
     """
     return survival_probabilities(envlaw, trials=trials, horizon=horizon, env_seed=env_seed,
                                   seed=seed, lam=lam).trace

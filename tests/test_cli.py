@@ -179,6 +179,15 @@ def test_load_config_defaults(tmp_path):
         ({"environment": {"states": [{"weight": 1.0,
                                       "atoms": [{"p": 1.0, "v": [1, 1, 1], "prob": 1.0}]}]}},
          "environment.states[0].atoms[0].prob: unknown field"),
+        ({"environment": []}, "environment: expected an object, got list"),
+        ({"environment": {"states": {}}}, "environment.states: expected an array, got dict"),
+        ({"simulate": {"trials": 1.5}}, "simulate.trials: expected an integer, got 1.5"),
+        ({"environment": {"states": [{"weight": "half", "atoms": [{"p": 1.0, "v": [1, 1, 1]}]}]}},
+         "environment.states[0].weight: expected a number, got 'half'"),
+        ({"environment": {"states": [{"weight": 1.0, "atoms": [{"p": 1.5, "v": [1, 1, 1]}]}]}},
+         "environment.states[0].atoms: atom probability 1.5 outside (0, 1]"),
+        ({"environment": {"states": [{"weight": 1.5, "atoms": [{"p": 1.0, "v": [1, 1, 1]}]}]}},
+         "environment.states: state weight 1.5 outside (0, 1]"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, overrides, fragment):
@@ -253,6 +262,15 @@ def test_load_config_flags_bad_probability_sum(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))
+    (tmp_path / "truncated.json").write_text('{"seed": ')
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        load_config(str(tmp_path / "truncated.json"))
+
+
+def test_run_rejects_an_unknown_subcommand(tmp_path, capsys):
+    # main's argparse never passes one; run is also called directly
+    assert run(write_config(tmp_path), "bogus", outdir=str(tmp_path)) == EXIT_INTERNAL
+    assert "unknown subcommand 'bogus'" in capsys.readouterr().err
 
 
 # -- JSON emitter ------------------------------------------------------------

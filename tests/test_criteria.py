@@ -15,7 +15,8 @@ from brwre.criteria import (
     one_in_feasible_set,
     state_feasible_interval,
 )
-from brwre.envmodel import FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms, reflected
+from brwre.envmodel import (FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms,
+                            reflected, validate_conditions)
 from brwre.lyapunov import LyapunovEstimate, build_A_lambda
 from brwre.simulator import survival_probabilities
 from conftest import (
@@ -90,6 +91,9 @@ def test_interval_rejects_degenerate_moments():
         state_feasible_interval(MomentTriple(0.0, 0.0, 0.5))
     with pytest.raises(ValueError):
         state_feasible_interval(MomentTriple(0.5, 0.0, 0.0))
+    # no child sent right: condition E fails, and the drift's log has no argument
+    with pytest.raises(ValueError, match="log drift needs positive mu-, mu\\+"):
+        expected_log_drift(single_env([(0.5, (2, 0, 0)), (0.5, (0, 0, 0))]))
 
 
 # -- mixture intersection ----------------------------------------------------
@@ -385,8 +389,13 @@ def test_mirror_law_gives_the_mirrored_classification(env, replicas, seed):
         assert abs(_gap(mrep) - _gap(rep)) <= tol
 
 
+_REGIME_RANK = {criteria.GLOBAL_EXTINCTION: 0, criteria.GLOBAL_SURVIVAL_LOCAL_EXTINCTION: 1,
+                criteria.STRONG_LOCAL_SURVIVAL: 2}
+
+
 # domination: one more child on one atom raises that state's means, so every
-# slack falls pointwise and the feasible set can only shrink
+# slack falls pointwise, the feasible set can only shrink and the regime can
+# only rise
 @settings(max_examples=300, deadline=None)
 @given(valid_laws(), st.data())
 def test_an_extra_child_never_enlarges_the_feasible_set(env, data):
@@ -409,6 +418,11 @@ def test_an_extra_child_never_enlarges_the_feasible_set(env, data):
         assert before.lo <= after.lo <= after.hi <= before.hi
     if criteria.vanishing_direction(env) == "none":
         assert criteria.vanishing_direction(more) == "none"
+    # one more child keeps condition B, but env may fail it where more does not
+    if validate_conditions(env).ok:
+        regime, more_regime = classify_environment(env).regime, classify_environment(more).regime
+        if criteria.INCONCLUSIVE not in (regime, more_regime):
+            assert _REGIME_RANK[more_regime] >= _REGIME_RANK[regime]
 
 
 def test_one_feasibility_decision_at_the_tolerance():

@@ -69,6 +69,23 @@ def test_envlaw_rejects_bad_weights():
         EnvironmentLaw([(0.6, law)])
 
 
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: OffspringLaw([(1.0, (1, 0, 1))]), "atom vector must be an OffspringVector"),
+    (lambda: law_from_atoms([(1.5, (1, 0, 1))]), "atom probability 1.5 outside (0, 1]"),
+    (lambda: law_from_atoms([(0.0, (1, 0, 1)), (1.0, (0, 0, 0))]),
+     "atom probability 0.0 outside (0, 1]"),
+    (lambda: EnvironmentLaw([]), "environment law needs at least one state"),
+    (lambda: EnvironmentLaw([(1.0, [(1.0, (1, 0, 1))])]), "state law must be an OffspringLaw"),
+    (lambda: EnvironmentLaw([(1.5, law_from_atoms([(1.0, (1, 0, 1))]))]),
+     "state weight 1.5 outside (0, 1]"),
+    (lambda: EnvironmentLaw([(0.0, law_from_atoms([(1.0, (1, 0, 1))]))]),
+     "state weight 0.0 outside (0, 1]"),
+], ids=["vector", "p-above-1", "p-zero", "no-state", "law", "weight-above-1", "weight-zero"])
+def test_law_constructors_name_the_bad_input(build, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build()
+
+
 # -- moments ----------------------------------------------------------------
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brwre import lyapunov
+from brwre import lyapunov, spectral
 from brwre.cli import _parse_environment
-from brwre.criteria import (GLOBAL_EXTINCTION, classify_environment, constant_exponent,
-                            expected_log_drift, lambda_feasible_set, state_feasible_interval,
-                            tight_point, top_exponent, vanishing_direction)
+from brwre.criteria import (GLOBAL_EXTINCTION, INCONCLUSIVE, classify_environment,
+                            constant_exponent, expected_log_drift, lambda_feasible_set,
+                            state_feasible_interval, tight_point, top_exponent,
+                            vanishing_direction)
 from brwre.envmodel import (FEASIBILITY_TOL, EnvironmentLaw, MomentTriple, law_from_atoms,
-                            reflected)
+                            moments, reflected, validate_conditions)
 from brwre.lyapunov import (WORD_BUDGET, WORD_CAP, WORD_SUM_MAX_BOUND, build_A, build_A_lambda,
                             state_matrices, top_lyapunov)
 from conftest import (
@@ -89,6 +90,8 @@ def test_build_A_lambda_rejects_infeasible():
         build_A_lambda(MomentTriple(1.2, 0.0, 0.05), 100.0)
     with pytest.raises(ValueError, match="positive"):
         build_A_lambda(MomentTriple(1.2, 0.0, 0.05), -1.0)
+    with pytest.raises(ValueError, match="needs mu_plus > 0"):
+        build_A_lambda(MomentTriple(1.2, 0.0, 0.0), 1.0)
 
 
 _moments = st.tuples(
@@ -474,7 +477,8 @@ def test_split_state_word_sum_is_the_closed_form(env, kind):
 @settings(max_examples=300, deadline=None)
 def test_splitting_a_state_keeps_the_feasible_set_and_the_word_sum(env, data):
     # two copies of one state at half its weight: the same per-state moments and
-    # the same i.i.d. matrix law, so the same closed form and the same exponent
+    # the same i.i.d. matrix law, so the same closed form, the same exponent and
+    # the same regime
     s = data.draw(st.integers(0, env.n_states - 1), label="state")
     weight, law = env.states[s]
     split = EnvironmentLaw([*env.states[:s], (weight / 2, law), (weight / 2, law),
@@ -482,12 +486,48 @@ def test_splitting_a_state_keeps_the_feasible_set_and_the_word_sum(env, data):
     iv = lambda_feasible_set(env)
     assert lambda_feasible_set(split) == iv
     assert vanishing_direction(split) == vanishing_direction(env)
+    if validate_conditions(env).ok:
+        regime, split_regime = classify_environment(env).regime, classify_environment(split).regime
+        if INCONCLUSIVE not in (regime, split_regime):
+            assert split_regime == regime
     if iv.is_empty or not iv.lo < iv.hi:
         return
     (value, bound), (split_value, split_bound) = (lyapunov.word_sum(e, iv.midpoint)
                                                   for e in (env, split))
     assume(max(bound, split_bound) <= WORD_SUM_MAX_BOUND)
     assert abs(split_value - value) <= bound + split_bound
+
+
+def _moment_twin(law):
+    """A law with law's moment triple on other atoms: two children left at mu-/2,
+    two right at mu+/2, one in place at mu0, and the rest on no child."""
+    m = moments(law)
+    atoms = [(m.mu_minus / 2, (2, 0, 0)), (m.mu_plus / 2, (0, 0, 2)), (m.mu_zero, (0, 1, 0))]
+    atoms.append((1.0 - sum(p for p, _ in atoms), (0, 0, 0)))
+    return law_from_atoms([(p, v) for p, v in atoms if p > 0.0])
+
+
+@given(valid_laws(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_moment_equivalent_laws_get_the_same_verdict(env, seed):
+    # every closed form, the exponent and the spectral windows read a state's
+    # law through its moment triple alone; only survival probabilities may move.
+    # Condition B reads the atoms: the twin always has two children, so both
+    # laws must meet it
+    assume(validate_conditions(env).ok)
+    twin = EnvironmentLaw([(w, _moment_twin(law)) for w, law in env.states])
+    assume(twin.state_moments == env.state_moments)
+    assume(np.array_equal(twin.weights, env.weights))
+    rep, twin_rep = classify_environment(env), classify_environment(twin)
+    assert lambda_feasible_set(twin) == lambda_feasible_set(env) == rep.lambda_set
+    assert (twin_rep.vanishing_direction, twin_rep.regime) == (rep.vanishing_direction,
+                                                               rep.regime)
+    assert twin_rep.drift == rep.drift
+    if not rep.lambda_set.is_empty:
+        est, twin_est = top_exponent(env), top_exponent(twin)
+        assert (twin_est.value, twin_est.stderr) == (est.value, est.stderr)
+    n_values = [0, 1, 2, 4, 8]
+    assert spectral.rho_sweep(twin, seed, n_values) == spectral.rho_sweep(env, seed, n_values)
 
 
 @_INTERIOR_LAWS

@@ -118,7 +118,6 @@ def test_trial_null_offspring_extinct_at_one():
     out = one_trial(single_env([(1.0, (0, 0, 0))]), 0, 0, horizon=10, cap=100)
     assert out.status == EXTINCT
     assert out.end_time == 1
-    assert out.peak_population == 1
 
 
 def test_trial_deterministic_reproduction():
@@ -128,22 +127,21 @@ def test_trial_deterministic_reproduction():
     assert a == b
 
 
-def test_trial_deterministic_split_tracks_origin_and_peak():
+def test_trial_deterministic_split_tracks_origin():
     # every particle sends one child each way: 2^t particles on the sites of
     # t's parity, so the origin is occupied exactly at even times
     env = single_env([(1.0, (1, 0, 1))])
     for horizon, last in ((10, 10), (9, 8)):
         out = one_trial(env, 0, 0, horizon=horizon, cap=10**9)
         assert out.status == ALIVE_AT_HORIZON and out.end_time == horizon
-        assert out.last_origin_visit == last and out.peak_population == 2**horizon
+        assert out.last_origin_visit == last
 
 
-def test_trial_cap_reached_flags_peak():
+def test_trial_cap_reached_before_the_horizon():
     env = single_env(TREBLE_OR_DIE)
     for seed in range(20):
         out = one_trial(env, 1, seed, horizon=400, cap=1000)
         if out.status == CAP_REACHED:
-            assert out.peak_population >= 1000
             assert out.end_time < 400
             return
     pytest.fail("no trial reached the cap")
@@ -312,7 +310,7 @@ def test_batched_survival_matches_single_trial_oracle(env, mode):
         assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
     capped = [o for o in batched.outcomes if o.status == CAP_REACHED]
     assert capped
-    assert all(o.peak_population >= cap and o.end_time < horizon for o in capped)
+    assert all(o.end_time < horizon for o in capped)
 
 
 def test_batches_draw_independent_streams():
@@ -333,16 +331,17 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
         survival_probabilities(env, trials=200, horizon=60, env_seed=5, seed=1, lam=2.0)
     kwargs = dict(trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
     est = survival_probabilities(env, **kwargs)
-    capped = [o for o in est.outcomes if o.status == CAP_REACHED]
-    assert capped and all(o.peak_population < 10**9 for o in capped)
+    # the guard, not the cap, stops the rows: a cap no row can reach changes nothing
+    assert any(o.status == CAP_REACHED for o in est.outcomes)
+    assert est.outcomes == survival_probabilities(env, **{**kwargs, "cap": 1 << 62}).outcomes
     assert not any(o.status == ALIVE_AT_HORIZON for o in est.outcomes)
     with pytest.raises(PopulationOverflowError):
         survival_probabilities(env, lam=2.0, **kwargs)
-    # only a trace row raises: quenched sites where each particle dies or doubles
+    # only a traced row raises: quenched sites where each particle dies or doubles
     # in place, so a row started at a doubling site passes the guard at t = 6,
-    # before the trace horizon, and rows past the trace rows are capped there
+    # before the trace horizon, and rows of the untraced batch are capped there
     n = simulator.TRIAL_BATCH
-    monkeypatch.setattr(simulator, "TRACE_TRIALS", n)
+    monkeypatch.setattr(simulator, "TRACE_BATCHES", 1)
     fates = EnvironmentLaw([(0.5, law_from_atoms([(1.0, (0, 0, 0))])),
                             (0.5, law_from_atoms([(1.0, (0, 2, 0))]))])
     sites = np.arange(-20, 21)
@@ -352,7 +351,6 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
     run = run_batch(fates, 5, [die] * n + [double] * 8, 1, 60, (5, 1), **trace_kwargs)
     assert set(run.status[:n]) == {EXTINCT} and set(run.end_time[:n]) == {1}
     assert set(run.status[n:]) == {CAP_REACHED} and set(run.end_time[n:]) == {6}
-    assert set(run.peak_population[n:]) == {64}
     with pytest.raises(PopulationOverflowError):
         run_batch(fates, 5, [double] * (n + 8), 1, 60, (5, 1), **trace_kwargs)
     # past the trace horizon the guard caps trace rows as before: no row can
@@ -396,11 +394,12 @@ def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
     assert shared.outcomes == plain.outcomes
     assert (shared.global_freq, shared.local_proxy_freq) == (plain.global_freq,
                                                               plain.local_proxy_freq)
-    assert {(o.status, o.end_time, o.last_origin_visit, o.peak_population)
-            for o in shared.outcomes} == {(CAP_REACHED, 5, 0, 32)}
+    assert {(o.status, o.end_time, o.last_origin_visit)
+            for o in shared.outcomes} == {(CAP_REACHED, 5, 0)}
     exact = (2.0 / lam) ** np.arange(horizon + 1)
     np.testing.assert_allclose(shared.trace.mean_h, exact, rtol=1e-12)
-    monkeypatch.setattr(simulator, "TRACE_TRIALS", 60)
+    monkeypatch.setattr(simulator, "TRIAL_BATCH", 60)
+    monkeypatch.setattr(simulator, "TRACE_BATCHES", 1)
     monkeypatch.setattr(simulator, "TRACE_HORIZON", 15)
     run = run_batch(env, 1, np.zeros(100, np.int64), 1, horizon, (1, 2), cap=32,
                     log_lam=math.log(lam))
@@ -414,14 +413,17 @@ def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
 
 
 def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
-    # with the trace rows exactly the first batch, the second batch has no trace
-    # row and its stream, so its trials, stay as they are without a trace
-    n = simulator.TRIAL_BATCH
-    monkeypatch.setattr(simulator, "TRACE_TRIALS", n)
-    kwargs = dict(trials=2 * n, horizon=100, cap=200, env_seed=3, seed=4)
+    # 200 trials in batches of 16 make 13 batches, more than TRACE_BATCHES: the
+    # trace reads every row of the first TRACE_BATCHES, and the later batches
+    # have no traced row, so their streams, and their trials, stay as they are
+    # without a trace
+    monkeypatch.setattr(simulator, "TRIAL_BATCH", 16)
+    n = simulator.TRACE_BATCHES * 16
+    kwargs = dict(trials=200, horizon=100, cap=200, env_seed=3, seed=4)
     env = single_env(GW_SUPERCRITICAL)
     plain = survival_probabilities(env, **kwargs)
     shared = survival_probabilities(env, lam=2.0, **kwargs)
+    assert n < 200
     assert shared.outcomes[n:] == plain.outcomes[n:]
     assert shared.outcomes[:n] != plain.outcomes[:n]  # rows stepping on past the cap draw
     assert (shared.trace.trials, len(shared.trace.mean_h)) == (n, simulator.TRACE_HORIZON + 1)
@@ -431,11 +433,11 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
 
 
 def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
-    # batches of 64 with 150 trace rows: the third batch traces its first 22
-    # rows only and the batches after it none; the law is subcritical, so
-    # batches die out before the trace horizon and skip their last times
+    # 150 trials in batches of 64, all three traced: the last traced batch has
+    # 22 rows; the law is subcritical, so batches die out before the trace
+    # horizon and skip their last times
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 64)
-    monkeypatch.setattr(simulator, "TRACE_TRIALS", 150)
+    monkeypatch.setattr(simulator, "TRACE_BATCHES", 3)
     lam, horizon = 1.5, 40
     seen, record = [], simulator._record
 
@@ -444,7 +446,7 @@ def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
         record(sums, t, h, h_prev)
 
     monkeypatch.setattr(simulator, "_record", capture)
-    trace = survival_probabilities(single_env(SUBCRITICAL_BRANCHY), trials=300, horizon=horizon,
+    trace = survival_probabilities(single_env(SUBCRITICAL_BRANCHY), trials=150, horizon=horizon,
                                    env_seed=3, seed=4, lam=lam).trace
     batches = []
     for t, h in seen:
