@@ -9,6 +9,12 @@ round-trip repr, which reads back as the same double.  Exponents are exact
 and draw nothing, so the lyapunov seed and budget only echo into the report.
 Config, emitter, closed-form verdicts and closed-form exponents (one state,
 or a tight point) need no numpy; stages import it on first use.
+
+No stage runs a thread pool.  numpy's bundled OpenBLAS starts one when numpy
+loads, and its idle workers spin: about 0.13 s of CPU per `all` on a 2-core
+machine, for 2x2 products that need no BLAS thread.  So `main` pins it to one
+thread (OPENBLAS_NUM_THREADS=1) before any stage imports numpy, unless the
+caller already set the variable; reports never depend on the setting.
 """
 from __future__ import annotations
 
@@ -235,7 +241,10 @@ def load_config(path: str) -> ExperimentConfig:
 def worker_count() -> int:
     """Worker count of a run: always 1, since every stage runs on the calling thread.
 
-    BRWRE_THREADS is not read; results never depend on a worker count.
+    BRWRE_THREADS is not read; results never depend on a worker count.  `main`
+    also pins numpy's OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is
+    already set, since its idle workers only spin; the BLAS thread count never
+    changes a report either.
     """
     return 1
 
@@ -657,6 +666,9 @@ def main(argv=None) -> int:
                         help="exit 3 when the verdict is Inconclusive")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
+    # numpy is not loaded yet: with OpenBLAS's default pool, its idle workers
+    # spun ~0.13 s of CPU per `all` (2 cores), beyond the run's wall time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return run(args.config, args.subcommand, outdir=args.out, fmt=args.format,
                    strict=args.strict, quiet=args.quiet)

@@ -2,8 +2,11 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -21,6 +24,7 @@ from brwre.cli import (
     main,
     run,
 )
+from test_package import SRC
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -48,6 +52,14 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture
+def no_blas_setting(monkeypatch):
+    """OPENBLAS_NUM_THREADS unset for the test and restored after it: `main` sets it
+    in this process's environment."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # records the value to restore
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
 
 
 STRONG_LOCAL_ENV = {
@@ -234,7 +246,7 @@ def test_option_defaults_and_bounds(tmp_path, section, fld):
         assert str(excinfo.value) == message
 
 
-def test_validate_rejects_unknown_section_key(tmp_path, capsys):
+def test_validate_rejects_unknown_section_key(tmp_path, capsys, no_blas_setting):
     path = write_config(tmp_path, simulate={"trails": 5})
     assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert "simulate.trails: unknown field" in capsys.readouterr().err
@@ -929,6 +941,55 @@ def test_spectral_tol_is_ignored(tmp_path):
     assert with_report["rho_sweep"] == without_report["rho_sweep"]
 
 
+def test_main_pins_openblas_to_one_thread_unless_set(tmp_path, no_blas_setting, monkeypatch):
+    path = write_config(tmp_path)
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "unset"), "--quiet"]) == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "set"), "--quiet"]) == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def cli_process(args, tmp_path, **env) -> tuple[int, float, float]:
+    """`python -m brwre.cli ARGS` in a fresh interpreter: (exit code, CPU s, wall s).
+
+    The child's environment is this one's without OPENBLAS_NUM_THREADS, plus `env`.
+    CPU is user plus system time from wait4, as perfbench/run.py reads it."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child_env.update(env)
+    start = time.perf_counter()
+    pid = subprocess.Popen([sys.executable, "-m", "brwre.cli", *args, "--quiet"],
+                           env=child_env, cwd=tmp_path).pid
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, wall
+
+
+def test_all_runs_on_one_thread(tmp_path):
+    # with OpenBLAS's default pool, its idle workers spun ~0.13 s of CPU beyond the
+    # wall time of `all` on 2 cores; pinned, the process's CPU is its one thread's
+    code, cpu, wall = cli_process(["all", "--config", write_config(tmp_path),
+                                   "--out", str(tmp_path / "out")], tmp_path)
+    assert code == EXIT_OK
+    assert cpu <= wall + 0.05, (cpu, wall)
+
+
+def test_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # THIN_ENV's exponent is the capped word table's word sum, whose state_p @ end1
+    # in lyapunov._bracket is the largest BLAS call of any stage
+    path = write_config(tmp_path, environment=THIN_ENV)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        code, _, _ = cli_process(["classify", "--config", path, "--out", str(out)], tmp_path,
+                                 OPENBLAS_NUM_THREADS=threads)
+        assert code == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert json.loads(reports[0])["regime"]["gamma1"]["method"] == "word_sum"
+    assert reports[0] == reports[1]
+
+
 def test_thread_setting_is_ignored(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     assert run(path, "all", outdir=str(tmp_path / "unset"), quiet=True) == EXIT_OK
@@ -947,7 +1008,7 @@ def test_report_byte_reproducibility(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_main_entrypoint(tmp_path):
+def test_main_entrypoint(tmp_path, no_blas_setting):
     path = write_config(tmp_path, environment=STRONG_LOCAL_ENV)
     code = main(["classify", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
     assert code == EXIT_OK
