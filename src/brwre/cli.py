@@ -26,8 +26,8 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from . import criteria
 from .envmodel import (
@@ -51,49 +51,50 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema: each int option carries its minimum, and mode its allowed
-# values, in the field metadata read by _parse_opts; every float option must
-# be positive, numpy holds every int option but the seed as an int64, and
-# derive_seed reads the seed as 64 bits
+# Config schema: each options record holds its defaults, and _RULES, read by
+# _parse_opts, each int option's minimum and mode's allowed values; every other
+# option is a float that must be positive, numpy holds every int option but the
+# seed as an int64, and derive_seed reads the seed as 64 bits
 
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class LyapunovOpts:
-    steps: int = field(default=100_000, metadata={"minimum": 1_000})
-    replicas: int = field(default=32, metadata={"minimum": 2})
+class LyapunovOpts(NamedTuple):
+    steps: int = 100_000
+    replicas: int = 32
 
 
-@dataclass(frozen=True)
-class SpectralOpts:
+class SpectralOpts(NamedTuple):
     n_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
 
-@dataclass(frozen=True)
-class SimulateOpts:
-    trials: int = field(default=10_000, metadata={"minimum": 100})
-    horizon: int = field(default=400, metadata={"minimum": 1})
-    cap: int = field(default=1_000_000, metadata={"minimum": 1})
-    mode: str = field(default="quenched", metadata={"choices": ("quenched", "annealed")})
+class SimulateOpts(NamedTuple):
+    trials: int = 10_000
+    horizon: int = 400
+    cap: int = 1_000_000
+    mode: str = "quenched"
 
 
-@dataclass(frozen=True)
-class FrozenOpts:
-    levels: int = field(default=20, metadata={"minimum": 1})
-    trials_per_level: int = field(default=10_000, metadata={"minimum": 1})
-    max_time: int = field(default=5_000, metadata={"minimum": 1})
-    max_population: int = field(default=1_000_000, metadata={"minimum": 1})
+class FrozenOpts(NamedTuple):
+    levels: int = 20
+    trials_per_level: int = 10_000
+    max_time: int = 5_000
+    max_population: int = 1_000_000
     censor_threshold: float = 0.01
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     sigma_margin: float = 3.0
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+_RULES = {
+    LyapunovOpts: {"steps": 1_000, "replicas": 2},
+    SimulateOpts: {"trials": 100, "horizon": 1, "cap": 1, "mode": ("quenched", "annealed")},
+    FrozenOpts: {"levels": 1, "trials_per_level": 1, "max_time": 1, "max_population": 1},
+}
+
+
+class ExperimentConfig(NamedTuple):
     environment: EnvironmentLaw
     seed: int
     lyapunov: LyapunovOpts
@@ -183,21 +184,21 @@ def _parse_environment(raw, path="environment") -> EnvironmentLaw:
 
 
 def _parse_opts(cls, raw, section):
-    """One options section: each field of `cls` read from `raw`, or its default."""
+    """One options section: each field of `cls` from `raw` or its default, checked by _RULES."""
     raw = _expect_mapping(raw, section)
-    _expect_known_keys(raw, {f.name for f in fields(cls)}, section)
-    values = {}
-    for f in fields(cls):
-        value, path = raw.get(f.name, f.default), f"{section}.{f.name}"
-        if "minimum" in f.metadata:
-            value = _expect_int(value, path, minimum=f.metadata["minimum"], maximum=_INT64_MAX)
-        elif "choices" in f.metadata:
-            if value not in f.metadata["choices"]:
-                expected = " or ".join(repr(c) for c in f.metadata["choices"])
+    _expect_known_keys(raw, cls._fields, section)
+    values, rules = {}, _RULES.get(cls, {})
+    for name, default in cls._field_defaults.items():
+        value, path, rule = raw.get(name, default), f"{section}.{name}", rules.get(name)
+        if isinstance(rule, int):
+            value = _expect_int(value, path, minimum=rule, maximum=_INT64_MAX)
+        elif rule:
+            if value not in rule:
+                expected = " or ".join(repr(c) for c in rule)
                 raise ConfigError(f"{path}: expected {expected}, got {value!r}")
         else:
             value = _expect_number(value, path, positive=True)
-        values[f.name] = value
+        values[name] = value
     return cls(**values)
 
 
@@ -213,7 +214,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     raw = _expect_mapping(raw, "config")
 
-    _expect_known_keys(raw, {f.name for f in fields(ExperimentConfig)} - {"sha256"}, "config")
+    _expect_known_keys(raw, set(ExperimentConfig._fields) - {"sha256"}, "config")
 
     env = _parse_environment(raw.get("environment"))
     seed = _expect_int(raw.get("seed", 0), "seed", minimum=0, maximum=2**64 - 1)
@@ -221,7 +222,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     sp = _expect_mapping(raw.get("spectral", {}), "spectral")
     _expect_known_keys(sp, ("n_values", "tol"), "spectral")  # an old config's tol is ignored
-    n_values_raw = sp.get("n_values", list(SpectralOpts.n_values))
+    n_values_raw = sp.get("n_values", list(SpectralOpts._field_defaults["n_values"]))
     n_values = tuple(
         _expect_int(n, f"spectral.n_values[{i}]", minimum=0, maximum=_INT64_MAX)
         for i, n in enumerate(_expect_list(n_values_raw, "spectral.n_values"))
@@ -344,7 +345,7 @@ def _conditions_section(report) -> dict:
 
 
 def _estimate_section(est) -> dict | None:
-    return None if est is None else asdict(est)
+    return None if est is None else est._asdict()
 
 
 def _regime_section(st: Stages, say) -> dict:
@@ -367,8 +368,8 @@ def _lyapunov_section(st: Stages, say) -> dict:
                            "exponent, and the verdict reads none"}
     gamma = st.gamma
     say(f"gamma1 = {gamma.value:.6f} +- {gamma.stderr:.2e}")
-    tilde = replace(gamma, value=gamma.value - criteria.expected_log_drift(st.env),
-                    matrix_kind="A_tilde")
+    tilde = gamma._replace(value=gamma.value - criteria.expected_log_drift(st.env),
+                           matrix_kind="A_tilde")
     return {"gamma1": _estimate_section(gamma), "gamma1_tilde": _estimate_section(tilde)}
 
 
@@ -395,7 +396,7 @@ def _frozen_section(st: Stages, say) -> dict:
     if profile is None:
         return {"skipped": "freezing construction needs the right-vanishing branch"}
     say(f"frozen log-average: {profile.log_average:.5f}")
-    return asdict(profile)
+    return profile._asdict()
 
 
 def _crosscheck_section(st: Stages, say) -> list[dict]:
@@ -638,7 +639,7 @@ def run(config_path: str, subcommand: str, outdir: str = ".", fmt: str = "json",
                 status = EXIT_INCONCLUSIVE
                 if subcommand == "all":
                     break  # all stops at the verdict; crosscheck still checks it
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -27,8 +27,7 @@ is `math`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .envmodel import (FEASIBILITY_TOL, ConditionReport, EnvironmentLaw, MomentTriple,
                        validate_conditions)
@@ -49,18 +48,22 @@ class ConditionError(ValueError):
         super().__init__(f"environment law fails standing conditions: {reasons}")
 
 
-@dataclass(frozen=True)
-class LambdaInterval:
-    """Closed sublevel interval [lo, hi] in lambda, or the empty set."""
-
+class _LambdaInterval(NamedTuple):
     lo: float | None
     hi: float | None
 
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
+
+class LambdaInterval(_LambdaInterval):
+    """Closed sublevel interval [lo, hi] in lambda, or the empty set."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        if (lo is None) != (hi is None):
             raise ValueError("lo and hi must both be set or both be None")
-        if self.lo is not None and not (0.0 < self.lo <= self.hi):
-            raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        if lo is not None and not (0.0 < lo <= hi):
+            raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @classmethod
     def empty(cls) -> "LambdaInterval":
@@ -132,8 +135,7 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(NamedTuple):
     """A top exponent in nats per step, and how it was computed.
 
     method is "closed_form" (one state or a tight point: exact, stderr 0)
@@ -246,8 +248,7 @@ def vanishing_direction(envlaw: EnvironmentLaw) -> str:
     return _direction(lambda_feasible_set(envlaw), one_in_feasible_set(envlaw))
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Final verdict plus its evidence.  margin is the criterion gap in units of
     the exponent's stderr, signed so that positive favors global survival;
     closed-form verdicts and exact one-state exponents (stderr 0) carry an

@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,19 +30,22 @@ FEASIBILITY_TOL = 1e-9
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class OffspringVector:
-    """Child counts placed one step left, in place, and one step right."""
-
+class _OffspringVector(NamedTuple):
     v_minus: int
     v_zero: int
     v_plus: int
 
-    def __post_init__(self):
-        for name in ("v_minus", "v_zero", "v_plus"):
-            v = getattr(self, name)
+
+class OffspringVector(_OffspringVector):
+    """Child counts placed one step left, in place, and one step right."""
+
+    __slots__ = ()
+
+    def __new__(cls, v_minus, v_zero, v_plus):
+        for name, v in zip(cls._fields, (v_minus, v_zero, v_plus)):
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+        return super().__new__(cls, v_minus, v_zero, v_plus)
 
     @property
     def total(self) -> int:
@@ -53,8 +55,29 @@ class OffspringVector:
         return (self.v_minus, self.v_zero, self.v_plus)
 
 
-@dataclass(frozen=True)
-class OffspringLaw:
+class _OneField:
+    """What a frozen dataclass of one field generates, for the two laws below:
+    equality and hash on the field, its repr, and no attribute assignment."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__[self._field] == other.__dict__[self._field]
+
+    def __hash__(self):
+        return hash((self.__dict__[self._field],))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({self._field}={self.__dict__[self._field]!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OffspringLaw(_OneField):
     """Finite-support probability law on offspring vectors.
 
     Atoms are (probability, vector) pairs with pairwise-distinct vectors.
@@ -62,6 +85,7 @@ class OffspringLaw:
     sum exactly to 1 so downstream cumulative lookups are clean.
     """
 
+    _field = "atoms"
     atoms: tuple[tuple[float, OffspringVector], ...]
 
     def __init__(self, atoms):
@@ -104,8 +128,7 @@ class OffspringLaw:
         return float(sum(p for p, v in self.atoms if v.v_plus >= 1))
 
 
-@dataclass(frozen=True)
-class MomentTriple:
+class MomentTriple(NamedTuple):
     """Mean child counts sent left, kept in place, and sent right."""
 
     mu_minus: float
@@ -131,14 +154,14 @@ def moments(law: OffspringLaw) -> MomentTriple:
                           for i in range(3)))
 
 
-@dataclass(frozen=True)
-class EnvironmentLaw:
+class EnvironmentLaw(_OneField):
     """Finite mixture over offspring laws: the per-site marginal.
 
     Each site of the line independently receives state i with weight
     states[i][0]; weights must sum to 1 within PROB_TOL.
     """
 
+    _field = "states"
     states: tuple[tuple[float, OffspringLaw], ...]
 
     def __init__(self, states):
@@ -214,15 +237,13 @@ def reflected(envlaw: EnvironmentLaw) -> EnvironmentLaw:
 # Standing conditions
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str  # "E", "B" or "S"
     state_index: int | None
     reason: str
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of the three standing checks on an environment law.
 
     cond_e: every state sends offspring both left and right on average

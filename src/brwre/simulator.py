@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -207,8 +206,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     return BatchRun(status, end_time, last_origin, frozen, trace)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """One trial's row of its survival run: status, end time and last origin visit."""
 
     status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
@@ -221,8 +219,7 @@ def _outcomes(run: BatchRun) -> list[TrialOutcome]:
     return [TrialOutcome(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-@dataclass(frozen=True)
-class SurvivalEstimates:
+class SurvivalEstimates(NamedTuple):
     """Survival frequencies with binomial standard errors.
 
     global_freq counts every non-extinct trial (cap hits included: in
@@ -309,8 +306,7 @@ def survival_probabilities(
 # Weighted-population supermartingale
 
 
-@dataclass(frozen=True)
-class SupermartingaleTrace:
+class SupermartingaleTrace(NamedTuple):
     """Per-time empirical means of the lam-weighted population h(n) = sum_x
     count(x) lam^x.  For lam feasible for every state the conditional mean of
     h never increases, which the paired per-step increments make testable.
@@ -363,8 +359,7 @@ def supermartingale_trace(
 # Freezing construction: progeny counts at a one-sided barrier
 
 
-@dataclass(frozen=True)
-class FrozenProfile:
+class FrozenProfile(NamedTuple):
     """Per-level quenched means of the frozen progeny counts.
 
     Plain data.  level_means[j] estimates the mean frozen count for one

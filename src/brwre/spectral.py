@@ -24,16 +24,14 @@ compare every search with one that runs each pass over every row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .envmodel import EnvironmentLaw, state_indices
 
 
-@dataclass(frozen=True)
-class TruncatedMomentMatrix:
+class TruncatedMomentMatrix(NamedTuple):
     """Tridiagonal mean-offspring matrix restricted to a window of sites.
 
     sub/diag/sup hold the per-site (mu-, mu0, mu+) aligned with the window
@@ -61,8 +59,7 @@ def truncated_matrix(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> Tru
     return TruncatedMomentMatrix(sub=sub, diag=diag, sup=sup)
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(NamedTuple):
     """Perron root, Sturm passes taken and final bracket width."""
 
     rho: float

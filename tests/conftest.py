@@ -82,6 +82,18 @@ def touching_laws(draw):
     return EnvironmentLaw([(w / total, law) for w, law in states]), t
 
 
+@st.composite
+def overlapping_laws(draw):
+    """2 or 3 states whose intervals [u t, t / v] all hold one drawn point t, so
+    the law's feasible set is nonempty: every such law, by its states' moments."""
+    t, states = draw(st.floats(0.2, 5.0)), []
+    for _ in range(draw(st.integers(2, 3))):
+        lo, hi = t * draw(st.floats(0.05, 0.95)), t / draw(st.floats(0.05, 0.95))
+        states.append((draw(st.floats(0.1, 1.0)), law_with_interval(lo, hi, draw(st.floats(0.05, 1.0)))))
+    total = sum(w for w, _ in states)
+    return EnvironmentLaw([(w / total, law) for w, law in states])
+
+
 def gw_extinction_probability(atoms, iterations: int = 500) -> float:
     """Minimal fixed point of the offspring-total generating function,
     by direct iteration from 0: the brute-force extinction oracle."""

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import os
@@ -208,34 +207,37 @@ def test_load_config_names_offending_field(tmp_path, overrides, fragment):
         load_config(path)
 
 
+# (section, field, default, rule) of every option; the rule is the field's entry
+# in cli._RULES, a minimum or the allowed values (load_config checks n_values itself)
 OPTION_FIELDS = [
-    pytest.param(section, fld, id=f"{section}.{fld.name}")
+    pytest.param(section, name, default, cli._RULES.get(cls, {}).get(name),
+                 id=f"{section}.{name}")
     for section, cls in (("lyapunov", cli.LyapunovOpts), ("spectral", cli.SpectralOpts),
                          ("simulate", cli.SimulateOpts), ("frozen", cli.FrozenOpts),
                          ("thresholds", cli.Thresholds))
-    for fld in dataclasses.fields(cls)
+    for name, default in cls._field_defaults.items()
 ]
 
 
-@pytest.mark.parametrize("section, fld", OPTION_FIELDS)
-def test_option_defaults_and_bounds(tmp_path, section, fld):
+@pytest.mark.parametrize("section, name, default, rule", OPTION_FIELDS)
+def test_option_defaults_and_bounds(tmp_path, section, name, default, rule):
     def load(value=None):
-        options = {} if value is None else {fld.name: value}
+        options = {} if value is None else {name: value}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"environment": STRONG_LOCAL_ENV, section: options}))
-        return getattr(getattr(load_config(str(path)), section), fld.name)
+        return getattr(getattr(load_config(str(path)), section), name)
 
-    assert load() == fld.default
-    field_path = f"{section}.{fld.name}"
-    if "minimum" in fld.metadata:
-        minimum, top = fld.metadata["minimum"], 2**63 - 1  # numpy holds the value as an int64
+    assert load() == default
+    field_path = f"{section}.{name}"
+    if isinstance(rule, int):
+        minimum, top = rule, 2**63 - 1  # numpy holds the value as an int64
         assert load(minimum) == minimum and load(top) == top
         bad = [(minimum - 1, f"{field_path}: must be >= {minimum}, got {minimum - 1}"),
                (top + 1, f"{field_path}: must be <= {top}, got {top + 1}")]
-    elif "choices" in fld.metadata:
-        assert [load(c) for c in fld.metadata["choices"]] == list(fld.metadata["choices"])
+    elif rule:
+        assert [load(c) for c in rule] == list(rule)
         bad = [("sideways", f"{field_path}: expected 'quenched' or 'annealed', got 'sideways'")]
-    elif fld.name == "n_values":
+    elif name == "n_values":
         bad = [([], "spectral.n_values: must be a nonempty strictly increasing array")]
     else:  # a float option: any positive value, but not zero
         assert load(1e-300) == 1e-300
@@ -683,7 +685,7 @@ def test_each_family_reads_its_declared_method(tmp_path, environment, method):
     est = criteria.top_exponent(env, steps=config.lyapunov.steps,
                                 replicas=config.lyapunov.replicas)
     assert est.method == method
-    gamma = dataclasses.asdict(est)
+    gamma = est._asdict()
     # the mirror exponent is gamma(A) - drift, read off the same estimate
     tilde = {**gamma, "value": gamma["value"] - criteria.expected_log_drift(env),
              "matrix_kind": "A_tilde"}
@@ -781,7 +783,7 @@ def test_library_and_cli_agree_on_every_branch(tmp_path, environment, direction)
         config.environment, seed=report["seeds"]["lyapunov"], steps=config.lyapunov.steps,
         replicas=config.lyapunov.replicas, sigma_margin=config.thresholds.sigma_margin)
     assert rep.vanishing_direction == direction
-    gamma1 = None if rep.gamma1 is None else dataclasses.asdict(rep.gamma1)
+    gamma1 = None if rep.gamma1 is None else rep.gamma1._asdict()
     assert (report["regime"]["regime"], report["regime"]["margin"], report["regime"]["gamma1"]) == (
         rep.regime, rep.margin, gamma1)
 
@@ -831,6 +833,20 @@ def test_simulate_fails_where_the_trace_overflows(tmp_path, monkeypatch, capsys)
     for subcommand in ("simulate", "all"):
         assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_INTERNAL
         assert "population guard hit" in capsys.readouterr().err
+
+
+def test_a_collapsed_product_is_a_run_error(tmp_path, monkeypatch, capsys, no_blas_setting):
+    # criteria raises FloatingPointError where a matrix product collapses to zero;
+    # run reports it as a stage error, so it never reaches main's last-resort guard
+    def collapsed(m):
+        raise FloatingPointError("matrix product collapsed to zero")
+
+    monkeypatch.setattr(criteria, "constant_exponent", collapsed)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", write_config(tmp_path), "--out", str(out),
+                 "--quiet"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: matrix product collapsed to zero\n"
+    assert not (out / "report.json").exists()
 
 
 def test_frozen_stage_follows_the_classifier_branch(tmp_path):

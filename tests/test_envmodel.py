@@ -215,6 +215,28 @@ def test_reflected_swaps_sides():
     assert m.as_tuple() == pytest.approx((0.05, 0.0, 1.2), abs=1e-15)
 
 
+def test_laws_compare_hash_and_print_by_value_and_are_frozen():
+    env = conftest.two_state_env()
+    twice = reflected(reflected(env))
+    assert twice == env and twice is not env and hash(twice) == hash(env) == hash((env.states,))
+    assert reflected(env) != env and {env: 1}[twice] == 1
+    law = env.laws[0]
+    rebuilt = law_from_atoms(conftest.TWO_STATE_A)
+    assert law == rebuilt and hash(law) == hash(rebuilt) == hash((law.atoms,))
+    # a law equals only a law of its own type, never its field's tuple
+    assert law != law.atoms and env != env.states and law != env
+    assert repr(single_env([(1.0, (1, 0, 1))])) == (
+        "EnvironmentLaw(states=((1.0, OffspringLaw(atoms="
+        "((1.0, OffspringVector(v_minus=1, v_zero=0, v_plus=1)),))),))")
+    for obj, name in ((law, "atoms"), (env, "states"), (env, "weights")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    # a cached property still fills: it writes the instance dict, not through setattr
+    assert env.weights.tolist() == [0.5, 0.5] and "weights" in vars(env)
+
+
 # -- properties -------------------------------------------------------------
 
 _vectors = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))

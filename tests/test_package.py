@@ -42,9 +42,9 @@ TWO_STATE_RIGHT_LAW = {"states": [
 ]}
 
 
-def loaded_after(code: str, tmp_path) -> dict:
-    """{module: loaded?} for ARRAY_MODULES once `code` ran in a fresh interpreter."""
-    script = f"{code}\nimport json, sys\nprint(json.dumps({{m: m in sys.modules for m in {ARRAY_MODULES!r}}}))\n"
+def loaded_after(code: str, tmp_path, modules=ARRAY_MODULES) -> dict:
+    """{module: loaded?} for `modules` once `code` ran in a fresh interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps({{m: m in sys.modules for m in {modules!r}}}))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
@@ -75,6 +75,20 @@ def test_closed_form_verdict_runs_without_numpy(tmp_path):
     report = json.loads((tmp_path / "classify" / "report.json").read_text())
     assert (report["regime"]["regime"], report["regime"]["vanishing_direction"]) == (
         "GlobalExtinction", "both")
+
+
+def test_closed_form_start_up_loads_no_dataclasses_inspect_or_numpy(tmp_path):
+    # records are NamedTuples, so neither dataclasses, which generates each class's
+    # methods by exec at import, nor the inspect module it imports is loaded
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"environment": RIGHT_LAW}))
+    code = "import brwre.cli\n" + "".join(
+        f"assert brwre.cli.main([{sub!r}, '--config', {str(config)!r}, '--out', "
+        f"{str(tmp_path / sub)!r}, '--quiet']) == 0\n" for sub in ("validate", "classify"))
+    assert loaded_after(code, tmp_path, ("dataclasses", "inspect", "numpy")) == {
+        "dataclasses": False, "inspect": False, "numpy": False}
+    report = json.loads((tmp_path / "classify" / "report.json").read_text())
+    assert report["regime"]["gamma1"]["method"] == "closed_form"
 
 
 @pytest.mark.parametrize("law, direction", [(RIGHT_LAW, "right"), (LEFT_LAW, "left")],
