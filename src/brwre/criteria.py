@@ -86,7 +86,7 @@ def state_feasible_interval(m: MomentTriple) -> LambdaInterval:
     b / (2 mu+) alone when only it clears -FEASIBILITY_TOL."""
     if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
         raise ValueError(
-            f"feasible interval needs mu_minus > 0 and mu_plus > 0, got {m.as_tuple()}"
+            f"feasible interval needs mu_minus > 0 and mu_plus > 0, got {tuple(m)}"
         )
     b = 1.0 - m.mu_zero
     if b <= 0.0:
@@ -130,7 +130,7 @@ def expected_log_drift(envlaw: EnvironmentLaw) -> float:
     out = 0.0
     for (w, _), m in zip(envlaw.states, envlaw.state_moments):
         if m.mu_plus <= 0.0 or m.mu_minus <= 0.0:
-            raise ValueError(f"log drift needs positive mu-, mu+; got {m.as_tuple()}")
+            raise ValueError(f"log drift needs positive mu-, mu+; got {tuple(m)}")
         out += w * math.log(m.mu_minus / m.mu_plus)
     return out
 
@@ -157,7 +157,7 @@ def feasible_slack(m: MomentTriple, lam: float) -> float:
     """m.slack(lam), or ValueError when it is below -FEASIBILITY_TOL."""
     slack = m.slack(lam)
     if slack < -FEASIBILITY_TOL:
-        raise ValueError(f"lambda={lam} infeasible for state with moments {m.as_tuple()}: "
+        raise ValueError(f"lambda={lam} infeasible for state with moments {tuple(m)}: "
                          f"slack {slack:.3e} < 0")
     return slack
 

@@ -47,17 +47,38 @@ class OffspringVector(_OffspringVector):
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
         return super().__new__(cls, v_minus, v_zero, v_plus)
 
-    @property
-    def total(self) -> int:
-        return self.v_minus + self.v_zero + self.v_plus
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.v_minus, self.v_zero, self.v_plus)
+class _Mixture:
+    """A finite mixture of (weight, `_item_type`) pairs in the one field `_field`:
+    its checked constructor, and what a frozen dataclass of that field generates
+    (equality and hash on it, its repr, no assignment).  `_words` name the law,
+    a pair, its item and its weight, singular and plural, in the messages."""
 
+    def __init__(self, pairs):
+        law, item, part, weight, weights = self._words
+        pairs = tuple((float(w), x) for w, x in pairs)
+        if not pairs:
+            raise ValueError(f"{law} needs at least one {item}")
+        for w, x in pairs:
+            if not isinstance(x, self._item_type):
+                raise ValueError(f"{item} {part} must be an {self._item_type.__name__}, got {x!r}")
+            if not (0.0 < w <= 1.0):
+                raise ValueError(f"{item} {weight} {w} outside (0, 1]")
+        self._check_items(pairs)
+        total = sum(w for w, _ in pairs)
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"{item} {weights} sum to {total!r}, not 1 within {PROB_TOL}")
+        self.__dict__[self._field] = tuple((w / total, x) for w, x in pairs)
 
-class _OneField:
-    """What a frozen dataclass of one field generates, for the two laws below:
-    equality and hash on the field, its repr, and no attribute assignment."""
+    def _check_items(self, pairs):
+        """One law's own checks, after the shared ones and before the sum's."""
+
+    @classmethod
+    def _trusted(cls, pairs):
+        """The mixture of `pairs` as given: unchecked, its weights kept bit for bit."""
+        out = object.__new__(cls)
+        out.__dict__[cls._field] = tuple(pairs)
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -77,7 +98,7 @@ class _OneField:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class OffspringLaw(_OneField):
+class OffspringLaw(_Mixture):
     """Finite-support probability law on offspring vectors.
 
     Atoms are (probability, vector) pairs with pairwise-distinct vectors.
@@ -85,28 +106,16 @@ class OffspringLaw(_OneField):
     sum exactly to 1 so downstream cumulative lookups are clean.
     """
 
-    _field = "atoms"
+    _field, _item_type = "atoms", OffspringVector
+    _words = ("offspring law", "atom", "vector", "probability", "probabilities")
     atoms: tuple[tuple[float, OffspringVector], ...]
 
-    def __init__(self, atoms):
-        atoms = tuple((float(p), v) for p, v in atoms)
-        if not atoms:
-            raise ValueError("offspring law needs at least one atom")
-        for p, v in atoms:
-            if not isinstance(v, OffspringVector):
-                raise ValueError(f"atom vector must be an OffspringVector, got {v!r}")
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"atom probability {p} outside (0, 1]")
+    def _check_items(self, atoms):
         seen = set()
         for _, v in atoms:
-            if v.as_tuple() in seen:
-                raise ValueError(f"duplicate atom vector {v.as_tuple()}")
-            seen.add(v.as_tuple())
-        total = sum(p for p, _ in atoms)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-        atoms = tuple((p / total, v) for p, v in atoms)
-        object.__setattr__(self, "atoms", atoms)
+            if v in seen:
+                raise ValueError(f"duplicate atom vector {tuple(v)}")
+            seen.add(v)
 
     @cached_property
     def probabilities(self) -> np.ndarray:
@@ -117,15 +126,7 @@ class OffspringLaw(_OneField):
     def vectors(self) -> np.ndarray:
         """(n_atoms, 3) int64 array of [v_minus, v_zero, v_plus] rows."""
         import numpy as np
-        return np.array([v.as_tuple() for _, v in self.atoms], dtype=np.int64)
-
-    def mass_with_left_child(self) -> float:
-        """Probability of emitting at least one child to the left."""
-        return float(sum(p for p, v in self.atoms if v.v_minus >= 1))
-
-    def mass_with_right_child(self) -> float:
-        """Probability of emitting at least one child to the right."""
-        return float(sum(p for p, v in self.atoms if v.v_plus >= 1))
+        return np.array([v for _, v in self.atoms], dtype=np.int64)
 
 
 class MomentTriple(NamedTuple):
@@ -134,9 +135,6 @@ class MomentTriple(NamedTuple):
     mu_minus: float
     mu_zero: float
     mu_plus: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mu_minus, self.mu_zero, self.mu_plus)
 
     def slack(self, lam: float) -> float:
         """1 - (mu-/lam + mu0 + mu+*lam): nonnegative iff lam is feasible for this state."""
@@ -148,36 +146,22 @@ class MomentTriple(NamedTuple):
 def moments(law: OffspringLaw) -> MomentTriple:
     """Probability-weighted mean of each offspring component, correctly rounded: each
     probability is exactly n / 2**k, so int / int rounds the exact sum once."""
-    ratios = [(p.as_integer_ratio(), [int(c) for c in v.as_tuple()]) for p, v in law.atoms]
+    ratios = [(p.as_integer_ratio(), [int(c) for c in v]) for p, v in law.atoms]
     scale = max(d for (_, d), _ in ratios)
     return MomentTriple(*(sum(n * (scale // d) * v[i] for (n, d), v in ratios) / scale
                           for i in range(3)))
 
 
-class EnvironmentLaw(_OneField):
+class EnvironmentLaw(_Mixture):
     """Finite mixture over offspring laws: the per-site marginal.
 
     Each site of the line independently receives state i with weight
     states[i][0]; weights must sum to 1 within PROB_TOL.
     """
 
-    _field = "states"
+    _field, _item_type = "states", OffspringLaw
+    _words = ("environment law", "state", "law", "weight", "weights")
     states: tuple[tuple[float, OffspringLaw], ...]
-
-    def __init__(self, states):
-        states = tuple((float(w), law) for w, law in states)
-        if not states:
-            raise ValueError("environment law needs at least one state")
-        for w, law in states:
-            if not isinstance(law, OffspringLaw):
-                raise ValueError(f"state law must be an OffspringLaw, got {law!r}")
-            if not (0.0 < w <= 1.0):
-                raise ValueError(f"state weight {w} outside (0, 1]")
-        total = sum(w for w, _ in states)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"state weights sum to {total!r}, not 1 within {PROB_TOL}")
-        states = tuple((w / total, law) for w, law in states)
-        object.__setattr__(self, "states", states)
 
     @property
     def n_states(self) -> int:
@@ -222,15 +206,10 @@ def reflected(envlaw: EnvironmentLaw) -> EnvironmentLaw:
 
     The weights and probabilities, normalized already, are kept bit for bit
     rather than normalized again, so every estimate of the mirror is exact."""
-    states = []
-    for w, law in envlaw.states:
-        mirror = object.__new__(OffspringLaw)
-        object.__setattr__(mirror, "atoms", tuple(
-            (p, OffspringVector(v.v_plus, v.v_zero, v.v_minus)) for p, v in law.atoms))
-        states.append((w, mirror))
-    out = object.__new__(EnvironmentLaw)
-    object.__setattr__(out, "states", tuple(states))
-    return out
+    return EnvironmentLaw._trusted(
+        (w, OffspringLaw._trusted((p, OffspringVector(v.v_plus, v.v_zero, v.v_minus))
+                                  for p, v in law.atoms))
+        for w, law in envlaw.states)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +245,16 @@ class ConditionReport(NamedTuple):
 
 def validate_conditions(envlaw: EnvironmentLaw) -> ConditionReport:
     violations: list[Violation] = []
-    for i, law in enumerate(envlaw.laws):
-        m = moments(law)
+    for i, (law, m) in enumerate(zip(envlaw.laws, envlaw.state_moments)):
         if m.mu_minus <= 0.0:
             violations.append(Violation("E", i, "mean offspring sent left is 0"))
         if m.mu_plus <= 0.0:
             violations.append(Violation("E", i, "mean offspring sent right is 0"))
-        if law.mass_with_left_child() <= 0.0:
+        if not any(v.v_minus for _, v in law.atoms):
             violations.append(Violation("S", i, "no atom places a child to the left"))
-        if law.mass_with_right_child() <= 0.0:
+        if not any(v.v_plus for _, v in law.atoms):
             violations.append(Violation("S", i, "no atom places a child to the right"))
-    can_branch = any(v.total >= 2 for law in envlaw.laws for p, v in law.atoms if p > 0.0)
+    can_branch = any(sum(v) >= 2 for law in envlaw.laws for _, v in law.atoms)
     if not can_branch:
         violations.append(Violation("B", None, "no state has an atom with two or more children"))
     return ConditionReport(

@@ -53,7 +53,7 @@ def truncated_matrix(envlaw: EnvironmentLaw, seed: int, lo: int, hi: int) -> Tru
     `seed`; a window's rows are those of every window that contains it."""
     if hi < lo:
         raise ValueError(f"window bounds out of order: lo={lo}, hi={hi}")
-    triples = np.array([m.as_tuple() for m in envlaw.state_moments])
+    triples = np.array(envlaw.state_moments)
     sites = np.arange(lo, hi + 1, dtype=np.int64)
     sub, diag, sup = triples[state_indices(envlaw, seed, sites)].T.copy()
     return TruncatedMomentMatrix(sub=sub, diag=diag, sup=sup)
@@ -117,7 +117,7 @@ def root_error_bound(envlaw: EnvironmentLaw) -> float:
     6 eps times the largest row sum any window can have, the largest
     mu-_s + mu0_s + mu+_s over the states s of the law.
     """
-    return 6.0 * np.finfo(float).eps * max(sum(m.as_tuple()) for m in envlaw.state_moments)
+    return 6.0 * np.finfo(float).eps * max(sum(m) for m in envlaw.state_moments)
 
 
 def rho_sweep(

@@ -121,7 +121,8 @@ TIE_ENV = {
 }
 
 # two states whose interior feasible set [1.065, 1.374] is too thin for the
-# word-sum bracket to pass its gate (a half-width of 1.5e-3): replicas
+# budget table's bracket (a half-width of 1.5e-3, above WORD_SUM_MAX_BOUND), so
+# the exponent is the capped word table's bracket, a half-width of 1.6e-4
 THIN_ENV = {
     "states": [
         {"weight": 0.5, "atoms": [{"p": 0.25, "v": [2, 0, 0]}, {"p": 0.45, "v": [0, 0, 1]},

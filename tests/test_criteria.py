@@ -366,7 +366,7 @@ def _gap(rep) -> float:
     (1 / 3, law_from_atoms([(0.03125, (2, 0, 0)), (0.46875, (0, 0, 2)), (0.5, (0, 1, 0))]))]),
     2, 1)
 def test_mirror_law_gives_the_mirrored_classification(env, replicas, seed):
-    assume(any(v.total >= 2 for law in env.laws for _, v in law.atoms))
+    assume(any(sum(v) >= 2 for law in env.laws for _, v in law.atoms))
     menv = reflected(env)
     kw = dict(steps=1000, replicas=replicas, seed=seed)
     rep, mrep = classify_environment(env, **kw), classify_environment(menv, **kw)
@@ -402,10 +402,10 @@ def test_an_extra_child_never_enlarges_the_feasible_set(env, data):
     s = data.draw(st.integers(0, env.n_states - 1), label="state")
     weight, law = env.states[s]
     a = data.draw(st.integers(0, len(law.atoms) - 1), label="atom")
-    grown = list(law.atoms[a][1].as_tuple())
+    grown = list(law.atoms[a][1])
     grown[data.draw(st.integers(0, 2), label="component")] += 1
-    assume(all(v.as_tuple() != tuple(grown) for _, v in law.atoms))
-    atoms = [(p, tuple(grown) if i == a else v.as_tuple()) for i, (p, v) in enumerate(law.atoms)]
+    assume(all(tuple(v) != tuple(grown) for _, v in law.atoms))
+    atoms = [(p, tuple(grown) if i == a else tuple(v)) for i, (p, v) in enumerate(law.atoms)]
     more = EnvironmentLaw([(weight, law_from_atoms(atoms)) if i == s else state
                            for i, state in enumerate(env.states)])
     # within 1e-6 of the window limit 1 the tolerance decides, as in

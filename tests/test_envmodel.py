@@ -39,7 +39,7 @@ def test_offspring_vector_rejects_booleans():
         OffspringVector(True, False, 2)
     with pytest.raises(ValueError, match="v_minus"):
         law_from_atoms([(0.5, (True, 0, True)), (0.5, (0, 0, 0))])
-    assert OffspringVector(np.int64(1), 0, np.uint8(2)).total == 3  # numpy integers still count
+    assert sum(OffspringVector(np.int64(1), 0, np.uint8(2))) == 3  # numpy integers still count
 
 
 def test_law_rejects_bad_probability_sum():
@@ -80,7 +80,14 @@ def test_envlaw_rejects_bad_weights():
      "state weight 1.5 outside (0, 1]"),
     (lambda: EnvironmentLaw([(0.0, law_from_atoms([(1.0, (1, 0, 1))]))]),
      "state weight 0.0 outside (0, 1]"),
-], ids=["vector", "p-above-1", "p-zero", "no-state", "law", "weight-above-1", "weight-zero"])
+    (lambda: OffspringLaw([]), "offspring law needs at least one atom"),
+    (lambda: law_from_atoms([(0.5, (1, 0, 1)), (0.5, (1, 0, 1))]), "duplicate atom vector (1, 0, 1)"),
+    (lambda: law_from_atoms([(0.5, (1, 0, 0)), (0.25, (0, 0, 1))]),
+     "atom probabilities sum to 0.75, not 1 within 1e-12"),
+    (lambda: EnvironmentLaw([(0.5, law_from_atoms([(1.0, (1, 0, 1))]))]),
+     "state weights sum to 0.5, not 1 within 1e-12"),
+], ids=["vector", "p-above-1", "p-zero", "no-state", "law", "weight-above-1", "weight-zero",
+        "no-atom", "duplicate", "p-sum", "weight-sum"])
 def test_law_constructors_name_the_bad_input(build, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build()
@@ -90,16 +97,16 @@ def test_law_constructors_name_the_bad_input(build, fragment):
 
 
 def test_moments_point_mass():
-    assert moments(law_from_atoms([(1.0, (1, 0, 1))])).as_tuple() == (1.0, 0.0, 1.0)
+    assert tuple(moments(law_from_atoms([(1.0, (1, 0, 1))]))) == (1.0, 0.0, 1.0)
 
 
 def test_moments_null_offspring():
-    assert moments(law_from_atoms([(1.0, (0, 0, 0))])).as_tuple() == (0.0, 0.0, 0.0)
+    assert tuple(moments(law_from_atoms([(1.0, (0, 0, 0))]))) == (0.0, 0.0, 0.0)
 
 
 def test_moments_weighted_sum():
     m = moments(law_from_atoms(GW_SUPERCRITICAL))
-    assert m.as_tuple() == pytest.approx((1.2, 0.0, 0.05), abs=1e-15)
+    assert tuple(m) == pytest.approx((1.2, 0.0, 0.05), abs=1e-15)
 
 
 def _canonical_laws():
@@ -125,7 +132,7 @@ def test_moments_match_numpy_on_the_canonical_laws():
     laws = _canonical_laws()
     assert len(laws) >= 12
     for law in laws:
-        assert moments(law).as_tuple() == tuple((law.probabilities @ law.vectors).tolist())
+        assert tuple(moments(law)) == tuple((law.probabilities @ law.vectors).tolist())
 
 
 # -- conditions -------------------------------------------------------------
@@ -212,7 +219,11 @@ def test_per_site_seeds_match_scalar_calls():
 def test_reflected_swaps_sides():
     env = single_env(GW_SUPERCRITICAL)
     m = moments(reflected(env).laws[0])
-    assert m.as_tuple() == pytest.approx((0.05, 0.0, 1.2), abs=1e-15)
+    assert tuple(m) == pytest.approx((0.05, 0.0, 1.2), abs=1e-15)
+    # normalizing this law's probabilities again would move bits: the mirror keeps them
+    env = single_env([(0.7, (2, 0, 0)), (0.2, (0, 0, 1)), (0.1, (0, 0, 0))])
+    assert [p for p, _ in reflected(env).laws[0].atoms] == [p for p, _ in env.laws[0].atoms]
+    assert reflected(reflected(env)) == env
 
 
 def test_laws_compare_hash_and_print_by_value_and_are_frozen():
@@ -256,15 +267,15 @@ def offspring_laws(draw, max_atoms=4):
 
 @given(offspring_laws(max_atoms=6))
 def test_moments_are_the_correctly_rounded_dot_product(law):
-    exact = [sum(Fraction(p) * v.as_tuple()[i] for p, v in law.atoms) for i in range(3)]
-    assert moments(law).as_tuple() == tuple(float(x) for x in exact)  # one rounding each
+    exact = [sum(Fraction(p) * v[i] for p, v in law.atoms) for i in range(3)]
+    assert tuple(moments(law)) == tuple(float(x) for x in exact)  # one rounding each
 
 
 @given(offspring_laws())
 def test_moments_bounded_by_largest_atom(law):
     m = moments(law)
-    assert min(m.as_tuple()) >= 0.0
-    assert sum(m.as_tuple()) <= max(v.total for _, v in law.atoms) + 1e-12
+    assert min(m) >= 0.0
+    assert sum(m) <= max(sum(v) for _, v in law.atoms) + 1e-12
 
 
 @given(st.lists(offspring_laws(), min_size=1, max_size=3))

@@ -104,7 +104,7 @@ def test_truncated_matrix_singleton():
     env = single_env(GW_SUPERCRITICAL)
     tm = truncated_matrix(env, 3, 0, 0)
     assert tm.size == 1
-    assert (tm.sub[0], tm.diag[0], tm.sup[0]) == env.state_moments[0].as_tuple()
+    assert (tm.sub[0], tm.diag[0], tm.sup[0]) == tuple(env.state_moments[0])
 
 
 def test_truncated_matrix_restriction_compatible():
