@@ -6,23 +6,24 @@ from hypothesis import settings, strategies as st
 
 from brwre.envmodel import EnvironmentLaw, MomentTriple, law_from_atoms
 from brwre.lyapunov import build_A, build_A_lambda
+from laws import LAWS, law
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 
-# Atom sets used across the suite, named by what their branching does.
-# Moment triples are stated alongside; the classifier needs at least one
-# atom with two or more children (condition B), so some triples appear in
-# two variants.
-GW_SUPERCRITICAL = [(0.6, (2, 0, 0)), (0.05, (0, 0, 1)), (0.35, (0, 0, 0))]  # (1.2, 0, 0.05)
-TREBLE_OR_DIE = [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]  # (0.5, 0.5, 0.5)
+# Atom sets used across the suite, named by what their branching does; those
+# of a named law are read from tests/laws.py.  Moment triples are stated
+# alongside; the classifier needs at least one atom with two or more children
+# (condition B), so some triples appear in two variants.
+(_, GW_SUPERCRITICAL), = LAWS["readme"]  # (1.2, 0, 0.05)
+(_, TREBLE_OR_DIE), = LAWS["strong-local"]  # (0.5, 0.5, 0.5)
 CRITICAL_PAIR = [(0.5, (1, 0, 1)), (0.5, (0, 0, 0))]  # (0.5, 0, 0.5)
 SUBCRITICAL_WALK = [(0.6, (1, 0, 0)), (0.15, (0, 0, 1)), (0.25, (0, 0, 0))]  # (0.6, 0, 0.15), no branching atom
-SUBCRITICAL_BRANCHY = [(0.3, (2, 0, 0)), (0.15, (0, 0, 1)), (0.55, (0, 0, 0))]  # (0.6, 0, 0.15)
-TWO_STATE_A = [(0.7, (2, 0, 0)), (0.05, (0, 0, 1)), (0.25, (0, 0, 0))]  # (1.4, 0, 0.05)
-TWO_STATE_B = [(0.45, (2, 0, 0)), (0.08, (0, 0, 1)), (0.47, (0, 0, 0))]  # (0.9, 0, 0.08)
-MIRROR_LEFT = [(0.15, (1, 0, 0)), (0.3, (0, 0, 2)), (0.55, (0, 0, 0))]  # (0.15, 0, 0.6), SUBCRITICAL_BRANCHY reflected
+# (1.4, 0, 0.05) and (0.9, 0, 0.08)
+(_, TWO_STATE_A), (_, TWO_STATE_B) = LAWS["two-state"]
+# (0.6, 0, 0.15), and (0.15, 0, 0.6): SUBCRITICAL_BRANCHY reflected
+(_, SUBCRITICAL_BRANCHY), (_, MIRROR_LEFT) = LAWS["both"]
 
 
 def single_env(atoms) -> EnvironmentLaw:
@@ -30,9 +31,7 @@ def single_env(atoms) -> EnvironmentLaw:
 
 
 def two_state_env() -> EnvironmentLaw:
-    return EnvironmentLaw(
-        [(0.5, law_from_atoms(TWO_STATE_A)), (0.5, law_from_atoms(TWO_STATE_B))]
-    )
+    return law("two-state")
 
 
 @st.composite

@@ -23,30 +23,16 @@ from brwre.cli import (
     main,
     run,
 )
+from laws import SIZES, environment
 from test_package import SRC
 
 
 def write_config(tmp_path, name="config.json", **overrides):
-    cfg = {
-        "environment": {
-            "states": [
-                {
-                    "weight": 1.0,
-                    "atoms": [
-                        {"p": 0.6, "v": [2, 0, 0]},
-                        {"p": 0.05, "v": [0, 0, 1]},
-                        {"p": 0.35, "v": [0, 0, 0]},
-                    ],
-                }
-            ]
-        },
-        "seed": 7,
-        "lyapunov": {"steps": 5000, "replicas": 4},
-        "spectral": {"n_values": [1, 2, 4], "tol": 1e-10},
-        "simulate": {"trials": 200, "horizon": 60, "cap": 100000, "mode": "quenched"},
-        "frozen": {"levels": 4, "trials_per_level": 500},
-        "thresholds": {"sigma_margin": 3.0},
-    }
+    # the harness sizes, with an explicit spectral.tol, simulate.mode and thresholds
+    cfg = {"environment": environment("readme"), **SIZES,
+           "spectral": {**SIZES["spectral"], "tol": 1e-10},
+           "simulate": {**SIZES["simulate"], "mode": "quenched"},
+           "thresholds": {"sigma_margin": 3.0}}
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -61,41 +47,12 @@ def no_blas_setting(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
 
 
-STRONG_LOCAL_ENV = {
-    "states": [
-        {"weight": 1.0, "atoms": [{"p": 0.5, "v": [1, 1, 1]}, {"p": 0.5, "v": [0, 0, 0]}]}
-    ]
-}
-
-TWO_STATE_RIGHT_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.7, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
-                                  {"p": 0.25, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.45, "v": [2, 0, 0]}, {"p": 0.08, "v": [0, 0, 1]},
-                                  {"p": 0.47, "v": [0, 0, 0]}]},
-    ]
-}
-
-# TWO_STATE_RIGHT_ENV reflected: every offspring vector reversed
-TWO_STATE_LEFT_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.7, "v": [0, 0, 2]}, {"p": 0.05, "v": [1, 0, 0]},
-                                  {"p": 0.25, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.45, "v": [0, 0, 2]}, {"p": 0.08, "v": [1, 0, 0]},
-                                  {"p": 0.47, "v": [0, 0, 0]}]},
-    ]
-}
-
-# a state and its reflection: 1 is feasible, so the verdict is closed-form
-# GlobalExtinction in both directions
-BOTH_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.3, "v": [2, 0, 0]}, {"p": 0.15, "v": [0, 0, 1]},
-                                  {"p": 0.55, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.15, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 0, 2]},
-                                  {"p": 0.55, "v": [0, 0, 0]}]},
-    ]
-}
+STRONG_LOCAL_ENV = environment("strong-local")
+TWO_STATE_RIGHT_ENV = environment("two-state")
+TWO_STATE_LEFT_ENV = environment("two-state-left")
+BOTH_ENV = environment("both")
+TIE_ENV = environment("tie")
+THIN_ENV = environment("thin")
 
 # one law per classifier branch, named by its vanishing direction
 BRANCH_LAWS = pytest.mark.parametrize("environment, direction", [
@@ -104,49 +61,6 @@ BRANCH_LAWS = pytest.mark.parametrize("environment, direction", [
     pytest.param(BOTH_ENV, "both", id="both"),
     pytest.param(STRONG_LOCAL_ENV, "none", id="none"),
 ])
-
-# two states whose intervals touch at one lambda, but whose computed ends cross
-# by 4.4e-16; the slacks there are 0 and -5.6e-17, so the tie is kept
-TIE_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.22876745398945247, "v": [2, 0, 0]},
-                                  {"p": 0.15567852502198387, "v": [0, 0, 1]},
-                                  {"p": 0.45807180434299477, "v": [0, 1, 0]},
-                                  {"p": 0.15748221664556894, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.365148052060621, "v": [2, 0, 0]},
-                                  {"p": 0.10784449955877619, "v": [0, 0, 1]},
-                                  {"p": 0.4221005981018707, "v": [0, 1, 0]},
-                                  {"p": 0.10490685027873214, "v": [0, 0, 0]}]},
-    ]
-}
-
-# two states whose interior feasible set [1.065, 1.374] is too thin for the
-# budget table's bracket (a half-width of 1.5e-3, above WORD_SUM_MAX_BOUND), so
-# the exponent is the capped word table's bracket, a half-width of 1.6e-4
-THIN_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.25, "v": [2, 0, 0]}, {"p": 0.45, "v": [0, 0, 1]},
-                                  {"p": 0.3, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.3, "v": [2, 0, 0]}, {"p": 0.41, "v": [0, 0, 1]},
-                                  {"p": 0.29, "v": [0, 0, 0]}]},
-    ]
-}
-
-
-# 1 feasible within the membership tolerance although the lower root
-# exceeds 1 + tol (see tests/test_criteria.py::NEAR_CRITICAL_RIGHT)
-NEAR_CRITICAL_ENV = {
-    "states": [
-        {"weight": 1.0, "atoms": [{"p": 0.35 + 2.5e-10, "v": [2, 0, 0]}, {"p": 0.3, "v": [0, 0, 1]},
-                                  {"p": 0.35 - 2.5e-10, "v": [0, 0, 0]}]}
-    ]
-}
-
-NO_RIGHT_ENV = {
-    "states": [
-        {"weight": 1.0, "atoms": [{"p": 0.7, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 2, 0]}]}
-    ]
-}
 
 
 # -- config parsing ----------------------------------------------------------
@@ -352,7 +266,7 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_validate_condition_failure_exits_two(tmp_path):
-    path = write_config(tmp_path, environment=NO_RIGHT_ENV)
+    path = write_config(tmp_path, environment=environment("no-right"))
     code = run(path, "validate", outdir=str(tmp_path / "out"), quiet=True)
     assert code == EXIT_CONDITIONS
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -370,31 +284,9 @@ def test_classify_strong_local(tmp_path):
     assert report["regime"]["lambda_set"]["empty"] is True
 
 
-TWO_STATE_ENV = {
-    "states": [
-        {
-            "weight": 0.5,
-            "atoms": [
-                {"p": 0.7, "v": [2, 0, 0]},
-                {"p": 0.05, "v": [0, 0, 1]},
-                {"p": 0.25, "v": [0, 0, 0]},
-            ],
-        },
-        {
-            "weight": 0.5,
-            "atoms": [
-                {"p": 0.45, "v": [2, 0, 0]},
-                {"p": 0.08, "v": [0, 0, 1]},
-                {"p": 0.47, "v": [0, 0, 0]},
-            ],
-        },
-    ]
-}
-
-
 # a random environment has a finite margin, so an absurd sigma threshold
 # forces the statistical branch to stay undecided
-INCONCLUSIVE = dict(environment=TWO_STATE_ENV, thresholds={"sigma_margin": 1e18})
+INCONCLUSIVE = dict(environment=TWO_STATE_RIGHT_ENV, thresholds={"sigma_margin": 1e18})
 
 
 def test_classify_strict_inconclusive_exits_three(tmp_path):
@@ -729,18 +621,8 @@ def test_all_draws_no_replicas_with_an_interior_feasible_set(tmp_path, environme
     assert reports[0]["regime"]["margin"] == reports[1]["regime"]["margin"]
 
 
-# two states without a common feasible lambda: strong local survival
-EMPTY_TWO_STATE_ENV = {
-    "states": [
-        {"weight": 0.5, "atoms": [{"p": 0.6, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
-                                  {"p": 0.35, "v": [0, 0, 0]}]},
-        {"weight": 0.5, "atoms": [{"p": 0.5, "v": [1, 1, 1]}, {"p": 0.5, "v": [0, 0, 0]}]},
-    ]
-}
-
-
 def test_lyapunov_section_is_skipped_without_a_feasible_lambda(tmp_path):
-    path = write_config(tmp_path, environment=EMPTY_TWO_STATE_ENV)
+    path = write_config(tmp_path, environment=environment("empty-two-state"))
     for subcommand in ("lyapunov", "all"):
         assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_OK
         report = json.loads((tmp_path / subcommand / "report.json").read_text())
@@ -851,7 +733,7 @@ def test_a_collapsed_product_is_a_run_error(tmp_path, monkeypatch, capsys, no_bl
 
 
 def test_frozen_stage_follows_the_classifier_branch(tmp_path):
-    path = write_config(tmp_path, environment=NEAR_CRITICAL_ENV)
+    path = write_config(tmp_path, environment=environment("near-critical"))
     assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "all" / "report.json").read_text())
     regime = report["regime"]
@@ -889,19 +771,8 @@ def test_frozen_log_mean_skips_without_level_spread(tmp_path, overrides, means):
         "skipped", "no spread across unflagged levels to bound the log-average")
 
 
-# one state whose double root rounds to disc = -2.2e-16: 2 sqrt(mu- mu+) + mu0 = 1,
-# so rho = 1, the feasible set is the point 1/0.7 and local survival fails
-DOUBLE_ROOT_ENV = {
-    "states": [
-        {"weight": 1.0, "atoms": [{"p": 0.35714285714285715, "v": [2, 0, 0]},
-                                  {"p": 0.35, "v": [0, 0, 1]},
-                                  {"p": 0.2928571428571428, "v": [0, 0, 0]}]}
-    ]
-}
-
-
 def test_double_root_lost_to_rounding_is_feasible(tmp_path):
-    path = write_config(tmp_path, environment=DOUBLE_ROOT_ENV, lyapunov={"steps": 2000},
+    path = write_config(tmp_path, environment=environment("double-root"), lyapunov={"steps": 2000},
                         spectral={"n_values": [1, 2, 4, 8, 16, 32, 64]})
     assert run(path, "all", outdir=str(tmp_path / "all"), quiet=True) == EXIT_OK
     report = json.loads((tmp_path / "all" / "report.json").read_text())

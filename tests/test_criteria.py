@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from brwre import criteria
 from brwre.criteria import (
     ConditionError,
-    LambdaInterval,
     classify,
     classify_environment,
     expected_log_drift,
@@ -28,6 +27,7 @@ from conftest import (
     two_state_env,
     valid_laws,
 )
+from laws import law
 from test_spectral import rho_inf
 
 
@@ -225,17 +225,12 @@ def test_remark_precedence_when_one_is_an_endpoint():
     assert rep.vanishing_direction == "both"
 
 
-# (0.7 + 5e-10, 0, 0.3): lam = 1 fails the inequality by 5e-10, inside the
-# membership tolerance, while the lower root 1 + 1.25e-9 clears 1 + tol
-NEAR_CRITICAL_RIGHT = [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 2.5e-10, (0, 0, 0))]
-
-
 @pytest.mark.parametrize("env, direction", [
     (single_env(TREBLE_OR_DIE), "none"),
     (single_env(CRITICAL_PAIR), "both"),
     (single_env(GW_SUPERCRITICAL), "right"),
     (reflected(single_env(GW_SUPERCRITICAL)), "left"),
-    (single_env(NEAR_CRITICAL_RIGHT), "both"),
+    (law("near-critical"), "both"),
 ], ids=["none", "both", "right", "left", "near-critical"])
 def test_vanishing_direction_is_the_classifier_branch(env, direction):
     assert criteria.vanishing_direction(env) == direction
@@ -426,10 +421,10 @@ def test_an_extra_child_never_enlarges_the_feasible_set(env, data):
 
 
 def test_one_feasibility_decision_at_the_tolerance():
-    # NEAR_CRITICAL_RIGHT (tests/test_cli.py's NEAR_CRITICAL_ENV) misses lam = 1
-    # by a slack of -5e-10, inside the tolerance; moving 7.5e-10 more mass onto
-    # its first atom makes that slack -2e-9, outside it
-    inside = single_env(NEAR_CRITICAL_RIGHT)
+    # the near-critical law, (0.7 + 5e-10, 0, 0.3), misses lam = 1 by a slack of
+    # -5e-10, inside the tolerance, while its lower root 1 + 1.25e-9 clears 1 + tol;
+    # moving 7.5e-10 more mass onto its first atom makes that slack -2e-9, outside it
+    inside = law("near-critical")
     outside = single_env([(0.35 + 1e-9, (2, 0, 0)), (0.3, (0, 0, 1)), (0.35 - 1e-9, (0, 0, 0))])
     assert inside.state_moments[0].slack(1.0) == pytest.approx(-5e-10, rel=1e-6)
     assert outside.state_moments[0].slack(1.0) == pytest.approx(-2e-9, rel=1e-6)

@@ -1,9 +1,9 @@
 """Golden verdicts: the machine-independent fields of `all` on the CLI fixtures.
 
-golden_verdicts.json records `all` on each environment fixture of
-tests/test_cli.py, quenched and annealed, at write_config sizes: the exit
-code, the section list, the regime, the vanishing direction, the lambda set,
-the drift, and each cross-check row's identity and verdict.  Floats compare
+golden_verdicts.json records `all` on named laws of tests/laws.py, quenched
+and annealed, at tests/test_cli.py's write_config sizes: the exit code, the
+section list, the regime, the vanishing direction, the lambda set, the
+drift, and each cross-check row's identity and verdict.  Floats compare
 at 1e-12 relative.  Report bytes stay out, since an unpinned numpy or libm can
 move a float or a binomial draw.  Failing rows are recorded as they are, so a
 fix shows up as a golden change.  A change that moves an entry regenerates
@@ -19,37 +19,24 @@ import tempfile
 import pytest
 
 from brwre.cli import run
-from test_cli import (
-    BOTH_ENV,
-    NEAR_CRITICAL_ENV,
-    NO_RIGHT_ENV,
-    STRONG_LOCAL_ENV,
-    TWO_STATE_LEFT_ENV,
-    TWO_STATE_RIGHT_ENV,
-    write_config,
-)
+from laws import SIZES, environment
+from test_cli import write_config
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_verdicts.json")
 
-ENVIRONMENTS = {
-    "default": None,  # write_config's own law
-    "strong_local": STRONG_LOCAL_ENV,
-    "two_state_right": TWO_STATE_RIGHT_ENV,
-    "two_state_left": TWO_STATE_LEFT_ENV,
-    "both": BOTH_ENV,
-    "near_critical": NEAR_CRITICAL_ENV,
-    "no_right": NO_RIGHT_ENV,
-}
+# each golden environment's law in tests/laws.py; "default" is write_config's own
+ENVIRONMENTS = {"default": "readme", "strong_local": "strong-local", "two_state_right": "two-state",
+                "two_state_left": "two-state-left", "both": "both",
+                "near_critical": "near-critical", "no_right": "no-right"}
 RUNS = [f"{env}/{mode}" for env in ENVIRONMENTS for mode in ("quenched", "annealed")]
 
 
 def verdict_record(tmp_path: pathlib.Path, name: str) -> dict:
     """The golden fields of `all` on run `name`, "<environment>/<mode>"."""
     env, mode = name.split("/")
-    overrides = {} if ENVIRONMENTS[env] is None else {"environment": ENVIRONMENTS[env]}
     # write_config's simulate section in the given mode
-    path = write_config(tmp_path, simulate={"trials": 200, "horizon": 60, "cap": 100000,
-                                            "mode": mode}, **overrides)
+    path = write_config(tmp_path, environment=environment(ENVIRONMENTS[env]),
+                        simulate={**SIZES["simulate"], "mode": mode})
     code = run(path, "all", outdir=str(tmp_path / "out"), quiet=True)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     regime = report.get("regime", {})

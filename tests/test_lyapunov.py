@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brwre import lyapunov, spectral
-from brwre.cli import _parse_environment
 from brwre.criteria import (GLOBAL_EXTINCTION, INCONCLUSIVE, classify_environment,
                             constant_exponent, expected_log_drift, lambda_feasible_set,
                             state_feasible_interval, tight_point, top_exponent,
@@ -25,7 +24,7 @@ from conftest import (
     two_state_env,
     valid_laws,
 )
-from test_cli import BOTH_ENV, THIN_ENV, TIE_ENV, TWO_STATE_LEFT_ENV, TWO_STATE_RIGHT_ENV
+from laws import law
 
 
 def log_spectral_radius(mat: np.ndarray) -> float:
@@ -347,8 +346,7 @@ def test_closed_form_matches_the_eigenvalue_oracle(env):
 
 def test_closed_form_double_root():
     # mu- = 5/7, mu0 = 0, mu+ = 0.35: b^2 = 4 mu- mu+, so both roots are 1/0.7
-    env = single_env([(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
-                      (0.2928571428571428, (0, 0, 0))])
+    env = law("double-root")
     assert constant_exponent(env.state_moments[0]) == pytest.approx(
         math.log(1.0 / 0.7), rel=0.0, abs=1e-15)
 
@@ -445,8 +443,8 @@ def test_mirror_exponent_identity():
 # -- exact word sums ---------------------------------------------------------
 
 
-_INTERIOR_LAWS = pytest.mark.parametrize("states", [TWO_STATE_RIGHT_ENV, TWO_STATE_LEFT_ENV,
-                                                    BOTH_ENV], ids=["right", "left", "both"])
+_INTERIOR_LAWS = pytest.mark.parametrize("env", [law("two-state"), law("two-state-left"),
+                                                 law("both")], ids=["right", "left", "both"])
 
 
 @given(one_state_laws(), st.sampled_from(["A", "A_lambda"]))
@@ -531,10 +529,9 @@ def test_moment_equivalent_laws_get_the_same_verdict(env, seed):
 
 
 @_INTERIOR_LAWS
-def test_word_sum_agrees_with_the_replicas(states):
+def test_word_sum_agrees_with_the_replicas(env):
     # the replicas are plain matmul products over i.i.d. state sequences: an
     # oracle independent of the word table, with an O(1/n) bias besides its stderr
-    env = _parse_environment(states)
     exact = top_exponent(env)
     assert exact.method == "word_sum"
     assert exact.stderr < 1e-6
@@ -548,9 +545,8 @@ def test_word_sum_agrees_with_the_replicas(states):
 
 
 @_INTERIOR_LAWS
-def test_word_sums_at_two_lambdas_agree_within_their_bounds(states):
+def test_word_sums_at_two_lambdas_agree_within_their_bounds(env):
     # gamma(A_lambda) + ln lambda is gamma(A) at every feasible lambda
-    env = _parse_environment(states)
     iv = lambda_feasible_set(env)
     shifted = []
     for lam in (math.sqrt(iv.lo * iv.hi), iv.lo ** 0.75 * iv.hi ** 0.25):
@@ -563,8 +559,7 @@ def test_word_sums_at_two_lambdas_agree_within_their_bounds(states):
 
 def test_exponents_off_the_budget_table():
     # an empty feasible set on several states: no nonnegative family, no exponent
-    empty = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
-                            (0.5, law_from_atoms([(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]))])
+    empty = law("empty-two-state")
     assert lambda_feasible_set(empty).is_empty
     for entry in (lambda: top_lyapunov(empty, "A"), lambda: top_exponent(empty)):
         with pytest.raises(ValueError, match="no feasible lambda"):
@@ -579,7 +574,7 @@ def test_exponents_off_the_budget_table():
     assert abs(est.value - constant_exponent(many.state_moments[0])) <= est.stderr
     # an interior set too thin for the budget: at the midpoint of [1.065, 1.374]
     # the budget's bracket is 1.5e-3 wide and the cap's 1.6e-4
-    thin = _parse_environment(THIN_ENV)
+    thin = law("thin")
     iv = lambda_feasible_set(thin)
     assert iv.lo < iv.hi
     est = top_exponent(thin)
@@ -626,9 +621,7 @@ def test_word_sum_at_an_end_of_an_interior_set():
     assert abs(value - math.log(4.0)) <= half < 1e-8
 
 
-LN_2_LAW = EnvironmentLaw([
-    (0.8, law_from_atoms([(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))])),
-    (0.2, law_from_atoms([(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))]))])
+LN_2_LAW = law("ln-2")
 
 
 def test_tight_point_closed_form_is_ln_2():
@@ -713,7 +706,7 @@ def test_bracket_contains_ln_2_at_a_point_feasible_set():
 
 
 def test_tie_closed_form_lies_in_its_cap_bracket():
-    tie = _parse_environment(TIE_ENV)
+    tie = law("tie")
     lam = lambda_feasible_set(tie).midpoint
     est = top_exponent(tie)
     assert est.method == "closed_form"
@@ -730,10 +723,7 @@ def test_counterexample_is_decided_by_the_cap_table():
     # a left-branch law whose budget bracket on gamma(A) straddles 0 at word
     # length 12, [-0.00065, 0.01087]; the cap's, 17 deep, excludes it by 3.49
     # half-widths: GlobalExtinction
-    env = EnvironmentLaw([
-        (w, law_from_atoms([(mm / 2, (2, 0, 0)), (mp, (0, 0, 1)), (1.0 - mm / 2 - mp, (0, 0, 0))]))
-        for w, mm, mp in ((0.3125, 0.43571702493221925, 0.5257654722257137),
-                          (0.6875, 0.4189126966337339, 0.5965838110025534))])
+    env = law("counterexample")
     iv = lambda_feasible_set(env)
     assert vanishing_direction(env) == "left" and iv.lo < iv.hi
     (budget, half), _ = _cap_bracket(env, iv.midpoint)

@@ -13,33 +13,12 @@ import sys
 import pytest
 
 import brwre
+from laws import environment
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # the array modules: only a stage that computes on arrays loads them
 ARRAY_MODULES = ("numpy", "brwre.lyapunov", "brwre.spectral", "brwre.simulator")
-
-# closed-form GlobalExtinction, on the "both" branch
-BOTH_LAW = {"states": [
-    {"weight": 0.5, "atoms": [{"p": 0.3, "v": [2, 0, 0]}, {"p": 0.15, "v": [0, 0, 1]},
-                              {"p": 0.55, "v": [0, 0, 0]}]},
-    {"weight": 0.5, "atoms": [{"p": 0.15, "v": [1, 0, 0]}, {"p": 0.3, "v": [0, 0, 2]},
-                              {"p": 0.55, "v": [0, 0, 0]}]},
-]}
-# GlobalSurvivalLocalExtinction on the right-vanishing branch, one state (the README
-# example): its exponent is closed-form
-RIGHT_LAW = {"states": [{"weight": 1.0, "atoms": [
-    {"p": 0.6, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]}, {"p": 0.35, "v": [0, 0, 0]}]}]}
-# the same law reflected: the left-vanishing branch
-LEFT_LAW = {"states": [{"weight": 1.0, "atoms": [
-    {"p": 0.6, "v": [0, 0, 2]}, {"p": 0.05, "v": [1, 0, 0]}, {"p": 0.35, "v": [0, 0, 0]}]}]}
-# two states on the right-vanishing branch: classify draws an exponent
-TWO_STATE_RIGHT_LAW = {"states": [
-    {"weight": 0.5, "atoms": [{"p": 0.7, "v": [2, 0, 0]}, {"p": 0.05, "v": [0, 0, 1]},
-                              {"p": 0.25, "v": [0, 0, 0]}]},
-    {"weight": 0.5, "atoms": [{"p": 0.45, "v": [2, 0, 0]}, {"p": 0.08, "v": [0, 0, 1]},
-                              {"p": 0.47, "v": [0, 0, 0]}]},
-]}
 
 
 def loaded_after(code: str, tmp_path, modules=ARRAY_MODULES) -> dict:
@@ -58,10 +37,11 @@ def test_importing_the_package_and_cli_loads_no_array_module(tmp_path):
 
 
 def run_code(law, subcommands, tmp_path) -> str:
-    """Code that runs each subcommand in-process on `law` and asserts it exits 0."""
+    """Code that runs each subcommand in-process on tests/laws.py's `law` and asserts
+    it exits 0."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "environment": law, "seed": 3, "lyapunov": {"steps": 2000, "replicas": 4},
+        "environment": environment(law), "seed": 3, "lyapunov": {"steps": 2000, "replicas": 4},
         "simulate": {"trials": 200, "horizon": 60}, "frozen": {"levels": 5, "trials_per_level": 200},
     }))
     runs = [(str(config), sub, str(tmp_path / sub)) for sub in subcommands]
@@ -70,7 +50,7 @@ def run_code(law, subcommands, tmp_path) -> str:
 
 
 def test_closed_form_verdict_runs_without_numpy(tmp_path):
-    code = run_code(BOTH_LAW, ("validate", "classify"), tmp_path)
+    code = run_code("both", ("validate", "classify"), tmp_path)
     assert not any(loaded_after(code, tmp_path).values())
     report = json.loads((tmp_path / "classify" / "report.json").read_text())
     assert (report["regime"]["regime"], report["regime"]["vanishing_direction"]) == (
@@ -81,7 +61,7 @@ def test_closed_form_start_up_loads_no_dataclasses_inspect_or_numpy(tmp_path):
     # records are NamedTuples, so neither dataclasses, which generates each class's
     # methods by exec at import, nor the inspect module it imports is loaded
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"environment": RIGHT_LAW}))
+    config.write_text(json.dumps({"environment": environment("readme")}))
     code = "import brwre.cli\n" + "".join(
         f"assert brwre.cli.main([{sub!r}, '--config', {str(config)!r}, '--out', "
         f"{str(tmp_path / sub)!r}, '--quiet']) == 0\n" for sub in ("validate", "classify"))
@@ -91,7 +71,7 @@ def test_closed_form_start_up_loads_no_dataclasses_inspect_or_numpy(tmp_path):
     assert report["regime"]["gamma1"]["method"] == "closed_form"
 
 
-@pytest.mark.parametrize("law, direction", [(RIGHT_LAW, "right"), (LEFT_LAW, "left")],
+@pytest.mark.parametrize("law, direction", [("readme", "right"), ("one-state-left", "left")],
                          ids=["right", "left"])
 def test_one_state_statistical_verdict_runs_without_numpy(tmp_path, law, direction):
     code = run_code(law, ("classify",), tmp_path)
@@ -103,7 +83,7 @@ def test_one_state_statistical_verdict_runs_without_numpy(tmp_path, law, directi
 
 
 def test_statistical_verdict_loads_the_exponent_module(tmp_path):
-    code = run_code(TWO_STATE_RIGHT_LAW, ("classify",), tmp_path)
+    code = run_code("two-state", ("classify",), tmp_path)
     loaded = loaded_after(code, tmp_path)
     assert loaded["numpy"] and loaded["brwre.lyapunov"], loaded
     report = json.loads((tmp_path / "classify" / "report.json").read_text())
@@ -116,7 +96,7 @@ def test_a_process_holding_numpy_loads_no_module_during_a_run(tmp_path):
     # code that patches or snapshots brwre's modules around `run` sees a fixed set
     code = ("import numpy, sys\nimport brwre.cli\n"
             "before = sorted(m for m in sys.modules if m.startswith('brwre'))\n"
-            + run_code(RIGHT_LAW, ("all",), tmp_path)
+            + run_code("readme", ("all",), tmp_path)
             + "\nassert sorted(m for m in sys.modules if m.startswith('brwre')) == before, before")
     assert all(loaded_after(code, tmp_path).values())
 

@@ -1,6 +1,11 @@
-"""tools/report_diff.py's field comparison: which moves get a scale in stderrs."""
+"""tools/report_diff.py's field comparison, which moves get a scale in stderrs, and its configs."""
 import importlib.util
+import json
 import pathlib
+
+import pytest
+
+from brwre.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
 _spec = importlib.util.spec_from_file_location("report_diff", TOOL)
@@ -47,10 +52,36 @@ def test_scalar_moves_keep_their_scale():
 
 
 def test_the_strict_pass_has_an_inconclusive_law(tmp_path):
-    from brwre.cli import EXIT_INCONCLUSIVE, run
     # --strict acts on the subcommands that write the verdict, and one law stays
     # Inconclusive, so the strict pass compares exit code 3 and a cut `all`
     assert report_diff.STRICT_SUBCOMMANDS == ("classify", "crosscheck", "all")
     config = report_diff.write_configs(tmp_path)["inconclusive"]
     out = tmp_path / "out"
     assert run(str(config), "classify", outdir=str(out), strict=True, quiet=True) == EXIT_INCONCLUSIVE
+
+
+# the classify verdict, (regime, vanishing direction), of each harness config
+VERDICTS = {name: verdict for names, verdict in (
+    (("gw-right-1", "gw-right-2", "two-state-annealed-1", "two-state-annealed-2", "readme-example",
+      "tie", "ln-2", "double-root"), ("GlobalSurvivalLocalExtinction", "right")),
+    (("two-state-left", "one-state-left"), ("GlobalSurvivalLocalExtinction", "left")),
+    (("near-critical", "lyapunov-analytic-1", "lyapunov-analytic-2"), ("GlobalExtinction", "both")),
+    (("thin",), ("GlobalExtinction", "right")),
+    (("counterexample",), ("GlobalExtinction", "left")),
+    (("spectral-near-one", "strong-local", "empty-two-state"), ("StrongLocalSurvival", "none")),
+    (("inconclusive",), ("Inconclusive", "right")),
+) for name in names}
+
+
+@pytest.fixture(scope="module")
+def harness_configs(tmp_path_factory):
+    return report_diff.write_configs(tmp_path_factory.mktemp("configs"))
+
+
+@pytest.mark.parametrize("name", VERDICTS)
+def test_each_harness_config_keeps_its_verdict(harness_configs, name, tmp_path):
+    # a config dropped or renamed fails every case, a verdict moved its own
+    assert sorted(harness_configs) == sorted(VERDICTS)
+    assert run(str(harness_configs[name]), "classify", outdir=str(tmp_path), quiet=True) == EXIT_OK
+    regime = json.loads((tmp_path / "report.json").read_text())["regime"]
+    assert (regime["regime"], regime["vanishing_direction"]) == VERDICTS[name]

@@ -22,6 +22,7 @@ from conftest import (
     two_state_env,
     valid_laws,
 )
+from laws import law
 
 
 def toeplitz_top_root(mu_minus, mu_zero, mu_plus, size):
@@ -271,9 +272,7 @@ def test_sweep_mirror_pair_monotone_below_closed_form_limit():
     # each state's own window roots tend to 0.6, but min over lam of
     # max_s (mu-_s/lam + mu0_s + mu+_s*lam) = 0.75 (at lam = 1) is the
     # sweep's limit, approached from below
-    env = EnvironmentLaw(
-        [(0.5, law_from_atoms(SUBCRITICAL_BRANCHY)), (0.5, law_from_atoms(MIRROR_LEFT))]
-    )
+    env = law("both")
     values = [rho for _, rho in rho_sweep(env, derive_seed(3, 1), [2**k for k in range(10)])]
     assert all(a <= b for a, b in zip(values, values[1:])), values
     assert values[-1] <= 0.75 + 1e-12

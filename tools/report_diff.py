@@ -6,22 +6,13 @@ Checks REV out into a temporary git worktree, removed afterwards, and runs
 every subcommand with `--format both` there and in this working tree, each
 as a fresh `python -m brwre.cli` process.  The configs are the perfbench
 workloads at seeds 1 and 2 (scale 50), the README's example config, and
-one law on each classifier branch the workloads miss (`BRANCH_LAWS`), so
-that every branch of the classifier is run, the README law mirrored (a
-one-state left branch), a law with 1 feasible only within the membership
-tolerance, two laws whose feasible set is a point that rounding would
-lose: a one-state double root and a tie between two states' intervals, a
-one-state law whose window roots first exceed 1 past 32 sites, run with
-`spectral.n_values` up to 32 (`LAW_SIZES`), and the exponent's other
-paths: a two-state law whose interior feasible set is too thin for the
-word-sum budget (`thin`), a two-state point law whose exponent is exactly
-ln 2 (`ln-2`), a two-state left-branch law that only the capped word table
-decides (`counterexample`), and a two-state law with no feasible lambda,
-whose `lyapunov` section is skipped (`empty-two-state`).  The subcommands
-that write the verdict run a second time with `--strict`
-(`STRICT_SUBCOMMANDS`), which changes their exit code, and the sections
-that `all` writes, on an Inconclusive verdict; `inconclusive`, the
-two-state law at `thresholds.sigma_margin` = 1e18, is one.
+the named laws of tests/laws.py in `BRANCH_LAWS`, at `SIZES` there: one on
+each classifier branch the workloads miss, and the exponent's other paths;
+each law's reason is written with it.  The subcommands that write the
+verdict run a second time with `--strict` (`STRICT_SUBCOMMANDS`), which
+changes their exit code, and the sections that `all` writes, on an
+Inconclusive verdict; `inconclusive`, the two-state law at
+`thresholds.sigma_margin` = 1e18, is one.
 
 For each run it prints whether the exit code, stdout (with the output
 directory normalized), stderr, report.json and each CSV match; a file
@@ -53,8 +44,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import workloads  # noqa: E402
+from laws import SIZES, environment  # noqa: E402
 from brwre.cli import SUBCOMMAND_SECTIONS, SUBCOMMANDS  # noqa: E402
 
 SEEDS = (1, 2)
@@ -64,53 +56,12 @@ SHOWN = 10  # moved fields listed per file
 STRICT_SUBCOMMANDS = tuple(s for s, sections in SUBCOMMAND_SECTIONS.items() if "regime" in sections)
 
 
-def _mirrored(atoms):
-    return [(p, v[::-1]) for p, v in atoms]
-
-
-# the left-vanishing and strong-local-survival branches, the one-state left
-# branch, and the near-critical law and point feasible sets of
-# tests/test_cli.py (NEAR_CRITICAL_ENV, DOUBLE_ROOT_ENV, TIE_ENV), a
-# one-state law with rho_inf = 1.001, tests/test_cli.py's THIN_ENV (an interior
-# feasible set whose budget bracket is too wide) and EMPTY_TWO_STATE_ENV, and
-# tests/test_lyapunov.py's LN_2_LAW and the counterexample of
-# test_counterexample_is_decided_by_the_cap_table, and the two-state law of
-# tests/test_cli.py's INCONCLUSIVE, as (weight, atoms) states, run at the sizes
-# of tests/test_cli.py's write_config
-BRANCH_LAWS = {
-    "two-state-left": ((0.5, _mirrored(workloads.TWO_STATE_A)),
-                       (0.5, _mirrored(workloads.TWO_STATE_B))),
-    "one-state-left": ((1.0, _mirrored(workloads.GW_RIGHT_ATOMS)),),
-    "near-critical": ((1.0, [(0.35 + 2.5e-10, (2, 0, 0)), (0.3, (0, 0, 1)),
-                             (0.35 - 2.5e-10, (0, 0, 0))]),),
-    "strong-local": ((1.0, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))]),),
-    "double-root": ((1.0, [(0.35714285714285715, (2, 0, 0)), (0.35, (0, 0, 1)),
-                           (0.2928571428571428, (0, 0, 0))]),),
-    "tie": ((0.5, [(0.22876745398945247, (2, 0, 0)), (0.15567852502198387, (0, 0, 1)),
-                   (0.45807180434299477, (0, 1, 0)), (0.15748221664556894, (0, 0, 0))]),
-            (0.5, [(0.365148052060621, (2, 0, 0)), (0.10784449955877619, (0, 0, 1)),
-                   (0.4221005981018707, (0, 1, 0)), (0.10490685027873214, (0, 0, 0))])),
-    "spectral-near-one": ((1.0, [(0.25025, (2, 0, 0)), (0.25025, (0, 0, 2)),
-                                 (0.4995, (0, 0, 0))]),),
-    "thin": ((0.5, [(0.25, (2, 0, 0)), (0.45, (0, 0, 1)), (0.3, (0, 0, 0))]),
-             (0.5, [(0.3, (2, 0, 0)), (0.41, (0, 0, 1)), (0.29, (0, 0, 0))])),
-    "ln-2": ((0.8, [(0.375, (2, 0, 0)), (0.3125, (0, 0, 1)), (0.3125, (0, 0, 0))]),
-             (0.2, [(5 / 7, (2, 0, 0)), (1 / 7, (0, 0, 1)), (1 / 7, (0, 0, 0))])),
-    "counterexample": (
-        (0.3125, [(0.43571702493221925 / 2, (2, 0, 0)), (0.5257654722257137, (0, 0, 1)),
-                  (1.0 - 0.43571702493221925 / 2 - 0.5257654722257137, (0, 0, 0))]),
-        (0.6875, [(0.4189126966337339 / 2, (2, 0, 0)), (0.5965838110025534, (0, 0, 1)),
-                  (1.0 - 0.4189126966337339 / 2 - 0.5965838110025534, (0, 0, 0))])),
-    "empty-two-state": ((0.5, [(0.6, (2, 0, 0)), (0.05, (0, 0, 1)), (0.35, (0, 0, 0))]),
-                        (0.5, [(0.5, (1, 1, 1)), (0.5, (0, 0, 0))])),
-    "inconclusive": ((0.5, workloads.TWO_STATE_A), (0.5, workloads.TWO_STATE_B)),
-}
-BRANCH_SIZES = {
-    "seed": 7, "lyapunov": {"steps": 5000, "replicas": 4}, "spectral": {"n_values": [1, 2, 4]},
-    "simulate": {"trials": 200, "horizon": 60, "cap": 100_000},
-    "frozen": {"levels": 4, "trials_per_level": 500},
-}
-# sections that replace BRANCH_SIZES' for one law.  spectral-near-one has
+# the harness's laws by config name: tests/laws.py names each law and its reason
+BRANCH_LAWS = {name: name for name in (
+    "two-state-left", "one-state-left", "near-critical", "strong-local", "double-root", "tie",
+    "spectral-near-one", "thin", "ln-2", "counterexample", "empty-two-state")} | {
+    "inconclusive": "two-state"}
+# sections that replace tests/laws.py's SIZES for one law.  spectral-near-one has
 # rho_inf = 1.001 and classifies StrongLocalSurvival, but its window roots
 # 1.001 cos(pi / (2N + 2)) reach 1 only at N = 35, so its spectral_criterion
 # row fails at N = 32 (ROADMAP item 2).  inconclusive's sigma margin leaves its
@@ -131,10 +82,10 @@ def write_configs(directory: Path) -> dict[str, Path]:
     block = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
     configs["readme-example"] = directory / "readme-example.json"
     configs["readme-example"].write_text(block.group(1))
-    for name, states in BRANCH_LAWS.items():
+    for name, law in BRANCH_LAWS.items():
         configs[name] = directory / f"{name}.json"
-        configs[name].write_text(json.dumps({"environment": workloads._states(*states),
-                                             **BRANCH_SIZES, **LAW_SIZES.get(name, {})}))
+        configs[name].write_text(json.dumps({"environment": environment(law), **SIZES,
+                                             **LAW_SIZES.get(name, {})}))
     return configs
 
 
