@@ -93,6 +93,25 @@ def overlapping_laws(draw):
     return EnvironmentLaw([(w / total, law) for w, law in states])
 
 
+def rho_inf(env) -> float:
+    """min over lam of max_s (mu-_s/lam + mu0_s + mu+_s*lam), by ternary search
+    on ln lam (a maximum of functions convex in ln lam is convex): the limit of
+    the window roots, found without the closed-form feasible set."""
+
+    def worst_row_sum(u):
+        lam = math.exp(u)
+        return max(m.mu_minus / lam + m.mu_zero + m.mu_plus * lam for m in env.state_moments)
+
+    lo, hi = -30.0, 30.0
+    for _ in range(100):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if worst_row_sum(a) < worst_row_sum(b):
+            hi = b
+        else:
+            lo = a
+    return worst_row_sum(0.5 * (lo + hi))
+
+
 def gw_extinction_probability(atoms, iterations: int = 500) -> float:
     """Minimal fixed point of the offspring-total generating function,
     by direct iteration from 0: the brute-force extinction oracle."""

@@ -2,10 +2,19 @@
 
 A law is a tuple of (weight, atoms) states, an atom a (p, (v_minus, v_zero, v_plus))
 pair, and the comment above each law says why it is here.  `environment(name)` reads
-a law as a config's `environment` object, `law(name)` as an EnvironmentLaw.  The
-module imports no numpy, so the harness configs can be written where it is missing.
+a law as a config's `environment` object, `law(name)` as an EnvironmentLaw, and
+`write_config` writes a config at the harness sizes.  `readme_block` reads a fenced
+block of README.md.  The module imports no numpy, so the harness configs can be
+written where it is missing.
 """
+import json
+import pathlib
+import re
+
 from brwre.envmodel import EnvironmentLaw, law_from_atoms
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _mirrored(atoms):
@@ -66,7 +75,11 @@ LAWS = {
     "empty-two-state": ((0.5, README), (0.5, TREBLE)),
 }
 
-# the sizes the harness runs each law at, and tests/test_cli.py's write_config
+# the laws perfbench/workloads.py keeps its own copies of, by workload;
+# tests/test_report_diff.py pins the copies to these
+WORKLOAD_LAWS = {"gw-right": "readme", "two-state-annealed": "two-state", "lyapunov-analytic": "both"}
+
+# the sizes the harness runs each law at, and write_config's
 SIZES = {"seed": 7, "lyapunov": {"steps": 5000, "replicas": 4},
          "spectral": {"n_values": [1, 2, 4]},
          "simulate": {"trials": 200, "horizon": 60, "cap": 100_000},
@@ -82,3 +95,22 @@ def environment(name: str) -> dict:
 def law(name: str) -> EnvironmentLaw:
     """Law `name` as an EnvironmentLaw."""
     return EnvironmentLaw([(w, law_from_atoms(atoms)) for w, atoms in LAWS[name]])
+
+
+def write_config(tmp_path, name="config.json", **overrides) -> str:
+    """A config file in `tmp_path`: the README law at the harness sizes, with an explicit
+    spectral.tol, simulate.mode and thresholds; each override replaces a whole section."""
+    cfg = {"environment": environment("readme"), **SIZES,
+           "spectral": {**SIZES["spectral"], "tol": 1e-10},
+           "simulate": {**SIZES["simulate"], "mode": "quenched"},
+           "thresholds": {"sigma_margin": 3.0}}
+    cfg.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block after the line `heading` in README.md."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(rf"```{lang}\n(.*?)```", readme[readme.index(heading):], re.S).group(1)

@@ -23,20 +23,7 @@ from brwre.cli import (
     main,
     run,
 )
-from laws import SIZES, environment
-from test_package import SRC
-
-
-def write_config(tmp_path, name="config.json", **overrides):
-    # the harness sizes, with an explicit spectral.tol, simulate.mode and thresholds
-    cfg = {"environment": environment("readme"), **SIZES,
-           "spectral": {**SIZES["spectral"], "tol": 1e-10},
-           "simulate": {**SIZES["simulate"], "mode": "quenched"},
-           "thresholds": {"sigma_margin": 3.0}}
-    cfg.update(overrides)
-    path = tmp_path / name
-    path.write_text(json.dumps(cfg))
-    return str(path)
+from laws import SRC, environment, write_config
 
 
 @pytest.fixture
@@ -852,6 +839,19 @@ def cli_process(args, tmp_path, **env) -> tuple[int, float, float]:
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     return os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, wall
+
+
+def test_strict_sets_the_exit_code_of_a_process(tmp_path):
+    # --strict reaches `run` only through `main`'s argument parsing: `classify --strict`
+    # and `all --strict` exit 3 on an Inconclusive verdict, and `all --strict` stops
+    # there, while `all` without it runs every stage and exits 0
+    path = write_config(tmp_path, **INCONCLUSIVE)
+    for sub, flags, code in (("classify", ["--strict"], EXIT_INCONCLUSIVE),
+                             ("all", ["--strict"], EXIT_INCONCLUSIVE), ("all", [], EXIT_OK)):
+        out = tmp_path / f"{sub}{''.join(flags)}"
+        assert cli_process([sub, "--config", path, "--out", str(out), *flags], tmp_path)[0] == code
+    assert "crosscheck" not in json.loads((tmp_path / "all--strict" / "report.json").read_text())
+    assert "crosscheck" in json.loads((tmp_path / "all" / "report.json").read_text())
 
 
 def test_all_runs_on_one_thread(tmp_path):

@@ -23,12 +23,12 @@ from conftest import (
     GW_SUPERCRITICAL,
     SUBCRITICAL_BRANCHY,
     TREBLE_OR_DIE,
+    rho_inf,
     single_env,
     two_state_env,
     valid_laws,
 )
 from laws import law
-from test_spectral import rho_inf
 
 
 # -- independent oracles -----------------------------------------------------

@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import pathlib
 import re
 from fractions import Fraction
 
@@ -22,8 +20,7 @@ from brwre.envmodel import (
 )
 import conftest
 from conftest import GW_SUPERCRITICAL, single_env
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from laws import LAWS, WORKLOAD_LAWS, readme_block
 
 
 # -- construction -----------------------------------------------------------
@@ -113,17 +110,10 @@ def _canonical_laws():
     """Every conftest atom set, each state of each benchmark workload and the README law."""
     laws = [law_from_atoms(atoms) for name, atoms in vars(conftest).items()
             if name.isupper() and isinstance(atoms, list)]
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    readme = (ROOT / "README.md").read_text()
-    example = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
-    environments = [w["environment"] for w in workloads.WORKLOADS.values()]
-    environments.append(json.loads(example.group(1))["environment"])
-    for env in environments:
-        for state in env["states"]:
-            laws.append(law_from_atoms([(a["p"], a["v"]) for a in state["atoms"]]))
-    return laws
+    laws += [law_from_atoms(atoms) for name in WORKLOAD_LAWS.values() for _, atoms in LAWS[name]]
+    example = json.loads(readme_block("Example config:", "json"))["environment"]
+    return laws + [law_from_atoms([(a["p"], a["v"]) for a in state["atoms"]])
+                   for state in example["states"]]
 
 
 def test_moments_match_numpy_on_the_canonical_laws():

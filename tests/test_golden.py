@@ -1,7 +1,7 @@
 """Golden verdicts: the machine-independent fields of `all` on the CLI fixtures.
 
 golden_verdicts.json records `all` on named laws of tests/laws.py, quenched
-and annealed, at tests/test_cli.py's write_config sizes: the exit code, the
+and annealed, at tests/laws.py's write_config sizes: the exit code, the
 section list, the regime, the vanishing direction, the lambda set, the
 drift, and each cross-check row's identity and verdict.  Floats compare
 at 1e-12 relative.  Report bytes stay out, since an unpinned numpy or libm can
@@ -19,8 +19,7 @@ import tempfile
 import pytest
 
 from brwre.cli import run
-from laws import SIZES, environment
-from test_cli import write_config
+from laws import SIZES, environment, write_config
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_verdicts.json")
 

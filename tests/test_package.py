@@ -6,16 +6,13 @@ imports numpy.
 import importlib
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import brwre
-from laws import environment
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from laws import SRC, environment
 
 # the array modules: only a stage that computes on arrays loads them
 ARRAY_MODULES = ("numpy", "brwre.lyapunov", "brwre.spectral", "brwre.simulator")
@@ -67,6 +64,14 @@ def test_closed_form_start_up_loads_no_dataclasses_inspect_or_numpy(tmp_path):
         f"{str(tmp_path / sub)!r}, '--quiet']) == 0\n" for sub in ("validate", "classify"))
     assert loaded_after(code, tmp_path, ("dataclasses", "inspect", "numpy")) == {
         "dataclasses": False, "inspect": False, "numpy": False}
+    report = json.loads((tmp_path / "classify" / "report.json").read_text())
+    assert report["regime"]["gamma1"]["method"] == "closed_form"
+
+
+def test_tie_verdict_runs_without_numpy(tmp_path):
+    # two states tight at their one feasible lambda: the exponent is the point's closed form
+    code = run_code("tie", ("classify",), tmp_path)
+    assert not any(loaded_after(code, tmp_path).values())
     report = json.loads((tmp_path / "classify" / "report.json").read_text())
     assert report["regime"]["gamma1"]["method"] == "closed_form"
 

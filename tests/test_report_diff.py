@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from brwre.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
+from laws import WORKLOAD_LAWS, environment
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
 _spec = importlib.util.spec_from_file_location("report_diff", TOOL)
@@ -85,3 +86,11 @@ def test_each_harness_config_keeps_its_verdict(harness_configs, name, tmp_path):
     assert run(str(harness_configs[name]), "classify", outdir=str(tmp_path), quiet=True) == EXIT_OK
     regime = json.loads((tmp_path / "report.json").read_text())["regime"]
     assert (regime["regime"], regime["vanishing_direction"]) == VERDICTS[name]
+
+
+def test_the_benchmark_copies_of_the_laws_match_the_registry():
+    # perfbench/workloads.py keeps its own atoms until the benchmark reads tests/laws.py:
+    # GW_RIGHT_ATOMS, TWO_STATE_A/B and MIRROR_RIGHT/LEFT, from which it builds each
+    # workload's environment
+    for workload, name in WORKLOAD_LAWS.items():
+        assert report_diff.workloads.WORKLOADS[workload]["environment"] == environment(name), workload

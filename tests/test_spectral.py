@@ -18,6 +18,7 @@ from conftest import (
     TREBLE_OR_DIE,
     TWO_STATE_A,
     TWO_STATE_B,
+    rho_inf,
     single_env,
     two_state_env,
     valid_laws,
@@ -330,25 +331,6 @@ def test_constant_environment_limit():
 
 
 # -- local survival: the feasible set against the windows' limit -------------
-
-
-def rho_inf(env) -> float:
-    """min over lam of max_s (mu-_s/lam + mu0_s + mu+_s*lam), by ternary search
-    on ln lam (a maximum of functions convex in ln lam is convex): the limit of
-    the window roots, found without the closed-form feasible set."""
-
-    def worst_row_sum(u):
-        lam = math.exp(u)
-        return max(m.mu_minus / lam + m.mu_zero + m.mu_plus * lam for m in env.state_moments)
-
-    lo, hi = -30.0, 30.0
-    for _ in range(100):
-        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
-        if worst_row_sum(a) < worst_row_sum(b):
-            hi = b
-        else:
-            lo = a
-    return worst_row_sum(0.5 * (lo + hi))
 
 
 @settings(max_examples=400, deadline=None)

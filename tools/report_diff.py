@@ -36,7 +36,6 @@ import io
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -46,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import workloads  # noqa: E402
-from laws import SIZES, environment  # noqa: E402
+from laws import SIZES, environment, readme_block  # noqa: E402
 from brwre.cli import SUBCOMMAND_SECTIONS, SUBCOMMANDS  # noqa: E402
 
 SEEDS = (1, 2)
@@ -78,10 +77,8 @@ def write_configs(directory: Path) -> dict[str, Path]:
             path = directory / f"{name}-{seed}.json"
             workloads.write_config(path, name, seed, scale=SCALE)
             configs[path.stem] = path
-    readme = (ROOT / "README.md").read_text()
-    block = re.search(r"```json\n(.*?)```", readme[readme.index("Example config:"):], re.S)
     configs["readme-example"] = directory / "readme-example.json"
-    configs["readme-example"].write_text(block.group(1))
+    configs["readme-example"].write_text(readme_block("Example config:", "json"))
     for name, law in BRANCH_LAWS.items():
         configs[name] = directory / f"{name}.json"
         configs[name].write_text(json.dumps({"environment": environment(law), **SIZES,
