@@ -38,7 +38,7 @@ from .envmodel import (
     validate_conditions,
 )
 if "numpy" in sys.modules:  # numpy already loaded: import the array modules now, not mid-run
-    from . import lyapunov, simulator, spectral
+    from . import exact, lyapunov, simulator, spectral
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -579,9 +579,11 @@ def _write_series(outdir: str, report: dict, st: Stages) -> list[str]:
     if "survival" in report:
         from . import simulator
         written.append(_write_csv(
-            outdir, "survival.csv", ["trial", "status", "extinction_time", "last_origin_visit"],
+            outdir, "survival.csv", ["trial", "status", "extinction_time", "last_origin_visit",
+                                     "stop_time", "global_prob", "local_prob"],
             ([i, o.status, o.end_time if o.status == simulator.EXTINCT else None,
-              o.last_origin_visit] for i, o in enumerate(st.survival.outcomes)),
+              o.last_origin_visit, o.end_time if o.status == simulator.STOPPED else None,
+              o.global_prob, o.local_prob] for i, o in enumerate(st.survival.outcomes)),
         ))
     if "levels" in report.get("frozen_profile", {}):
         fp = report["frozen_profile"]

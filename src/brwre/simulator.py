@@ -8,7 +8,10 @@ arrays; it is the one Monte Carlo entry point, and survival trials and the
 freezing construction are rows of it.  The survival run also records the
 supermartingale trace of its first TRACE_BATCHES batches through their first
 generations, as per-time moments that each traced batch keeps and the run
-pools, so the trace's memory does not grow with the trials.
+pools, so the trace's memory does not grow with the trials.  Where every
+trial shares one environment, the survival run stops each trial at
+STOP_POPULATION particles and reads the rest of its survival events and of
+its trace exactly, from the tables of brwre.exact (conditional Monte Carlo).
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
@@ -25,6 +28,7 @@ from .envmodel import EnvironmentLaw, derive_seed, state_indices
 
 EXTINCT = "Extinct"
 CAP_REACHED = "CapReached"
+STOPPED = "Stopped"
 ALIVE_AT_HORIZON = "AliveAtHorizon"
 
 # per-site count guard; staying far below 2^63 keeps every sum and
@@ -41,6 +45,12 @@ SUPER_TRIALS = 50
 # of its first batches, through this many generations
 TRACE_BATCHES = 10
 TRACE_HORIZON = 60
+
+# the population at which a survival trial on a shared environment stops and
+# is read exactly (or the cap, if lower).  The estimates are unbiased at any
+# value and their stderrs barely move with it (within 4% from 30 to 1,000 on
+# the README and tie laws, 2,000 trials); the stepping before a stop grows with it
+STOP_POPULATION = 100
 
 
 class CensoringError(RuntimeError):
@@ -113,17 +123,45 @@ def _pool(a: TraceSums, b: TraceSums) -> TraceSums:
 
 
 class BatchRun(NamedTuple):
-    """Per-row results of run_batch: status is EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON."""
+    """Per-row results of run_batch: status is EXTINCT, CAP_REACHED (STOPPED under
+    stop) or ALIVE_AT_HORIZON."""
 
     status: np.ndarray
-    end_time: np.ndarray  # the extinction, cap or horizon time
+    end_time: np.ndarray  # the extinction, cap (or stop) or horizon time
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
     trace: TraceSums | None  # the traced batches' moments, given log_lam
+    # row, site and count of each stopped row's occupied sites at its stop (stop=True;
+    # None where no row stopped)
+    stopped: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _weighted(rows, sites, counts, log_lam, lo, n):
+    """h = sum_x count(x) lam^x of each of a batch's n rows, from row lo, summed in
+    the log domain; 0 on a row with no particle."""
+    h = np.zeros(n)
+    if len(rows):
+        first = _starts(rows)
+        x = np.log(counts) + sites * log_lam
+        top = np.maximum.reduceat(x, first)
+        spread = np.exp(x - np.repeat(top, np.diff(first, append=len(rows))))
+        h[rows[first] - lo] = np.exp(top + np.log(np.add.reduceat(spread, first)))
+    return h
+
+
+def _held(held, t, table, n):
+    """h_t of a traced batch's stopped rows, 0 on its other rows: k = t - stop
+    generations on, a row's is E[h_t | its stop] = sum count lam^site g_k(site),
+    with log g from exact.trace_logs.  held is (batch row, site, log(count
+    lam^site), stop time) per occupied site at the stop."""
+    row, site, log_h, when = held
+    centre = table.shape[1] // 2
+    return np.bincount(row, np.exp(log_h + table[t - when, site + centre]), minlength=n)
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
-              *, cap: int, freeze: bool = False, log_lam: float | None = None) -> BatchRun:
+              *, cap: int, freeze: bool = False, log_lam: float | None = None,
+              stop: bool = False) -> BatchRun:
     """Evolve independent rows, row i from start_count particles at starts[i].
 
     env_seed is one quenched seed or one seed per row.  Rows step together
@@ -147,19 +185,27 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     PopulationOverflowError.  The rows that keep stepping draw from their
     batch's stream, so the other rows of a traced batch where one reached
     the cap early see other draws.
+
+    stop, for rows that share one environment (env_seed one seed), ends every
+    row, traced or not, where it would be capped: it is Stopped at that time,
+    and BatchRun.stopped keeps its particles then.  At each later time up to
+    t_trace a stopped traced row's h_t is its exact conditional mean, from
+    exact.trace_logs, built at the first such stop; nothing steps past the
+    cap and nothing raises PopulationOverflowError.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     capped = np.zeros(n, dtype=bool)
-    batches = []
+    batches, stopped, table = [], [], None
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
         sites, counts = starts[rows], np.full(len(rows), start_count)
         traced = log_lam is not None and b < TRACE_BATCHES
         t_trace = min(TRACE_HORIZON, horizon) if traced else 0
+        held, t_done = None, 0  # the traced rows stopped so far; the last time traced
         if traced:
             sums = TraceSums(len(rows), np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
             h_prev = np.exp(np.log(counts) + sites * log_lam)
@@ -167,7 +213,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             batches.append(sums)
         for t in range(1, horizon + 1):
             if not len(rows):
-                break  # the times left to trace keep their zero moments
+                break  # the times left to trace keep their zero moments, or read held rows
             rows, sites, counts = _branch(envlaw, env_seed, rows, sites, counts, rng)
             if freeze:
                 hit = sites < starts[rows]
@@ -175,16 +221,8 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
             first = _starts(rows)
             live = rows[first]
-            if t <= t_trace:
-                x = np.log(counts) + sites * log_lam
-                top = np.maximum.reduceat(x, first)
-                spread = np.exp(x - np.repeat(top, np.diff(first, append=len(rows))))
-                h = np.zeros(sums.n)
-                h[live - lo] = np.exp(top + np.log(np.add.reduceat(spread, first)))
-                _record(sums, t, h, h_prev)
-                h_prev = h
             over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
-            if over.any() and t <= t_trace:
+            if over.any() and t <= t_trace and not stop:
                 raise PopulationOverflowError(
                     f"population guard hit at step {t}; shorten the horizon")
             # rows already CapReached step on for the trace alone
@@ -196,39 +234,63 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             last_origin[at_origin[~capped[at_origin]]] = t
             over |= total >= cap
             capped[live[over]] = True
-            if t == t_trace or (t > t_trace and over.any()):
+            if stop and over.any():
+                out = capped[rows]
+                stopped.append((rows[out], sites[out], counts[out]))
+                if t <= t_trace:
+                    if table is None:
+                        from . import exact  # loaded only where some row stops
+                        table = exact.trace_logs(envlaw, env_seed, log_lam, t_trace)
+                    add = (rows[out] - lo, sites[out], np.log(counts[out]) + sites[out] * log_lam,
+                           np.full(np.count_nonzero(out), t))
+                    held = add if held is None else tuple(map(np.concatenate, zip(held, add)))
+                rows, sites, counts = rows[~out], sites[~out], counts[~out]
+            if t <= t_trace:
+                h = _weighted(rows, sites, counts, log_lam, lo, sums.n)
+                if held is not None:
+                    h += _held(held, t, table, sums.n)
+                _record(sums, t, h, h_prev)
+                h_prev, t_done = h, t
+            if not stop and (t == t_trace or (t > t_trace and over.any())):
                 keep = ~capped[rows]
                 rows, sites, counts = rows[keep], sites[keep], counts[keep]
+        for t in range(t_done + 1, t_trace + 1) if held is not None else ():
+            h = _held(held, t, table, sums.n)
+            _record(sums, t, h, h_prev)
+            h_prev = h
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
-    status = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)[gone + 2 * capped]
+    ends = np.array([ALIVE_AT_HORIZON, EXTINCT, STOPPED if stop else CAP_REACHED], dtype=object)
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
     trace = functools.reduce(_pool, batches) if batches else None
-    return BatchRun(status, end_time, last_origin, frozen, trace)
+    return BatchRun(ends[gone + 2 * capped], end_time, last_origin, frozen, trace,
+                    tuple(map(np.concatenate, zip(*stopped))) if stopped else None)
 
 
 class TrialOutcome(NamedTuple):
-    """One trial's row of its survival run: status, end time and last origin visit."""
+    """One trial's row of its survival run: status, end time, last origin visit,
+    and its values of the two survival events (see SurvivalEstimates)."""
 
-    status: str  # EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON
+    status: str  # EXTINCT, STOPPED, CAP_REACHED or ALIVE_AT_HORIZON
     end_time: int
     last_origin_visit: int  # every trial starts at the origin, so at least 0
-
-
-def _outcomes(run: BatchRun) -> list[TrialOutcome]:
-    columns = (run.status, run.end_time, run.last_origin_visit)
-    return [TrialOutcome(*row) for row in zip(*(c.tolist() for c in columns))]
+    global_prob: float
+    local_prob: float
 
 
 class SurvivalEstimates(NamedTuple):
-    """Survival frequencies with binomial standard errors.
+    """Survival estimates with their standard errors.
 
-    global_freq counts every non-extinct trial (cap hits included: in
-    survival regimes the conditional extinction probability past the cap
-    is negligible, and the bias direction is upward on survival).
-    local_proxy_freq counts those with 2 last_origin_visit >= end_time, the
-    origin still occupied in the second half of their span: a stand-in for
-    infinitely many visits, reported as a proxy only.  survival_probabilities
-    alone counts both.  trace is the run's supermartingale trace given lam.
+    global_freq estimates P(alive at the horizon), local_proxy_freq P(alive at
+    the horizon and the origin occupied at some time in [horizon/2, horizon]),
+    a finite-horizon stand-in for infinitely many visits.  Each is the mean of
+    one value per trial: 1 or 0 where the trial settled the event (Extinct:
+    0; AliveAtHorizon: 1, and for the local event 1 where 2 last_origin_visit
+    >= horizon), its exact conditional probability where it Stopped, and on
+    a CapReached trial (annealed mode on several states) 1, and for the local
+    event 1 where 2 last_origin_visit >= end_time, the visit read on its span
+    so far.  Each stderr is the plug-in standard error of that mean, the
+    binomial one on 0/1 values.  trace is the run's supermartingale trace
+    given lam.
     """
 
     global_freq: float
@@ -241,8 +303,8 @@ class SurvivalEstimates(NamedTuple):
     trace: SupermartingaleTrace | None = None
 
 
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std() / math.sqrt(len(values)))
 
 
 def survival_probabilities(
@@ -257,47 +319,72 @@ def survival_probabilities(
     n_workers: int = 1,
     lam: float | None = None,
 ) -> SurvivalEstimates:
-    """Monte Carlo survival frequencies over independent trials.
+    """Monte Carlo survival estimates over independent trials.
 
     mode "quenched" keeps one realized environment for every trial;
-    "annealed" gives trial i the environment seed derive_seed(env_seed, 1+i).
-    The trials run as rows of run_batch, TRIAL_BATCH rows per random
-    stream, and keep one TrialOutcome each.  n_workers is accepted for
-    compatibility and ignored: the result never depends on it.
+    "annealed" gives trial i the environment seed derive_seed(env_seed, 1+i),
+    which on a law of one state realizes the same environment.  The trials
+    run as rows of run_batch, TRIAL_BATCH rows per random stream, and keep one
+    TrialOutcome each.  n_workers is accepted for compatibility and ignored:
+    the result never depends on it.
+
+    One rule decides how a trial ends: where every trial shares one
+    environment (quenched mode, or a law of one state), a trial stops when its
+    population first reaches K = min(STOP_POPULATION, cap), and its survival
+    events are read exactly from its particles then (exact.read_stopped; a
+    trial that already occupied the origin at a time >= horizon/2 takes its
+    global value as its local one).  This is conditional Monte Carlo
+    (Hammersley & Handscomb 1964): each value is unbiased for its event.  The
+    tables are built only when some trial stopped, and only back to the
+    earliest stop.  In annealed mode on several states each trial has its own
+    environment and no table; a trial runs until it dies, reaches the cap or
+    the horizon.
 
     With lam, which must be feasible for every state, the same run also
     records the supermartingale trace of its first TRACE_BATCHES batches,
     min(trials, TRACE_BATCHES * TRIAL_BATCH) trials, through generation
-    min(horizon, TRACE_HORIZON), uncensored by the cap (see run_batch).  In
-    annealed mode the trace reads annealed trials: lam is feasible in every
-    environment, so h is a supermartingale in each.  A trial's outcome keeps
-    its meaning, but in a traced batch where a trial reached the cap before
-    the trace horizon the other trials see other draws, and a traced trial
-    that outgrows _HARD_COUNT by then raises PopulationOverflowError.  Later
-    batches, and a run without lam, draw as with no trace.
+    min(horizon, TRACE_HORIZON) (see run_batch).  A stopped traced trial
+    reads its exact conditional mean after its stop.  In annealed mode the
+    trace reads annealed trials: lam is feasible in every environment, so h
+    is a supermartingale in each; there a trial that reaches the cap before
+    the trace horizon steps on for the trace alone, so the other trials of
+    its batch see other draws, and a traced trial that outgrows _HARD_COUNT
+    by then raises PopulationOverflowError.  Later batches, and a run without
+    lam, draw as with no trace.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if mode not in ("quenched", "annealed"):
         raise ValueError(f"mode must be 'quenched' or 'annealed', got {mode!r}")
-    env_seeds = env_seed if mode == "quenched" else np.array(
+    shared = mode == "quenched" or envlaw.n_states == 1
+    env_seeds = env_seed if shared else np.array(
         [derive_seed(env_seed, 1 + i) for i in range(trials)], np.uint64)
     if lam is not None:
         for m in envlaw.state_moments:
             feasible_slack(m, lam)  # ValueError where lam is infeasible
     run = run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon, (env_seed, seed),
-                    cap=cap, log_lam=None if lam is None else math.log(lam))
-    alive = run.status != EXTINCT
-    g = np.count_nonzero(alive) / trials
-    l = np.count_nonzero(alive & (2 * run.last_origin_visit >= run.end_time)) / trials
+                    cap=min(STOP_POPULATION, cap) if shared else cap,
+                    log_lam=None if lam is None else math.log(lam), stop=shared)
+    alive = (run.status != EXTINCT).astype(float)
+    local = alive * (2 * run.last_origin_visit >= run.end_time)
+    if run.stopped is not None:
+        rows, sites, counts = run.stopped
+        from . import exact
+        g, joint = exact.read_stopped(envlaw, env_seed, horizon, rows, run.end_time[rows],
+                                      sites, counts, trials)
+        at = run.status == STOPPED
+        alive[at] = g[at]
+        local[at] = np.where(2 * run.last_origin_visit[at] >= horizon, g[at], joint[at])
+    (g_mean, g_se), (l_mean, l_se) = _mean_stderr(alive), _mean_stderr(local)
+    columns = (run.status, run.end_time, run.last_origin_visit, alive, local)
     return SurvivalEstimates(
-        global_freq=g,
-        global_stderr=_binomial_stderr(g, trials),
-        local_proxy_freq=l,
-        local_proxy_stderr=_binomial_stderr(l, trials),
+        global_freq=g_mean,
+        global_stderr=g_se,
+        local_proxy_freq=l_mean,
+        local_proxy_stderr=l_se,
         trials=trials,
         mode=mode,
-        outcomes=tuple(_outcomes(run)),
+        outcomes=tuple(TrialOutcome(*row) for row in zip(*(c.tolist() for c in columns))),
         trace=None if lam is None else _trace(lam, run.trace),
     )
 

@@ -326,29 +326,40 @@ def test_malformed_config_exits_one(tmp_path, capsys):
 
 
 def test_simulate_writes_csv(tmp_path):
-    path = write_config(tmp_path)
+    # at horizon 20 some surviving trials stay below STOP_POPULATION: every status comes up
+    path = write_config(tmp_path, simulate={"trials": 200, "horizon": 20, "cap": 100_000})
     out = tmp_path / "out"
     code = run(path, "simulate", outdir=str(out), fmt="both", quiet=True)
     assert code == EXIT_OK
     lines = (out / "survival.csv").read_text().splitlines()
-    assert lines[0] == "trial,status,extinction_time,last_origin_visit"
+    assert lines[0] == ("trial,status,extinction_time,last_origin_visit,stop_time,"
+                        "global_prob,local_prob")
     assert len(lines) == 201
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["survival"]["global_freq"] <= 1.0
-    # the rows are the survival run's: rerun it as the survival stage does
+    # the rows are the survival run's: rerun it as the survival stage does, each
+    # trial stopped at min(STOP_POPULATION, cap) on the shared environment
     env, seeds = load_config(path).environment, report["seeds"]
     batch = simulator.run_batch(
-        env, seeds["environment"], np.zeros(200, np.int64), 1, 60,
-        (seeds["environment"], seeds["simulate"]), cap=100000,
-        log_lam=math.log(criteria.lambda_feasible_set(env).midpoint))
+        env, seeds["environment"], np.zeros(200, np.int64), 1, 20,
+        (seeds["environment"], seeds["simulate"]), cap=min(simulator.STOP_POPULATION, 100_000),
+        log_lam=math.log(criteria.lambda_feasible_set(env).midpoint), stop=True)
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == batch.status.tolist()
-    assert {r[1] for r in rows} == {simulator.EXTINCT, simulator.CAP_REACHED,
+    assert {r[1] for r in rows} == {simulator.EXTINCT, simulator.STOPPED,
                                     simulator.ALIVE_AT_HORIZON}
-    for (trial, status, extinction_time, last_origin_visit), end, last in zip(
+    for (trial, status, extinction_time, last_origin_visit, stop_time, g, local), end, last in zip(
             rows, batch.end_time.tolist(), batch.last_origin_visit.tolist()):
         assert extinction_time == (str(end) if status == simulator.EXTINCT else "")
+        assert stop_time == (str(end) if status == simulator.STOPPED else "")
         assert last_origin_visit == str(last)
+        if status == simulator.STOPPED:  # its exact conditional probabilities
+            assert 0.0 <= float(local) <= float(g) <= 1.0
+        else:  # settled: 0 or 1
+            alive = status != simulator.EXTINCT
+            assert (g, local) == (str(float(alive)), str(float(alive and 2 * last >= 20)))
+    g = np.array([float(r[5]) for r in rows])
+    assert report["survival"]["global_freq"] == pytest.approx(g.mean(), rel=1e-12)
 
 
 def test_spectral_writes_series(tmp_path):
@@ -697,9 +708,12 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
 
 def test_simulate_fails_where_the_trace_overflows(tmp_path, monkeypatch, capsys):
     # the survival run records the trace, so simulate fails as all does when a
-    # trace trial outgrows the exact-integer guard before the trace horizon
+    # trace trial outgrows the exact-integer guard before the trace horizon: in
+    # annealed mode on several states, the one run whose trials step past the
+    # cap (on a shared environment they stop there)
     monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, environment=TWO_STATE_RIGHT_ENV,
+                        simulate={"trials": 200, "horizon": 60, "cap": 100_000, "mode": "annealed"})
     for subcommand in ("simulate", "all"):
         assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_INTERNAL
         assert "population guard hit" in capsys.readouterr().err

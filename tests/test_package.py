@@ -15,7 +15,7 @@ import brwre
 from laws import SRC, environment
 
 # the array modules: only a stage that computes on arrays loads them
-ARRAY_MODULES = ("numpy", "brwre.lyapunov", "brwre.spectral", "brwre.simulator")
+ARRAY_MODULES = ("numpy", "brwre.lyapunov", "brwre.spectral", "brwre.simulator", "brwre.exact")
 
 
 def loaded_after(code: str, tmp_path, modules=ARRAY_MODULES) -> dict:
@@ -94,6 +94,13 @@ def test_statistical_verdict_loads_the_exponent_module(tmp_path):
     report = json.loads((tmp_path / "classify" / "report.json").read_text())
     assert report["regime"]["vanishing_direction"] == "right"
     assert report["regime"]["gamma1"]["matrix_kind"] == "A"
+
+
+def test_a_run_where_no_trial_stops_loads_no_exact_table_module(tmp_path):
+    # on lyapunov-analytic's law every survival trial dies before it has 100
+    # particles, so no table is built and brwre.exact is never imported
+    loaded = loaded_after(run_code("both", ("all",), tmp_path), tmp_path)
+    assert loaded["brwre.simulator"] and not loaded["brwre.exact"], loaded
 
 
 def test_a_process_holding_numpy_loads_no_module_during_a_run(tmp_path):

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from brwre.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
-from laws import WORKLOAD_LAWS, environment
+from laws import LAWS, WORKLOAD_LAWS, environment
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
 _spec = importlib.util.spec_from_file_location("report_diff", TOOL)
@@ -94,3 +94,21 @@ def test_the_benchmark_copies_of_the_laws_match_the_registry():
     # workload's environment
     for workload, name in WORKLOAD_LAWS.items():
         assert report_diff.workloads.WORKLOADS[workload]["environment"] == environment(name), workload
+
+
+def test_the_committed_law_table_has_a_line_per_law_and_row():
+    # tools/laws_at_defaults.md is report_diff --laws's output: a header naming every
+    # cross-check row, then one line per law of tests/laws.py, in order
+    lines = (TOOL.parent / "laws_at_defaults.md").read_text().splitlines()
+    header = [c.strip() for c in lines[0].strip("|").split("|")]
+    assert header[8:] == [name for name, _ in report_diff.CROSSCHECKS]
+    assert [line.split("|")[1].strip() for line in lines[2:]] == list(LAWS)
+    assert all(line.count("|") == len(header) + 1 for line in lines)
+
+
+def test_a_rare_event_is_scaled_by_its_binomial_stderr():
+    # 10,000 trials that saw none of an event of probability 1e-6 are 0.1 binomial
+    # stderrs from it, not infinitely many of their own stderr 0
+    assert report_diff._z(0.0, 1e-6, 0.0, 10_000) == "-0.1"
+    assert report_diff._z(0.5, 0.4, 0.05, 100) == "+2.0"
+    assert report_diff._z(0.0, 0.0, 0.0, 100) == "0"

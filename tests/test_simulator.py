@@ -1,16 +1,18 @@
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brwre import simulator
+from brwre import exact, simulator
 from brwre.envmodel import EnvironmentLaw, derive_seed, law_from_atoms, state_indices
 from brwre.simulator import (
     ALIVE_AT_HORIZON,
     CAP_REACHED,
     EXTINCT,
+    STOPPED,
     CensoringError,
     PopulationOverflowError,
     frozen_mean_profile,
@@ -38,10 +40,19 @@ def branch_once(envlaw, counts, rng, env_seed=0):
     return dict(zip(sites.tolist(), counts.tolist()))
 
 
-def one_trial(envlaw, env_seed, trial_seed, horizon, cap):
-    """One trial from the origin: a one-row run_batch on stream (env_seed, trial_seed)."""
-    run = run_batch(envlaw, env_seed, [0], 1, horizon, (env_seed, trial_seed), cap=cap)
-    return simulator._outcomes(run)[0]
+def one_trial(envlaw, env_seed, trial_seed, horizon, cap, stop=False):
+    """One trial from the origin: a one-row run_batch on stream (env_seed, trial_seed), as
+    (status, end time, last origin visit), and with stop the particles it stopped with
+    (None if it did not stop)."""
+    run = run_batch(envlaw, env_seed, [0], 1, horizon, (env_seed, trial_seed), cap=cap, stop=stop)
+    row = Row(run.status[0], int(run.end_time[0]), int(run.last_origin_visit[0]))
+    return (row, run.stopped) if stop else row
+
+
+class Row(NamedTuple):
+    status: str
+    end_time: int
+    last_origin_visit: int
 
 
 def frozen_trial(envlaw, env_seed, level, trial_seed, max_time=5_000, max_population=1_000_000):
@@ -241,19 +252,17 @@ def test_survival_workers_do_not_change_result():
 
 
 def _events(o):
-    """A trial's global survival and local-proxy events, from its outcome: alive,
-    and alive with the origin occupied in the second half of its span."""
+    """A settled trial's survival and local-event values, from its status: alive, and
+    alive with the origin occupied in the second half of its span."""
     alive = o.status != EXTINCT
-    local = alive and 2 * o.last_origin_visit >= o.end_time
-    return alive, local
+    return float(alive), float(alive and 2 * o.last_origin_visit >= o.end_time)
 
 
-def _summary(outcomes):
-    """(value, stderr) of survival, local-proxy frequency and mean extinction time."""
-    n = len(outcomes)
-    out = []
-    for p in np.mean([_events(o) for o in outcomes], axis=0):
-        out.append((p, math.sqrt(p * (1.0 - p) / n)))
+def _summary(values, outcomes):
+    """(value, stderr) of the mean survival and local-event values, and of the mean
+    extinction time."""
+    values = np.asarray(values)
+    out = list(zip(values.mean(axis=0), values.std(axis=0) / math.sqrt(len(values))))
     times = np.array([o.end_time for o in outcomes if o.status == EXTINCT], dtype=float)
     out.append((times.mean(), times.std(ddof=1) / math.sqrt(len(times))))
     return out
@@ -261,8 +270,10 @@ def _summary(outcomes):
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])
 def test_frequencies_are_counted_from_the_outcomes(mode):
-    # two left-leaning states that kill most trials: all three statuses come
-    # up, and some trials survive away from the origin
+    # two left-leaning states that kill most trials: every way a trial ends comes
+    # up, and some trials survive away from the origin.  In quenched mode the
+    # trials share the environment, so they stop at min(STOP_POPULATION, cap)
+    # and the stopped ones carry exact values; in annealed mode they are capped
     env = EnvironmentLaw([
         (0.5, law_from_atoms([(0.35, (1, 0, 1)), (0.25, (1, 0, 0)), (0.1, (0, 0, 1)),
                               (0.3, (0, 0, 0))])),
@@ -271,10 +282,22 @@ def test_frequencies_are_counted_from_the_outcomes(mode):
     trials = 300
     est = survival_probabilities(env, trials=trials, horizon=60, cap=200, mode=mode,
                                  env_seed=3, seed=4)
-    assert {o.status for o in est.outcomes} == {EXTINCT, CAP_REACHED, ALIVE_AT_HORIZON}
-    alive, local = (sum(e) for e in zip(*map(_events, est.outcomes)))
+    ended = STOPPED if mode == "quenched" else CAP_REACHED
+    assert {o.status for o in est.outcomes} == {EXTINCT, ended, ALIVE_AT_HORIZON}
+    values = np.array([(o.global_prob, o.local_prob) for o in est.outcomes])
+    for o, v in zip(est.outcomes, values):
+        if o.status != STOPPED:
+            assert tuple(v) == _events(o)
+        else:
+            assert 0.0 <= v[1] <= v[0] <= 1.0
+    alive, local = values.sum(axis=0)
     assert 0 < local < alive
-    assert (est.global_freq, est.local_proxy_freq) == (alive / trials, local / trials)
+    assert (est.global_freq, est.local_proxy_freq) == pytest.approx(values.mean(axis=0),
+                                                                     rel=1e-12)
+    assert (est.global_stderr, est.local_proxy_stderr) == pytest.approx(
+        values.std(axis=0) / math.sqrt(trials), rel=1e-12)
+    if mode == "annealed":
+        assert (est.global_freq, est.local_proxy_freq) == (alive / trials, local / trials)
 
 
 def test_local_proxy_counts_a_visit_at_half_the_span():
@@ -298,19 +321,38 @@ def test_local_proxy_counts_a_visit_at_half_the_span():
     ids=["treble-quenched", "two-state-quenched", "two-state-annealed"],
 )
 def test_batched_survival_matches_single_trial_oracle(env, mode):
+    # the oracle runs each trial alone on its own stream, by the same rule: where
+    # the trials share the environment it stops each at min(STOP_POPULATION, cap)
+    # and reads the stopped ones from the exact tables, else it caps them
     trials, horizon, cap, env_seed, seed = 1000, 200, 500, 21, 22
     batched = survival_probabilities(env, trials=trials, horizon=horizon, cap=cap, mode=mode,
                                      env_seed=env_seed, seed=seed)
-    oracle = [
-        one_trial(env, env_seed if mode == "quenched" else derive_seed(env_seed, 1 + i),
-                  derive_seed(seed, i), horizon, cap)
-        for i in range(trials)
-    ]
-    for (a, se_a), (b, se_b) in zip(_summary(batched.outcomes), _summary(oracle)):
+    stop = mode == "quenched"
+    ended = STOPPED if stop else CAP_REACHED
+    oracle, groups = [], []
+    for i in range(trials):
+        if stop:
+            row, stopped = one_trial(env, env_seed, derive_seed(seed, i), horizon,
+                                     min(simulator.STOP_POPULATION, cap), stop=True)
+            if stopped is not None:
+                _, sites, counts = stopped
+                groups += [(i, row.end_time, x, c) for x, c in zip(sites.tolist(), counts.tolist())]
+        else:
+            row = one_trial(env, derive_seed(env_seed, 1 + i), derive_seed(seed, i), horizon, cap)
+        oracle.append(row)
+    values = np.array([_events(o) for o in oracle])
+    if stop:
+        g, joint = exact.read_stopped(env, env_seed, horizon, *map(np.array, zip(*groups)),
+                                      trials)
+        for i, o in enumerate(oracle):
+            if o.status == STOPPED:
+                values[i] = g[i], g[i] if 2 * o.last_origin_visit >= horizon else joint[i]
+    mine = [(o.global_prob, o.local_prob) for o in batched.outcomes]
+    for (a, se_a), (b, se_b) in zip(_summary(mine, batched.outcomes), _summary(values, oracle)):
         assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
-    capped = [o for o in batched.outcomes if o.status == CAP_REACHED]
-    assert capped
-    assert all(o.end_time < horizon for o in capped)
+    ends = [o for o in batched.outcomes if o.status == ended]
+    assert ends
+    assert all(o.end_time < horizon for o in ends)
 
 
 def test_batches_draw_independent_streams():
@@ -325,11 +367,19 @@ def test_batches_draw_independent_streams():
 
 def test_hard_count_guard_in_batched_runs(monkeypatch):
     monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
-    env = single_env(GW_SUPERCRITICAL)
-    # a trace row that reaches the guard before the trace horizon raises
+    # where the trials share the environment, the guard stops a row as the cap
+    # does, here before STOP_POPULATION, traced or not, and nothing raises
+    shared = survival_probabilities(single_env(GW_SUPERCRITICAL), trials=200, horizon=60,
+                                    env_seed=5, seed=1, lam=2.0)
+    assert {o.status for o in shared.outcomes} == {EXTINCT, STOPPED}
+    assert all(o.global_prob > 0.99 for o in shared.outcomes if o.status == STOPPED)
+    # annealed mode on two states keeps the capped run: a trace row that reaches
+    # the guard before the trace horizon raises
+    env = two_state_env()
     with pytest.raises(PopulationOverflowError):
-        survival_probabilities(env, trials=200, horizon=60, env_seed=5, seed=1, lam=2.0)
-    kwargs = dict(trials=200, horizon=400, cap=10**9, env_seed=5, seed=1)
+        survival_probabilities(env, trials=200, horizon=60, mode="annealed", env_seed=5, seed=1,
+                               lam=2.0)
+    kwargs = dict(trials=200, horizon=400, cap=10**9, mode="annealed", env_seed=5, seed=1)
     est = survival_probabilities(env, **kwargs)
     # the guard, not the cap, stops the rows: a cap no row can reach changes nothing
     assert any(o.status == CAP_REACHED for o in est.outcomes)
@@ -353,39 +403,50 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
     assert set(run.status[n:]) == {CAP_REACHED} and set(run.end_time[n:]) == {6}
     with pytest.raises(PopulationOverflowError):
         run_batch(fates, 5, [double] * (n + 8), 1, 60, (5, 1), **trace_kwargs)
-    # past the trace horizon the guard caps trace rows as before: no row can
-    # reach 40 particles in 5 generations, so no row steps on past its cap
+    # past the trace horizon the guard caps trace rows as before: no row of at
+    # most two children per particle reaches 40 in 5 generations, so no row
+    # steps on past its cap
     monkeypatch.setattr(simulator, "TRACE_HORIZON", 5)
     assert survival_probabilities(env, lam=2.0, **kwargs).outcomes == est.outcomes
 
 
 def test_shared_trace_is_not_censored_by_the_cap():
     # one state: E h_n = (mu-/lam + mu0 + mu+ lam)^n exactly; lam = 1.5 keeps the
-    # tail of h_n light enough for its sample stderr
+    # tail of h_n light enough for its sample stderr.  The trials stop at
+    # STOP_POPULATION, and a stopped one's trace reads its exact conditional
+    # mean, so the trace stays unbiased
     lam, trials, horizon = 1.5, 2000, simulator.TRACE_HORIZON
     env = single_env(GW_SUPERCRITICAL)
     est = survival_probabilities(env, trials=trials, horizon=horizon, cap=1000, env_seed=3,
                                  seed=4, lam=lam)
-    early = sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes)
+    early = sum(o.status == STOPPED and o.end_time < horizon for o in est.outcomes)
     assert early > 0.9 * sum(o.status != EXTINCT for o in est.outcomes)
     trace = est.trace
     assert (trace.lam, trace.trials, trace.horizon) == (lam, trials, horizon)
-    exact = (1.2 / lam + 0.05 * lam) ** np.arange(horizon + 1)
+    mean = (1.2 / lam + 0.05 * lam) ** np.arange(horizon + 1)
     assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
-    assert np.all(np.abs(trace.mean_h[1:] - exact[1:]) <= 4.0 * trace.stderr_h[1:])
-    # every row steps to the trace horizon, so with the survival horizon there the
-    # run draws what a run on the same stream with a cap no row reaches draws
-    uncapped = run_batch(env, 3, np.zeros(trials, np.int64), 1, horizon, (3, 4), cap=1 << 62,
+    assert np.all(np.abs(trace.mean_h[1:] - mean[1:]) <= 4.0 * trace.stderr_h[1:])
+    # annealed mode on two states caps its trials, and a capped traced row steps on
+    # to the trace horizon, so with the survival horizon there the run draws what a
+    # run on the same stream with a cap no row reaches draws
+    env, trials, lam = two_state_env(), 1000, 2.0
+    est = survival_probabilities(env, trials=trials, horizon=horizon, cap=100, mode="annealed",
+                                 env_seed=3, seed=4, lam=lam)
+    assert sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes) > 100
+    seeds = np.array([derive_seed(3, 1 + i) for i in range(trials)], np.uint64)
+    uncapped = run_batch(env, seeds, np.zeros(trials, np.int64), 1, horizon, (3, 4), cap=1 << 62,
                          log_lam=math.log(lam))
     oracle = simulator._trace(lam, uncapped.trace)
     for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
-        assert np.array_equal(getattr(trace, field), getattr(oracle, field))
+        assert np.array_equal(getattr(est.trace, field), getattr(oracle, field))
 
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])
 def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
     # two children one step left, surely: 2^t particles at -t, so every row
-    # reaches the cap 32 at t = 5 and h_n = (2/lam)^n
+    # reaches the cap 32 at t = 5 and h_n = (2/lam)^n; on one state the trials
+    # share the environment in either mode, so they stop there, and the trace
+    # reads their exact conditional means from then on
     env, lam, horizon = single_env([(1.0, (2, 0, 0))]), 4.0, 20
     kwargs = dict(trials=100, horizon=horizon, cap=32, mode=mode, env_seed=1, seed=2)
     plain = survival_probabilities(env, **kwargs)
@@ -395,7 +456,7 @@ def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
     assert (shared.global_freq, shared.local_proxy_freq) == (plain.global_freq,
                                                               plain.local_proxy_freq)
     assert {(o.status, o.end_time, o.last_origin_visit)
-            for o in shared.outcomes} == {(CAP_REACHED, 5, 0)}
+            for o in shared.outcomes} == {(STOPPED, 5, 0)}
     exact = (2.0 / lam) ** np.arange(horizon + 1)
     np.testing.assert_allclose(shared.trace.mean_h, exact, rtol=1e-12)
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 60)
@@ -416,17 +477,20 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
     # 200 trials in batches of 16 make 13 batches, more than TRACE_BATCHES: the
     # trace reads every row of the first TRACE_BATCHES, and the later batches
     # have no traced row, so their streams, and their trials, stay as they are
-    # without a trace
+    # without a trace.  Annealed on two states, the trials are capped, and a
+    # traced one steps on past its cap; on a shared environment every trial
+    # stops, so the trace draws nothing and changes no trial
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 16)
     n = simulator.TRACE_BATCHES * 16
     kwargs = dict(trials=200, horizon=100, cap=200, env_seed=3, seed=4)
-    env = single_env(GW_SUPERCRITICAL)
-    plain = survival_probabilities(env, **kwargs)
-    shared = survival_probabilities(env, lam=2.0, **kwargs)
-    assert n < 200
-    assert shared.outcomes[n:] == plain.outcomes[n:]
-    assert shared.outcomes[:n] != plain.outcomes[:n]  # rows stepping on past the cap draw
-    assert (shared.trace.trials, len(shared.trace.mean_h)) == (n, simulator.TRACE_HORIZON + 1)
+    for env, mode in ((two_state_env(), "annealed"), (single_env(GW_SUPERCRITICAL), "quenched")):
+        plain = survival_probabilities(env, mode=mode, **kwargs)
+        shared = survival_probabilities(env, mode=mode, lam=2.0, **kwargs)
+        assert n < 200
+        assert shared.outcomes[n:] == plain.outcomes[n:]
+        # rows stepping on past the cap draw
+        assert (shared.outcomes[:n] != plain.outcomes[:n]) == (mode == "annealed")
+        assert (shared.trace.trials, len(shared.trace.mean_h)) == (n, simulator.TRACE_HORIZON + 1)
 
 
 # -- weighted-population supermartingale --------------------------------------

@@ -27,6 +27,17 @@ and `x_stderrs`), also gives its move in combined stderrs of the two
 sides, unless a string sibling such as `matrix_kind` moved with it.
 `--base HEAD` on a clean tree checks that every output is
 byte-reproducible across processes.
+
+    python tools/report_diff.py --laws FILE [--tree DIR]
+
+instead runs `all` on each law of tests/laws.py at the harness seed and the
+config defaults, the sizes users run, with the brwre of DIR (default: this
+tree), and writes FILE, a markdown table of
+its verdict, its survival estimates and, for each cross-check row, the row's
+verdict and lhs.  Each estimate sits beside the exact value of the event it
+estimates on the run's environment, from this tree's brwre.exact, and its
+distance z from it in its own stderrs.  The table holds no times, so it is
+byte-reproducible; tools/laws_at_defaults.md is this tree's.
 """
 from __future__ import annotations
 
@@ -45,8 +56,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import workloads  # noqa: E402
-from laws import SIZES, environment, readme_block  # noqa: E402
-from brwre.cli import SUBCOMMAND_SECTIONS, SUBCOMMANDS  # noqa: E402
+from laws import LAWS, SIZES, environment, readme_block  # noqa: E402
+from brwre.cli import CROSSCHECKS, SUBCOMMAND_SECTIONS, SUBCOMMANDS, load_config  # noqa: E402
 
 SEEDS = (1, 2)
 SCALE = 50
@@ -213,11 +224,60 @@ def compare(base: dict, here: dict) -> tuple[list[str], list[str]]:
     return verdicts, diffs
 
 
+def _z(value: float, exact: float, stderr: float, trials: int) -> str:
+    """(value - exact) in stderrs, each stderr no smaller than the binomial one at the
+    exact value: where an event is rare the trials may see none of the paths that
+    carry it, and their spread says nothing."""
+    width = max(stderr, math.sqrt(exact * (1.0 - exact) / trials))
+    if width > 0.0:
+        return f"{(value - exact) / width:+.1f}"
+    return "0" if value == exact else "inf"
+
+
+def law_table(tree: Path, directory: Path) -> str:
+    """The --laws table of `tree`'s `all` runs, with their configs and outputs in `directory`."""
+    from brwre import exact
+    rows = [name for name, _ in CROSSCHECKS]
+    lines = ["| law | verdict | global | exact | z | local | exact | z | "
+             + " | ".join(rows) + " |", "|" + "---|" * (8 + len(rows))]
+    for name in LAWS:
+        config = directory / f"{name}.json"
+        config.write_text(json.dumps({"environment": environment(name), "seed": SIZES["seed"]}))
+        result = run(tree, "all", config, directory / name)
+        if result["exit code"]:
+            lines.append(f"| {name} | exit {result['exit code']} |" + " |" * (6 + len(rows)))
+            continue
+        report = json.loads(result["files"]["report.json"])
+        regime, survival = report["regime"], report["survival"]
+        parsed = load_config(str(config))
+        values = exact.origin_values(parsed.environment, report["seeds"]["environment"],
+                                     parsed.simulate.horizon)
+        cells = [name, f"{regime['regime']} {regime['vanishing_direction']}"]
+        for key, value in zip(("global", "local_proxy"), values):
+            freq, stderr = survival[f"{key}_freq"], survival[f"{key}_stderr"]
+            cells += [f"{freq:.4g} ± {stderr:.2g}", f"{value:.4g}",
+                      _z(freq, value, stderr, survival["trials"])]
+        by_row = {r["identity"]: r for r in report["crosscheck"]}
+        cells += [by_row[r]["verdict"] if by_row[r]["lhs"] is None
+                  else f"{by_row[r]['verdict']} {by_row[r]['lhs']:.4g}" for r in rows]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git revision to compare against")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--base", help="git revision to compare against")
+    mode.add_argument("--laws", type=Path, help="write the table of the laws at the defaults")
+    parser.add_argument("--tree", type=Path, default=ROOT, help="the tree whose brwre --laws runs")
     args = parser.parse_args(argv)
     tmp = Path(tempfile.mkdtemp(prefix="report_diff-"))
+    if args.laws:
+        try:
+            args.laws.write_text(law_table(args.tree.resolve(), tmp))
+            return 0
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
     base_tree = tmp / "base"
     try:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
