@@ -307,8 +307,7 @@ class Stages:
     @cached_property
     def survival(self):
         """Survival trials; with a nonempty feasible set the same run records the
-        supermartingale trace at its geometric midpoint, so every subcommand
-        that writes the survival section fails where that trace overflows."""
+        supermartingale trace at its geometric midpoint."""
         from . import simulator
         sim = self.config.simulate
         return simulator.survival_probabilities(

@@ -32,8 +32,9 @@ The trace's mean, g_k(x) = E_x h_k / lam^x with h = sum count lam^site, solves
 the mean recursion g_k(x) = (mu-/lam) g_{k-1}(x-1) + mu0 g_{k-1}(x) +
 (mu+ lam) g_{k-1}(x+1) from g_0 = 1, in the log domain as the trace itself.
 
-Every table reads one realized environment, env_seed, so it applies to runs
-whose trials share it: quenched mode, or a law of one state.
+A survival table reads one realized environment, env_seed, so it serves runs
+whose trials share it (quenched mode, or a law of one state); trace_logs also
+takes an array of seeds, one table per annealed trial's environment.
 """
 from __future__ import annotations
 
@@ -115,21 +116,22 @@ def origin_values(envlaw: EnvironmentLaw, env_seed: int, horizon: int) -> tuple[
     return float(g[0]), float(local[0])
 
 
-def trace_logs(envlaw: EnvironmentLaw, env_seed: int, log_lam: float, horizon: int) -> np.ndarray:
-    """log g_k(x) for k = 0..horizon, row k, column x + horizon, at |x| + k <= horizon
-    (NaN elsewhere).  lam is feasible for every state only up to FEASIBILITY_TOL,
+def trace_logs(envlaw: EnvironmentLaw, env_seed, log_lam: float, horizon: int,
+               depth: int | None = None) -> np.ndarray:
+    """log g_k(x) for k = 0..depth (default horizon), row k, column x + horizon, at
+    |x| + k <= horizon (NaN elsewhere); a 1-D array of seeds gives a table per seed
+    on a leading axis.  lam is feasible for every state only up to FEASIBILITY_TOL,
     so the exact g_k may grow by that much per generation, and roundoff by a few
-    ulps: each g_k is clamped to g_{k-1}, the nonincreasing envelope, so that
-    neither reads as an increase of the supermartingale."""
-    h = horizon
-    states = state_indices(envlaw, env_seed, np.arange(-h, h + 1))
+    ulps: each g_k is clamped to g_{k-1}, lest either read as an increase of h."""
+    h, lam, mu = horizon, np.exp(log_lam), np.array(envlaw.state_moments)
+    states = state_indices(envlaw, np.expand_dims(env_seed, -1), np.arange(-h, h + 1))
     with np.errstate(divide="ignore"):  # a zero mean is a -inf log-coefficient
-        coef = np.log([(m.mu_minus / np.exp(log_lam), m.mu_zero, m.mu_plus * np.exp(log_lam))
-                       for m in envlaw.state_moments])[states].T
-    out = np.full((h + 1, 2 * h + 1), np.nan)
-    out[0] = 0.0
-    for k in range(1, h + 1):
-        prev, c = out[k - 1, k - 1:2 * h + 2 - k], coef[:, k:2 * h + 1 - k]
-        new = np.logaddexp(np.logaddexp(c[0] + prev[:-2], c[1] + prev[1:-1]), c[2] + prev[2:])
-        out[k, k:2 * h + 1 - k] = np.minimum(new, prev[1:-1])
+        coef = np.moveaxis(np.log(mu * (1.0, 1.0, lam) / (lam, 1.0, 1.0))[states], -1, 0)
+    out = np.full(np.shape(env_seed) + (h + 1 if depth is None else depth + 1, 2 * h + 1), np.nan)
+    out[..., 0, :] = 0.0
+    for k in range(1, out.shape[-2]):
+        prev, c = out[..., k - 1, k - 1:2 * h + 2 - k], coef[..., k:2 * h + 1 - k]
+        new = np.logaddexp(np.logaddexp(c[0] + prev[..., :-2], c[1] + prev[..., 1:-1]),
+                           c[2] + prev[..., 2:])
+        out[..., k, k:2 * h + 1 - k] = np.minimum(new, prev[..., 1:-1])
     return out

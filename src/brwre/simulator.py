@@ -8,10 +8,10 @@ arrays; it is the one Monte Carlo entry point, and survival trials and the
 freezing construction are rows of it.  The survival run also records the
 supermartingale trace of its first TRACE_BATCHES batches through their first
 generations, as per-time moments that each traced batch keeps and the run
-pools, so the trace's memory does not grow with the trials.  Where every
-trial shares one environment, the survival run stops each trial at
-STOP_POPULATION particles and reads the rest of its survival events and of
-its trace exactly, from the tables of brwre.exact (conditional Monte Carlo).
+pools, so the trace's memory does not grow with the trials.  A row ends at
+its cap; a capped trial reads the rest of its trace, and on a shared
+environment (cap STOP_POPULATION) of its survival events, exactly from the
+tables of brwre.exact (conditional Monte Carlo).
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
@@ -56,10 +56,6 @@ STOP_POPULATION = 100
 class CensoringError(RuntimeError):
     """Too many censored trials, or none finished at a frozen level, for the
     estimate to be trusted."""
-
-
-class PopulationOverflowError(RuntimeError):
-    """A trace row outgrew the exact-integer guard before the trace horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +119,16 @@ def _pool(a: TraceSums, b: TraceSums) -> TraceSums:
 
 
 class BatchRun(NamedTuple):
-    """Per-row results of run_batch: status is EXTINCT, CAP_REACHED (STOPPED under
-    stop) or ALIVE_AT_HORIZON."""
+    """Per-row results of run_batch: status is EXTINCT, CAP_REACHED or ALIVE_AT_HORIZON."""
 
     status: np.ndarray
-    end_time: np.ndarray  # the extinction, cap (or stop) or horizon time
+    end_time: np.ndarray  # the extinction, cap or horizon time
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
     trace: TraceSums | None  # the traced batches' moments, given log_lam
-    # row, site and count of each stopped row's occupied sites at its stop (stop=True;
-    # None where no row stopped)
-    stopped: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    # row, site and count of each capped row's occupied sites at its cap, on a shared
+    # environment (None where no row was capped, and on per-row seeds)
+    at_cap: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _weighted(rows, sites, counts, log_lam, lo, n):
@@ -150,62 +145,52 @@ def _weighted(rows, sites, counts, log_lam, lo, n):
 
 
 def _held(held, t, table, n):
-    """h_t of a traced batch's stopped rows, 0 on its other rows: k = t - stop
-    generations on, a row's is E[h_t | its stop] = sum count lam^site g_k(site),
-    with log g from exact.trace_logs.  held is (batch row, site, log(count
-    lam^site), stop time) per occupied site at the stop."""
+    """h_t of a traced batch's capped rows, E[h_t | the cap], 0 on its other rows.  On a
+    shared environment held is (batch row, site, log(count lam^site), cap time) per site
+    at the cap, with table log g of exact.trace_logs; on per-row seeds held[t] is h_t."""
+    if table is None:
+        return held[t]
     row, site, log_h, when = held
     centre = table.shape[1] // 2
     return np.bincount(row, np.exp(log_h + table[t - when, site + centre]), minlength=n)
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
-              *, cap: int, freeze: bool = False, log_lam: float | None = None,
-              stop: bool = False) -> BatchRun:
+              *, cap: int, freeze: bool = False, log_lam: float | None = None) -> BatchRun:
     """Evolve independent rows, row i from start_count particles at starts[i].
 
     env_seed is one quenched seed or one seed per row.  Rows step together
     in batches of TRIAL_BATCH; batch b draws from default_rng([*stream, b]).
     A row ends Extinct with no particle left, CapReached once its total
-    reaches cap or a site count reaches _HARD_COUNT, else AliveAtHorizon;
-    the loop keeps only which rows are capped and when each was last seen,
-    and settles status and end time from them after it.  freeze moves
-    particles below starts[i] into the row's frozen count after each step.
+    reaches cap or a site count reaches _HARD_COUNT (it leaves the loop; see
+    BatchRun.at_cap), else AliveAtHorizon.  freeze moves particles below
+    starts[i] into the row's frozen count after each step.
 
     log_lam traces every row of the first TRACE_BATCHES batches at every
-    time t up to t_trace = min(TRACE_HORIZON, horizon): such a batch carries
-    its rows' h_t = sum_x count(x) lam^x, summed in the log domain and 0 on
-    a row with no particle, and records the mean and centred sum of squares
-    of h_t and of h_t - h_{t-1} (zero at the times after the batch died
-    out); the batches are pooled after the loop.  A traced row that reaches
-    the cap before t_trace is CapReached, its last seen time and last
-    origin visit frozen at that time, but keeps stepping, unseen by those
-    columns, until t_trace, so the cap never censors the trace; a traced row
-    whose site count reaches _HARD_COUNT by then raises
-    PopulationOverflowError.  The rows that keep stepping draw from their
-    batch's stream, so the other rows of a traced batch where one reached
-    the cap early see other draws.
-
-    stop, for rows that share one environment (env_seed one seed), ends every
-    row, traced or not, where it would be capped: it is Stopped at that time,
-    and BatchRun.stopped keeps its particles then.  At each later time up to
-    t_trace a stopped traced row's h_t is its exact conditional mean, from
-    exact.trace_logs, built at the first such stop; nothing steps past the
-    cap and nothing raises PopulationOverflowError.
+    time t up to t_trace = min(TRACE_HORIZON, horizon): such a batch records
+    the mean and centred sum of squares of its rows' h_t = sum_x count(x)
+    lam^x, summed in the log domain (0 on a row with no particle), and of
+    h_t - h_{t-1} (zero after the batch died out); the batches are pooled
+    after the loop.  A traced row capped at tau <= t_trace reads its exact
+    E[h_t | its particles at tau] from tau to t_trace, from exact.trace_logs:
+    one table on a shared environment, else one of depth t_trace - tau per
+    row, of its own environment.  So the cap never censors the trace, and the
+    trace draws nothing: no row changes with log_lam.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
+    shared = np.ndim(env_seed) == 0
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     capped = np.zeros(n, dtype=bool)
-    batches, stopped, table = [], [], None
+    batches, at_cap, table = [], [], None
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
         sites, counts = starts[rows], np.full(len(rows), start_count)
         traced = log_lam is not None and b < TRACE_BATCHES
         t_trace = min(TRACE_HORIZON, horizon) if traced else 0
-        held, t_done = None, 0  # the traced rows stopped so far; the last time traced
+        held, t_done = None, 0  # the capped traced rows (see _held); the last time traced
         if traced:
             sums = TraceSums(len(rows), np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
             h_prev = np.exp(np.log(counts) + sites * log_lam)
@@ -213,7 +198,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
             batches.append(sums)
         for t in range(1, horizon + 1):
             if not len(rows):
-                break  # the times left to trace keep their zero moments, or read held rows
+                break  # the times left to trace keep their zero moments, or read capped rows
             rows, sites, counts = _branch(envlaw, env_seed, rows, sites, counts, rng)
             if freeze:
                 hit = sites < starts[rows]
@@ -221,29 +206,30 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 rows, sites, counts = rows[~hit], sites[~hit], counts[~hit]
             first = _starts(rows)
             live = rows[first]
-            over = np.maximum.reduceat(counts, first) >= _HARD_COUNT
-            if over.any() and t <= t_trace and not stop:
-                raise PopulationOverflowError(
-                    f"population guard hit at step {t}; shorten the horizon")
-            # rows already CapReached step on for the trace alone
-            fresh = ~capped[live]
-            live, over = live[fresh], over[fresh]
-            total = np.add.reduceat(counts, first)[fresh]
             last_seen[live] = t
-            at_origin = rows[sites == 0]
-            last_origin[at_origin[~capped[at_origin]]] = t
-            over |= total >= cap
-            capped[live[over]] = True
-            if stop and over.any():
+            last_origin[rows[sites == 0]] = t
+            over = ((np.maximum.reduceat(counts, first) >= _HARD_COUNT)
+                    | (np.add.reduceat(counts, first) >= cap))
+            if over.any():
+                capped[live[over]] = True
                 out = capped[rows]
-                stopped.append((rows[out], sites[out], counts[out]))
+                r, x, c = rows[out], sites[out], counts[out]
+                if shared:  # read by the survival tables, which need a shared environment
+                    at_cap.append((r, x, c))
                 if t <= t_trace:
-                    if table is None:
-                        from . import exact  # loaded only where some row stops
-                        table = exact.trace_logs(envlaw, env_seed, log_lam, t_trace)
-                    add = (rows[out] - lo, sites[out], np.log(counts[out]) + sites[out] * log_lam,
-                           np.full(np.count_nonzero(out), t))
-                    held = add if held is None else tuple(map(np.concatenate, zip(held, add)))
+                    from . import exact  # loaded only where a traced row is capped
+                    log_h = np.log(c) + x * log_lam
+                    if shared:
+                        if table is None:
+                            table = exact.trace_logs(envlaw, env_seed, log_lam, t_trace)
+                        add = (r - lo, x, log_h, np.full(len(r), t))
+                        held = add if held is None else tuple(map(np.concatenate, zip(held, add)))
+                    else:  # E[h_s | the cap] for s >= t, from a table of each row's environment
+                        fresh, d = live[over], t_trace - t
+                        held = np.zeros((t_trace + 1, sums.n)) if held is None else held
+                        log_g = exact.trace_logs(envlaw, env_seed[fresh], log_lam, t_trace, d)
+                        g = log_g[np.searchsorted(fresh, r), :, x + t_trace].T + log_h
+                        held[t:, fresh - lo] = np.add.reduceat(np.exp(g), _starts(r), axis=1)
                 rows, sites, counts = rows[~out], sites[~out], counts[~out]
             if t <= t_trace:
                 h = _weighted(rows, sites, counts, log_lam, lo, sums.n)
@@ -251,19 +237,16 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                     h += _held(held, t, table, sums.n)
                 _record(sums, t, h, h_prev)
                 h_prev, t_done = h, t
-            if not stop and (t == t_trace or (t > t_trace and over.any())):
-                keep = ~capped[rows]
-                rows, sites, counts = rows[keep], sites[keep], counts[keep]
         for t in range(t_done + 1, t_trace + 1) if held is not None else ():
             h = _held(held, t, table, sums.n)
             _record(sums, t, h, h_prev)
             h_prev = h
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
-    ends = np.array([ALIVE_AT_HORIZON, EXTINCT, STOPPED if stop else CAP_REACHED], dtype=object)
+    ends = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
     trace = functools.reduce(_pool, batches) if batches else None
     return BatchRun(ends[gone + 2 * capped], end_time, last_origin, frozen, trace,
-                    tuple(map(np.concatenate, zip(*stopped))) if stopped else None)
+                    tuple(map(np.concatenate, zip(*at_cap))) if at_cap else None)
 
 
 class TrialOutcome(NamedTuple):
@@ -328,29 +311,24 @@ def survival_probabilities(
     TrialOutcome each.  n_workers is accepted for compatibility and ignored:
     the result never depends on it.
 
-    One rule decides how a trial ends: where every trial shares one
-    environment (quenched mode, or a law of one state), a trial stops when its
-    population first reaches K = min(STOP_POPULATION, cap), and its survival
+    Every trial ends at its cap (see run_batch).  Where every trial shares one
+    environment (quenched mode, or a law of one state), the cap is K =
+    min(STOP_POPULATION, cap): a capped trial is Stopped, and its survival
     events are read exactly from its particles then (exact.read_stopped; a
     trial that already occupied the origin at a time >= horizon/2 takes its
     global value as its local one).  This is conditional Monte Carlo
     (Hammersley & Handscomb 1964): each value is unbiased for its event.  The
     tables are built only when some trial stopped, and only back to the
     earliest stop.  In annealed mode on several states each trial has its own
-    environment and no table; a trial runs until it dies, reaches the cap or
-    the horizon.
+    environment and no survival table, and a capped trial is CapReached.
 
     With lam, which must be feasible for every state, the same run also
     records the supermartingale trace of its first TRACE_BATCHES batches,
     min(trials, TRACE_BATCHES * TRIAL_BATCH) trials, through generation
-    min(horizon, TRACE_HORIZON) (see run_batch).  A stopped traced trial
-    reads its exact conditional mean after its stop.  In annealed mode the
-    trace reads annealed trials: lam is feasible in every environment, so h
-    is a supermartingale in each; there a trial that reaches the cap before
-    the trace horizon steps on for the trace alone, so the other trials of
-    its batch see other draws, and a traced trial that outgrows _HARD_COUNT
-    by then raises PopulationOverflowError.  Later batches, and a run without
-    lam, draw as with no trace.
+    min(horizon, TRACE_HORIZON) (see run_batch); a traced trial reads its
+    exact conditional mean after its cap, and the trace changes no trial.
+    In annealed mode lam is feasible in every trial's environment, so h is a
+    supermartingale in each.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -364,15 +342,16 @@ def survival_probabilities(
             feasible_slack(m, lam)  # ValueError where lam is infeasible
     run = run_batch(envlaw, env_seeds, np.zeros(trials, np.int64), 1, horizon, (env_seed, seed),
                     cap=min(STOP_POPULATION, cap) if shared else cap,
-                    log_lam=None if lam is None else math.log(lam), stop=shared)
+                    log_lam=None if lam is None else math.log(lam))
+    at = shared & (run.status == CAP_REACHED)  # Stopped, and read exactly
+    run.status[at] = STOPPED
     alive = (run.status != EXTINCT).astype(float)
     local = alive * (2 * run.last_origin_visit >= run.end_time)
-    if run.stopped is not None:
-        rows, sites, counts = run.stopped
+    if at.any():
+        rows, sites, counts = run.at_cap
         from . import exact
         g, joint = exact.read_stopped(envlaw, env_seed, horizon, rows, run.end_time[rows],
                                       sites, counts, trials)
-        at = run.status == STOPPED
         alive[at] = g[at]
         local[at] = np.where(2 * run.last_origin_visit[at] >= horizon, g[at], joint[at])
     (g_mean, g_se), (l_mean, l_se) = _mean_stderr(alive), _mean_stderr(local)

@@ -338,14 +338,16 @@ def test_simulate_writes_csv(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["survival"]["global_freq"] <= 1.0
     # the rows are the survival run's: rerun it as the survival stage does, each
-    # trial stopped at min(STOP_POPULATION, cap) on the shared environment
+    # trial capped at min(STOP_POPULATION, cap) on the shared environment, where a
+    # capped trial is Stopped
     env, seeds = load_config(path).environment, report["seeds"]
     batch = simulator.run_batch(
         env, seeds["environment"], np.zeros(200, np.int64), 1, 20,
         (seeds["environment"], seeds["simulate"]), cap=min(simulator.STOP_POPULATION, 100_000),
-        log_lam=math.log(criteria.lambda_feasible_set(env).midpoint), stop=True)
+        log_lam=math.log(criteria.lambda_feasible_set(env).midpoint))
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[1] for r in rows] == batch.status.tolist()
+    assert [r[1] for r in rows] == [simulator.STOPPED if s == simulator.CAP_REACHED else s
+                                     for s in batch.status.tolist()]
     assert {r[1] for r in rows} == {simulator.EXTINCT, simulator.STOPPED,
                                     simulator.ALIVE_AT_HORIZON}
     for (trial, status, extinction_time, last_origin_visit, stop_time, g, local), end, last in zip(
@@ -706,17 +708,26 @@ def test_subcommand_sections_match_all(tmp_path, monkeypatch, environment, direc
                 assert section == full[key], (subcommand, key)
 
 
-def test_simulate_fails_where_the_trace_overflows(tmp_path, monkeypatch, capsys):
-    # the survival run records the trace, so simulate fails as all does when a
-    # trace trial outgrows the exact-integer guard before the trace horizon: in
-    # annealed mode on several states, the one run whose trials step past the
-    # cap (on a shared environment they stop there)
+def test_simulate_and_all_run_where_the_trace_outgrows_the_guard(tmp_path, monkeypatch,
+                                                                  capsys):
+    # in annealed mode on several states, trace trials reach the exact-integer guard
+    # before the trace horizon: the guard caps them as the cap would, and each
+    # reads its exact conditional mean from then on, so both subcommands that
+    # record the trace exit 0 and write the same survival section
     monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
     path = write_config(tmp_path, environment=TWO_STATE_RIGHT_ENV,
                         simulate={"trials": 200, "horizon": 60, "cap": 100_000, "mode": "annealed"})
+    reports = {}
     for subcommand in ("simulate", "all"):
-        assert run(path, subcommand, outdir=str(tmp_path / subcommand), quiet=True) == EXIT_INTERNAL
-        assert "population guard hit" in capsys.readouterr().err
+        out = tmp_path / subcommand
+        assert run(path, subcommand, outdir=str(out), fmt="both", quiet=True) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        reports[subcommand] = json.loads((out / "report.json").read_text())
+    survival = reports["simulate"]["survival"]
+    assert survival == reports["all"]["survival"]
+    statuses = [line.split(",")[1] for line in
+                (tmp_path / "simulate" / "survival.csv").read_text().splitlines()[1:]]
+    assert simulator.CAP_REACHED in statuses
 
 
 def test_a_collapsed_product_is_a_run_error(tmp_path, monkeypatch, capsys, no_blas_setting):

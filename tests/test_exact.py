@@ -68,27 +68,35 @@ def test_local_tables_on_a_deterministic_split():
 
 def test_trace_table_is_the_mean_recursion():
     # two states: E_x h_k / lam^x from the dense mean-offspring matrix on a window
-    # wide enough that its edges are never reached, against trace_logs
-    env, seed, lam, horizon = two_state_env(), 5, 2.0, 12
+    # wide enough that its edges are never reached, against trace_logs, whose array
+    # of seeds gives one table per seed along a leading axis
+    env, seeds, lam, horizon = two_state_env(), np.array([5, 6], np.uint64), 2.0, 12
     from brwre.envmodel import state_indices
+    tables = exact.trace_logs(env, seeds, math.log(lam), horizon)
+    assert tables.shape == (2, horizon + 1, 2 * horizon + 1)
     sites = np.arange(-2 * horizon, 2 * horizon + 1)
-    moments = np.array(env.state_moments)[state_indices(env, seed, sites)]
     n = len(sites)
-    m = np.zeros((n, n))  # m[i, j]: mean children at sites[j] of a particle at sites[i]
-    for i in range(n):
-        for d, mu in zip((-1, 0, 1), moments[i]):
-            if 0 <= i + d < n:
-                m[i, i + d] = mu
-    h = lam ** sites.astype(float)
-    table = exact.trace_logs(env, seed, math.log(lam), horizon)
-    mean = h.copy()
-    for k in range(horizon + 1):
-        for x in range(-(horizon - k), horizon - k + 1):
-            want = mean[x + 2 * horizon] / lam**x
-            assert math.exp(table[k, x + horizon]) == pytest.approx(want, rel=1e-12)
-        mean = m @ mean
-    # both states have positive slack at lam = 2, so g decreases
-    assert np.all(np.diff(table[:, horizon]) < 0.0)
+    for seed, table in zip(seeds.tolist(), tables):
+        moments = np.array(env.state_moments)[state_indices(env, seed, sites)]
+        m = np.zeros((n, n))  # m[i, j]: mean children at sites[j] of a particle at sites[i]
+        for i in range(n):
+            for d, mu in zip((-1, 0, 1), moments[i]):
+                if 0 <= i + d < n:
+                    m[i, i + d] = mu
+        mean = lam ** sites.astype(float)
+        for k in range(horizon + 1):
+            for x in range(-(horizon - k), horizon - k + 1):
+                want = mean[x + 2 * horizon] / lam**x
+                assert math.exp(table[k, x + horizon]) == pytest.approx(want, rel=1e-12)
+            mean = m @ mean
+        # both states have positive slack at lam = 2, so g decreases
+        assert np.all(np.diff(table[:, horizon]) < 0.0)
+        # one seed gives its table alone, and a depth its first rows
+        assert np.array_equal(exact.trace_logs(env, seed, math.log(lam), horizon), table,
+                              equal_nan=True)
+        assert np.array_equal(exact.trace_logs(env, seed, math.log(lam), horizon, 4), table[:5],
+                              equal_nan=True)
+    assert not np.array_equal(*tables, equal_nan=True)
 
 
 @pytest.mark.parametrize("name", ["two-state", "tie"])

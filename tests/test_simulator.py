@@ -14,7 +14,6 @@ from brwre.simulator import (
     EXTINCT,
     STOPPED,
     CensoringError,
-    PopulationOverflowError,
     frozen_mean_profile,
     run_batch,
     survival_probabilities,
@@ -40,13 +39,11 @@ def branch_once(envlaw, counts, rng, env_seed=0):
     return dict(zip(sites.tolist(), counts.tolist()))
 
 
-def one_trial(envlaw, env_seed, trial_seed, horizon, cap, stop=False):
+def one_trial(envlaw, env_seed, trial_seed, horizon, cap):
     """One trial from the origin: a one-row run_batch on stream (env_seed, trial_seed), as
-    (status, end time, last origin visit), and with stop the particles it stopped with
-    (None if it did not stop)."""
-    run = run_batch(envlaw, env_seed, [0], 1, horizon, (env_seed, trial_seed), cap=cap, stop=stop)
-    row = Row(run.status[0], int(run.end_time[0]), int(run.last_origin_visit[0]))
-    return (row, run.stopped) if stop else row
+    (status, end time, last origin visit)."""
+    run = run_batch(envlaw, env_seed, [0], 1, horizon, (env_seed, trial_seed), cap=cap)
+    return Row(run.status[0], int(run.end_time[0]), int(run.last_origin_visit[0]))
 
 
 class Row(NamedTuple):
@@ -322,8 +319,8 @@ def test_local_proxy_counts_a_visit_at_half_the_span():
 )
 def test_batched_survival_matches_single_trial_oracle(env, mode):
     # the oracle runs each trial alone on its own stream, by the same rule: where
-    # the trials share the environment it stops each at min(STOP_POPULATION, cap)
-    # and reads the stopped ones from the exact tables, else it caps them
+    # the trials share the environment it caps each at min(STOP_POPULATION, cap)
+    # and reads the capped (Stopped) ones from the exact tables, else it caps them
     trials, horizon, cap, env_seed, seed = 1000, 200, 500, 21, 22
     batched = survival_probabilities(env, trials=trials, horizon=horizon, cap=cap, mode=mode,
                                      env_seed=env_seed, seed=seed)
@@ -332,10 +329,12 @@ def test_batched_survival_matches_single_trial_oracle(env, mode):
     oracle, groups = [], []
     for i in range(trials):
         if stop:
-            row, stopped = one_trial(env, env_seed, derive_seed(seed, i), horizon,
-                                     min(simulator.STOP_POPULATION, cap), stop=True)
-            if stopped is not None:
-                _, sites, counts = stopped
+            run = run_batch(env, env_seed, [0], 1, horizon, (env_seed, derive_seed(seed, i)),
+                            cap=min(simulator.STOP_POPULATION, cap))
+            row = Row(run.status[0], int(run.end_time[0]), int(run.last_origin_visit[0]))
+            if run.at_cap is not None:
+                row = row._replace(status=STOPPED)
+                _, sites, counts = run.at_cap
                 groups += [(i, row.end_time, x, c) for x, c in zip(sites.tolist(), counts.tolist())]
         else:
             row = one_trial(env, derive_seed(env_seed, 1 + i), derive_seed(seed, i), horizon, cap)
@@ -367,29 +366,28 @@ def test_batches_draw_independent_streams():
 
 def test_hard_count_guard_in_batched_runs(monkeypatch):
     monkeypatch.setattr(simulator, "_HARD_COUNT", 40)
-    # where the trials share the environment, the guard stops a row as the cap
-    # does, here before STOP_POPULATION, traced or not, and nothing raises
+    # the guard ends a row as the cap does, traced or not, and nothing raises: where
+    # the trials share the environment it stops them, here before STOP_POPULATION
     shared = survival_probabilities(single_env(GW_SUPERCRITICAL), trials=200, horizon=60,
                                     env_seed=5, seed=1, lam=2.0)
     assert {o.status for o in shared.outcomes} == {EXTINCT, STOPPED}
     assert all(o.global_prob > 0.99 for o in shared.outcomes if o.status == STOPPED)
-    # annealed mode on two states keeps the capped run: a trace row that reaches
-    # the guard before the trace horizon raises
+    # annealed mode on two states: the guard, not the cap, caps the rows, traced
+    # ones too, before the trace horizon; a cap no row can reach changes nothing,
+    # and neither does the trace, whose capped rows read their exact means
     env = two_state_env()
-    with pytest.raises(PopulationOverflowError):
-        survival_probabilities(env, trials=200, horizon=60, mode="annealed", env_seed=5, seed=1,
-                               lam=2.0)
     kwargs = dict(trials=200, horizon=400, cap=10**9, mode="annealed", env_seed=5, seed=1)
     est = survival_probabilities(env, **kwargs)
-    # the guard, not the cap, stops the rows: a cap no row can reach changes nothing
-    assert any(o.status == CAP_REACHED for o in est.outcomes)
+    assert any(o.status == CAP_REACHED and o.end_time < simulator.TRACE_HORIZON
+               for o in est.outcomes)
     assert est.outcomes == survival_probabilities(env, **{**kwargs, "cap": 1 << 62}).outcomes
     assert not any(o.status == ALIVE_AT_HORIZON for o in est.outcomes)
-    with pytest.raises(PopulationOverflowError):
-        survival_probabilities(env, lam=2.0, **kwargs)
-    # only a traced row raises: quenched sites where each particle dies or doubles
-    # in place, so a row started at a doubling site passes the guard at t = 6,
-    # before the trace horizon, and rows of the untraced batch are capped there
+    traced = survival_probabilities(env, lam=2.0, **kwargs)
+    assert traced.outcomes == est.outcomes
+    assert np.all(np.isfinite(traced.trace.mean_h)) and np.all(traced.trace.mean_h > 0.0)
+    # quenched sites where each particle dies or doubles in place: a row started at
+    # a doubling site passes the guard at t = 6, traced or not, and its h_t is
+    # 2^t lam^site up to then
     n = simulator.TRIAL_BATCH
     monkeypatch.setattr(simulator, "TRACE_BATCHES", 1)
     fates = EnvironmentLaw([(0.5, law_from_atoms([(1.0, (0, 0, 0))])),
@@ -401,13 +399,10 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
     run = run_batch(fates, 5, [die] * n + [double] * 8, 1, 60, (5, 1), **trace_kwargs)
     assert set(run.status[:n]) == {EXTINCT} and set(run.end_time[:n]) == {1}
     assert set(run.status[n:]) == {CAP_REACHED} and set(run.end_time[n:]) == {6}
-    with pytest.raises(PopulationOverflowError):
-        run_batch(fates, 5, [double] * (n + 8), 1, 60, (5, 1), **trace_kwargs)
-    # past the trace horizon the guard caps trace rows as before: no row of at
-    # most two children per particle reaches 40 in 5 generations, so no row
-    # steps on past its cap
-    monkeypatch.setattr(simulator, "TRACE_HORIZON", 5)
-    assert survival_probabilities(env, lam=2.0, **kwargs).outcomes == est.outcomes
+    run = run_batch(fates, 5, [double] * (n + 8), 1, 60, (5, 1), **trace_kwargs)
+    assert set(run.status) == {CAP_REACHED} and set(run.end_time) == {6}
+    np.testing.assert_allclose(simulator._trace(2.0, run.trace).mean_h[:7],
+                               2.0 ** (np.arange(7) + double), rtol=1e-12)
 
 
 def test_shared_trace_is_not_censored_by_the_cap():
@@ -426,19 +421,35 @@ def test_shared_trace_is_not_censored_by_the_cap():
     mean = (1.2 / lam + 0.05 * lam) ** np.arange(horizon + 1)
     assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
     assert np.all(np.abs(trace.mean_h[1:] - mean[1:]) <= 4.0 * trace.stderr_h[1:])
-    # annealed mode on two states caps its trials, and a capped traced row steps on
-    # to the trace horizon, so with the survival horizon there the run draws what a
-    # run on the same stream with a cap no row reaches draws
-    env, trials, lam = two_state_env(), 1000, 2.0
+    # annealed mode on two states with the same moments: E h_n is the same in every
+    # environment, and each capped traced trial reads its exact conditional mean
+    # on its own environment from then on
+    env = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
+                          (0.5, law_from_atoms([(0.4, (3, 0, 0)), (0.05, (0, 0, 1)),
+                                                (0.55, (0, 0, 0))]))])
     est = survival_probabilities(env, trials=trials, horizon=horizon, cap=100, mode="annealed",
                                  env_seed=3, seed=4, lam=lam)
-    assert sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes) > 100
-    seeds = np.array([derive_seed(3, 1 + i) for i in range(trials)], np.uint64)
-    uncapped = run_batch(env, seeds, np.zeros(trials, np.int64), 1, horizon, (3, 4), cap=1 << 62,
-                         log_lam=math.log(lam))
-    oracle = simulator._trace(lam, uncapped.trace)
-    for field in ("mean_h", "stderr_h", "diff_mean", "diff_stderr"):
-        assert np.array_equal(getattr(est.trace, field), getattr(oracle, field))
+    assert sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes) > 500
+    trace = est.trace
+    assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
+    assert np.all(np.abs(trace.mean_h[1:] - mean[1:]) <= 4.0 * trace.stderr_h[1:])
+
+
+def test_annealed_capped_rows_read_their_own_environment():
+    # two children one step left, two or three by the state: 2^t to 3^t particles
+    # at -t, so every row reaches the cap 32 by t = 5, and its h_t is the product of
+    # its own environment's factors k/lam at sites 0, -1, ..., -(t-1), surely
+    env = EnvironmentLaw([(0.5, law_from_atoms([(1.0, (2, 0, 0))])),
+                          (0.5, law_from_atoms([(1.0, (3, 0, 0))]))])
+    lam, trials, horizon = 4.0, 200, 20
+    est = survival_probabilities(env, trials=trials, horizon=horizon, cap=32, mode="annealed",
+                                 env_seed=1, seed=2, lam=lam)
+    assert {o.status for o in est.outcomes} == {CAP_REACHED}
+    assert len({o.end_time for o in est.outcomes}) > 1
+    seeds = np.array([derive_seed(1, 1 + i) for i in range(trials)], np.uint64)
+    states = state_indices(env, seeds[:, None], -np.arange(horizon))
+    h = np.cumprod(np.where(states == 0, 2.0, 3.0) / lam, axis=1)
+    np.testing.assert_allclose(est.trace.mean_h, np.r_[1.0, h.mean(axis=0)], rtol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])
@@ -476,10 +487,9 @@ def test_trace_leaves_survival_columns_unchanged(monkeypatch, mode):
 def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
     # 200 trials in batches of 16 make 13 batches, more than TRACE_BATCHES: the
     # trace reads every row of the first TRACE_BATCHES, and the later batches
-    # have no traced row, so their streams, and their trials, stay as they are
-    # without a trace.  Annealed on two states, the trials are capped, and a
-    # traced one steps on past its cap; on a shared environment every trial
-    # stops, so the trace draws nothing and changes no trial
+    # have no traced row.  Every trial ends at its cap, traced or not, and a
+    # capped traced one reads its exact mean, so the trace draws nothing and
+    # changes no trial, annealed on two states or on a shared environment
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 16)
     n = simulator.TRACE_BATCHES * 16
     kwargs = dict(trials=200, horizon=100, cap=200, env_seed=3, seed=4)
@@ -487,9 +497,9 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
         plain = survival_probabilities(env, mode=mode, **kwargs)
         shared = survival_probabilities(env, mode=mode, lam=2.0, **kwargs)
         assert n < 200
-        assert shared.outcomes[n:] == plain.outcomes[n:]
-        # rows stepping on past the cap draw
-        assert (shared.outcomes[:n] != plain.outcomes[:n]) == (mode == "annealed")
+        assert shared.outcomes == plain.outcomes
+        assert any(o.end_time < simulator.TRACE_HORIZON
+                   for o in shared.outcomes[:n] if o.status != EXTINCT)
         assert (shared.trace.trials, len(shared.trace.mean_h)) == (n, simulator.TRACE_HORIZON + 1)
 
 
