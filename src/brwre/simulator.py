@@ -9,9 +9,11 @@ freezing construction are rows of it.  The survival run also records the
 supermartingale trace of its first TRACE_BATCHES batches through their first
 generations, as per-time moments that each traced batch keeps and the run
 pools, so the trace's memory does not grow with the trials.  A row ends at
-its cap; a capped trial reads the rest of its trace, and on a shared
-environment (cap STOP_POPULATION) of its survival events, exactly from the
-tables of brwre.exact (conditional Monte Carlo).
+its cap.  A traced batch fills one (time, row) array with its capped rows'
+exact E[h_t | the cap] from the trace table of each row's environment, in
+either mode; on a shared environment (cap STOP_POPULATION) a capped trial's
+survival events are read exactly too, from the survival tables of
+brwre.exact (conditional Monte Carlo).
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
@@ -126,8 +128,9 @@ class BatchRun(NamedTuple):
     last_origin_visit: np.ndarray  # -1 where the origin was never occupied
     frozen: np.ndarray  # particles frozen below the start (freeze=True)
     trace: TraceSums | None  # the traced batches' moments, given log_lam
-    # row, site and count of each capped row's occupied sites at its cap, on a shared
-    # environment (None where no row was capped, and on per-row seeds)
+    # row, site and count of each capped row's occupied sites at its cap, for the survival
+    # tables of a shared environment (None where no row was capped, and on per-row seeds);
+    # a traced row's E[h_t | the cap] is read at the cap, in either mode, into the trace
     at_cap: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
@@ -142,17 +145,6 @@ def _weighted(rows, sites, counts, log_lam, lo, n):
         spread = np.exp(x - np.repeat(top, np.diff(first, append=len(rows))))
         h[rows[first] - lo] = np.exp(top + np.log(np.add.reduceat(spread, first)))
     return h
-
-
-def _held(held, t, table, n):
-    """h_t of a traced batch's capped rows, E[h_t | the cap], 0 on its other rows.  On a
-    shared environment held is (batch row, site, log(count lam^site), cap time) per site
-    at the cap, with table log g of exact.trace_logs; on per-row seeds held[t] is h_t."""
-    if table is None:
-        return held[t]
-    row, site, log_h, when = held
-    centre = table.shape[1] // 2
-    return np.bincount(row, np.exp(log_h + table[t - when, site + centre]), minlength=n)
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
@@ -172,14 +164,18 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     lam^x, summed in the log domain (0 on a row with no particle), and of
     h_t - h_{t-1} (zero after the batch died out); the batches are pooled
     after the loop.  A traced row capped at tau <= t_trace reads its exact
-    E[h_t | its particles at tau] from tau to t_trace, from exact.trace_logs:
-    one table on a shared environment, else one of depth t_trace - tau per
-    row, of its own environment.  So the cap never censors the trace, and the
-    trace draws nothing: no row changes with log_lam.
+    E[h_t | its particles at tau] from tau to t_trace into its batch's one
+    (t_trace + 1, rows) array, filled at tau from the exact.trace_logs table of
+    its own environment, wide enough for the farthest start: on a shared
+    environment one table, built at the first cap, and on per-row seeds one of
+    depth t_trace - tau per newly capped row.
+    So the cap never censors the trace, and the trace draws nothing: no row
+    changes with log_lam.
     """
     starts = np.asarray(starts, dtype=np.int64)
     n = len(starts)
     shared = np.ndim(env_seed) == 0
+    reach = int(np.abs(starts).max(initial=0))  # a row's sites at t lie within reach + t
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     capped = np.zeros(n, dtype=bool)
@@ -190,7 +186,7 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
         sites, counts = starts[rows], np.full(len(rows), start_count)
         traced = log_lam is not None and b < TRACE_BATCHES
         t_trace = min(TRACE_HORIZON, horizon) if traced else 0
-        held, t_done = None, 0  # the capped traced rows (see _held); the last time traced
+        held, t_done = None, 0  # capped rows' E[h_t | the cap] (times x rows); the last time traced
         if traced:
             sums = TraceSums(len(rows), np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
             h_prev = np.exp(np.log(counts) + sites * log_lam)
@@ -216,31 +212,28 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                 r, x, c = rows[out], sites[out], counts[out]
                 if shared:  # read by the survival tables, which need a shared environment
                     at_cap.append((r, x, c))
-                if t <= t_trace:
+                if t <= t_trace:  # E[h_s | the cap] for s >= t, from its environment's table
                     from . import exact  # loaded only where a traced row is capped
-                    log_h = np.log(c) + x * log_lam
-                    if shared:
-                        if table is None:
-                            table = exact.trace_logs(envlaw, env_seed, log_lam, t_trace)
-                        add = (r - lo, x, log_h, np.full(len(r), t))
-                        held = add if held is None else tuple(map(np.concatenate, zip(held, add)))
-                    else:  # E[h_s | the cap] for s >= t, from a table of each row's environment
-                        fresh, d = live[over], t_trace - t
-                        held = np.zeros((t_trace + 1, sums.n)) if held is None else held
-                        log_g = exact.trace_logs(envlaw, env_seed[fresh], log_lam, t_trace, d)
-                        g = log_g[np.searchsorted(fresh, r), :, x + t_trace].T + log_h
-                        held[t:, fresh - lo] = np.add.reduceat(np.exp(g), _starts(r), axis=1)
+                    fresh, d = live[over], t_trace - t
+                    w = t_trace + reach  # the table's width: |x| + d <= w on every row
+                    if not shared:  # a table per newly capped row, of depth d
+                        table = exact.trace_logs(envlaw, env_seed[fresh], log_lam, w, d)
+                    elif table is None:  # the one environment's, built at the first cap
+                        table = exact.trace_logs(envlaw, env_seed, log_lam, w, t_trace)[None]
+                    at = np.searchsorted(fresh, r) if not shared else 0
+                    g = table[at, :d + 1, x + w].T + (np.log(c) + x * log_lam)
+                    held = np.zeros((t_trace + 1, sums.n)) if held is None else held
+                    held[t:, fresh - lo] = np.add.reduceat(np.exp(g), _starts(r), axis=1)
                 rows, sites, counts = rows[~out], sites[~out], counts[~out]
             if t <= t_trace:
                 h = _weighted(rows, sites, counts, log_lam, lo, sums.n)
                 if held is not None:
-                    h += _held(held, t, table, sums.n)
+                    h += held[t]
                 _record(sums, t, h, h_prev)
                 h_prev, t_done = h, t
         for t in range(t_done + 1, t_trace + 1) if held is not None else ():
-            h = _held(held, t, table, sums.n)
-            _record(sums, t, h, h_prev)
-            h_prev = h
+            _record(sums, t, held[t], h_prev)
+            h_prev = held[t]
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
     ends = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)

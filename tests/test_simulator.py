@@ -405,6 +405,13 @@ def test_hard_count_guard_in_batched_runs(monkeypatch):
                                2.0 ** (np.arange(7) + double), rtol=1e-12)
 
 
+def same_moments_env():
+    """GW_SUPERCRITICAL and a state of the same moments (1.2, 0, 0.05), half each."""
+    return EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
+                           (0.5, law_from_atoms([(0.4, (3, 0, 0)), (0.05, (0, 0, 1)),
+                                                 (0.55, (0, 0, 0))]))])
+
+
 def test_shared_trace_is_not_censored_by_the_cap():
     # one state: E h_n = (mu-/lam + mu0 + mu+ lam)^n exactly; lam = 1.5 keeps the
     # tail of h_n light enough for its sample stderr.  The trials stop at
@@ -424,11 +431,8 @@ def test_shared_trace_is_not_censored_by_the_cap():
     # annealed mode on two states with the same moments: E h_n is the same in every
     # environment, and each capped traced trial reads its exact conditional mean
     # on its own environment from then on
-    env = EnvironmentLaw([(0.5, law_from_atoms(GW_SUPERCRITICAL)),
-                          (0.5, law_from_atoms([(0.4, (3, 0, 0)), (0.05, (0, 0, 1)),
-                                                (0.55, (0, 0, 0))]))])
-    est = survival_probabilities(env, trials=trials, horizon=horizon, cap=100, mode="annealed",
-                                 env_seed=3, seed=4, lam=lam)
+    est = survival_probabilities(same_moments_env(), trials=trials, horizon=horizon, cap=100,
+                                 mode="annealed", env_seed=3, seed=4, lam=lam)
     assert sum(o.status == CAP_REACHED and o.end_time < horizon for o in est.outcomes) > 500
     trace = est.trace
     assert trace.mean_h[0] == 1.0 and trace.stderr_h[0] == 0.0
@@ -450,6 +454,26 @@ def test_annealed_capped_rows_read_their_own_environment():
     states = state_indices(env, seeds[:, None], -np.arange(horizon))
     h = np.cumprod(np.where(states == 0, 2.0, 3.0) / lam, axis=1)
     np.testing.assert_allclose(est.trace.mean_h, np.r_[1.0, h.mean(axis=0)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("env", [single_env(GW_SUPERCRITICAL), two_state_env()],
+                         ids=["one-state", "two-state"])
+def test_per_row_seeds_that_all_equal_the_shared_seed_run_the_same(env):
+    # rows started at three sites cap at several times in each traced batch; one
+    # seed per row that equals the shared seed is the same environment, so the
+    # statuses, end times and trace moments are the same to the last bit
+    starts, lam = np.tile([0, -3, 2], 100), 1.5
+    kwargs = dict(cap=100, log_lam=math.log(lam))
+    shared = run_batch(env, 7, starts, 1, 60, (7, 1), **kwargs)
+    per_row = run_batch(env, np.full(len(starts), 7, np.uint64), starts, 1, 60, (7, 1), **kwargs)
+    capped = shared.status == CAP_REACHED
+    assert len(set(shared.end_time[capped & (shared.end_time < 60)])) > 1
+    assert np.isfinite(shared.trace.mean).all()  # the tables reach every start
+    assert np.array_equal(per_row.status, shared.status)
+    assert np.array_equal(per_row.end_time, shared.end_time)
+    assert per_row.trace.n == shared.trace.n == len(starts)
+    assert np.array_equal(per_row.trace.mean, shared.trace.mean)
+    assert np.array_equal(per_row.trace.m2, shared.trace.m2)
 
 
 @pytest.mark.parametrize("mode", ["quenched", "annealed"])
@@ -508,8 +532,10 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
 
 def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
     # 150 trials in batches of 64, all three traced: the last traced batch has
-    # 22 rows; the law is subcritical, so batches die out before the trace
-    # horizon and skip their last times
+    # 22 rows.  On the subcritical law batches die out before the trace horizon
+    # and skip their last times; at cap 100 on GW_SUPERCRITICAL, quenched, and on
+    # its two-state pairing, annealed (per-row seeds), rows of every batch are
+    # capped early and read their exact means from then on
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 64)
     monkeypatch.setattr(simulator, "TRACE_BATCHES", 3)
     lam, horizon = 1.5, 40
@@ -520,24 +546,33 @@ def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
         record(sums, t, h, h_prev)
 
     monkeypatch.setattr(simulator, "_record", capture)
-    trace = survival_probabilities(single_env(SUBCRITICAL_BRANCHY), trials=150, horizon=horizon,
-                                   env_seed=3, seed=4, lam=lam).trace
-    batches = []
-    for t, h in seen:
-        if t == 0:
-            batches.append(np.zeros((len(h), horizon + 1)))  # times never recorded are 0
-        batches[-1][:, t] = h
-    assert [len(b) for b in batches] == [64, 64, 22]
-    assert sum(t == horizon for t, _ in seen) < len(batches)  # some batch died out early
-    h = np.concatenate(batches)
-    assert len(np.unique(h[:, 5])) > 5  # the moments see a spread, not one value
-    n = len(h)
-    diffs = np.diff(h, axis=1)
-    assert (trace.trials, trace.horizon) == (n, horizon)
-    for got, want in ((trace.mean_h, h.mean(0)), (trace.stderr_h, h.std(0, ddof=1) / math.sqrt(n)),
-                      (trace.diff_mean, diffs.mean(0)),
-                      (trace.diff_stderr, diffs.std(0, ddof=1) / math.sqrt(n))):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    for env, cap, mode in ((single_env(SUBCRITICAL_BRANCHY), 10**6, "quenched"),
+                           (single_env(GW_SUPERCRITICAL), 100, "quenched"),
+                           (same_moments_env(), 100, "annealed")):
+        seen.clear()
+        est = survival_probabilities(env, trials=150, horizon=horizon, cap=cap, mode=mode,
+                                     env_seed=3, seed=4, lam=lam)
+        batches = []
+        for t, h in seen:
+            if t == 0:
+                batches.append(np.zeros((len(h), horizon + 1)))  # times never recorded are 0
+            batches[-1][:, t] = h
+        assert [len(b) for b in batches] == [64, 64, 22]
+        early = [o.status != EXTINCT and o.end_time < horizon for o in est.outcomes]
+        if cap < 10**6:
+            assert all(any(early[lo:lo + 64]) for lo in (0, 64, 128))
+        else:
+            assert sum(t == horizon for t, _ in seen) < len(batches)  # some batch died out early
+        h = np.concatenate(batches)
+        assert len(np.unique(h[:, 5])) > 5  # the moments see a spread, not one value
+        n, trace = len(h), est.trace
+        diffs = np.diff(h, axis=1)
+        assert (trace.trials, trace.horizon) == (n, horizon)
+        for got, want in ((trace.mean_h, h.mean(0)),
+                          (trace.stderr_h, h.std(0, ddof=1) / math.sqrt(n)),
+                          (trace.diff_mean, diffs.mean(0)),
+                          (trace.diff_stderr, diffs.std(0, ddof=1) / math.sqrt(n))):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_trace_memory_does_not_grow_with_trials():
