@@ -7,19 +7,19 @@ steps many independent runs (rows) at once on flat (row, site, count)
 arrays; it is the one Monte Carlo entry point, and survival trials and the
 freezing construction are rows of it.  The survival run also records the
 supermartingale trace of its first TRACE_BATCHES batches through their first
-generations, as per-time moments that each traced batch keeps and the run
-pools, so the trace's memory does not grow with the trials.  A row ends at
-its cap.  A traced batch fills one (time, row) array with its capped rows'
-exact E[h_t | the cap] from the trace table of each row's environment, in
-either mode; on a shared environment (cap STOP_POPULATION) a capped trial's
-survival events are read exactly too, from the survival tables of
+generations: each traced batch writes every row's h_t into the run's one
+(time, row) array, sampled while the row has particles and its exact E[h_t |
+the cap] from its cap on (from the trace table of the row's environment, in
+either mode), and reduces it to per-time moments when it ends; the run pools
+the batches' moments, so the trace's memory does not grow with the trials.  A
+row ends at its cap; on a shared environment (cap STOP_POPULATION) a capped
+trial's survival events are read exactly too, from the survival tables of
 brwre.exact (conditional Monte Carlo).
 Each TRIAL_BATCH rows share one random stream keyed by (env_seed, seed,
 batch index), so results never depend on threads.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -105,12 +105,16 @@ class TraceSums(NamedTuple):
     m2: np.ndarray
 
 
-def _record(sums: TraceSums, t: int, h: np.ndarray, h_prev: np.ndarray) -> None:
-    """Store one batch's moments at time t of its trace rows' h and h - h_prev."""
-    for i, x in enumerate((h, h - h_prev)):
-        mean = x.mean()
-        sums.mean[i, t] = mean
-        sums.m2[i, t] = np.square(x - mean).sum()
+def _moments(h: np.ndarray) -> TraceSums:
+    """The moments of one batch's (times x rows) array h, time by time: of h_t and
+    of h_t - h_{t-1}, each on a contiguous row, so no (times x rows) temporary."""
+    sums = TraceSums(h.shape[1], np.zeros((2, len(h))), np.zeros((2, len(h))))
+    for t in range(len(h)):
+        for i, x in enumerate((h[t], h[t] - h[max(t - 1, 0)])):
+            mean = x.mean()
+            sums.mean[i, t] = mean
+            sums.m2[i, t] = np.square(x - mean).sum()
+    return sums
 
 
 def _pool(a: TraceSums, b: TraceSums) -> TraceSums:
@@ -130,21 +134,19 @@ class BatchRun(NamedTuple):
     trace: TraceSums | None  # the traced batches' moments, given log_lam
     # row, site and count of each capped row's occupied sites at its cap, for the survival
     # tables of a shared environment (None where no row was capped, and on per-row seeds);
-    # a traced row's E[h_t | the cap] is read at the cap, in either mode, into the trace
+    # a traced row's E[h_t | the cap] is read at the cap, in either mode, into the trace's array
     at_cap: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
-def _weighted(rows, sites, counts, log_lam, lo, n):
-    """h = sum_x count(x) lam^x of each of a batch's n rows, from row lo, summed in
-    the log domain; 0 on a row with no particle."""
-    h = np.zeros(n)
+def _weighted(rows, sites, counts, log_lam, lo, h):
+    """Write h = sum_x count(x) lam^x of each row with particles, from row lo, into
+    h[row - lo], summed in the log domain; h is left as it is on the other rows."""
     if len(rows):
         first = _starts(rows)
         x = np.log(counts) + sites * log_lam
         top = np.maximum.reduceat(x, first)
         spread = np.exp(x - np.repeat(top, np.diff(first, append=len(rows))))
         h[rows[first] - lo] = np.exp(top + np.log(np.add.reduceat(spread, first)))
-    return h
 
 
 def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: int, stream,
@@ -159,16 +161,16 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     starts[i] into the row's frozen count after each step.
 
     log_lam traces every row of the first TRACE_BATCHES batches at every
-    time t up to t_trace = min(TRACE_HORIZON, horizon): such a batch records
-    the mean and centred sum of squares of its rows' h_t = sum_x count(x)
-    lam^x, summed in the log domain (0 on a row with no particle), and of
-    h_t - h_{t-1} (zero after the batch died out); the batches are pooled
-    after the loop.  A traced row capped at tau <= t_trace reads its exact
-    E[h_t | its particles at tau] from tau to t_trace into its batch's one
-    (t_trace + 1, rows) array, filled at tau from the exact.trace_logs table of
-    its own environment, wide enough for the farthest start: on a shared
-    environment one table, built at the first cap, and on per-row seeds one of
-    depth t_trace - tau per newly capped row.
+    time t up to t_trace = min(TRACE_HORIZON, horizon) in one (t_trace + 1,
+    rows) array, the first batch's, zeroed for each next: h_t = sum_x count(x)
+    lam^x of each row with particles at t, summed in the log domain, and from
+    a row's cap at tau <= t_trace on, its exact E[h_t | its particles at tau],
+    read at tau from the exact.trace_logs table of its own environment, wide
+    enough for the farthest start (on a shared environment one table, built
+    at the first cap; on per-row seeds one of depth t_trace - tau per newly
+    capped row); 0 on an extinct row.  As a batch ends, the array is reduced
+    to the mean and centred sum of squares of h_t and of h_t - h_{t-1} at each
+    time, and the batches' moments are pooled.
     So the cap never censors the trace, and the trace draws nothing: no row
     changes with log_lam.
     """
@@ -179,22 +181,19 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
     last_seen, frozen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     last_origin = np.where(starts == 0, 0, -1)
     capped = np.zeros(n, dtype=bool)
-    batches, at_cap, table = [], [], None
+    trace, at_cap, table = None, [], None
     for b, lo in enumerate(range(0, n, TRIAL_BATCH)):
         rng = np.random.default_rng([*stream, b])
         rows = np.arange(lo, min(lo + TRIAL_BATCH, n))
         sites, counts = starts[rows], np.full(len(rows), start_count)
         traced = log_lam is not None and b < TRACE_BATCHES
         t_trace = min(TRACE_HORIZON, horizon) if traced else 0
-        held, t_done = None, 0  # capped rows' E[h_t | the cap] (times x rows); the last time traced
-        if traced:
-            sums = TraceSums(len(rows), np.zeros((2, t_trace + 1)), np.zeros((2, t_trace + 1)))
-            h_prev = np.exp(np.log(counts) + sites * log_lam)
-            _record(sums, 0, h_prev, h_prev)
-            batches.append(sums)
+        if traced:  # every row's h_t (times x rows): sampled, or exact from its cap on
+            h = np.zeros((t_trace + 1, len(rows))) if b == 0 else h[:, :len(rows)]
+            _weighted(rows, sites, counts, log_lam, lo, h[0])
         for t in range(1, horizon + 1):
             if not len(rows):
-                break  # the times left to trace keep their zero moments, or read capped rows
+                break  # the times left to trace hold zeros, or capped rows' exact means
             rows, sites, counts = _branch(envlaw, env_seed, rows, sites, counts, rng)
             if freeze:
                 hit = sites < starts[rows]
@@ -222,22 +221,17 @@ def run_batch(envlaw: EnvironmentLaw, env_seed, starts, start_count, horizon: in
                         table = exact.trace_logs(envlaw, env_seed, log_lam, w, t_trace)[None]
                     at = np.searchsorted(fresh, r) if not shared else 0
                     g = table[at, :d + 1, x + w].T + (np.log(c) + x * log_lam)
-                    held = np.zeros((t_trace + 1, sums.n)) if held is None else held
-                    held[t:, fresh - lo] = np.add.reduceat(np.exp(g), _starts(r), axis=1)
+                    h[t:, fresh - lo] = np.add.reduceat(np.exp(g, out=g), _starts(r), axis=1)
                 rows, sites, counts = rows[~out], sites[~out], counts[~out]
             if t <= t_trace:
-                h = _weighted(rows, sites, counts, log_lam, lo, sums.n)
-                if held is not None:
-                    h += held[t]
-                _record(sums, t, h, h_prev)
-                h_prev, t_done = h, t
-        for t in range(t_done + 1, t_trace + 1) if held is not None else ():
-            _record(sums, t, held[t], h_prev)
-            h_prev = held[t]
+                _weighted(rows, sites, counts, log_lam, lo, h[t])
+        if traced:
+            sums = _moments(h)
+            trace = sums if trace is None else _pool(trace, sums)
+            h.fill(0.0)  # reused by the next traced batch: a fresh array per batch stays resident
     gone = ~capped & (last_seen < horizon)  # a capped row's last_seen is its cap time
     ends = np.array([ALIVE_AT_HORIZON, EXTINCT, CAP_REACHED], dtype=object)
     end_time = np.select([capped, gone], [last_seen, last_seen + 1], horizon)
-    trace = functools.reduce(_pool, batches) if batches else None
     return BatchRun(ends[gone + 2 * capped], end_time, last_origin, frozen, trace,
                     tuple(map(np.concatenate, zip(*at_cap))) if at_cap else None)
 

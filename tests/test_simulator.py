@@ -533,37 +533,32 @@ def test_rows_past_the_trace_rows_are_capped_as_before(monkeypatch):
 def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
     # 150 trials in batches of 64, all three traced: the last traced batch has
     # 22 rows.  On the subcritical law batches die out before the trace horizon
-    # and skip their last times; at cap 100 on GW_SUPERCRITICAL, quenched, and on
-    # its two-state pairing, annealed (per-row seeds), rows of every batch are
-    # capped early and read their exact means from then on
+    # and hold zeros after; at cap 100 on GW_SUPERCRITICAL, quenched, and on its
+    # two-state pairing, annealed (per-row seeds), rows of every batch are
+    # capped early and hold their exact means from then on
     monkeypatch.setattr(simulator, "TRIAL_BATCH", 64)
     monkeypatch.setattr(simulator, "TRACE_BATCHES", 3)
     lam, horizon = 1.5, 40
-    seen, record = [], simulator._record
+    seen, moments = [], simulator._moments
 
-    def capture(sums, t, h, h_prev):
-        seen.append((t, h.copy()))
-        record(sums, t, h, h_prev)
+    def capture(h):
+        seen.append(h.copy())  # the next batch reuses the array
+        return moments(h)
 
-    monkeypatch.setattr(simulator, "_record", capture)
+    monkeypatch.setattr(simulator, "_moments", capture)
     for env, cap, mode in ((single_env(SUBCRITICAL_BRANCHY), 10**6, "quenched"),
                            (single_env(GW_SUPERCRITICAL), 100, "quenched"),
                            (same_moments_env(), 100, "annealed")):
         seen.clear()
         est = survival_probabilities(env, trials=150, horizon=horizon, cap=cap, mode=mode,
                                      env_seed=3, seed=4, lam=lam)
-        batches = []
-        for t, h in seen:
-            if t == 0:
-                batches.append(np.zeros((len(h), horizon + 1)))  # times never recorded are 0
-            batches[-1][:, t] = h
-        assert [len(b) for b in batches] == [64, 64, 22]
+        assert [b.shape for b in seen] == [(horizon + 1, 64)] * 2 + [(horizon + 1, 22)]
         early = [o.status != EXTINCT and o.end_time < horizon for o in est.outcomes]
         if cap < 10**6:
             assert all(any(early[lo:lo + 64]) for lo in (0, 64, 128))
         else:
-            assert sum(t == horizon for t, _ in seen) < len(batches)  # some batch died out early
-        h = np.concatenate(batches)
+            assert any(not b[-1].any() for b in seen)  # some batch's last row is all zero
+        h = np.concatenate(seen, axis=1).T
         assert len(np.unique(h[:, 5])) > 5  # the moments see a spread, not one value
         n, trace = len(h), est.trace
         diffs = np.diff(h, axis=1)
@@ -576,21 +571,26 @@ def test_streamed_trace_matches_the_two_pass_statistics(monkeypatch):
 
 
 def test_trace_memory_does_not_grow_with_trials():
-    # the trace keeps per-time moments per batch, so from 2,000 to 10,000 trials
-    # only the per-trial outcomes grow (about 1 MB); a trials x horizon matrix
-    # of h would add 16 MB
+    # the traced batches share one times x rows array of h, reduced to per-time
+    # moments as each batch ends, so from 2,000 to 10,000 trials only the
+    # per-trial outcomes grow (about 1 MB); a trials x horizon matrix of h
+    # would add 16 MB.  At 2,000 trials the trace adds less than one batch's
+    # array: two batches' arrays alive at once would exceed it
     env = single_env(GW_SUPERCRITICAL)
-    survival_probabilities(env, trials=100, horizon=5, cap=1000, lam=2.0)  # one-time allocations
+    # one-time allocations, the import of brwre.exact at a trial's stop among them
+    survival_probabilities(env, trials=100, horizon=60, cap=1000, lam=2.0)
 
-    def peak(trials):
+    def peak(trials, lam=2.0):
         tracemalloc.start()
         try:
-            survival_probabilities(env, trials=trials, horizon=60, cap=1000, lam=2.0)
+            survival_probabilities(env, trials=trials, horizon=60, cap=1000, lam=lam)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak(10_000) - peak(2_000) < 3e6
+    batch_array = simulator.TRIAL_BATCH * (simulator.TRACE_HORIZON + 1) * 8
+    assert peak(2_000) - peak(2_000, lam=None) < batch_array
 
 
 def test_trace_critical_law_has_unit_mean():
